@@ -10,6 +10,7 @@ import configparser
 import os
 from dataclasses import dataclass, field
 
+from .montecarlo import MIN_ESTIMATION_SAMPLES
 from .protocol import ChannelParams, DetectorParams, Scenario
 
 ENV_PREFIX = "CVMDI_"
@@ -150,8 +151,9 @@ def load_config(path: str | None = None, overrides: list[str] | None = None,
         raise ConfigError("sweep.points must be >= 1")
     if values["sweep"]["l_min_km"] < 0 or values["sweep"]["l_max_km"] < values["sweep"]["l_min_km"]:
         raise ConfigError("sweep grid must satisfy 0 <= l_min_km <= l_max_km")
-    if values["mc"]["n"] < 1:
-        raise ConfigError("mc.n must be >= 1")
+    if values["mc"]["n"] < MIN_ESTIMATION_SAMPLES:
+        raise ConfigError(f"mc.n must be >= {MIN_ESTIMATION_SAMPLES}, the smallest batch "
+                          f"the oracle's parameter estimation accepts")
     return cfg
 
 

@@ -13,6 +13,9 @@ Sampling conventions (shot-noise units, vacuum variance 1):
 Randomness: a counter-based Philox generator per noise source, keyed by
 (seed, source id), so sources can be generated independently and in parallel
 without changing results.
+
+Channels: each leg is an entangling cloner. Eve's kept arm never reaches the
+data, so the sampler draws only the mode she injects into the channel.
 """
 
 from __future__ import annotations
@@ -22,9 +25,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _kernels_py
 from .gaussian import CovarianceMatrix
 from .keyrate import block_form_params
-from .protocol import Scenario, entangling_cloner_variance, optimal_gain
+from .protocol import Scenario, optimal_gain
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -57,14 +61,21 @@ def _sample_epr(v: float, n: int, rng: np.random.Generator):
 
 
 def _through_channel(qx, qp, channel, stream, seed, n):
-    """Entangling-cloner channel: sqrt(eta) q + sqrt(1-eta) (Eve's arm)."""
+    """Entangling-cloner channel output sqrt(eta) q + sqrt(1 - eta + eta eps) z.
+
+    Only the injected cloner mode reaches the output, and its variance
+    (1 - eta) W = 1 - eta + eta eps, so z is drawn as one standard normal
+    per quadrature (x first, then p) instead of a full EPR pair. At eta = 1
+    the noise eps is kept: the L -> 0+ limit of the analytic composition.
+    """
     eta = channel.transmittance
-    if eta >= 1.0:
-        return qx, qp
-    w = entangling_cloner_variance(eta, channel.excess_noise)
-    ex, ep, _, _ = _sample_epr(w, n, _rng(seed, stream))  # kept arm unused
-    t, r = math.sqrt(eta), math.sqrt(1.0 - eta)
-    return t * qx + r * ex, t * qp + r * ep
+    t, r = math.sqrt(eta), math.sqrt(1.0 - eta + eta * channel.excess_noise)
+    rng = _rng(seed, stream)
+    out = rng.standard_normal(n), rng.standard_normal(n)
+    for z, q in zip(out, (qx, qp)):
+        z *= r
+        z += t * q
+    return out
 
 
 @dataclass(frozen=True)
@@ -247,17 +258,33 @@ def pm_eb_equivalence_test(scenario: Scenario, g: float | None = None,
     eb = simulate_eb(scenario, g, n, seed_pair[0])
     if k is None:
         k = fit_amplification(eb)
+    cov_eb = bridged_covariance(eb)
+    del eb  # hold one n-sample batch at a time
     pm = simulate_pm(scenario, k, n, seed_pair[1])
+    return equivalence_report(cov_eb, pm, g, z_limit)
 
-    s = bridge_matrix(scenario.v_a, scenario.v_b)
-    cov_eb = s @ np.cov(eb.data_matrix(), rowvar=False) @ s
-    cov_pm = np.cov(pm.data_matrix(), rowvar=False)
+
+def bridged_covariance(eb_batch: SampleBatch) -> np.ndarray:
+    """6x6 covariance of an EB batch's final data in PM modulation units."""
+    s = bridge_matrix(eb_batch.v_a, eb_batch.v_b)
+    return s @ np.cov(eb_batch.data_matrix(), rowvar=False) @ s
+
+
+def equivalence_report(cov_eb: np.ndarray, pm_batch: SampleBatch, g: float,
+                       z_limit: float = 4.0) -> EquivalenceReport:
+    """Compare a PM batch's 6x6 covariance with an independent EB estimate
+    of the same size, `bridged_covariance` of an EB batch drawn at gain g."""
+    cov_pm = np.cov(pm_batch.data_matrix(), rowvar=False)
     mid = 0.5 * (cov_eb + cov_pm)
-    var = (np.outer(np.diag(mid), np.diag(mid)) + mid**2) / n
+    var = (np.outer(np.diag(mid), np.diag(mid)) + mid**2) / pm_batch.n
     z = (cov_pm - cov_eb) / np.sqrt(2.0 * var)  # two independent estimates
     max_z = float(np.max(np.abs(z)))
-    return EquivalenceReport(k_used=float(k), g_used=float(g), z_scores=z,
+    return EquivalenceReport(k_used=float(pm_batch.coeff), g_used=float(g), z_scores=z,
                              max_abs_z=max_z, passed=max_z < z_limit)
+
+
+# smallest batch `estimate_params` accepts; `load_config` holds mc.n to it
+MIN_ESTIMATION_SAMPLES = 1000
 
 
 @dataclass(frozen=True)
@@ -290,9 +317,9 @@ def estimate_params(batch: SampleBatch, n_blocks: int = 10) -> EstimatedParams:
     outcome units via the bridge map. Standard errors come from a
     block-resampling split of the batch.
     """
-    if batch.n < 1000:
-        raise ValueError("need at least 1000 samples for estimation")
-    data = batch.data_matrix()[:, :4]
+    if batch.n < MIN_ESTIMATION_SAMPLES:
+        raise ValueError(f"need at least {MIN_ESTIMATION_SAMPLES} samples for estimation")
+    data = np.column_stack([batch.x_a, batch.p_a, batch.x_b_final, batch.p_b_final])
     if np.any(np.std(data, axis=0) < 1e-12):
         raise ValueError("degenerate (zero-variance) data column")
     if batch.scheme == "PM":
@@ -355,30 +382,29 @@ def lo_scaling_attack(batch: SampleBatch, eta_scale: float) -> SampleBatch:
 
 
 def key_rates_vs_k_from_batch(batch: SampleBatch, k_grid, beta: float = 1.0) -> np.ndarray:
-    """Data-driven key rate for each k, from one PM batch's second moments."""
-    from . import kernels
+    """Data-driven key rate for each k, from one PM batch's second moments.
 
+    Reads only the base columns x_a ... p_d, so the batch's own k does not
+    enter. The whole grid goes to the numpy kernel in one call.
+    """
     if batch.scheme != "PM":
         raise ValueError("k sweep over data requires a PM batch")
-    k_grid = np.asarray(k_grid, dtype=float)
+    k = np.asarray(k_grid, dtype=float)
     base = np.column_stack([batch.x_a, batch.p_a, batch.x_b, batch.p_b,
                             batch.x_c, batch.p_d])
     m = np.cov(base, rowvar=False)
     s_a = modulation_scale(batch.v_a)
     s_b = modulation_scale(batch.v_b)
-    rates = np.empty_like(k_grid)
     a = (m[0, 0] + m[1, 1]) / (s_a * s_a) - 1.0
-    for i, k in enumerate(k_grid):
-        # modulation units: X_B = x_b + k X_C, P_B = p_b - k P_D
-        var_xb = m[2, 2] + 2 * k * m[2, 4] + k * k * m[4, 4]
-        var_pb = m[3, 3] - 2 * k * m[3, 5] + k * k * m[5, 5]
-        cov_x = m[0, 2] + k * m[0, 4]
-        cov_p = m[1, 3] - k * m[1, 5]
-        # back to covariance-matrix units: Var_mod = s^2 (V+1)/2, Cov_mod = +-s_a s_b c/2
-        b = (var_xb + var_pb) / (s_b * s_b) - 1.0
-        c = (cov_x - cov_p) / (s_a * s_b)
-        rates[i] = kernels.block_key_rate(a, b, c, beta)
-    return rates
+    # modulation units: X_B = x_b + k X_C, P_B = p_b - k P_D
+    var_xb = m[2, 2] + 2 * k * m[2, 4] + k * k * m[4, 4]
+    var_pb = m[3, 3] - 2 * k * m[3, 5] + k * k * m[5, 5]
+    cov_x = m[0, 2] + k * m[0, 4]
+    cov_p = m[1, 3] - k * m[1, 5]
+    # back to covariance-matrix units: Var_mod = s^2 (V+1)/2, Cov_mod = +-s_a s_b c/2
+    b = (var_xb + var_pb) / (s_b * s_b) - 1.0
+    c = (cov_x - cov_p) / (s_a * s_b)
+    return _kernels_py.block_key_rate(a, b, c, beta)
 
 
 def export_csv(batch: SampleBatch, path) -> None:
@@ -389,5 +415,5 @@ def export_csv(batch: SampleBatch, path) -> None:
                  f"v_a={batch.v_a!r} v_b={batch.v_b!r} coeff={batch.coeff!r}\n")
         fh.write(",".join(cols) + "\n")
         mat = np.column_stack(list(cols.values()))
-        for row in mat:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for row in mat.tolist():
+            fh.write(",".join(map(repr, row)) + "\n")

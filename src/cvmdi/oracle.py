@@ -1,4 +1,12 @@
-"""Monte Carlo verification suites driven by the `oracle` CLI subcommand."""
+"""Monte Carlo verification suites driven by the `oracle` CLI subcommand.
+
+One run draws two n-sample batches and the four suites share them: one
+source-based (EB) batch at `seed` and the optimal gain, read by the
+covariance, estimation and equivalence suites, then one modulation-based
+(PM) batch at `seed + 1` and the EB batch's fitted k, read by the
+equivalence and rescaling suites. The EB batch is reduced to its fitted k
+and bridged covariance and released before the PM batch is drawn.
+"""
 
 from __future__ import annotations
 
@@ -19,10 +27,9 @@ class SuiteResult:
     detail: str
 
 
-def _cov_suite(scenario: Scenario, n: int, seed: int, wrong_sign: bool) -> SuiteResult:
+def _cov_suite(scenario: Scenario, batch: mc.SampleBatch, wrong_sign: bool) -> SuiteResult:
     """Empirical covariance of the final data vs the analytic prediction."""
-    g = optimal_gain(scenario)
-    batch = mc.simulate_eb(scenario, g, n, seed)
+    g = batch.coeff
     if wrong_sign:
         # test hook: displacement applied with inverted sign
         batch = replace(
@@ -35,15 +42,14 @@ def _cov_suite(scenario: Scenario, n: int, seed: int, wrong_sign: bool) -> Suite
         [a * np.eye(2), np.diag([c, -c])],
         [np.diag([c, -c]), b * np.eye(2)],
     ])))
-    z = mc.covariance_z_scores(mc.batch_outcome_covariance(batch), predicted, n)
+    z = mc.covariance_z_scores(mc.batch_outcome_covariance(batch), predicted, batch.n)
     zmax = float(np.max(np.abs(z)))
     return SuiteResult("covariance_vs_analytic", zmax < 4.0, f"max|z|={zmax:.2f}")
 
 
-def _estimation_suite(scenario: Scenario, n: int, seed: int) -> SuiteResult:
+def _estimation_suite(scenario: Scenario, batch: mc.SampleBatch) -> SuiteResult:
     from .protocol import effective_transmittance, equivalent_excess_noise
 
-    batch = mc.simulate_eb(scenario, None, n, seed)
     est = mc.estimate_params(batch)
     t_true = effective_transmittance(scenario)
     eps_true = equivalent_excess_noise(scenario)
@@ -53,19 +59,18 @@ def _estimation_suite(scenario: Scenario, n: int, seed: int) -> SuiteResult:
                        f"z(T)={zt:.2f} z(eps')={ze:.2f}")
 
 
-def _equivalence_suite(scenario: Scenario, n: int, seed: int) -> SuiteResult:
-    report = mc.pm_eb_equivalence_test(scenario, n=n, seed_pair=(seed, seed + 1))
+def _equivalence_suite(cov_eb: np.ndarray, g: float, batch: mc.SampleBatch) -> SuiteResult:
+    report = mc.equivalence_report(cov_eb, batch, g)
     return SuiteResult("pm_eb_equivalence", report.passed,
                        f"max|z|={report.max_abs_z:.2f} k={report.k_used:.4f}")
 
 
-def _attack_suite(scenario: Scenario, n: int, seed: int) -> SuiteResult:
+def _attack_suite(scenario: Scenario, batch: mc.SampleBatch) -> SuiteResult:
     from .keyrate import analytic_k
 
     k0 = analytic_k(scenario)
     # dense grid around the optimum so quantization of the max is << tolerance
     grid = k0 * np.logspace(np.log10(0.3), np.log10(3.0), 2001)
-    batch = mc.simulate_pm(scenario, k0, n, seed)
     base = mc.key_rates_vs_k_from_batch(batch, grid, scenario.beta_r)
     scaled = mc.key_rates_vs_k_from_batch(
         mc.lo_scaling_attack(batch, 0.64), grid, scenario.beta_r)
@@ -76,9 +81,16 @@ def _attack_suite(scenario: Scenario, n: int, seed: int) -> SuiteResult:
 
 def run_oracle_suites(scenario: Scenario, n: int, seed: int,
                       wrong_sign: bool = False) -> list[SuiteResult]:
+    g = optimal_gain(scenario)
+    eb = mc.simulate_eb(scenario, g, n, seed)
+    cov = _cov_suite(scenario, eb, wrong_sign)
+    estimation = _estimation_suite(scenario, eb)
+    k, cov_eb = mc.fit_amplification(eb), mc.bridged_covariance(eb)
+    del eb  # hold one n-sample batch at a time
+    pm = mc.simulate_pm(scenario, k, n, seed + 1)
     return [
-        _cov_suite(scenario, n, seed, wrong_sign),
-        _estimation_suite(scenario, n, seed + 100),
-        _equivalence_suite(scenario, n, seed + 200),
-        _attack_suite(scenario, n, seed + 300),
+        cov,
+        estimation,
+        _equivalence_suite(cov_eb, g, pm),
+        _attack_suite(scenario, pm),
     ]

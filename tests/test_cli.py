@@ -89,6 +89,11 @@ class TestExitCodes:
         assert main(args) == 1
         assert "FAIL covariance_vs_analytic" in capsys.readouterr().out
 
+    def test_oracle_sample_size_below_estimation_floor_is_2(self, capsys):
+        assert main(["--set", "mc.n=10", "oracle"]) == 2
+        err = capsys.readouterr().err
+        assert "mc.n" in err and "Traceback" not in err
+
 
 class TestCsvOutput:
     SWEEP = ["--set", "sweep.l_max_km=4", "--set", "sweep.points=5"]

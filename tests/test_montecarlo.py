@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from cvmdi import ChannelParams, Scenario, kernels
 from cvmdi import montecarlo as mc
 from cvmdi.keyrate import analytic_k, secret_key_rate
+from cvmdi.oracle import run_oracle_suites
 from cvmdi.protocol import (
     compose_eb_analytic,
     effective_transmittance,
@@ -79,6 +81,18 @@ class TestCovarianceOracle:
             std = col.std()
             kurt = np.mean(((col - col.mean()) / std) ** 4) - 3.0
             assert abs(kurt) < 6.0 * math.sqrt(24.0 / N_FAST)
+
+    def test_zero_length_noisy_leg_keeps_its_noise(self):
+        # the analytic path keeps eps at L = 0 (the L -> 0+ limit of the
+        # entangling cloner); the sampler must draw the same noise
+        s = Scenario(v_a=5.0, v_b=5.0,
+                     channel_a=ChannelParams(5.0, 0.2, 0.01),
+                     channel_b=ChannelParams(0.0, 0.2, 0.2))
+        batch = mc.simulate_eb(s, None, N_FAST, SEED)
+        predicted = mc.heterodyne_image(compose_eb_analytic(s))
+        z = mc.covariance_z_scores(
+            mc.batch_outcome_covariance(batch), predicted, N_FAST)
+        assert np.max(np.abs(z)) < 4.0
 
     def test_wrong_prediction_is_rejected(self, scenario, eb_batch):
         predicted = mc.heterodyne_image(compose_eb_analytic(scenario)) * 1.05
@@ -174,6 +188,25 @@ class TestRescalingAnalysis:
         empirical = float(mc.key_rates_vs_k_from_batch(pm_batch, k0, scenario.beta_r)[0])
         assert empirical == pytest.approx(secret_key_rate(scenario).k, abs=0.02)
 
+    def test_grid_matches_scalar_kernel_loop(self, scenario, pm_batch):
+        grid = self.grid(scenario)
+        rates = mc.key_rates_vs_k_from_batch(pm_batch, grid, scenario.beta_r)
+        m = np.cov(np.column_stack([pm_batch.x_a, pm_batch.p_a, pm_batch.x_b,
+                                    pm_batch.p_b, pm_batch.x_c, pm_batch.p_d]),
+                   rowvar=False)
+        s_a = mc.modulation_scale(pm_batch.v_a)
+        s_b = mc.modulation_scale(pm_batch.v_b)
+        a = (m[0, 0] + m[1, 1]) / (s_a * s_a) - 1.0
+        for k, rate in zip(grid.tolist(), rates.tolist()):
+            var_xb = m[2, 2] + 2 * k * m[2, 4] + k * k * m[4, 4]
+            var_pb = m[3, 3] - 2 * k * m[3, 5] + k * k * m[5, 5]
+            cov_x = m[0, 2] + k * m[0, 4]
+            cov_p = m[1, 3] - k * m[1, 5]
+            b = (var_xb + var_pb) / (s_b * s_b) - 1.0
+            c = (cov_x - cov_p) / (s_a * s_b)
+            assert rate == pytest.approx(
+                float(kernels.block_key_rate(a, b, c, scenario.beta_r)), abs=1e-12)
+
     def test_rejects_eb_batch(self, eb_batch):
         with pytest.raises(ValueError):
             mc.key_rates_vs_k_from_batch(eb_batch, [1.0])
@@ -193,3 +226,27 @@ class TestExport:
         assert lines[1] == "X_A,P_A,X_B,P_B,X_C,P_D"
         data = np.loadtxt(lines[2:], delimiter=",")
         assert np.array_equal(data, batch.data_matrix())
+
+    def test_csv_rows_are_per_cell_reprs(self, scenario, tmp_path):
+        batch = mc.simulate_pm(scenario, 1.3, 500, SEED)
+        path = tmp_path / "samples.csv"
+        mc.export_csv(batch, path)
+        body = path.read_bytes().split(b"\n", 2)[2]
+        expected = "".join(",".join(repr(float(v)) for v in row) + "\n"
+                           for row in batch.data_matrix())
+        assert body == expected.encode()
+
+
+class TestOracleSuites:
+    @pytest.fixture(scope="class")
+    def results(self, scenario):
+        return run_oracle_suites(scenario, N_FAST, SEED)
+
+    def test_same_seed_same_details(self, scenario, results):
+        assert [r.passed for r in results] == [True] * 4
+        assert run_oracle_suites(scenario, N_FAST, SEED) == results
+
+    def test_wrong_sign_fails_only_the_covariance_suite(self, scenario, results):
+        bad = run_oracle_suites(scenario, N_FAST, SEED, wrong_sign=True)
+        assert bad[0].name == "covariance_vs_analytic" and not bad[0].passed
+        assert bad[1:] == results[1:]
