@@ -68,7 +68,7 @@ def _sweep_rows(result) -> list[tuple]:
     return rows
 
 
-def cmd_figure(cfg: RunConfig, figure: str, out: str | None, threads: int) -> int:
+def cmd_figure(cfg: RunConfig, figure: str, out: str | None) -> int:
     scenario = cfg.scenario()
     if figure == "fig4":
         legs = _grid(cfg) / 2.0
@@ -77,7 +77,7 @@ def cmd_figure(cfg: RunConfig, figure: str, out: str | None, threads: int) -> in
             ("practical", scenario),
             ("ideal", _idealized(scenario)),
         ):
-            rows.extend(_sweep_rows(sweep_symmetric(scn, legs, threads)))
+            rows.extend(_sweep_rows(sweep_symmetric(scn, legs)))
             rows[-1] = (rows[-1][0], rows[-1][1], f"{label}:max_total_distance")
             # relabel curve rows emitted above
             rows = [(a, k, lab.replace("symmetric", label)) for a, k, lab in rows]
@@ -89,7 +89,7 @@ def cmd_figure(cfg: RunConfig, figure: str, out: str | None, threads: int) -> in
             ("practical", scenario),
             ("ideal", _idealized(scenario)),
         ):
-            res = sweep_asymmetric(scn, _grid(cfg), cfg.l_bc_values(), threads)
+            res = sweep_asymmetric(scn, _grid(cfg), cfg.l_bc_values())
             for a, k, lab in _sweep_rows(res):
                 rows.append((a, k, f"{label}:{lab}"))
         _write_csv(out, cfg, ["axis_km", "K_bits_per_use", "curve_label"], rows)
@@ -121,12 +121,12 @@ def _idealized(scenario):
     )
 
 
-def cmd_sweep(cfg: RunConfig, mode: str, out: str | None, threads: int) -> int:
+def cmd_sweep(cfg: RunConfig, mode: str, out: str | None) -> int:
     scenario = cfg.scenario()
     if mode == "symmetric":
-        result = sweep_symmetric(scenario, _grid(cfg) / 2.0, threads)
+        result = sweep_symmetric(scenario, _grid(cfg) / 2.0)
     elif mode == "asymmetric":
-        result = sweep_asymmetric(scenario, _grid(cfg), cfg.l_bc_values(), threads)
+        result = sweep_asymmetric(scenario, _grid(cfg), cfg.l_bc_values())
     else:
         raise ConfigError(f"unknown sweep mode {mode!r}")
     _write_csv(out, cfg, ["axis_km", "K_bits_per_use", "curve_label"], _sweep_rows(result))
@@ -154,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override a config entry (repeatable)")
     parser.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
     parser.add_argument("--seed", type=int, help="Monte Carlo seed (overrides mc.seed)")
-    parser.add_argument("--threads", type=int, default=1, help="parallel sweep workers")
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("keyrate", help="single key-rate evaluation")
@@ -178,9 +177,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "keyrate":
             return cmd_keyrate(cfg, args.out)
         if args.command == "figure":
-            return cmd_figure(cfg, args.figure_id, args.out, args.threads)
+            return cmd_figure(cfg, args.figure_id, args.out)
         if args.command == "sweep":
-            return cmd_sweep(cfg, args.mode, args.out, args.threads)
+            return cmd_sweep(cfg, args.mode, args.out)
         if args.command == "oracle":
             return cmd_oracle(cfg, args.negative_control)
         raise ConfigError(f"unknown command {args.command!r}")

@@ -7,6 +7,7 @@ environment variables < --set section.key=value overrides.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -65,18 +66,18 @@ class RunConfig:
 
     def scenario(self) -> Scenario:
         s = self.values["scenario"]
+        channel_a = _build(ChannelParams, s, "l_ac_km", "attenuation_db_per_km", "eps_a")
+        channel_b = _build(ChannelParams, s, "l_bc_km", "attenuation_db_per_km", "eps_b")
+        detector = _build(DetectorParams, s, "eta_d", "v_el")
         try:
             return Scenario(
                 v_a=s["v_a"], v_b=s["v_b"],
-                channel_a=ChannelParams(s["l_ac_km"], s["attenuation_db_per_km"], s["eps_a"]),
-                channel_b=ChannelParams(s["l_bc_km"], s["attenuation_db_per_km"], s["eps_b"]),
-                beta_r=s["beta_r"],
-                detector=DetectorParams(s["eta_d"], s["v_el"]),
-                gain_mode=s["gain_mode"],
-                gain=s["gain"],
+                channel_a=channel_a, channel_b=channel_b,
+                beta_r=s["beta_r"], detector=detector,
+                gain_mode=s["gain_mode"], gain=s["gain"],
             )
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(f"scenario: {exc}") from exc
 
     def l_bc_values(self) -> list[float]:
         raw = self.values["sweep"]["l_bc_values_km"]
@@ -97,18 +98,30 @@ class RunConfig:
         return lines
 
 
+def _build(cls, scenario: dict, *keys: str):
+    """cls from the given [scenario] keys, in order; a ValueError becomes a
+    ConfigError that names those keys."""
+    try:
+        return cls(*(scenario[k] for k in keys))
+    except ValueError as exc:
+        raise ConfigError(f"{', '.join('scenario.' + k for k in keys)}: {exc}") from exc
+
+
 def _convert(section: str, key: str, raw, where: str):
     if section not in _SCHEMA:
         raise ConfigError(f"unknown section [{section}] ({where})")
     if key not in _SCHEMA[section]:
         raise ConfigError(f"unknown key {section}.{key} ({where})")
     typ = _SCHEMA[section][key]
-    if isinstance(raw, typ):
-        return raw
-    try:
-        return typ(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{section}.{key}: cannot parse {raw!r} as {typ.__name__} ({where})") from exc
+    value = raw
+    if not isinstance(raw, typ):
+        try:
+            value = typ(raw)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{section}.{key}: cannot parse {raw!r} as {typ.__name__} ({where})") from exc
+    if typ is float and not math.isfinite(value):
+        raise ConfigError(f"{section}.{key}: {raw!r} is not a finite number ({where})")
+    return value
 
 
 def load_config(path: str | None = None, overrides: list[str] | None = None,
@@ -151,6 +164,14 @@ def load_config(path: str | None = None, overrides: list[str] | None = None,
         raise ConfigError("sweep.points must be >= 1")
     if values["sweep"]["l_min_km"] < 0 or values["sweep"]["l_max_km"] < values["sweep"]["l_min_km"]:
         raise ConfigError("sweep grid must satisfy 0 <= l_min_km <= l_max_km")
+    # every sweep length must make a valid leg (finite, >= 0, transmittance > 0)
+    legs = [("sweep.l_max_km", values["sweep"]["l_max_km"])]
+    legs += [("sweep.l_bc_values_km", length) for length in cfg.l_bc_values()]
+    for key, length in legs:
+        try:
+            ChannelParams(length, values["scenario"]["attenuation_db_per_km"])
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
     if values["mc"]["n"] < MIN_ESTIMATION_SAMPLES:
         raise ConfigError(f"mc.n must be >= {MIN_ESTIMATION_SAMPLES}, the smallest batch "
                           f"the oracle's parameter estimation accepts")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +73,7 @@ def block_form_params(cov2: CovarianceMatrix) -> tuple[float, float, float]:
 def mutual_information(cov2: CovarianceMatrix) -> float:
     """Mutual information of dual-heterodyne data on both modes, bits/use."""
     a, b, c = block_form_params(cov2)
-    return float(kernels.block_mutual_information(a, b, c))
+    return kernels.block_mutual_information(a, b, c)
 
 
 def mutual_information_generic(cov2: CovarianceMatrix) -> float:
@@ -88,7 +87,7 @@ def mutual_information_generic(cov2: CovarianceMatrix) -> float:
 def holevo_bound_reverse(cov2: CovarianceMatrix) -> float:
     """Holevo bound on Eve's information about mode-B heterodyne data."""
     a, b, c = block_form_params(cov2)
-    return float(kernels.block_holevo_reverse(a, b, c))
+    return kernels.block_holevo_reverse(a, b, c)
 
 
 def holevo_bound_reverse_generic(cov2: CovarianceMatrix) -> float:
@@ -103,6 +102,7 @@ def scenario_block_params(scenario: Scenario, g: float | None = None) -> tuple[f
     """(a, b, c) of the post-protocol covariance, detector penalty included."""
     if g is None:
         g = scenario.resolved_gain()
+    g = float(g)  # the optimal gain is a numpy scalar; keep the arithmetic on floats
     t = effective_transmittance(scenario, g)
     eps = imperfect_excess_noise(scenario, g if scenario.gain_mode == "fixed" else None)
     a = scenario.v_a
@@ -114,8 +114,8 @@ def scenario_block_params(scenario: Scenario, g: float | None = None) -> tuple[f
 def secret_key_rate(scenario: Scenario) -> KeyRatePoint:
     g = scenario.resolved_gain()
     a, b, c = scenario_block_params(scenario, g)
-    i_ab = float(kernels.block_mutual_information(a, b, c))
-    chi = float(kernels.block_holevo_reverse(a, b, c))
+    i_ab = kernels.block_mutual_information(a, b, c)
+    chi = kernels.block_holevo_reverse(a, b, c)
     return KeyRatePoint(
         scenario=scenario,
         g_used=g,
@@ -144,15 +144,19 @@ def _bisect_zero(f, lo: float, hi: float, tol: float = BISECT_TOL_KM) -> float:
 
 
 def _max_distance(f, cap: float = MAX_DISTANCE_CAP_KM) -> float:
-    """Largest axis value with f > 0; inf if f stays positive up to cap."""
+    """Largest axis value with f > 0; inf if f stays positive up to cap.
+
+    Doubles hi from 1 km until f(hi) <= 0; lo is the last probe with f > 0
+    (0 when f(1 km) <= 0 already), so the bisection bracket is always checked.
+    """
     if f(0.0) <= 0.0:
         return 0.0
-    hi = 1.0
+    lo, hi = 0.0, 1.0
     while f(hi) > 0.0:
-        hi *= 2.0
+        lo, hi = hi, 2.0 * hi
         if hi > cap:
             return math.inf
-    return _bisect_zero(f, hi / 2.0, hi)
+    return _bisect_zero(f, lo, hi)
 
 
 def max_total_distance_symmetric(scenario: Scenario) -> float:
@@ -166,53 +170,34 @@ def max_distance_asymmetric(scenario: Scenario, l_bc_km: float) -> float:
     return _max_distance(lambda l: key_rate_at(scenario, l, l_bc_km))
 
 
-def _symmetric_point(args) -> KeyRatePoint:
-    scenario, l = args
-    return secret_key_rate(scenario.with_lengths(l, l))
-
-
-def _asymmetric_point(args) -> KeyRatePoint:
-    scenario, l_ac, l_bc = args
-    return secret_key_rate(scenario.with_lengths(l_ac, l_bc))
-
-
-def _map(fn, jobs, threads: int):
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, jobs))  # map preserves submission order
-    return [fn(j) for j in jobs]
-
-
-def sweep_symmetric(scenario: Scenario, l_grid, threads: int = 1) -> SweepResult:
+def sweep_symmetric(scenario: Scenario, l_grid) -> SweepResult:
     """Key rate vs total distance with both legs equal (grid of leg lengths)."""
     l_grid = np.asarray(l_grid, dtype=float)
     if l_grid.size == 0 or np.any(l_grid < 0):
         raise ValueError("grid must be nonempty and nonnegative")
-    points = _map(_symmetric_point, [(scenario, l) for l in l_grid], threads)
+    points = tuple(secret_key_rate(scenario.with_lengths(l, l)) for l in l_grid.tolist())
     curve = SweepCurve(
         label="symmetric",
         axis_km=2.0 * l_grid,
-        points=tuple(points),
+        points=points,
         max_distance_km=max_total_distance_symmetric(scenario),
     )
     return SweepResult(axis_name="L_total_km", curves=(curve,))
 
 
-def sweep_asymmetric(scenario: Scenario, l_ac_grid, l_bc_values, threads: int = 1) -> SweepResult:
+def sweep_asymmetric(scenario: Scenario, l_ac_grid, l_bc_values) -> SweepResult:
     """Key rate vs first-leg length, one curve per second-leg length."""
     l_ac_grid = np.asarray(l_ac_grid, dtype=float)
     l_bc_values = np.atleast_1d(np.asarray(l_bc_values, dtype=float))
     if l_ac_grid.size == 0 or np.any(l_ac_grid < 0) or np.any(l_bc_values < 0):
         raise ValueError("grids must be nonempty and nonnegative")
     curves = []
-    for l_bc in l_bc_values:
-        points = _map(
-            _asymmetric_point, [(scenario, l, l_bc) for l in l_ac_grid], threads
-        )
+    for l_bc in l_bc_values.tolist():
+        points = tuple(secret_key_rate(scenario.with_lengths(l, l_bc)) for l in l_ac_grid.tolist())
         curves.append(SweepCurve(
             label=f"l_bc={l_bc:g}km",
             axis_km=l_ac_grid.copy(),
-            points=tuple(points),
+            points=points,
             max_distance_km=max_distance_asymmetric(scenario, l_bc),
         ))
     return SweepResult(axis_name="L_AC_km", curves=tuple(curves))
@@ -236,13 +221,13 @@ def key_rate_vs_k(scenario: Scenario, k_grid) -> np.ndarray:
     if k_grid.size == 0 or np.any(k_grid <= 0):
         raise ValueError("k grid must be nonempty and positive")
     chi_det = detector_noise(scenario.detector.efficiency, scenario.detector.electronic_noise)
-    return np.asarray(kernels.scan_k_rates(
+    return kernels.scan_k_rates(
         k_grid,
         scenario.v_a, scenario.v_b,
         scenario.channel_a.transmittance, scenario.channel_b.transmittance,
         scenario.channel_a.excess_noise, scenario.channel_b.excess_noise,
         chi_det, scenario.beta_r,
-    ))
+    )
 
 
 def optimize_k_detection_scheme(scenario: Scenario, k_grid=None) -> tuple[float, float]:

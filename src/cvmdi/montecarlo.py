@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _kernels_py
+from . import kernels
 from .gaussian import CovarianceMatrix
 from .keyrate import block_form_params
 from .protocol import Scenario, optimal_gain
@@ -385,7 +385,7 @@ def key_rates_vs_k_from_batch(batch: SampleBatch, k_grid, beta: float = 1.0) -> 
     """Data-driven key rate for each k, from one PM batch's second moments.
 
     Reads only the base columns x_a ... p_d, so the batch's own k does not
-    enter. The whole grid goes to the numpy kernel in one call.
+    enter. The whole grid goes to the grid kernel in one call.
     """
     if batch.scheme != "PM":
         raise ValueError("k sweep over data requires a PM batch")
@@ -404,7 +404,7 @@ def key_rates_vs_k_from_batch(batch: SampleBatch, k_grid, beta: float = 1.0) -> 
     # back to covariance-matrix units: Var_mod = s^2 (V+1)/2, Cov_mod = +-s_a s_b c/2
     b = (var_xb + var_pb) / (s_b * s_b) - 1.0
     c = (cov_x - cov_p) / (s_a * s_b)
-    return _kernels_py.block_key_rate(a, b, c, beta)
+    return kernels.block_key_rate_grid(a, b, c, beta)
 
 
 def export_csv(batch: SampleBatch, path) -> None:

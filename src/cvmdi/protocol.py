@@ -5,8 +5,9 @@ composition, gain optimization, and detector-imperfection noise.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -24,6 +25,14 @@ from .gaussian import (
 DEFAULT_ATTENUATION_DB_PER_KM = 0.2
 
 
+def _non_finite(params) -> ValueError:
+    """The error for a parameter set with a NaN or infinite number field."""
+    values = [(f.name, getattr(params, f.name)) for f in fields(params)]
+    bad = [f"{name} = {v}" for name, v in values
+           if isinstance(v, (int, float)) and not math.isfinite(v)]
+    return ValueError(f"{', '.join(bad)} must be finite")
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """One fiber link: length, attenuation, and input-referred excess noise."""
@@ -33,12 +42,18 @@ class ChannelParams:
     excess_noise: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.length_km) and math.isfinite(self.attenuation_db_per_km)
+                and math.isfinite(self.excess_noise)):
+            raise _non_finite(self)
         if self.length_km < 0:
             raise ValueError(f"channel length {self.length_km} km must be >= 0")
         if self.attenuation_db_per_km <= 0:
             raise ValueError("attenuation must be > 0 dB/km")
         if self.excess_noise < 0:
             raise ValueError("excess noise must be >= 0")
+        if self.transmittance == 0.0:
+            raise ValueError(f"channel length {self.length_km} km at {self.attenuation_db_per_km} "
+                             f"dB/km: transmittance underflows to 0")
 
     @property
     def transmittance(self) -> float:
@@ -66,6 +81,8 @@ class DetectorParams:
     electronic_noise: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.efficiency) and math.isfinite(self.electronic_noise)):
+            raise _non_finite(self)
         if not 0.0 < self.efficiency <= 1.0:
             raise ValueError(f"detector efficiency {self.efficiency} outside (0, 1]")
         if self.electronic_noise < 0:
@@ -86,8 +103,14 @@ class Scenario:
     gain: float | None = None
 
     def __post_init__(self):
-        if self.v_a < 1 or self.v_b < 1:
-            raise ValueError("modulation variances must be >= 1")
+        if not (math.isfinite(self.v_a) and math.isfinite(self.v_b) and math.isfinite(self.beta_r)
+                and (self.gain is None or math.isfinite(self.gain))):
+            raise _non_finite(self)
+        if self.v_a < 1:
+            raise ValueError(f"modulation variance v_a = {self.v_a} must be >= 1")
+        if self.v_b <= 1:
+            raise ValueError(f"modulation variance v_b = {self.v_b} must be > 1: Bob's "
+                             f"modulation defines the displacement gain")
         if not 0.0 < self.beta_r <= 1.0:
             raise ValueError(f"reconciliation efficiency {self.beta_r} outside (0, 1]")
         if self.gain_mode not in ("optimal", "fixed"):
@@ -97,10 +120,12 @@ class Scenario:
                 raise ValueError("fixed gain_mode requires gain > 0")
 
     def with_lengths(self, l_ac_km: float, l_bc_km: float) -> "Scenario":
-        return replace(
-            self,
-            channel_a=replace(self.channel_a, length_km=l_ac_km),
-            channel_b=replace(self.channel_b, length_km=l_bc_km),
+        a, b = self.channel_a, self.channel_b
+        return Scenario(
+            self.v_a, self.v_b,
+            ChannelParams(l_ac_km, a.attenuation_db_per_km, a.excess_noise),
+            ChannelParams(l_bc_km, b.attenuation_db_per_km, b.excess_noise),
+            self.beta_r, self.detector, self.gain_mode, self.gain,
         )
 
     def resolved_gain(self) -> float:

@@ -89,6 +89,21 @@ class TestExitCodes:
         assert main(args) == 1
         assert "FAIL covariance_vs_analytic" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("override, field", [
+        ("scenario.l_ac_km=nan", "scenario.l_ac_km"),
+        ("scenario.eps_a=nan", "scenario.eps_a"),
+        ("scenario.l_ac_km=inf", "scenario.l_ac_km"),
+        ("scenario.l_ac_km=1e5", "scenario.l_ac_km"),
+        ("scenario.v_b=1", "v_b"),
+        ("sweep.l_max_km=1e5", "sweep.l_max_km"),
+        ("sweep.l_bc_values_km=0,nan", "sweep.l_bc_values_km"),
+    ])
+    def test_non_finite_or_degenerate_input_is_2(self, capsys, override, field):
+        assert main(["--set", override, "keyrate"]) == 2
+        captured = capsys.readouterr()
+        assert field in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_oracle_sample_size_below_estimation_floor_is_2(self, capsys):
         assert main(["--set", "mc.n=10", "oracle"]) == 2
         err = capsys.readouterr().err

@@ -123,12 +123,18 @@ class TestSecretKeyRate:
 
 
 class TestDistanceSearch:
-    def test_refinement_tolerance(self):
-        s = make_scenario()
+    # eta_d = 0.852 leaves both ranges under 1 km, where the search bisects
+    # its first doubling bracket [0, 1] km
+    @pytest.mark.parametrize("eta_d", [1.0, 0.852])
+    def test_refinement_tolerance(self, eta_d):
+        s = make_scenario(eta_d=eta_d)
         total = max_total_distance_symmetric(s)
         # rate is positive just inside and nonpositive just outside
         assert key_rate_at(s, total / 2 - 0.02, total / 2 - 0.02) > 0.0
         assert key_rate_at(s, total / 2 + 0.02, total / 2 + 0.02) <= 0.0
+        one_sided = max_distance_asymmetric(s, 0.0)
+        assert key_rate_at(s, max(one_sided - 0.02, 0.0), 0.0) > 0.0
+        assert key_rate_at(s, one_sided + 0.02, 0.0) <= 0.0
 
     def test_asymmetric_ordering(self):
         s = make_scenario()
@@ -155,14 +161,6 @@ class TestSweeps:
         assert len(res.curves) == 2
         assert res.curves[0].label == "l_bc=0km"
         assert res.curves[1].points[0].k < res.curves[0].points[0].k
-
-    def test_parallel_matches_serial(self):
-        s = make_scenario()
-        grid = np.linspace(0.0, 3.0, 9)
-        serial = sweep_symmetric(s, grid, threads=1)
-        parallel = sweep_symmetric(s, grid, threads=3)
-        for p1, p2 in zip(serial.curves[0].points, parallel.curves[0].points):
-            assert p1.k == p2.k
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):

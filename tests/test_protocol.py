@@ -1,5 +1,7 @@
 """Protocol composition: channels, gain optimization, dual-path covariance."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,13 @@ class TestChannelParams:
             ChannelParams(1.0, excess_noise=-0.1)
         with pytest.raises(ValueError):
             ChannelParams.from_transmittance(1.5)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                ChannelParams(bad)
+            with pytest.raises(ValueError, match="must be finite"):
+                ChannelParams(1.0, excess_noise=bad)
+        with pytest.raises(ValueError, match="underflows"):
+            ChannelParams(1e5)
 
 
 class TestScenario:
@@ -59,6 +68,18 @@ class TestScenario:
     def test_beta_range(self):
         with pytest.raises(ValueError):
             make_scenario(beta=1.2)
+
+    def test_rejects_non_finite_and_unmodulated_bob(self):
+        from dataclasses import replace
+        s = make_scenario()
+        with pytest.raises(ValueError, match="v_a = nan must be finite"):
+            replace(s, v_a=math.nan)
+        with pytest.raises(ValueError, match="gain = inf must be finite"):
+            replace(s, gain_mode="fixed", gain=math.inf)
+        with pytest.raises(ValueError, match="electronic_noise = inf must be finite"):
+            DetectorParams(0.9, math.inf)
+        with pytest.raises(ValueError, match="v_b"):
+            replace(s, v_b=1.0)
 
 
 class TestEquivalentChannel:
