@@ -152,7 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="PATH", help="config file (INI-style sections)")
     parser.add_argument("--set", action="append", default=[], metavar="SEC.KEY=VAL",
                         help="override a config entry (repeatable)")
-    parser.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
+    parser.add_argument("--out", metavar="PATH",
+                        help="write CSV here instead of stdout (default: output.path)")
     parser.add_argument("--seed", type=int, help="Monte Carlo seed (overrides mc.seed)")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -174,12 +175,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             overrides.append(f"mc.seed={args.seed}")
         cfg = load_config(args.config, overrides)
+        out = args.out or cfg["output"]["path"] or None
         if args.command == "keyrate":
-            return cmd_keyrate(cfg, args.out)
+            return cmd_keyrate(cfg, out)
         if args.command == "figure":
-            return cmd_figure(cfg, args.figure_id, args.out)
+            return cmd_figure(cfg, args.figure_id, out)
         if args.command == "sweep":
-            return cmd_sweep(cfg, args.mode, args.out)
+            return cmd_sweep(cfg, args.mode, out)
         if args.command == "oracle":
             return cmd_oracle(cfg, args.negative_control)
         raise ConfigError(f"unknown command {args.command!r}")

@@ -10,9 +10,21 @@ Sampling conventions (shot-noise units, vacuum variance 1):
     with v a fresh vacuum, so the outcome variance is (V + 1)/2 per
     quadrature, matching `gaussian.heterodyne_condition`.
 
-Randomness: a counter-based Philox generator per noise source, keyed by
-(seed, source id), so sources can be generated independently and in parallel
-without changing results.
+Randomness: a batch is a run of chunks of CHUNK_ROWS rows. Chunk j of each
+noise source is drawn by its own counter-based Philox generator, keyed by
+(seed, source id, j), and every draw within a chunk is row-interleaved (one
+(m, 4) normal draw per EPR source, one (m, 2) draw per cloner or vacuum),
+so the rows of a chunk depend only on (seed, source, j): rows
+[j CHUNK_ROWS, (j + 1) CHUNK_ROWS) of an n-sample batch equal chunk j drawn
+alone, whatever n is.
+
+Moments: every estimator here reads second moments only. `Moments` holds
+them per estimation block (count, column sums and the 6x6 Gram matrix of the
+base columns x_a, p_a, x_b, p_b, x_c, p_d); the final columns are linear in
+the base columns, so every covariance the estimators need is L C L^T of one
+base covariance C (ddof 1). `sample_moments` accumulates them chunk by
+chunk without holding the batch; the estimators also accept a
+`SampleBatch`, which they reduce on entry.
 
 Channels: each leg is an entangling cloner. Eve's kept arm never reaches the
 data, so the sampler draws only the mode she injects into the channel.
@@ -32,6 +44,10 @@ from .protocol import Scenario, optimal_gain
 
 _SQRT2 = math.sqrt(2.0)
 
+# rows per chunk: a batch is drawn, and reduced to moments, this many rows at
+# a time
+CHUNK_ROWS = 1 << 15
+
 # stable noise-source ids for substream derivation
 _STREAMS = {
     "alice_source": 0,
@@ -42,40 +58,68 @@ _STREAMS = {
     "bob_detection": 5,
 }
 
+# base columns of a batch; the final columns are linear in these
+_BASE = ("x_a", "p_a", "x_b", "p_b", "x_c", "p_d")
 
-def _rng(seed: int, stream: str) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(_STREAMS[stream],))
+
+def _rng(seed: int, stream: str, chunk: int) -> np.random.Generator:
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(_STREAMS[stream], chunk))
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _sample_epr(v: float, n: int, rng: np.random.Generator):
-    """Wigner samples of a two-mode squeezed state: (x1, p1, x2, p2)."""
-    c = math.sqrt(v * v - 1.0)
-    lx = np.linalg.cholesky(np.array([[v, c], [c, v]]))
-    lp = np.linalg.cholesky(np.array([[v, -c], [-c, v]]))
-    zx = rng.standard_normal((n, 2))
-    zp = rng.standard_normal((n, 2))
-    x = zx @ lx.T
-    p = zp @ lp.T
+def _fill(n: int, chunk: int, rows) -> list[np.ndarray]:
+    """Columns holding rows [chunk C, chunk C + n) of a chunked stream, C =
+    CHUNK_ROWS; rows(j, m) gives the first m rows of chunk j as columns."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    cols: list[np.ndarray] = []
+    for lo in range(0, n, CHUNK_ROWS):
+        m = min(CHUNK_ROWS, n - lo)
+        part = rows(chunk + lo // CHUNK_ROWS, m)
+        if not cols:
+            cols = [np.empty(n) for _ in part]
+        for col, values in zip(cols, part):
+            col[lo:lo + m] = values
+    return cols
+
+
+def _correlated_pair(a: float, b: float, c: float, m: int, rng: np.random.Generator):
+    """m samples (x1, p1, x2, p2) of a two-mode Gaussian state with
+    x-covariance [[a, c], [c, b]] and p-covariance [[a, -c], [-c, b]], from
+    one (m, 4) normal draw."""
+    lx = np.linalg.cholesky(np.array([[a, c], [c, b]]))
+    lp = np.linalg.cholesky(np.array([[a, -c], [-c, b]]))
+    z = rng.standard_normal((m, 4))
+    x = z[:, :2] @ lx.T
+    p = z[:, 2:] @ lp.T
     return x[:, 0], p[:, 0], x[:, 1], p[:, 1]
 
 
-def _through_channel(qx, qp, channel, stream, seed, n):
+def _sample_epr(v: float, m: int, rng: np.random.Generator):
+    """Wigner samples of a two-mode squeezed state: (x1, p1, x2, p2)."""
+    return _correlated_pair(v, v, math.sqrt(v * v - 1.0), m, rng)
+
+
+def _through_channel(qx, qp, channel, rng: np.random.Generator):
     """Entangling-cloner channel output sqrt(eta) q + sqrt(1 - eta + eta eps) z.
 
     Only the injected cloner mode reaches the output, and its variance
-    (1 - eta) W = 1 - eta + eta eps, so z is drawn as one standard normal
-    per quadrature (x first, then p) instead of a full EPR pair. At eta = 1
-    the noise eps is kept: the L -> 0+ limit of the analytic composition.
+    (1 - eta) W = 1 - eta + eta eps, so z is one (m, 2) standard normal draw
+    instead of a full EPR pair. At eta = 1 the noise eps is kept: the
+    L -> 0+ limit of the analytic composition.
     """
     eta = channel.transmittance
     t, r = math.sqrt(eta), math.sqrt(1.0 - eta + eta * channel.excess_noise)
-    rng = _rng(seed, stream)
-    out = rng.standard_normal(n), rng.standard_normal(n)
-    for z, q in zip(out, (qx, qp)):
-        z *= r
-        z += t * q
-    return out
+    z = rng.standard_normal((len(qx), 2))
+    return t * qx + r * z[:, 0], t * qp + r * z[:, 1]
+
+
+def _final_weights(scheme: str, coeff: float) -> tuple[float, float]:
+    """(w_x, w_p) of the final data X_B = x_b + w_x x_c, P_B = p_b + w_p p_d."""
+    if scheme == "PM":
+        return coeff, -coeff
+    w = coeff / _SQRT2
+    return w, w
 
 
 @dataclass(frozen=True)
@@ -114,6 +158,12 @@ class SampleBatch:
         return np.column_stack(list(self.columns().values()))
 
 
+def _batch(scheme, seed, n, v_a, v_b, coeff, x_a, p_a, x_b, p_b, x_c, p_d) -> SampleBatch:
+    w_x, w_p = _final_weights(scheme, coeff)
+    return SampleBatch(scheme, seed, n, v_a, v_b, coeff, x_a, p_a, x_b, p_b, x_c, p_d,
+                       x_b + w_x * x_c, p_b + w_p * p_d)
+
+
 def modulation_scale(v: float) -> float:
     """Ratio between modulation data and heterodyne-outcome data for one party."""
     return math.sqrt(2.0 * (v - 1.0) / (v + 1.0))
@@ -139,60 +189,167 @@ def k_from_gain(g: float, v_b: float) -> float:
     return g * math.sqrt((v_b - 1.0) / (v_b + 1.0))
 
 
+def _eb_rows(scenario: Scenario, seed: int, j: int, m: int):
+    """Base columns of the first m rows of EB chunk j."""
+    a1x, a1p, a2x, a2p = _sample_epr(scenario.v_a, m, _rng(seed, "alice_source", j))
+    b1x, b1p, b2x, b2p = _sample_epr(scenario.v_b, m, _rng(seed, "bob_source", j))
+    apx, app = _through_channel(a2x, a2p, scenario.channel_a, _rng(seed, "cloner_a", j))
+    bpx, bpp = _through_channel(b2x, b2p, scenario.channel_b, _rng(seed, "cloner_b", j))
+    va = _rng(seed, "alice_detection", j).standard_normal((m, 2))
+    vb = _rng(seed, "bob_detection", j).standard_normal((m, 2))
+    return (
+        (a1x + va[:, 0]) / _SQRT2, (a1p - va[:, 1]) / _SQRT2,
+        # Bob's pre-displacement heterodyne outcome; the displacement adds
+        # g/sqrt(2) times the announced relay data
+        (b1x + vb[:, 0]) / _SQRT2, (b1p - vb[:, 1]) / _SQRT2,
+        (apx - bpx) / _SQRT2,  # homodyne x of C
+        (app + bpp) / _SQRT2,  # homodyne p of D
+    )
+
+
+def _pm_rows(scenario: Scenario, seed: int, j: int, m: int):
+    """Base columns of the first m rows of PM chunk j."""
+    mod_a = _rng(seed, "alice_source", j).standard_normal((m, 2)) * math.sqrt(scenario.v_a - 1.0)
+    mod_b = _rng(seed, "bob_source", j).standard_normal((m, 2)) * math.sqrt(scenario.v_b - 1.0)
+    # coherent states: modulation plus vacuum
+    qa = mod_a + _rng(seed, "alice_detection", j).standard_normal((m, 2))
+    qb = mod_b + _rng(seed, "bob_detection", j).standard_normal((m, 2))
+    apx, app = _through_channel(qa[:, 0], qa[:, 1], scenario.channel_a, _rng(seed, "cloner_a", j))
+    bpx, bpp = _through_channel(qb[:, 0], qb[:, 1], scenario.channel_b, _rng(seed, "cloner_b", j))
+    return (mod_a[:, 0], mod_a[:, 1], mod_b[:, 0], mod_b[:, 1],
+            (apx - bpx) / _SQRT2, (app + bpp) / _SQRT2)
+
+
 def simulate_eb(scenario: Scenario, g: float | None = None,
-                n: int = 100_000, seed: int = 0) -> SampleBatch:
+                n: int = 100_000, seed: int = 0, chunk: int = 0) -> SampleBatch:
     """Sample the source-based picture: EPR pairs, cloner channels, relay
-    beamsplitter, dual homodyne, displacement, heterodyne detections."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    beamsplitter, dual homodyne, displacement, heterodyne detections.
+
+    Returns rows [chunk C, chunk C + n) of the seed's stream, C = CHUNK_ROWS.
+    """
     if g is None:
         g = optimal_gain(scenario)
-    a1x, a1p, a2x, a2p = _sample_epr(scenario.v_a, n, _rng(seed, "alice_source"))
-    b1x, b1p, b2x, b2p = _sample_epr(scenario.v_b, n, _rng(seed, "bob_source"))
-    apx, app = _through_channel(a2x, a2p, scenario.channel_a, "cloner_a", seed, n)
-    bpx, bpp = _through_channel(b2x, b2p, scenario.channel_b, "cloner_b", seed, n)
-
-    x_c = (apx - bpx) / _SQRT2  # homodyne x of C
-    p_d = (app + bpp) / _SQRT2  # homodyne p of D
-
-    va = _rng(seed, "alice_detection").standard_normal((n, 2))
-    vb = _rng(seed, "bob_detection").standard_normal((n, 2))
-    x_a = (a1x + va[:, 0]) / _SQRT2
-    p_a = (a1p - va[:, 1]) / _SQRT2
-    # heterodyne of the displaced mode splits into the pre-displacement
-    # outcome plus g/sqrt(2) times the announced relay data
-    x_b = (b1x + vb[:, 0]) / _SQRT2
-    p_b = (b1p - vb[:, 1]) / _SQRT2
-    x_b_final = x_b + g / _SQRT2 * x_c
-    p_b_final = p_b + g / _SQRT2 * p_d
-
-    return SampleBatch("EB", seed, n, scenario.v_a, scenario.v_b, g,
-                       x_a, p_a, x_b, p_b, x_c, p_d, x_b_final, p_b_final)
+    cols = _fill(n, chunk, lambda j, m: _eb_rows(scenario, seed, j, m))
+    return _batch("EB", seed, n, scenario.v_a, scenario.v_b, g, *cols)
 
 
-def simulate_pm(scenario: Scenario, k: float, n: int = 100_000, seed: int = 0) -> SampleBatch:
+def simulate_pm(scenario: Scenario, k: float, n: int = 100_000, seed: int = 0,
+                chunk: int = 0) -> SampleBatch:
     """Sample the modulation-based picture: Gaussian-modulated coherent
     states through the cloner channels, relay measurement, data processing
-    X_B = x_b + k X_C, P_B = p_b - k P_D."""
+    X_B = x_b + k X_C, P_B = p_b - k P_D.
+
+    Returns rows [chunk C, chunk C + n) of the seed's stream, C = CHUNK_ROWS.
+    """
+    cols = _fill(n, chunk, lambda j, m: _pm_rows(scenario, seed, j, m))
+    return _batch("PM", seed, n, scenario.v_a, scenario.v_b, k, *cols)
+
+
+# estimation blocks: the contiguous np.array_split blocks of a batch
+N_BLOCKS = 10
+
+
+@dataclass(frozen=True, eq=False)
+class Moments:
+    """Second moments of a batch's base columns x_a, p_a, x_b, p_b, x_c, p_d,
+    per estimation block: row count, column sums and Gram matrix sum(v v^T).
+
+    scheme, seed, v_a, v_b and coeff are those of the batch; coeff sets the
+    linear map from base to final columns.
+    """
+
+    scheme: str
+    seed: int
+    v_a: float
+    v_b: float
+    coeff: float
+    counts: np.ndarray  # (blocks,)
+    sums: np.ndarray    # (blocks, 6)
+    gram: np.ndarray    # (blocks, 6, 6)
+
+    @property
+    def n(self) -> int:
+        return int(self.counts.sum())
+
+    @classmethod
+    def of(cls, batch: SampleBatch, n_blocks: int = N_BLOCKS) -> Moments:
+        """Moments of a whole batch, reduced CHUNK_ROWS rows at a time."""
+        runs = ((lo, [getattr(batch, c)[lo:lo + CHUNK_ROWS] for c in _BASE])
+                for lo in range(0, batch.n, CHUNK_ROWS))
+        return cls(batch.scheme, batch.seed, batch.v_a, batch.v_b, batch.coeff,
+                   *_block_sums(batch.n, n_blocks, runs))
+
+    def covariance(self, block: int | None = None) -> np.ndarray:
+        """Sample covariance (ddof 1) of the base columns, over the batch or
+        over one block."""
+        if block is None:
+            n, s, g = self.n, self.sums.sum(axis=0), self.gram.sum(axis=0)
+        else:
+            n, s, g = int(self.counts[block]), self.sums[block], self.gram[block]
+        return (g - np.outer(s, s) / n) / (n - 1)
+
+    def final_map(self) -> np.ndarray:
+        """L with (X_A, P_A, X_B, P_B, X_C, P_D) = L (x_a, p_a, x_b, p_b, x_c, p_d)."""
+        lmap = np.eye(6)
+        lmap[2, 4], lmap[3, 5] = _final_weights(self.scheme, self.coeff)
+        return lmap
+
+    def final_covariance(self, block: int | None = None) -> np.ndarray:
+        """Covariance of the final columns, L C L^T."""
+        lmap = self.final_map()
+        return lmap @ self.covariance(block) @ lmap.T
+
+    def rescaled(self, eta_scale: float) -> Moments:
+        """Moments after scaling the relay data x_c, p_d by sqrt(eta_scale):
+        D G D and D s with D = diag(1, 1, 1, 1, r, r), r = sqrt(eta_scale)."""
+        if eta_scale <= 0:
+            raise ValueError("eta_scale must be > 0")
+        r = math.sqrt(eta_scale)
+        d = np.array([1.0, 1.0, 1.0, 1.0, r, r])
+        return replace(self, sums=self.sums * d, gram=self.gram * np.outer(d, d))
+
+
+def _block_sums(n: int, n_blocks: int, runs):
+    """(counts, sums, gram) per block of a batch of n rows given as runs
+    (start, six base columns); a run that straddles a block boundary is split
+    at the boundary."""
+    q, r = divmod(n, n_blocks)
+    edges = [i * q + min(i, r) for i in range(n_blocks + 1)]  # as np.array_split
+    counts = np.zeros(n_blocks, dtype=np.int64)
+    sums, gram = np.zeros((n_blocks, 6)), np.zeros((n_blocks, 6, 6))
+    for start, columns in runs:
+        rows = np.stack(columns)
+        for blk in range(n_blocks):
+            lo, hi = max(start, edges[blk]), min(start + rows.shape[1], edges[blk + 1])
+            if lo < hi:
+                part = rows[:, lo - start:hi - start]
+                counts[blk] += hi - lo
+                sums[blk] += part.sum(axis=1)
+                gram[blk] += part @ part.T
+    return counts, sums, gram
+
+
+def sample_moments(scenario: Scenario, scheme: str, coeff: float, n: int,
+                   seed: int = 0, n_blocks: int = N_BLOCKS) -> Moments:
+    """Moments of `simulate_eb` (scheme "EB", coeff the gain g) or
+    `simulate_pm` ("PM", coeff the amplification k) at (n, seed), drawn one
+    chunk at a time: no more than CHUNK_ROWS samples are held at once, and
+    the result equals `Moments.of` the full batch."""
+    simulate = {"EB": simulate_eb, "PM": simulate_pm}[scheme]
     if n < 1:
         raise ValueError("n must be >= 1")
-    mod_a = _rng(seed, "alice_source").standard_normal((n, 2)) * math.sqrt(scenario.v_a - 1.0)
-    mod_b = _rng(seed, "bob_source").standard_normal((n, 2)) * math.sqrt(scenario.v_b - 1.0)
-    vac_a = _rng(seed, "alice_detection").standard_normal((n, 2))
-    vac_b = _rng(seed, "bob_detection").standard_normal((n, 2))
-    x_a, p_a = mod_a[:, 0], mod_a[:, 1]
-    x_b, p_b = mod_b[:, 0], mod_b[:, 1]
 
-    apx, app = _through_channel(x_a + vac_a[:, 0], p_a + vac_a[:, 1],
-                                scenario.channel_a, "cloner_a", seed, n)
-    bpx, bpp = _through_channel(x_b + vac_b[:, 0], p_b + vac_b[:, 1],
-                                scenario.channel_b, "cloner_b", seed, n)
-    x_c = (apx - bpx) / _SQRT2
-    p_d = (app + bpp) / _SQRT2
+    def runs():
+        for lo in range(0, n, CHUNK_ROWS):
+            part = simulate(scenario, coeff, min(CHUNK_ROWS, n - lo), seed, chunk=lo // CHUNK_ROWS)
+            yield lo, [getattr(part, c) for c in _BASE]
 
-    return SampleBatch("PM", seed, n, scenario.v_a, scenario.v_b, k,
-                       x_a, p_a, x_b, p_b, x_c, p_d,
-                       x_b + k * x_c, p_b - k * p_d)
+    return Moments(scheme, seed, scenario.v_a, scenario.v_b, coeff,
+                   *_block_sums(n, n_blocks, runs()))
+
+
+def _moments(data: SampleBatch | Moments, n_blocks: int = N_BLOCKS) -> Moments:
+    return data if isinstance(data, Moments) else Moments.of(data, n_blocks)
 
 
 def heterodyne_image(cov2: CovarianceMatrix) -> np.ndarray:
@@ -216,24 +373,23 @@ def covariance_z_scores(emp_cov: np.ndarray, predicted: np.ndarray, n: int) -> n
     return (emp_cov - predicted) / np.sqrt(var / n)
 
 
-def batch_outcome_covariance(batch: SampleBatch) -> np.ndarray:
+def batch_outcome_covariance(data: SampleBatch | Moments) -> np.ndarray:
     """Empirical 4x4 covariance of the final (X_A, P_A, X_B, P_B) data."""
-    m = np.column_stack([batch.x_a, batch.p_a, batch.x_b_final, batch.p_b_final])
-    return np.cov(m, rowvar=False)
+    return _moments(data).final_covariance()[:4, :4]
 
 
-def fit_amplification(eb_batch: SampleBatch) -> float:
+def fit_amplification(eb_data: SampleBatch | Moments) -> float:
     """Empirical data-domain amplification coefficient from an EB batch.
 
     Uses the regression of the displacement contribution on the announced
     relay data: k = s_b * Cov(X_B - x_b, X_C) / Var(X_C).
     """
-    if eb_batch.scheme != "EB":
+    if eb_data.scheme != "EB":
         raise ValueError("fit_amplification expects an EB batch")
-    s_b = modulation_scale(eb_batch.v_b)
-    disp = eb_batch.x_b_final - eb_batch.x_b
-    slope = np.cov(disp, eb_batch.x_c)[0, 1] / np.var(eb_batch.x_c)
-    return float(s_b * slope)
+    m = _moments(eb_data)
+    disp = m.final_map()[2] - np.eye(6)[2]  # X_B - x_b in base columns
+    cov = m.covariance()
+    return float(modulation_scale(m.v_b) * (disp @ cov[:, 4]) / cov[4, 4])
 
 
 @dataclass(frozen=True)
@@ -252,34 +408,35 @@ def pm_eb_equivalence_test(scenario: Scenario, g: float | None = None,
 
     The EB covariance is mapped to modulation units with `bridge_matrix`
     before comparison. k defaults to the empirically fitted coefficient.
+    Both batches are reduced to moments chunk by chunk.
     """
     if g is None:
         g = optimal_gain(scenario)
-    eb = simulate_eb(scenario, g, n, seed_pair[0])
+    eb = sample_moments(scenario, "EB", g, n, seed_pair[0])
     if k is None:
         k = fit_amplification(eb)
-    cov_eb = bridged_covariance(eb)
-    del eb  # hold one n-sample batch at a time
-    pm = simulate_pm(scenario, k, n, seed_pair[1])
-    return equivalence_report(cov_eb, pm, g, z_limit)
+    pm = sample_moments(scenario, "PM", k, n, seed_pair[1])
+    return equivalence_report(bridged_covariance(eb), pm, g, z_limit)
 
 
-def bridged_covariance(eb_batch: SampleBatch) -> np.ndarray:
+def bridged_covariance(eb_data: SampleBatch | Moments) -> np.ndarray:
     """6x6 covariance of an EB batch's final data in PM modulation units."""
-    s = bridge_matrix(eb_batch.v_a, eb_batch.v_b)
-    return s @ np.cov(eb_batch.data_matrix(), rowvar=False) @ s
+    m = _moments(eb_data)
+    s = bridge_matrix(m.v_a, m.v_b)
+    return s @ m.final_covariance() @ s
 
 
-def equivalence_report(cov_eb: np.ndarray, pm_batch: SampleBatch, g: float,
+def equivalence_report(cov_eb: np.ndarray, pm_data: SampleBatch | Moments, g: float,
                        z_limit: float = 4.0) -> EquivalenceReport:
     """Compare a PM batch's 6x6 covariance with an independent EB estimate
     of the same size, `bridged_covariance` of an EB batch drawn at gain g."""
-    cov_pm = np.cov(pm_batch.data_matrix(), rowvar=False)
+    pm = _moments(pm_data)
+    cov_pm = pm.final_covariance()
     mid = 0.5 * (cov_eb + cov_pm)
-    var = (np.outer(np.diag(mid), np.diag(mid)) + mid**2) / pm_batch.n
+    var = (np.outer(np.diag(mid), np.diag(mid)) + mid**2) / pm.n
     z = (cov_pm - cov_eb) / np.sqrt(2.0 * var)  # two independent estimates
     max_z = float(np.max(np.abs(z)))
-    return EquivalenceReport(k_used=float(pm_batch.coeff), g_used=float(g), z_scores=z,
+    return EquivalenceReport(k_used=float(pm.coeff), g_used=float(g), z_scores=z,
                              max_abs_z=max_z, passed=max_z < z_limit)
 
 
@@ -299,102 +456,99 @@ class EstimatedParams:
     eps_se: float
 
 
-def _block_estimates(x_a, p_a, x_b, p_b):
-    """(a, b, c, T, eps') from heterodyne outcomes scaled by sqrt(2)."""
-    a = (np.var(x_a) + np.var(p_a)) / 2.0 - 1.0
-    b = (np.var(x_b) + np.var(p_b)) / 2.0 - 1.0
-    c = (np.cov(x_a, x_b)[0, 1] - np.cov(p_a, p_b)[0, 1]) / 2.0
+def _outcome_covariance(m: Moments, block: int | None = None) -> np.ndarray:
+    """4x4 covariance of (X_A, P_A, X_B, P_B) in heterodyne-outcome units."""
+    cov = m.final_covariance(block)[:4, :4]
+    if m.scheme == "PM":
+        inv = 1.0 / np.diag(bridge_matrix(m.v_a, m.v_b))[:4]
+        cov = cov * np.outer(inv, inv)
+    return cov
+
+
+def _block_estimates(cov: np.ndarray):
+    """(a, b, c, T, eps') from the outcome covariance: outcomes scaled by
+    sqrt(2) have variances V + 1 and covariances +-c."""
+    a = cov[0, 0] + cov[1, 1] - 1.0
+    b = cov[2, 2] + cov[3, 3] - 1.0
+    c = cov[0, 2] - cov[1, 3]
     t = c * c / (a * a - 1.0)
     eps = (b - 1.0 - t * (a - 1.0)) / t
     return a, b, c, t, eps
 
 
-def estimate_params(batch: SampleBatch, n_blocks: int = 10) -> EstimatedParams:
+def estimate_params(data: SampleBatch | Moments, n_blocks: int = N_BLOCKS) -> EstimatedParams:
     """Fit (T, eps') to the two-mode block structure from second moments.
 
     Heterodyne outcomes carry a vacuum penalty: quadrature variance maps to
     (V+1)/2, cross covariance to c/2. PM batches are first rescaled to
     outcome units via the bridge map. Standard errors come from a
-    block-resampling split of the batch.
+    block-resampling split of the batch. Every covariance has ddof 1.
     """
-    if batch.n < MIN_ESTIMATION_SAMPLES:
+    if data.n < MIN_ESTIMATION_SAMPLES:
         raise ValueError(f"need at least {MIN_ESTIMATION_SAMPLES} samples for estimation")
-    data = np.column_stack([batch.x_a, batch.p_a, batch.x_b_final, batch.p_b_final])
-    if np.any(np.std(data, axis=0) < 1e-12):
+    m = _moments(data, n_blocks)
+    if len(m.counts) != n_blocks:
+        raise ValueError(f"moments hold {len(m.counts)} blocks, not {n_blocks}")
+    if np.any(np.diag(m.final_covariance())[:4] < 1e-24):
         raise ValueError("degenerate (zero-variance) data column")
-    if batch.scheme == "PM":
-        s = bridge_matrix(batch.v_a, batch.v_b)
-        data = data @ np.linalg.inv(s[:4, :4])
-    # scale outcomes by sqrt(2): variances become V+1, covariances become +-c
-    x_a, p_a, x_b, p_b = (data[:, i] * _SQRT2 for i in range(4))
-    a, b, c, t, eps = _block_estimates(x_a, p_a, x_b, p_b)
-    ts, es = [], []
-    for part in np.array_split(np.arange(batch.n), n_blocks):
-        _, _, _, tb, eb = _block_estimates(x_a[part], p_a[part], x_b[part], p_b[part])
-        ts.append(tb)
-        es.append(eb)
-    emp = np.cov(data, rowvar=False)
+    emp = _outcome_covariance(m)
+    a, b, c, t, eps = _block_estimates(emp)
+    per_block = np.array([_block_estimates(_outcome_covariance(m, i))[3:]
+                          for i in range(n_blocks)])
+    se = np.std(per_block, axis=0, ddof=1) / math.sqrt(n_blocks)
     return EstimatedParams(
         empirical_cov=emp, a=float(a), b=float(b), c=float(c),
-        t_hat=float(t), eps_hat=float(eps),
-        t_se=float(np.std(ts, ddof=1) / math.sqrt(n_blocks)),
-        eps_se=float(np.std(es, ddof=1) / math.sqrt(n_blocks)),
+        t_hat=float(t), eps_hat=float(eps), t_se=float(se[0]), eps_se=float(se[1]),
     )
 
 
 def sample_block_cm(v_a: float, t: float, eps: float, n: int, seed: int = 0) -> SampleBatch:
     """Heterodyne-outcome samples drawn directly from a block covariance.
 
-    Generative counterpart of `estimate_params` for round-trip checks.
+    Generative counterpart of `estimate_params` for round-trip checks. There
+    is no relay data: x_c = p_d = 0 and the gain is 0.
     """
     b = t * (v_a - 1.0) + 1.0 + t * eps
     c = math.sqrt(t * (v_a * v_a - 1.0))
-    lx = np.linalg.cholesky(np.array([[v_a, c], [c, b]]))
-    lp = np.linalg.cholesky(np.array([[v_a, -c], [-c, b]]))
-    rng = _rng(seed, "alice_source")
-    qx = rng.standard_normal((n, 2)) @ lx.T
-    qp = rng.standard_normal((n, 2)) @ lp.T
-    va = _rng(seed, "alice_detection").standard_normal((n, 2))
-    vb = _rng(seed, "bob_detection").standard_normal((n, 2))
-    x_a = (qx[:, 0] + va[:, 0]) / _SQRT2
-    p_a = (qp[:, 0] - va[:, 1]) / _SQRT2
-    x_b = (qx[:, 1] + vb[:, 0]) / _SQRT2
-    p_b = (qp[:, 1] - vb[:, 1]) / _SQRT2
-    return SampleBatch("EB", seed, n, v_a, b, float("nan"),
-                       x_a, p_a, x_b, p_b,
-                       np.zeros(n), np.zeros(n), x_b, p_b)
+
+    def rows(j, m):
+        qxa, qpa, qxb, qpb = _correlated_pair(v_a, b, c, m, _rng(seed, "alice_source", j))
+        va = _rng(seed, "alice_detection", j).standard_normal((m, 2))
+        vb = _rng(seed, "bob_detection", j).standard_normal((m, 2))
+        return ((qxa + va[:, 0]) / _SQRT2, (qpa - va[:, 1]) / _SQRT2,
+                (qxb + vb[:, 0]) / _SQRT2, (qpb - vb[:, 1]) / _SQRT2)
+
+    x_a, p_a, x_b, p_b = _fill(n, 0, rows)
+    return _batch("EB", seed, n, v_a, b, 0.0, x_a, p_a, x_b, p_b, np.zeros(n), np.zeros(n))
 
 
-def lo_scaling_attack(batch: SampleBatch, eta_scale: float) -> SampleBatch:
+def lo_scaling_attack(data: SampleBatch | Moments, eta_scale: float) -> SampleBatch | Moments:
     """Rescale the announced relay data by sqrt(eta_scale) before Bob's data
-    processing; final columns are recomputed at the batch's own coefficient."""
+    processing; final columns are recomputed at the batch's own coefficient.
+    Moments are rescaled as such (`Moments.rescaled`)."""
+    if isinstance(data, Moments):
+        return data.rescaled(eta_scale)
     if eta_scale <= 0:
         raise ValueError("eta_scale must be > 0")
     r = math.sqrt(eta_scale)
-    x_c, p_d = r * batch.x_c, r * batch.p_d
-    if batch.scheme == "PM":
-        x_f = batch.x_b + batch.coeff * x_c
-        p_f = batch.p_b - batch.coeff * p_d
-    else:
-        x_f = batch.x_b + batch.coeff / _SQRT2 * x_c
-        p_f = batch.p_b + batch.coeff / _SQRT2 * p_d
-    return replace(batch, x_c=x_c, p_d=p_d, x_b_final=x_f, p_b_final=p_f)
+    return _batch(data.scheme, data.seed, data.n, data.v_a, data.v_b, data.coeff,
+                  data.x_a, data.p_a, data.x_b, data.p_b, r * data.x_c, r * data.p_d)
 
 
-def key_rates_vs_k_from_batch(batch: SampleBatch, k_grid, beta: float = 1.0) -> np.ndarray:
+def key_rates_vs_k_from_batch(data: SampleBatch | Moments, k_grid,
+                              beta: float = 1.0) -> np.ndarray:
     """Data-driven key rate for each k, from one PM batch's second moments.
 
     Reads only the base columns x_a ... p_d, so the batch's own k does not
     enter. The whole grid goes to the grid kernel in one call.
     """
-    if batch.scheme != "PM":
+    if data.scheme != "PM":
         raise ValueError("k sweep over data requires a PM batch")
     k = np.asarray(k_grid, dtype=float)
-    base = np.column_stack([batch.x_a, batch.p_a, batch.x_b, batch.p_b,
-                            batch.x_c, batch.p_d])
-    m = np.cov(base, rowvar=False)
-    s_a = modulation_scale(batch.v_a)
-    s_b = modulation_scale(batch.v_b)
+    mom = _moments(data)
+    m = mom.covariance()
+    s_a = modulation_scale(mom.v_a)
+    s_b = modulation_scale(mom.v_b)
     a = (m[0, 0] + m[1, 1]) / (s_a * s_a) - 1.0
     # modulation units: X_B = x_b + k X_C, P_B = p_b - k P_D
     var_xb = m[2, 2] + 2 * k * m[2, 4] + k * k * m[4, 4]

@@ -1,11 +1,14 @@
 """Monte Carlo verification suites driven by the `oracle` CLI subcommand.
 
-One run draws two n-sample batches and the four suites share them: one
-source-based (EB) batch at `seed` and the optimal gain, read by the
-covariance, estimation and equivalence suites, then one modulation-based
-(PM) batch at `seed + 1` and the EB batch's fitted k, read by the
-equivalence and rescaling suites. The EB batch is reduced to its fitted k
-and bridged covariance and released before the PM batch is drawn.
+One run draws two n-sample batches and the four suites read their second
+moments (`montecarlo.Moments`): one source-based (EB) batch at `seed` and
+the optimal gain, read by the covariance, estimation and equivalence suites,
+then one modulation-based (PM) batch at `seed + 1` and the EB batch's fitted
+k, read by the equivalence and rescaling suites. Each batch is drawn and
+reduced one chunk at a time (`montecarlo.sample_moments`), so a run holds
+O(`montecarlo.CHUNK_ROWS`) samples whatever n is. The chunked sampler
+changed the samples, so the statistics printed for a given seed differ from
+versions that drew whole batches.
 """
 
 from __future__ import annotations
@@ -27,30 +30,26 @@ class SuiteResult:
     detail: str
 
 
-def _cov_suite(scenario: Scenario, batch: mc.SampleBatch, wrong_sign: bool) -> SuiteResult:
+def _cov_suite(scenario: Scenario, moments: mc.Moments, wrong_sign: bool) -> SuiteResult:
     """Empirical covariance of the final data vs the analytic prediction."""
-    g = batch.coeff
+    g = moments.coeff
     if wrong_sign:
         # test hook: displacement applied with inverted sign
-        batch = replace(
-            batch,
-            x_b_final=batch.x_b - g / np.sqrt(2.0) * batch.x_c,
-            p_b_final=batch.p_b - g / np.sqrt(2.0) * batch.p_d,
-        )
+        moments = replace(moments, coeff=-g)
     a, b, c = scenario_block_params(scenario, g)
     predicted = mc.heterodyne_image(CovarianceMatrix(np.block([
         [a * np.eye(2), np.diag([c, -c])],
         [np.diag([c, -c]), b * np.eye(2)],
     ])))
-    z = mc.covariance_z_scores(mc.batch_outcome_covariance(batch), predicted, batch.n)
+    z = mc.covariance_z_scores(mc.batch_outcome_covariance(moments), predicted, moments.n)
     zmax = float(np.max(np.abs(z)))
     return SuiteResult("covariance_vs_analytic", zmax < 4.0, f"max|z|={zmax:.2f}")
 
 
-def _estimation_suite(scenario: Scenario, batch: mc.SampleBatch) -> SuiteResult:
+def _estimation_suite(scenario: Scenario, moments: mc.Moments) -> SuiteResult:
     from .protocol import effective_transmittance, equivalent_excess_noise
 
-    est = mc.estimate_params(batch)
+    est = mc.estimate_params(moments)
     t_true = effective_transmittance(scenario)
     eps_true = equivalent_excess_noise(scenario)
     zt = abs(est.t_hat - t_true) / est.t_se
@@ -59,21 +58,20 @@ def _estimation_suite(scenario: Scenario, batch: mc.SampleBatch) -> SuiteResult:
                        f"z(T)={zt:.2f} z(eps')={ze:.2f}")
 
 
-def _equivalence_suite(cov_eb: np.ndarray, g: float, batch: mc.SampleBatch) -> SuiteResult:
-    report = mc.equivalence_report(cov_eb, batch, g)
+def _equivalence_suite(cov_eb: np.ndarray, g: float, pm: mc.Moments) -> SuiteResult:
+    report = mc.equivalence_report(cov_eb, pm, g)
     return SuiteResult("pm_eb_equivalence", report.passed,
                        f"max|z|={report.max_abs_z:.2f} k={report.k_used:.4f}")
 
 
-def _attack_suite(scenario: Scenario, batch: mc.SampleBatch) -> SuiteResult:
+def _attack_suite(scenario: Scenario, pm: mc.Moments) -> SuiteResult:
     from .keyrate import analytic_k
 
     k0 = analytic_k(scenario)
     # dense grid around the optimum so quantization of the max is << tolerance
     grid = k0 * np.logspace(np.log10(0.3), np.log10(3.0), 2001)
-    base = mc.key_rates_vs_k_from_batch(batch, grid, scenario.beta_r)
-    scaled = mc.key_rates_vs_k_from_batch(
-        mc.lo_scaling_attack(batch, 0.64), grid, scenario.beta_r)
+    base = mc.key_rates_vs_k_from_batch(pm, grid, scenario.beta_r)
+    scaled = mc.key_rates_vs_k_from_batch(pm.rescaled(0.64), grid, scenario.beta_r)
     dmax = abs(float(np.max(base)) - float(np.max(scaled)))
     return SuiteResult("measurement_rescaling_invariance", dmax < 1e-3,
                        f"|dK_max|={dmax:.2e}")
@@ -82,15 +80,12 @@ def _attack_suite(scenario: Scenario, batch: mc.SampleBatch) -> SuiteResult:
 def run_oracle_suites(scenario: Scenario, n: int, seed: int,
                       wrong_sign: bool = False) -> list[SuiteResult]:
     g = optimal_gain(scenario)
-    eb = mc.simulate_eb(scenario, g, n, seed)
-    cov = _cov_suite(scenario, eb, wrong_sign)
-    estimation = _estimation_suite(scenario, eb)
+    eb = mc.sample_moments(scenario, "EB", g, n, seed)
     k, cov_eb = mc.fit_amplification(eb), mc.bridged_covariance(eb)
-    del eb  # hold one n-sample batch at a time
-    pm = mc.simulate_pm(scenario, k, n, seed + 1)
+    pm = mc.sample_moments(scenario, "PM", k, n, seed + 1)
     return [
-        cov,
-        estimation,
+        _cov_suite(scenario, eb, wrong_sign),
+        _estimation_suite(scenario, eb),
         _equivalence_suite(cov_eb, g, pm),
         _attack_suite(scenario, pm),
     ]

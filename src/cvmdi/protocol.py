@@ -35,7 +35,12 @@ def _non_finite(params) -> ValueError:
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """One fiber link: length, attenuation, and input-referred excess noise."""
+    """One fiber link: length, attenuation, and input-referred excess noise.
+
+    `transmittance` = 10^(-attenuation * length / 10) is set once at
+    construction; it is not a field, so equality, hash and repr are those of
+    the three fields.
+    """
 
     length_km: float
     attenuation_db_per_km: float = DEFAULT_ATTENUATION_DB_PER_KM
@@ -51,13 +56,12 @@ class ChannelParams:
             raise ValueError("attenuation must be > 0 dB/km")
         if self.excess_noise < 0:
             raise ValueError("excess noise must be >= 0")
+        # stored, not a property: it is read several times per key-rate point
+        object.__setattr__(self, "transmittance",
+                           10.0 ** (-self.attenuation_db_per_km * self.length_km / 10.0))
         if self.transmittance == 0.0:
             raise ValueError(f"channel length {self.length_km} km at {self.attenuation_db_per_km} "
                              f"dB/km: transmittance underflows to 0")
-
-    @property
-    def transmittance(self) -> float:
-        return 10.0 ** (-self.attenuation_db_per_km * self.length_km / 10.0)
 
     @property
     def chi(self) -> float:

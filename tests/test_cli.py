@@ -176,3 +176,13 @@ class TestCsvOutput:
         body = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
         assert body[0].startswith("K_bits_per_use")
         assert body[1].endswith("positive")
+
+    def test_output_path_sets_the_default_out(self, tmp_path, capsys):
+        path = tmp_path / "fromcfg.csv"
+        args = [*self.SWEEP, "--set", f"output.path={path}", "sweep", "symmetric"]
+        assert main(args) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_text().splitlines()[-1].endswith(":max_distance")
+        other = tmp_path / "flag.csv"
+        assert main([*args[:-2], "--out", str(other), "sweep", "symmetric"]) == 0
+        assert other.read_bytes() == path.read_bytes()

@@ -250,3 +250,95 @@ class TestOracleSuites:
         bad = run_oracle_suites(scenario, N_FAST, SEED, wrong_sign=True)
         assert bad[0].name == "covariance_vs_analytic" and not bad[0].passed
         assert bad[1:] == results[1:]
+
+
+class TestChunkedSampling:
+    C = mc.CHUNK_ROWS
+
+    @pytest.mark.parametrize("sample", [
+        lambda s, n, chunk=0: mc.simulate_eb(s, None, n, SEED, chunk=chunk),
+        lambda s, n, chunk=0: mc.simulate_pm(s, 1.3, n, SEED, chunk=chunk),
+    ], ids=["EB", "PM"])
+    def test_chunk_rows_depend_only_on_seed_stream_and_chunk(self, scenario, sample):
+        whole = sample(scenario, 5 * self.C // 2).data_matrix()
+        alone = sample(scenario, self.C, chunk=1).data_matrix()
+        assert np.array_equal(whole[self.C:2 * self.C], alone)
+        first = sample(scenario, self.C).data_matrix()
+        assert np.array_equal(whole[:self.C], first)
+
+    def test_chunk_accumulated_moments_equal_batch_moments(self, scenario):
+        n = 5 * self.C // 2 + 7  # blocks of n/10 rows straddle chunk edges
+        g = optimal_gain(scenario)
+        streamed = mc.sample_moments(scenario, "EB", g, n, SEED)
+        whole = mc.Moments.of(mc.simulate_eb(scenario, g, n, SEED))
+        assert np.array_equal(streamed.counts, whole.counts)
+        assert streamed.counts.tolist() == [len(p) for p in np.array_split(np.arange(n), 10)]
+        for a, b in ((streamed.sums, whole.sums), (streamed.gram, whole.gram)):
+            assert np.allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+
+    def test_moment_covariance_matches_np_cov(self, eb_batch):
+        base = np.column_stack([eb_batch.x_a, eb_batch.p_a, eb_batch.x_b,
+                                eb_batch.p_b, eb_batch.x_c, eb_batch.p_d])
+        m = mc.Moments.of(eb_batch)
+        ref = np.cov(base, rowvar=False)
+        assert np.allclose(m.covariance(), ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+        final = np.cov(eb_batch.data_matrix(), rowvar=False)
+        assert np.allclose(m.final_covariance(), final,
+                           rtol=1e-12, atol=1e-12 * np.abs(final).max())
+        part = np.array_split(np.arange(eb_batch.n), 10)[3]
+        block = np.cov(base[part], rowvar=False)
+        assert np.allclose(m.covariance(3), block,
+                           rtol=1e-12, atol=1e-12 * np.abs(block).max())
+
+    def test_consumers_agree_on_batch_and_moments(self, scenario, eb_batch, pm_batch):
+        eb, pm = mc.Moments.of(eb_batch), mc.Moments.of(pm_batch)
+
+        def close(a, b):
+            a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+            return np.allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+
+        assert close(mc.batch_outcome_covariance(eb), mc.batch_outcome_covariance(eb_batch))
+        assert close(mc.fit_amplification(eb), mc.fit_amplification(eb_batch))
+        cov_eb = mc.bridged_covariance(eb)
+        assert close(cov_eb, mc.bridged_covariance(eb_batch))
+        g = eb_batch.coeff
+        assert close(mc.equivalence_report(cov_eb, pm, g).z_scores,
+                     mc.equivalence_report(cov_eb, pm_batch, g).z_scores)
+        for moments, batch in ((eb, eb_batch), (pm, pm_batch)):
+            e1, e2 = mc.estimate_params(moments), mc.estimate_params(batch)
+            for field in ("empirical_cov", "a", "b", "c", "t_hat", "eps_hat", "t_se", "eps_se"):
+                assert close(getattr(e1, field), getattr(e2, field)), field
+        grid = analytic_k(scenario) * np.linspace(0.5, 2.0, 51)
+        assert close(mc.key_rates_vs_k_from_batch(pm, grid, scenario.beta_r),
+                     mc.key_rates_vs_k_from_batch(pm_batch, grid, scenario.beta_r))
+
+    def test_rescaling_moments_matches_rescaling_batch(self, pm_batch):
+        for eta in (0.25, 0.64, 1.44):
+            on_moments = mc.lo_scaling_attack(mc.Moments.of(pm_batch), eta)
+            on_batch = mc.Moments.of(mc.lo_scaling_attack(pm_batch, eta))
+            assert isinstance(on_moments, mc.Moments)
+            for a, b in ((on_moments.sums, on_batch.sums), (on_moments.gram, on_batch.gram)):
+                assert np.allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+        with pytest.raises(ValueError):
+            mc.lo_scaling_attack(mc.Moments.of(pm_batch), 0.0)
+
+    def test_high_v_estimate_is_unbiased(self):
+        # one ddof for every covariance: mixing ddof 0 variances with a ddof 1
+        # cross covariance biases eps' by about -2V/n, many standard errors
+        # at V = 1e5 and n = 2e4
+        t_in, eps_in = 0.5, 0.1
+        batch = mc.sample_block_cm(1e5, t_in, eps_in, 20_000, seed=SEED)
+        est = mc.estimate_params(batch)
+        assert abs(est.t_hat - t_in) < 4.0 * est.t_se
+        assert abs(est.eps_hat - eps_in) < 4.0 * est.eps_se
+
+    def test_oracle_memory_is_one_chunk(self, scenario):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            run_oracle_suites(scenario, 1_000_000, SEED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6, f"peak {peak / 1e6:.1f} MB"
