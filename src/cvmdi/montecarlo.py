@@ -302,11 +302,16 @@ class Moments:
     def rescaled(self, eta_scale: float) -> Moments:
         """Moments after scaling the relay data x_c, p_d by sqrt(eta_scale):
         D G D and D s with D = diag(1, 1, 1, 1, r, r), r = sqrt(eta_scale)."""
-        if eta_scale <= 0:
-            raise ValueError("eta_scale must be > 0")
-        r = math.sqrt(eta_scale)
+        r = _relay_scale(eta_scale)
         d = np.array([1.0, 1.0, 1.0, 1.0, r, r])
         return replace(self, sums=self.sums * d, gram=self.gram * np.outer(d, d))
+
+
+def _relay_scale(eta_scale: float) -> float:
+    """sqrt(eta_scale), the factor on the relay data x_c, p_d of a rescaling."""
+    if eta_scale <= 0:
+        raise ValueError("eta_scale must be > 0")
+    return math.sqrt(eta_scale)
 
 
 def _block_sums(n: int, n_blocks: int, runs):
@@ -330,7 +335,7 @@ def _block_sums(n: int, n_blocks: int, runs):
 
 
 def sample_moments(scenario: Scenario, scheme: str, coeff: float, n: int,
-                   seed: int = 0, n_blocks: int = N_BLOCKS) -> Moments:
+                   seed: int = 0) -> Moments:
     """Moments of `simulate_eb` (scheme "EB", coeff the gain g) or
     `simulate_pm` ("PM", coeff the amplification k) at (n, seed), drawn one
     chunk at a time: no more than CHUNK_ROWS samples are held at once, and
@@ -345,11 +350,11 @@ def sample_moments(scenario: Scenario, scheme: str, coeff: float, n: int,
             yield lo, [getattr(part, c) for c in _BASE]
 
     return Moments(scheme, seed, scenario.v_a, scenario.v_b, coeff,
-                   *_block_sums(n, n_blocks, runs()))
+                   *_block_sums(n, N_BLOCKS, runs()))
 
 
-def _moments(data: SampleBatch | Moments, n_blocks: int = N_BLOCKS) -> Moments:
-    return data if isinstance(data, Moments) else Moments.of(data, n_blocks)
+def _moments(data: SampleBatch | Moments) -> Moments:
+    return data if isinstance(data, Moments) else Moments.of(data)
 
 
 def heterodyne_image(cov2: CovarianceMatrix) -> np.ndarray:
@@ -486,10 +491,14 @@ def estimate_params(data: SampleBatch | Moments, n_blocks: int = N_BLOCKS) -> Es
     """
     if data.n < MIN_ESTIMATION_SAMPLES:
         raise ValueError(f"need at least {MIN_ESTIMATION_SAMPLES} samples for estimation")
-    m = _moments(data, n_blocks)
+    m = data if isinstance(data, Moments) else Moments.of(data, n_blocks)
     if len(m.counts) != n_blocks:
         raise ValueError(f"moments hold {len(m.counts)} blocks, not {n_blocks}")
-    if np.any(np.diag(m.final_covariance())[:4] < 1e-24):
+    # G/n - mean^2 of a constant column is rounding noise of its raw second
+    # moment G/n, so the variance is judged relative to that
+    lmap = m.final_map()
+    raw = np.diag(lmap @ m.gram.sum(axis=0) @ lmap.T)[:4] / m.n
+    if np.any(np.diag(m.final_covariance())[:4] <= 1e-12 * raw):
         raise ValueError("degenerate (zero-variance) data column")
     emp = _outcome_covariance(m)
     a, b, c, t, eps = _block_estimates(emp)
@@ -522,15 +531,11 @@ def sample_block_cm(v_a: float, t: float, eps: float, n: int, seed: int = 0) -> 
     return _batch("EB", seed, n, v_a, b, 0.0, x_a, p_a, x_b, p_b, np.zeros(n), np.zeros(n))
 
 
-def lo_scaling_attack(data: SampleBatch | Moments, eta_scale: float) -> SampleBatch | Moments:
+def lo_scaling_attack(data: SampleBatch, eta_scale: float) -> SampleBatch:
     """Rescale the announced relay data by sqrt(eta_scale) before Bob's data
     processing; final columns are recomputed at the batch's own coefficient.
-    Moments are rescaled as such (`Moments.rescaled`)."""
-    if isinstance(data, Moments):
-        return data.rescaled(eta_scale)
-    if eta_scale <= 0:
-        raise ValueError("eta_scale must be > 0")
-    r = math.sqrt(eta_scale)
+    `Moments.rescaled` is the same map on moments."""
+    r = _relay_scale(eta_scale)
     return _batch(data.scheme, data.seed, data.n, data.v_a, data.v_b, data.coeff,
                   data.x_a, data.p_a, data.x_b, data.p_b, r * data.x_c, r * data.p_d)
 

@@ -1,6 +1,7 @@
 """Monte Carlo layer: reproducibility, covariance oracles, picture
 equivalence, parameter estimation, and the measurement-rescaling analysis."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -314,13 +315,21 @@ class TestChunkedSampling:
 
     def test_rescaling_moments_matches_rescaling_batch(self, pm_batch):
         for eta in (0.25, 0.64, 1.44):
-            on_moments = mc.lo_scaling_attack(mc.Moments.of(pm_batch), eta)
+            on_moments = mc.Moments.of(pm_batch).rescaled(eta)
             on_batch = mc.Moments.of(mc.lo_scaling_attack(pm_batch, eta))
-            assert isinstance(on_moments, mc.Moments)
             for a, b in ((on_moments.sums, on_batch.sums), (on_moments.gram, on_batch.gram)):
                 assert np.allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
         with pytest.raises(ValueError):
-            mc.lo_scaling_attack(mc.Moments.of(pm_batch), 0.0)
+            mc.Moments.of(pm_batch).rescaled(0.0)
+
+    @pytest.mark.parametrize("value", [0.0, 0.3, 3.14159, 12.3])
+    def test_constant_column_is_degenerate(self, eb_batch, value):
+        # G/n - mean^2 of a non-zero constant column is rounding noise that
+        # may come out positive; it must still be rejected
+        flat = dataclasses.replace(eb_batch, x_a=np.full(eb_batch.n, value))
+        for data in (flat, mc.Moments.of(flat)):
+            with pytest.raises(ValueError, match="degenerate"):
+                mc.estimate_params(data)
 
     def test_high_v_estimate_is_unbiased(self):
         # one ddof for every covariance: mixing ddof 0 variances with a ddof 1
