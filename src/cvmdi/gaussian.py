@@ -105,13 +105,16 @@ def vacuum_state(n_modes: int) -> GaussianState:
     return GaussianState(np.zeros(2 * n_modes), CovarianceMatrix(np.eye(2 * n_modes)))
 
 
+def block_cm(a: float, b: float, c: float) -> CovarianceMatrix:
+    """Two-mode block-form covariance [[a I2, c sigma_z], [c sigma_z, b I2]]."""
+    return CovarianceMatrix(np.block([[a * I2, c * SIGMA_Z], [c * SIGMA_Z, b * I2]]))
+
+
 def tms_state(v: float) -> GaussianState:
     """Two-mode squeezed vacuum with quadrature variance v per mode."""
     if v < 1.0:
         raise ValueError(f"unphysical squeezing variance {v} (must be >= 1)")
-    c = np.sqrt(v * v - 1.0)
-    cov = np.block([[v * I2, c * SIGMA_Z], [c * SIGMA_Z, v * I2]])
-    return GaussianState(np.zeros(4), CovarianceMatrix(cov))
+    return GaussianState(np.zeros(4), block_cm(v, v, np.sqrt(v * v - 1.0)))
 
 
 def thermal_state(v: float) -> GaussianState:

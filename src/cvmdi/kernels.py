@@ -1,7 +1,9 @@
-"""Key-rate kernels on block-form two-mode covariances.
+"""Key-rate kernels: functions of the block covariance (a, b, c) alone.
 
-All inputs are block-form covariance parameters (a, b, c) meaning
-[[a*I2, c*sigma_z], [c*sigma_z, b*I2]] in shot-noise units.
+(a, b, c) means [[a*I2, c*sigma_z], [c*sigma_z, b*I2]] in shot-noise units.
+`protocol` owns the reduction that produces it (gain -> (T, eps') ->
+(a, b, c)); this module only evaluates it, and imports nothing but `math`
+and numpy.
 
 Each formula exists twice, and the call site picks the form:
 
@@ -9,12 +11,10 @@ Each formula exists twice, and the call site picks the form:
   serve one evaluation at a time: `keyrate.secret_key_rate` (one
   `block_mutual_information` and one `block_holevo_reverse` call per point,
   and so every sweep and range search), `keyrate.mutual_information` and
-  `keyrate.holevo_bound_reverse`, and `protocol.equivalent_excess_noise`
-  (`equivalent_noise_general`);
+  `keyrate.holevo_bound_reverse`;
 * the `*_grid` functions take numpy arrays (scalars broadcast) and evaluate
-  a whole grid in one call: `scan_k_rates` for `keyrate.key_rate_vs_k`, the
-  detection scheme's k scan, and `block_key_rate_grid` for
-  `montecarlo.key_rates_vs_k_from_batch`.
+  a whole grid in one call: `block_key_rate_grid` for `keyrate.key_rate_vs_k`
+  (the detection scheme's k scan) and `montecarlo.key_rates_vs_k_from_batch`.
 
 The test suite checks the two forms against each other elementwise.
 """
@@ -22,8 +22,6 @@ The test suite checks the two forms against each other elementwise.
 from math import log2, sqrt
 
 import numpy as np
-
-_SQRT2 = sqrt(2.0)
 
 
 # -- scalar functions (math) ---------------------------------------------------
@@ -61,15 +59,6 @@ def block_key_rate(a: float, b: float, c: float, beta: float) -> float:
     return beta * block_mutual_information(a, b, c) - block_holevo_reverse(a, b, c)
 
 
-def equivalent_noise_general(g: float, v_b: float, eta_a: float, eta_b: float,
-                             eps_a: float, eps_b: float) -> float:
-    """Input-referred excess noise of the reduced one-way channel at gain g."""
-    chi_a = (1.0 - eta_a) / eta_a + eps_a
-    chi_b = (1.0 - eta_b) / eta_b + eps_b
-    mismatch = _SQRT2 / g * sqrt(v_b - 1.0) - sqrt(eta_b) * sqrt(v_b + 1.0)
-    return 1.0 + (eta_b * (chi_b - 1.0) + eta_a * chi_a) / eta_a + mismatch * mismatch / eta_a
-
-
 # -- grid functions (numpy) ----------------------------------------------------
 def g_entropy_grid(nu):
     """g(nu) elementwise; log2 only ever sees positive arguments."""
@@ -98,25 +87,3 @@ def block_holevo_reverse_grid(a, b, c):
 
 def block_key_rate_grid(a, b, c, beta):
     return beta * block_mutual_information_grid(a, b, c) - block_holevo_reverse_grid(a, b, c)
-
-
-def equivalent_noise_general_grid(g, v_b, eta_a, eta_b, eps_a, eps_b):
-    chi_a = (1.0 - eta_a) / eta_a + eps_a
-    chi_b = (1.0 - eta_b) / eta_b + eps_b
-    mismatch = _SQRT2 / g * np.sqrt(v_b - 1.0) - np.sqrt(eta_b) * np.sqrt(v_b + 1.0)
-    return 1.0 + (eta_b * (chi_b - 1.0) + eta_a * chi_a) / eta_a + mismatch * mismatch / eta_a
-
-
-def scan_k_rates(ks, v_a, v_b, eta_a, eta_b, eps_a, eps_b, chi_det, beta):
-    """Key rate at each amplification coefficient k (a float array).
-
-    k maps to the displacement gain via g = k / sqrt((v_b-1)/(v_b+1)).
-    Detector imperfections enter as the additive penalty 2*chi_det/eta_a on
-    the equivalent excess noise.
-    """
-    g = ks / sqrt((v_b - 1.0) / (v_b + 1.0))
-    eps_eff = equivalent_noise_general_grid(g, v_b, eta_a, eta_b, eps_a, eps_b) + 2.0 * chi_det / eta_a
-    t = eta_a / 2.0 * g * g
-    b = t * (v_a - 1.0) + 1.0 + t * eps_eff
-    c = np.sqrt(t * (v_a * v_a - 1.0))
-    return block_key_rate_grid(v_a, b, c, beta)

@@ -11,14 +11,17 @@ from . import kernels
 from .gaussian import (
     CovarianceMatrix,
     GaussianState,
+    block_cm,
     heterodyne_condition,
     von_neumann_entropy,
 )
 from .protocol import (
     Scenario,
-    detector_noise,
+    block_params,
     effective_transmittance,
+    gain_from_k,
     imperfect_excess_noise,
+    k_from_gain,
 )
 
 BLOCK_FORM_TOL = 1e-9
@@ -61,11 +64,7 @@ def block_form_params(cov2: CovarianceMatrix) -> tuple[float, float, float]:
         raise ValueError("expected a two-mode covariance matrix")
     m = cov2.entries
     a, b, c = m[0, 0], m[2, 2], m[0, 2]
-    ref = np.block([
-        [a * np.eye(2), np.diag([c, -c])],
-        [np.diag([c, -c]), b * np.eye(2)],
-    ])
-    if np.max(np.abs(m - ref)) > BLOCK_FORM_TOL:
+    if np.max(np.abs(m - block_cm(a, b, c).entries)) > BLOCK_FORM_TOL:
         raise ValueError("covariance matrix is not in a*I2 / c*sigma_z block form")
     return float(a), float(b), float(c)
 
@@ -98,22 +97,19 @@ def holevo_bound_reverse_generic(cov2: CovarianceMatrix) -> float:
     return s_ab - von_neumann_entropy(remaining.cov)
 
 
-def scenario_block_params(scenario: Scenario, g: float | None = None) -> tuple[float, float, float]:
-    """(a, b, c) of the post-protocol covariance, detector penalty included."""
+def scenario_block_params(scenario: Scenario, g=None):
+    """(a, b, c) of the post-protocol covariance at gain g, detector penalty
+    included: g is a float or an array of gains, the resolved gain if omitted."""
     if g is None:
-        g = scenario.resolved_gain()
-    g = float(g)  # the optimal gain is a numpy scalar; keep the arithmetic on floats
+        g = float(scenario.resolved_gain())
     t = effective_transmittance(scenario, g)
-    eps = imperfect_excess_noise(scenario, g if scenario.gain_mode == "fixed" else None)
-    a = scenario.v_a
-    b = t * (scenario.v_a - 1.0) + 1.0 + t * eps
-    c = math.sqrt(t * (scenario.v_a**2 - 1.0))
-    return a, b, c
+    return block_params(scenario.v_a, t, imperfect_excess_noise(scenario, g))
 
 
 def secret_key_rate(scenario: Scenario) -> KeyRatePoint:
     g = scenario.resolved_gain()
-    a, b, c = scenario_block_params(scenario, g)
+    # the optimal gain is a numpy scalar; keep the arithmetic on floats
+    a, b, c = scenario_block_params(scenario, float(g))
     i_ab = kernels.block_mutual_information(a, b, c)
     chi = kernels.block_holevo_reverse(a, b, c)
     return KeyRatePoint(
@@ -131,9 +127,10 @@ def key_rate_at(scenario: Scenario, l_ac_km: float, l_bc_km: float) -> float:
 
 
 def _bisect_zero(f, lo: float, hi: float, tol: float = BISECT_TOL_KM) -> float:
-    """Root of f between lo (f > 0) and hi (f <= 0) by plain bisection."""
+    """Root of f between lo (f > 0) and hi (f <= 0), in either order, by
+    plain bisection."""
     for _ in range(BISECT_MAX_ITER):
-        if hi - lo <= tol:
+        if abs(hi - lo) <= tol:
             break
         mid = 0.5 * (lo + hi)
         if f(mid) > 0.0:
@@ -205,8 +202,7 @@ def sweep_asymmetric(scenario: Scenario, l_ac_grid, l_bc_values) -> SweepResult:
 
 def analytic_k(scenario: Scenario) -> float:
     """Data-domain amplification coefficient matching the optimal gain."""
-    g = scenario.resolved_gain()
-    return g * math.sqrt((scenario.v_b - 1.0) / (scenario.v_b + 1.0))
+    return k_from_gain(scenario.resolved_gain(), scenario.v_b)
 
 
 def default_k_grid(scenario: Scenario, n_points: int = 400,
@@ -220,14 +216,8 @@ def key_rate_vs_k(scenario: Scenario, k_grid) -> np.ndarray:
     k_grid = np.asarray(k_grid, dtype=float)
     if k_grid.size == 0 or np.any(k_grid <= 0):
         raise ValueError("k grid must be nonempty and positive")
-    chi_det = detector_noise(scenario.detector.efficiency, scenario.detector.electronic_noise)
-    return kernels.scan_k_rates(
-        k_grid,
-        scenario.v_a, scenario.v_b,
-        scenario.channel_a.transmittance, scenario.channel_b.transmittance,
-        scenario.channel_a.excess_noise, scenario.channel_b.excess_noise,
-        chi_det, scenario.beta_r,
-    )
+    a, b, c = scenario_block_params(scenario, gain_from_k(k_grid, scenario.v_b))
+    return kernels.block_key_rate_grid(a, b, c, scenario.beta_r)
 
 
 def optimize_k_detection_scheme(scenario: Scenario, k_grid=None) -> tuple[float, float]:
@@ -265,13 +255,4 @@ def min_detector_efficiency(scenario: Scenario, tol: float = 1e-6) -> float:
         hi /= 2.0
         if hi < 1e-6:
             return 0.0
-    # bisect between hi (K <= 0) and lo (K > 0)
-    for _ in range(200):
-        if lo - hi <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if rate(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect_zero(rate, lo, hi, tol)

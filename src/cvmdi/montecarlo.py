@@ -40,7 +40,8 @@ import numpy as np
 from . import kernels
 from .gaussian import CovarianceMatrix
 from .keyrate import block_form_params
-from .protocol import Scenario, optimal_gain
+from .protocol import Scenario, block_params, k_from_gain, optimal_gain
+from .protocol import gain_from_k  # noqa: F401 (kept importable as montecarlo.gain_from_k)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -178,15 +179,6 @@ def bridge_matrix(v_a: float, v_b: float) -> np.ndarray:
     """
     s_a, s_b = modulation_scale(v_a), modulation_scale(v_b)
     return np.diag([s_a, -s_a, s_b, -s_b, 1.0, 1.0])
-
-
-def gain_from_k(k: float, v_b: float) -> float:
-    """Displacement gain equivalent to data-domain amplification k."""
-    return k / math.sqrt((v_b - 1.0) / (v_b + 1.0))
-
-
-def k_from_gain(g: float, v_b: float) -> float:
-    return g * math.sqrt((v_b - 1.0) / (v_b + 1.0))
 
 
 def _eb_rows(scenario: Scenario, seed: int, j: int, m: int):
@@ -383,20 +375,6 @@ def batch_outcome_covariance(data: SampleBatch | Moments) -> np.ndarray:
     return _moments(data).final_covariance()[:4, :4]
 
 
-def fit_amplification(eb_data: SampleBatch | Moments) -> float:
-    """Empirical data-domain amplification coefficient from an EB batch.
-
-    Uses the regression of the displacement contribution on the announced
-    relay data: k = s_b * Cov(X_B - x_b, X_C) / Var(X_C).
-    """
-    if eb_data.scheme != "EB":
-        raise ValueError("fit_amplification expects an EB batch")
-    m = _moments(eb_data)
-    disp = m.final_map()[2] - np.eye(6)[2]  # X_B - x_b in base columns
-    cov = m.covariance()
-    return float(modulation_scale(m.v_b) * (disp @ cov[:, 4]) / cov[4, 4])
-
-
 @dataclass(frozen=True)
 class EquivalenceReport:
     k_used: float
@@ -412,14 +390,14 @@ def pm_eb_equivalence_test(scenario: Scenario, g: float | None = None,
     """Compare the 6-variable joint covariance of the two pictures.
 
     The EB covariance is mapped to modulation units with `bridge_matrix`
-    before comparison. k defaults to the empirically fitted coefficient.
-    Both batches are reduced to moments chunk by chunk.
+    before comparison. k defaults to the amplification equivalent to g,
+    `k_from_gain(g, v_b)`. Both batches are reduced to moments chunk by chunk.
     """
     if g is None:
         g = optimal_gain(scenario)
-    eb = sample_moments(scenario, "EB", g, n, seed_pair[0])
     if k is None:
-        k = fit_amplification(eb)
+        k = k_from_gain(g, scenario.v_b)
+    eb = sample_moments(scenario, "EB", g, n, seed_pair[0])
     pm = sample_moments(scenario, "PM", k, n, seed_pair[1])
     return equivalence_report(bridged_covariance(eb), pm, g, z_limit)
 
@@ -517,8 +495,7 @@ def sample_block_cm(v_a: float, t: float, eps: float, n: int, seed: int = 0) -> 
     Generative counterpart of `estimate_params` for round-trip checks. There
     is no relay data: x_c = p_d = 0 and the gain is 0.
     """
-    b = t * (v_a - 1.0) + 1.0 + t * eps
-    c = math.sqrt(t * (v_a * v_a - 1.0))
+    _, b, c = block_params(v_a, t, eps)
 
     def rows(j, m):
         qxa, qpa, qxb, qpb = _correlated_pair(v_a, b, c, m, _rng(seed, "alice_source", j))

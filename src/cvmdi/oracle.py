@@ -3,12 +3,13 @@
 One run draws two n-sample batches and the four suites read their second
 moments (`montecarlo.Moments`): one source-based (EB) batch at `seed` and
 the optimal gain, read by the covariance, estimation and equivalence suites,
-then one modulation-based (PM) batch at `seed + 1` and the EB batch's fitted
-k, read by the equivalence and rescaling suites. Each batch is drawn and
-reduced one chunk at a time (`montecarlo.sample_moments`), so a run holds
-O(`montecarlo.CHUNK_ROWS`) samples whatever n is. The chunked sampler
-changed the samples, so the statistics printed for a given seed differ from
-versions that drew whole batches.
+then one modulation-based (PM) batch at `seed + 1` and the amplification k
+equivalent to that gain (`protocol.k_from_gain`), read by the equivalence and
+rescaling suites. Each batch is drawn and reduced one chunk at a time
+(`montecarlo.sample_moments`), so a run holds O(`montecarlo.CHUNK_ROWS`)
+samples whatever n is. The chunked sampler changed the samples, so the
+statistics printed for a given seed differ from versions that drew whole
+batches.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import montecarlo as mc
-from .gaussian import CovarianceMatrix
+from .gaussian import block_cm
 from .keyrate import scenario_block_params
-from .protocol import Scenario, optimal_gain
+from .protocol import Scenario, k_from_gain, optimal_gain
 
 
 @dataclass(frozen=True)
@@ -37,10 +38,7 @@ def _cov_suite(scenario: Scenario, moments: mc.Moments, wrong_sign: bool) -> Sui
         # test hook: displacement applied with inverted sign
         moments = replace(moments, coeff=-g)
     a, b, c = scenario_block_params(scenario, g)
-    predicted = mc.heterodyne_image(CovarianceMatrix(np.block([
-        [a * np.eye(2), np.diag([c, -c])],
-        [np.diag([c, -c]), b * np.eye(2)],
-    ])))
+    predicted = mc.heterodyne_image(block_cm(a, b, c))
     z = mc.covariance_z_scores(mc.batch_outcome_covariance(moments), predicted, moments.n)
     zmax = float(np.max(np.abs(z)))
     return SuiteResult("covariance_vs_analytic", zmax < 4.0, f"max|z|={zmax:.2f}")
@@ -81,11 +79,10 @@ def run_oracle_suites(scenario: Scenario, n: int, seed: int,
                       wrong_sign: bool = False) -> list[SuiteResult]:
     g = optimal_gain(scenario)
     eb = mc.sample_moments(scenario, "EB", g, n, seed)
-    k, cov_eb = mc.fit_amplification(eb), mc.bridged_covariance(eb)
-    pm = mc.sample_moments(scenario, "PM", k, n, seed + 1)
+    pm = mc.sample_moments(scenario, "PM", k_from_gain(g, scenario.v_b), n, seed + 1)
     return [
         _cov_suite(scenario, eb, wrong_sign),
         _estimation_suite(scenario, eb),
-        _equivalence_suite(cov_eb, g, pm),
+        _equivalence_suite(mc.bridged_covariance(eb), g, pm),
         _attack_suite(scenario, pm),
     ]

@@ -11,13 +11,11 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import kernels
 from .gaussian import (
-    I2,
-    SIGMA_Z,
     CovarianceMatrix,
     GaussianState,
     apply_beamsplitter,
+    block_cm,
     tensor,
     tms_state,
 )
@@ -144,33 +142,65 @@ def optimal_gain(scenario: Scenario) -> float:
     return np.sqrt(2.0 / eta_b) * np.sqrt((scenario.v_b - 1.0) / (scenario.v_b + 1.0))
 
 
-def equivalent_excess_noise(scenario: Scenario, g: float | None = None) -> float:
-    """Input-referred excess noise of the equivalent one-way channel.
+# -- the reduction -------------------------------------------------------------
+# The relay scheme at displacement gain g is one-way coherent-state CV QKD with
+# heterodyne detection over a channel of transmittance T = eta_a g^2 / 2 and
+# input-referred excess noise eps'; (T, eps') give the block covariance
+# (a, b, c) that `kernels` evaluates. These functions are plain arithmetic
+# (`** 0.5`, not `math.sqrt`): on floats they return floats, and every
+# argument may instead be a numpy array, elementwise.
 
-    With g omitted (or gain_mode optimal) the minimized closed form
-    eps_a + [eta_b (eps_b - 2) + 2] / eta_a is used; otherwise the general
-    gain-dependent expression.
+_SQRT2 = 2.0 ** 0.5
+
+
+def _k_per_gain(v_b):
+    """Data-domain amplification k per unit displacement gain g."""
+    return ((v_b - 1.0) / (v_b + 1.0)) ** 0.5
+
+
+def gain_from_k(k, v_b):
+    """Displacement gain equivalent to data-domain amplification k."""
+    return k / _k_per_gain(v_b)
+
+
+def k_from_gain(g, v_b):
+    """Data-domain amplification equivalent to displacement gain g."""
+    return g * _k_per_gain(v_b)
+
+
+def equivalent_noise(g, v_b, eta_a, eta_b, eps_a, eps_b):
+    """Input-referred excess noise eps' of the reduced one-way channel at gain g.
+
+    The mismatch term vanishes, and eps' is smallest, at `optimal_gain`.
     """
-    eta_a = scenario.channel_a.transmittance
-    eta_b = scenario.channel_b.transmittance
-    eps_a = scenario.channel_a.excess_noise
-    eps_b = scenario.channel_b.excess_noise
-    if g is None and scenario.gain_mode == "fixed":
-        g = scenario.gain
-    if g is None:
-        return eps_a + (eta_b * (eps_b - 2.0) + 2.0) / eta_a
-    if g <= 0:
-        raise ValueError("gain must be > 0")
-    return float(kernels.equivalent_noise_general(g, scenario.v_b, eta_a, eta_b, eps_a, eps_b))
+    chi_a = (1.0 - eta_a) / eta_a + eps_a
+    chi_b = (1.0 - eta_b) / eta_b + eps_b
+    mismatch = _SQRT2 / g * (v_b - 1.0) ** 0.5 - eta_b ** 0.5 * (v_b + 1.0) ** 0.5
+    return 1.0 + (eta_b * (chi_b - 1.0) + eta_a * chi_a) / eta_a + mismatch * mismatch / eta_a
 
 
-def effective_transmittance(scenario: Scenario, g: float | None = None) -> float:
-    """Transmittance of the equivalent one-way channel, T = eta_a g^2 / 2."""
+def block_params(v_a, t, eps):
+    """(a, b, c) of [[a I2, c sigma_z], [c sigma_z, b I2]] for modulation v_a
+    sent through transmittance t with input-referred excess noise eps."""
+    return v_a, t * (v_a - 1.0) + 1.0 + t * eps, (t * (v_a * v_a - 1.0)) ** 0.5
+
+
+def effective_transmittance(scenario: Scenario, g=None):
+    """T = eta_a g^2 / 2 at gain g: a float or an array of gains, the
+    resolved gain if omitted."""
     if g is None:
-        g = scenario.resolved_gain()
-    if g <= 0:
-        raise ValueError("gain must be > 0")
+        g = float(scenario.resolved_gain())
     return scenario.channel_a.transmittance / 2.0 * g * g
+
+
+def equivalent_excess_noise(scenario: Scenario, g=None):
+    """Equivalent excess noise eps' at gain g (`equivalent_noise`): a float or
+    an array of gains, the resolved gain if omitted."""
+    if g is None:
+        g = float(scenario.resolved_gain())
+    ch_a, ch_b = scenario.channel_a, scenario.channel_b
+    return equivalent_noise(g, scenario.v_b, ch_a.transmittance, ch_b.transmittance,
+                            ch_a.excess_noise, ch_b.excess_noise)
 
 
 def entangling_cloner_variance(eta: float, eps: float) -> float:
@@ -191,16 +221,10 @@ def detector_noise(eta_d: float, v_el: float) -> float:
     return (1.0 - eta_d) / eta_d + v_el / eta_d
 
 
-def imperfect_excess_noise(scenario: Scenario, g: float | None = None) -> float:
+def imperfect_excess_noise(scenario: Scenario, g=None):
     """Equivalent excess noise including the relay detector penalty."""
     chi_det = detector_noise(scenario.detector.efficiency, scenario.detector.electronic_noise)
     return equivalent_excess_noise(scenario, g) + 2.0 * chi_det / scenario.channel_a.transmittance
-
-
-def _block_cm(v_a: float, t: float, eps: float) -> CovarianceMatrix:
-    b = t * (v_a - 1.0) + 1.0 + t * eps
-    c = np.sqrt(t * (v_a * v_a - 1.0))
-    return CovarianceMatrix(np.block([[v_a * I2, c * SIGMA_Z], [c * SIGMA_Z, b * I2]]))
 
 
 def compose_eb_analytic(scenario: Scenario, g: float | None = None) -> CovarianceMatrix:
@@ -210,10 +234,11 @@ def compose_eb_analytic(scenario: Scenario, g: float | None = None) -> Covarianc
     covariance that the explicit composition must reproduce.
     """
     if g is None:
-        g = scenario.resolved_gain()
+        g = float(scenario.resolved_gain())
+    if g <= 0:
+        raise ValueError("gain must be > 0")
     t = effective_transmittance(scenario, g)
-    eps = equivalent_excess_noise(scenario, g)
-    return _block_cm(scenario.v_a, t, eps)
+    return block_cm(*block_params(scenario.v_a, t, equivalent_excess_noise(scenario, g)))
 
 
 def compose_eb_simulated(scenario: Scenario, g: float | None = None) -> CovarianceMatrix:

@@ -15,6 +15,7 @@ from cvmdi.gaussian import (
     apply_beamsplitter,
     apply_symplectic,
     beamsplitter_matrix,
+    block_cm,
     displace,
     entropy_g,
     heterodyne_condition,
@@ -66,6 +67,11 @@ class TestStatesAndMaps:
         s = vacuum_state(2)
         assert np.allclose(s.cov.entries, np.eye(4))
         assert np.allclose(s.mean, 0.0)
+
+    def test_tms_is_the_block_form(self):
+        for v in (1.0, 3.0, 40.0):
+            expected = block_cm(v, v, math.sqrt(v * v - 1.0)).entries
+            assert np.array_equal(tms_state(v).cov.entries, expected)
 
     def test_tms_is_pure(self):
         nus = symplectic_eigenvalues(tms_state(7.0).cov)

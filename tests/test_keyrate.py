@@ -1,11 +1,12 @@
 """Key-rate formulas, distance sweeps, and the k-grid detection optimizer."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cvmdi.gaussian import CovarianceMatrix
+from cvmdi.gaussian import CovarianceMatrix, block_cm
 from cvmdi.keyrate import (
     analytic_k,
     block_form_params,
@@ -26,20 +27,15 @@ from cvmdi.keyrate import (
     sweep_asymmetric,
     sweep_symmetric,
 )
-from cvmdi.protocol import compose_eb_analytic, optimal_gain
+from cvmdi.protocol import compose_eb_analytic, gain_from_k, optimal_gain
 from conftest import make_scenario, random_scenario
-
-
-def block_cm(a, b, c):
-    return CovarianceMatrix(np.block([
-        [a * np.eye(2), np.diag([c, -c])],
-        [np.diag([c, -c]), b * np.eye(2)],
-    ]))
 
 
 class TestBlockForm:
     def test_extracts_params(self):
         assert block_form_params(block_cm(5.0, 3.0, 2.0)) == (5.0, 3.0, 2.0)
+        m = block_cm(5.0, 3.0, 2.0).entries
+        assert m[0, 2] == -m[1, 3] == 2.0 and m[0, 1] == m[0, 3] == 0.0
 
     def test_rejects_non_block_form(self):
         m = block_cm(5.0, 3.0, 2.0).entries.copy()
@@ -96,7 +92,6 @@ class TestSecretKeyRate:
         assert pt.positive
 
     def test_fixed_gain_at_optimal_value_matches(self, rng):
-        from dataclasses import replace
         for _ in range(30):
             s = random_scenario(rng)
             s_fixed = replace(s, gain_mode="fixed", gain=float(optimal_gain(s)))
@@ -178,6 +173,18 @@ class TestDetectionSchemeOptimizer:
         rate_analytic = float(key_rate_vs_k(s, [analytic_k(s)])[0])
         assert rate_star >= rate_analytic - 1e-9
 
+    def test_scan_matches_secret_key_rate(self, rng):
+        # the grid kernel over the k array and the scalar kernel at each
+        # gain, through the one (a, b, c) assembly
+        for s in (make_scenario(10.0, 3.0, beta=0.95, eta_d=0.95, v_el=0.01),
+                  *(random_scenario(rng) for _ in range(3))):
+            ks = analytic_k(s) * np.logspace(-1, 1, 300)
+            rates = key_rate_vs_k(s, ks)
+            assert rates.shape == ks.shape
+            for k, rate in zip(ks.tolist(), rates.tolist()):
+                fixed = replace(s, gain_mode="fixed", gain=gain_from_k(k, s.v_b))
+                assert rate == pytest.approx(secret_key_rate(fixed).k, abs=1e-12)
+
     def test_grid_rate_matches_block_path(self):
         s = make_scenario(10.0, 0.0, beta=0.95)
         k0 = analytic_k(s)
@@ -206,7 +213,6 @@ class TestDetectorThreshold:
     def test_threshold_is_sharp(self):
         s = make_scenario()
         eta = min_detector_efficiency(s)
-        from dataclasses import replace
         from cvmdi.protocol import DetectorParams
         above = replace(s, detector=DetectorParams(eta + 1e-4, 0.0))
         below = replace(s, detector=DetectorParams(eta - 1e-4, 0.0))

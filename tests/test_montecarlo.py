@@ -103,17 +103,8 @@ class TestCovarianceOracle:
 
 
 class TestAmplificationFit:
-    def test_matches_gain_bridge(self, scenario, eb_batch):
-        k_hat = mc.fit_amplification(eb_batch)
-        assert k_hat == pytest.approx(
-            mc.k_from_gain(eb_batch.coeff, scenario.v_b), rel=0.01)
-
     def test_bridge_round_trip(self):
         assert mc.gain_from_k(mc.k_from_gain(1.7, 40.0), 40.0) == pytest.approx(1.7)
-
-    def test_requires_eb_batch(self, pm_batch):
-        with pytest.raises(ValueError):
-            mc.fit_amplification(pm_batch)
 
 
 class TestPictureEquivalence:
@@ -299,7 +290,6 @@ class TestChunkedSampling:
             return np.allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
 
         assert close(mc.batch_outcome_covariance(eb), mc.batch_outcome_covariance(eb_batch))
-        assert close(mc.fit_amplification(eb), mc.fit_amplification(eb_batch))
         cov_eb = mc.bridged_covariance(eb)
         assert close(cov_eb, mc.bridged_covariance(eb_batch))
         g = eb_batch.coeff

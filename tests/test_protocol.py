@@ -7,16 +7,18 @@ import pytest
 
 from cvmdi import ChannelParams, DetectorParams, Scenario
 from cvmdi.protocol import (
+    block_params,
     compose_eb_analytic,
     compose_eb_simulated,
     detector_noise,
     effective_transmittance,
     entangling_cloner_variance,
     equivalent_excess_noise,
+    equivalent_noise,
     imperfect_excess_noise,
     optimal_gain,
 )
-from conftest import make_scenario, random_scenario
+from conftest import make_scenario, random_scenario, ref_reduction
 
 
 class TestChannelParams:
@@ -84,11 +86,29 @@ class TestScenario:
 
 class TestEquivalentChannel:
     def test_closed_form_matches_general_at_optimal_gain(self, rng):
+        # the paper's closed form at the optimal gain, from the independent reference
         for _ in range(300):
             s = random_scenario(rng)
-            g = optimal_gain(s)
-            assert equivalent_excess_noise(s, g) == pytest.approx(
-                equivalent_excess_noise(s), abs=1e-12)
+            ch_a, ch_b = s.channel_a, s.channel_b
+            t, eps = ref_reduction(ch_a.transmittance, ch_b.transmittance,
+                                   ch_a.excess_noise, ch_b.excess_noise, s.v_b)
+            assert equivalent_excess_noise(s) == pytest.approx(eps, abs=1e-12)
+            assert effective_transmittance(s) == pytest.approx(t, rel=1e-12)
+
+    def test_reduction_floats_and_arrays_agree(self, rng):
+        g, v_a, v_b = rng.uniform(0.1, 5.0, 500), *rng.uniform(1.5, 100.0, (2, 500))
+        eta_a, eta_b, t = rng.uniform(0.05, 1.0, (3, 500))
+        eps_a, eps_b = rng.uniform(0.0, 0.1, (2, 500))
+        eps = equivalent_noise(g, v_b, eta_a, eta_b, eps_a, eps_b)
+        abc = block_params(v_a, t, eps)
+        for i in range(500):
+            eps_i = equivalent_noise(*(float(x[i]) for x in (g, v_b, eta_a, eta_b, eps_a, eps_b)))
+            abc_i = block_params(float(v_a[i]), float(t[i]), eps_i)
+            assert all(type(x) is float for x in (eps_i, *abc_i))
+            # float ** 0.5 is libm pow, an ulp from the sqrt numpy takes at
+            # times; eps' cancels a few digits of it
+            assert eps_i == pytest.approx(eps[i], rel=1e-13)
+            assert abc_i == pytest.approx(tuple(x[i] for x in abc), rel=1e-15)
 
     def test_optimal_gain_minimizes_noise(self, rng):
         for _ in range(30):
