@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -77,10 +78,9 @@ def cmd_figure(cfg: RunConfig, figure: str, out: str | None) -> int:
             ("practical", scenario),
             ("ideal", _idealized(scenario)),
         ):
-            rows.extend(_sweep_rows(sweep_symmetric(scn, legs)))
-            rows[-1] = (rows[-1][0], rows[-1][1], f"{label}:max_total_distance")
-            # relabel curve rows emitted above
-            rows = [(a, k, lab.replace("symmetric", label)) for a, k, lab in rows]
+            (curve,) = sweep_symmetric(scn, legs).curves
+            rows.extend((float(a), p.k, label) for a, p in zip(curve.axis_km, curve.points))
+            rows.append((curve.max_distance_km, "", f"{label}:max_total_distance"))
         _write_csv(out, cfg, ["axis_km", "K_bits_per_use", "curve_label"], rows)
         return 0
     if figure == "fig5b":
@@ -97,7 +97,6 @@ def cmd_figure(cfg: RunConfig, figure: str, out: str | None) -> int:
     if figure == "fig6":
         rows = []
         for beta in (1.0, 0.95):
-            from dataclasses import replace
             scn = replace(scenario, beta_r=beta)
             label = f"beta={beta:g}"
             for l_ab in _grid(cfg):
@@ -112,7 +111,6 @@ def cmd_figure(cfg: RunConfig, figure: str, out: str | None) -> int:
 
 
 def _idealized(scenario):
-    from dataclasses import replace
     return replace(
         scenario,
         v_a=IDEAL_V, v_b=IDEAL_V,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -16,6 +16,7 @@ from .gaussian import (
     von_neumann_entropy,
 )
 from .protocol import (
+    DetectorParams,
     Scenario,
     block_params,
     effective_transmittance,
@@ -28,6 +29,11 @@ BLOCK_FORM_TOL = 1e-9
 BISECT_TOL_KM = 0.01
 BISECT_MAX_ITER = 60
 MAX_DISTANCE_CAP_KM = 2000.0
+# amplification grid of the detection scheme: K_GRID_POINTS log-spaced points
+# over k0 * K_GRID_SPAN, k0 the k of the optimal gain
+K_GRID_POINTS = 400
+K_GRID_SPAN = (0.1, 10.0)
+DETECTOR_EFFICIENCY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -205,10 +211,9 @@ def analytic_k(scenario: Scenario) -> float:
     return k_from_gain(scenario.resolved_gain(), scenario.v_b)
 
 
-def default_k_grid(scenario: Scenario, n_points: int = 400,
-                   span: tuple[float, float] = (0.1, 10.0)) -> np.ndarray:
+def default_k_grid(scenario: Scenario) -> np.ndarray:
     k0 = analytic_k(scenario)
-    return k0 * np.logspace(np.log10(span[0]), np.log10(span[1]), n_points)
+    return k0 * np.logspace(np.log10(K_GRID_SPAN[0]), np.log10(K_GRID_SPAN[1]), K_GRID_POINTS)
 
 
 def key_rate_vs_k(scenario: Scenario, k_grid) -> np.ndarray:
@@ -220,30 +225,25 @@ def key_rate_vs_k(scenario: Scenario, k_grid) -> np.ndarray:
     return kernels.block_key_rate_grid(a, b, c, scenario.beta_r)
 
 
-def optimize_k_detection_scheme(scenario: Scenario, k_grid=None) -> tuple[float, float]:
-    """Best (k, K) over the amplification grid; first index wins on ties."""
-    if k_grid is None:
-        k_grid = default_k_grid(scenario)
-    k_grid = np.asarray(k_grid, dtype=float)
+def optimize_k_detection_scheme(scenario: Scenario) -> tuple[float, float]:
+    """Best (k, K) over `default_k_grid`; first index wins on ties."""
+    k_grid = default_k_grid(scenario)
     rates = key_rate_vs_k(scenario, k_grid)
     i = int(np.argmax(rates))
     return float(k_grid[i]), float(rates[i])
 
 
-def max_distance_detection_scheme(scenario: Scenario, k_grid=None) -> float:
+def max_distance_detection_scheme(scenario: Scenario) -> float:
     """Largest first-leg length with positive k-optimized key rate."""
     def best_rate(l: float) -> float:
         s = scenario.with_lengths(l, scenario.channel_b.length_km)
-        return optimize_k_detection_scheme(s, k_grid)[1]
+        return optimize_k_detection_scheme(s)[1]
     return _max_distance(best_rate)
 
 
-def min_detector_efficiency(scenario: Scenario, tol: float = 1e-6) -> float:
-    """Smallest relay detector efficiency with K > 0 at vanishing distance."""
-    from dataclasses import replace
-
-    from .protocol import DetectorParams
-
+def min_detector_efficiency(scenario: Scenario) -> float:
+    """Smallest relay detector efficiency with K > 0 at vanishing distance,
+    to within DETECTOR_EFFICIENCY_TOL."""
     def rate(eta_d: float) -> float:
         s = replace(scenario, detector=DetectorParams(eta_d, scenario.detector.electronic_noise))
         return key_rate_at(s, 0.0, 0.0)
@@ -255,4 +255,4 @@ def min_detector_efficiency(scenario: Scenario, tol: float = 1e-6) -> float:
         hi /= 2.0
         if hi < 1e-6:
             return 0.0
-    return _bisect_zero(rate, lo, hi, tol)
+    return _bisect_zero(rate, lo, hi, DETECTOR_EFFICIENCY_TOL)

@@ -18,13 +18,18 @@ so the rows of a chunk depend only on (seed, source, j): rows
 [j CHUNK_ROWS, (j + 1) CHUNK_ROWS) of an n-sample batch equal chunk j drawn
 alone, whatever n is.
 
+Batches: a `SampleBatch` holds only the drawn columns x_a, p_a, x_b, p_b,
+x_c, p_d; Bob's final data X_B = x_b + w_x x_c, P_B = p_b + w_p p_d
+(`_final_weights`) are derived on demand.
+
 Moments: every estimator here reads second moments only. `Moments` holds
 them per estimation block (count, column sums and the 6x6 Gram matrix of the
-base columns x_a, p_a, x_b, p_b, x_c, p_d); the final columns are linear in
-the base columns, so every covariance the estimators need is L C L^T of one
-base covariance C (ddof 1). `sample_moments` accumulates them chunk by
-chunk without holding the batch; the estimators also accept a
-`SampleBatch`, which they reduce on entry.
+drawn columns), and every covariance the estimators need is a linear image
+of one covariance C of those columns (ddof 1). `_read_block_params` is the one
+reading of data as the block covariance (a, b, c): parameter estimation and
+the k-scan both call it. `sample_moments` accumulates moments chunk by chunk
+without holding the batch; the estimators also accept a `SampleBatch`, which
+they reduce on entry.
 
 Channels: each leg is an entangling cloner. Eve's kept arm never reaches the
 data, so the sampler draws only the mode she injects into the channel.
@@ -59,7 +64,7 @@ _STREAMS = {
     "bob_detection": 5,
 }
 
-# base columns of a batch; the final columns are linear in these
+# drawn columns of a batch; the final columns are linear in these
 _BASE = ("x_a", "p_a", "x_b", "p_b", "x_c", "p_d")
 
 
@@ -125,7 +130,7 @@ def _final_weights(scheme: str, coeff: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Per-sample protocol data; all columns length n, shot-noise units.
+    """Drawn per-sample protocol data; all columns length n, shot-noise units.
 
     For scheme "PM", (x_b, p_b) are Bob's modulation values and coeff is the
     amplification k. For scheme "EB", (x_b, p_b) are Bob's pre-displacement
@@ -144,14 +149,14 @@ class SampleBatch:
     p_b: np.ndarray
     x_c: np.ndarray
     p_d: np.ndarray
-    x_b_final: np.ndarray
-    p_b_final: np.ndarray
 
     def columns(self) -> dict:
-        """Final 6-variable data, ordered X_A, P_A, X_B, P_B, X_C, P_D."""
+        """Final 6-variable data, ordered X_A, P_A, X_B, P_B, X_C, P_D; X_B
+        and P_B are computed from the drawn columns at the batch's coeff."""
+        w_x, w_p = _final_weights(self.scheme, self.coeff)
         return {
             "X_A": self.x_a, "P_A": self.p_a,
-            "X_B": self.x_b_final, "P_B": self.p_b_final,
+            "X_B": self.x_b + w_x * self.x_c, "P_B": self.p_b + w_p * self.p_d,
             "X_C": self.x_c, "P_D": self.p_d,
         }
 
@@ -159,15 +164,11 @@ class SampleBatch:
         return np.column_stack(list(self.columns().values()))
 
 
-def _batch(scheme, seed, n, v_a, v_b, coeff, x_a, p_a, x_b, p_b, x_c, p_d) -> SampleBatch:
-    w_x, w_p = _final_weights(scheme, coeff)
-    return SampleBatch(scheme, seed, n, v_a, v_b, coeff, x_a, p_a, x_b, p_b, x_c, p_d,
-                       x_b + w_x * x_c, p_b + w_p * p_d)
-
-
 def modulation_scale(v: float) -> float:
-    """Ratio between modulation data and heterodyne-outcome data for one party."""
-    return math.sqrt(2.0 * (v - 1.0) / (v + 1.0))
+    """Ratio between modulation data and heterodyne-outcome data for one
+    party: sqrt(2 (V-1)/(V+1)), the amplification k equivalent to a gain of
+    sqrt(2)."""
+    return k_from_gain(_SQRT2, v)
 
 
 def bridge_matrix(v_a: float, v_b: float) -> np.ndarray:
@@ -222,7 +223,7 @@ def simulate_eb(scenario: Scenario, g: float | None = None,
     if g is None:
         g = optimal_gain(scenario)
     cols = _fill(n, chunk, lambda j, m: _eb_rows(scenario, seed, j, m))
-    return _batch("EB", seed, n, scenario.v_a, scenario.v_b, g, *cols)
+    return SampleBatch("EB", seed, n, scenario.v_a, scenario.v_b, g, *cols)
 
 
 def simulate_pm(scenario: Scenario, k: float, n: int = 100_000, seed: int = 0,
@@ -234,7 +235,7 @@ def simulate_pm(scenario: Scenario, k: float, n: int = 100_000, seed: int = 0,
     Returns rows [chunk C, chunk C + n) of the seed's stream, C = CHUNK_ROWS.
     """
     cols = _fill(n, chunk, lambda j, m: _pm_rows(scenario, seed, j, m))
-    return _batch("PM", seed, n, scenario.v_a, scenario.v_b, k, *cols)
+    return SampleBatch("PM", seed, n, scenario.v_a, scenario.v_b, k, *cols)
 
 
 # estimation blocks: the contiguous np.array_split blocks of a batch
@@ -264,15 +265,15 @@ class Moments:
         return int(self.counts.sum())
 
     @classmethod
-    def of(cls, batch: SampleBatch, n_blocks: int = N_BLOCKS) -> Moments:
+    def of(cls, batch: SampleBatch) -> Moments:
         """Moments of a whole batch, reduced CHUNK_ROWS rows at a time."""
         runs = ((lo, [getattr(batch, c)[lo:lo + CHUNK_ROWS] for c in _BASE])
                 for lo in range(0, batch.n, CHUNK_ROWS))
         return cls(batch.scheme, batch.seed, batch.v_a, batch.v_b, batch.coeff,
-                   *_block_sums(batch.n, n_blocks, runs))
+                   *_block_sums(batch.n, runs))
 
     def covariance(self, block: int | None = None) -> np.ndarray:
-        """Sample covariance (ddof 1) of the base columns, over the batch or
+        """Sample covariance (ddof 1) of the drawn columns, over the batch or
         over one block."""
         if block is None:
             n, s, g = self.n, self.sums.sum(axis=0), self.gram.sum(axis=0)
@@ -286,10 +287,10 @@ class Moments:
         lmap[2, 4], lmap[3, 5] = _final_weights(self.scheme, self.coeff)
         return lmap
 
-    def final_covariance(self, block: int | None = None) -> np.ndarray:
-        """Covariance of the final columns, L C L^T."""
+    def final_covariance(self) -> np.ndarray:
+        """Covariance of the final columns over the batch, L C L^T."""
         lmap = self.final_map()
-        return lmap @ self.covariance(block) @ lmap.T
+        return lmap @ self.covariance() @ lmap.T
 
     def rescaled(self, eta_scale: float) -> Moments:
         """Moments after scaling the relay data x_c, p_d by sqrt(eta_scale):
@@ -306,17 +307,17 @@ def _relay_scale(eta_scale: float) -> float:
     return math.sqrt(eta_scale)
 
 
-def _block_sums(n: int, n_blocks: int, runs):
+def _block_sums(n: int, runs):
     """(counts, sums, gram) per block of a batch of n rows given as runs
-    (start, six base columns); a run that straddles a block boundary is split
-    at the boundary."""
-    q, r = divmod(n, n_blocks)
-    edges = [i * q + min(i, r) for i in range(n_blocks + 1)]  # as np.array_split
-    counts = np.zeros(n_blocks, dtype=np.int64)
-    sums, gram = np.zeros((n_blocks, 6)), np.zeros((n_blocks, 6, 6))
+    (start, six drawn columns); a run that straddles a block boundary is
+    split at the boundary."""
+    q, r = divmod(n, N_BLOCKS)
+    edges = [i * q + min(i, r) for i in range(N_BLOCKS + 1)]  # as np.array_split
+    counts = np.zeros(N_BLOCKS, dtype=np.int64)
+    sums, gram = np.zeros((N_BLOCKS, 6)), np.zeros((N_BLOCKS, 6, 6))
     for start, columns in runs:
         rows = np.stack(columns)
-        for blk in range(n_blocks):
+        for blk in range(N_BLOCKS):
             lo, hi = max(start, edges[blk]), min(start + rows.shape[1], edges[blk + 1])
             if lo < hi:
                 part = rows[:, lo - start:hi - start]
@@ -342,11 +343,34 @@ def sample_moments(scenario: Scenario, scheme: str, coeff: float, n: int,
             yield lo, [getattr(part, c) for c in _BASE]
 
     return Moments(scheme, seed, scenario.v_a, scenario.v_b, coeff,
-                   *_block_sums(n, N_BLOCKS, runs()))
+                   *_block_sums(n, runs()))
 
 
 def _moments(data: SampleBatch | Moments) -> Moments:
     return data if isinstance(data, Moments) else Moments.of(data)
+
+
+def _read_block_params(m: Moments, block: int | None = None, coeff=None):
+    """(a, b, c) of [[a I2, c sigma_z], [c sigma_z, b I2]] read from the
+    moments of the batch or of one block, with Bob's final data formed at the
+    batch's coeff or at coeff (a float or an array, elementwise).
+
+    Heterodyne outcomes scaled by sqrt(2) have variances V + 1 and
+    covariances +-c; PM modulation data are `modulation_scale` times those
+    outcomes, with the p-signs of `bridge_matrix`.
+    """
+    cov = m.covariance(block)
+    w_x, w_p = _final_weights(m.scheme, m.coeff if coeff is None else coeff)
+    pm = m.scheme == "PM"
+    s_a, s_b = (modulation_scale(m.v_a), modulation_scale(m.v_b)) if pm else (1.0, 1.0)
+    var_x = cov[2, 2] + 2 * w_x * cov[2, 4] + w_x * w_x * cov[4, 4]
+    var_p = cov[3, 3] + 2 * w_p * cov[3, 5] + w_p * w_p * cov[5, 5]
+    cov_x = cov[0, 2] + w_x * cov[0, 4]
+    cov_p = cov[1, 3] + w_p * cov[1, 5]
+    a = (cov[0, 0] + cov[1, 1]) / (s_a * s_a) - 1.0
+    b = (var_x + var_p) / (s_b * s_b) - 1.0
+    c = (cov_x - cov_p) / (s_a * s_b)
+    return a, b, c
 
 
 def heterodyne_image(cov2: CovarianceMatrix) -> np.ndarray:
@@ -375,6 +399,10 @@ def batch_outcome_covariance(data: SampleBatch | Moments) -> np.ndarray:
     return _moments(data).final_covariance()[:4, :4]
 
 
+# |z| at or above which a Monte Carlo comparison fails
+Z_LIMIT = 4.0
+
+
 @dataclass(frozen=True)
 class EquivalenceReport:
     k_used: float
@@ -386,12 +414,11 @@ class EquivalenceReport:
 
 def pm_eb_equivalence_test(scenario: Scenario, g: float | None = None,
                            n: int = 1_000_000, seed_pair: tuple[int, int] = (11, 12),
-                           k: float | None = None, z_limit: float = 4.0) -> EquivalenceReport:
+                           k: float | None = None) -> EquivalenceReport:
     """Compare the 6-variable joint covariance of the two pictures.
 
-    The EB covariance is mapped to modulation units with `bridge_matrix`
-    before comparison. k defaults to the amplification equivalent to g,
-    `k_from_gain(g, v_b)`. Both batches are reduced to moments chunk by chunk.
+    k defaults to the amplification equivalent to g, `k_from_gain(g, v_b)`.
+    Both batches are reduced to moments chunk by chunk.
     """
     if g is None:
         g = optimal_gain(scenario)
@@ -399,28 +426,26 @@ def pm_eb_equivalence_test(scenario: Scenario, g: float | None = None,
         k = k_from_gain(g, scenario.v_b)
     eb = sample_moments(scenario, "EB", g, n, seed_pair[0])
     pm = sample_moments(scenario, "PM", k, n, seed_pair[1])
-    return equivalence_report(bridged_covariance(eb), pm, g, z_limit)
+    return equivalence_report(eb, pm)
 
 
-def bridged_covariance(eb_data: SampleBatch | Moments) -> np.ndarray:
-    """6x6 covariance of an EB batch's final data in PM modulation units."""
-    m = _moments(eb_data)
-    s = bridge_matrix(m.v_a, m.v_b)
-    return s @ m.final_covariance() @ s
-
-
-def equivalence_report(cov_eb: np.ndarray, pm_data: SampleBatch | Moments, g: float,
-                       z_limit: float = 4.0) -> EquivalenceReport:
-    """Compare a PM batch's 6x6 covariance with an independent EB estimate
-    of the same size, `bridged_covariance` of an EB batch drawn at gain g."""
-    pm = _moments(pm_data)
+def equivalence_report(eb_data: SampleBatch | Moments,
+                       pm_data: SampleBatch | Moments) -> EquivalenceReport:
+    """Compare a PM batch's 6x6 covariance with that of an independent EB
+    batch of the same size, mapped to modulation units by `bridge_matrix`.
+    The EB batch's coeff is the gain g."""
+    eb, pm = _moments(eb_data), _moments(pm_data)
+    if (eb.scheme, pm.scheme) != ("EB", "PM"):
+        raise ValueError("equivalence compares an EB batch with a PM batch")
+    s = bridge_matrix(eb.v_a, eb.v_b)
+    cov_eb = s @ eb.final_covariance() @ s
     cov_pm = pm.final_covariance()
     mid = 0.5 * (cov_eb + cov_pm)
     var = (np.outer(np.diag(mid), np.diag(mid)) + mid**2) / pm.n
     z = (cov_pm - cov_eb) / np.sqrt(2.0 * var)  # two independent estimates
     max_z = float(np.max(np.abs(z)))
-    return EquivalenceReport(k_used=float(pm.coeff), g_used=float(g), z_scores=z,
-                             max_abs_z=max_z, passed=max_z < z_limit)
+    return EquivalenceReport(k_used=float(pm.coeff), g_used=float(eb.coeff), z_scores=z,
+                             max_abs_z=max_z, passed=max_z < Z_LIMIT)
 
 
 # smallest batch `estimate_params` accepts; `load_config` holds mc.n to it
@@ -429,7 +454,6 @@ MIN_ESTIMATION_SAMPLES = 1000
 
 @dataclass(frozen=True)
 class EstimatedParams:
-    empirical_cov: np.ndarray
     a: float
     b: float
     c: float
@@ -439,53 +463,31 @@ class EstimatedParams:
     eps_se: float
 
 
-def _outcome_covariance(m: Moments, block: int | None = None) -> np.ndarray:
-    """4x4 covariance of (X_A, P_A, X_B, P_B) in heterodyne-outcome units."""
-    cov = m.final_covariance(block)[:4, :4]
-    if m.scheme == "PM":
-        inv = 1.0 / np.diag(bridge_matrix(m.v_a, m.v_b))[:4]
-        cov = cov * np.outer(inv, inv)
-    return cov
-
-
-def _block_estimates(cov: np.ndarray):
-    """(a, b, c, T, eps') from the outcome covariance: outcomes scaled by
-    sqrt(2) have variances V + 1 and covariances +-c."""
-    a = cov[0, 0] + cov[1, 1] - 1.0
-    b = cov[2, 2] + cov[3, 3] - 1.0
-    c = cov[0, 2] - cov[1, 3]
-    t = c * c / (a * a - 1.0)
-    eps = (b - 1.0 - t * (a - 1.0)) / t
-    return a, b, c, t, eps
-
-
-def estimate_params(data: SampleBatch | Moments, n_blocks: int = N_BLOCKS) -> EstimatedParams:
+def estimate_params(data: SampleBatch | Moments) -> EstimatedParams:
     """Fit (T, eps') to the two-mode block structure from second moments.
 
-    Heterodyne outcomes carry a vacuum penalty: quadrature variance maps to
-    (V+1)/2, cross covariance to c/2. PM batches are first rescaled to
-    outcome units via the bridge map. Standard errors come from a
-    block-resampling split of the batch. Every covariance has ddof 1.
+    (a, b, c) is read by `_read_block_params` and inverted through
+    b = T (a - 1) + 1 + T eps', c^2 = T (a^2 - 1). Standard errors come from
+    the spread over the N_BLOCKS estimation blocks. Every covariance has
+    ddof 1.
     """
     if data.n < MIN_ESTIMATION_SAMPLES:
         raise ValueError(f"need at least {MIN_ESTIMATION_SAMPLES} samples for estimation")
-    m = data if isinstance(data, Moments) else Moments.of(data, n_blocks)
-    if len(m.counts) != n_blocks:
-        raise ValueError(f"moments hold {len(m.counts)} blocks, not {n_blocks}")
+    m = _moments(data)
     # G/n - mean^2 of a constant column is rounding noise of its raw second
     # moment G/n, so the variance is judged relative to that
     lmap = m.final_map()
     raw = np.diag(lmap @ m.gram.sum(axis=0) @ lmap.T)[:4] / m.n
     if np.any(np.diag(m.final_covariance())[:4] <= 1e-12 * raw):
         raise ValueError("degenerate (zero-variance) data column")
-    emp = _outcome_covariance(m)
-    a, b, c, t, eps = _block_estimates(emp)
-    per_block = np.array([_block_estimates(_outcome_covariance(m, i))[3:]
-                          for i in range(n_blocks)])
-    se = np.std(per_block, axis=0, ddof=1) / math.sqrt(n_blocks)
+    # the whole batch first, then each block
+    a, b, c = np.array([_read_block_params(m, blk) for blk in (None, *range(len(m.counts)))]).T
+    t = c * c / (a * a - 1.0)
+    eps = (b - 1.0 - t * (a - 1.0)) / t
+    t_se, eps_se = np.std([t[1:], eps[1:]], axis=1, ddof=1) / math.sqrt(len(m.counts))
     return EstimatedParams(
-        empirical_cov=emp, a=float(a), b=float(b), c=float(c),
-        t_hat=float(t), eps_hat=float(eps), t_se=float(se[0]), eps_se=float(se[1]),
+        a=float(a[0]), b=float(b[0]), c=float(c[0]), t_hat=float(t[0]), eps_hat=float(eps[0]),
+        t_se=float(t_se), eps_se=float(eps_se),
     )
 
 
@@ -505,41 +507,27 @@ def sample_block_cm(v_a: float, t: float, eps: float, n: int, seed: int = 0) -> 
                 (qxb + vb[:, 0]) / _SQRT2, (qpb - vb[:, 1]) / _SQRT2)
 
     x_a, p_a, x_b, p_b = _fill(n, 0, rows)
-    return _batch("EB", seed, n, v_a, b, 0.0, x_a, p_a, x_b, p_b, np.zeros(n), np.zeros(n))
+    return SampleBatch("EB", seed, n, v_a, b, 0.0, x_a, p_a, x_b, p_b, np.zeros(n), np.zeros(n))
 
 
 def lo_scaling_attack(data: SampleBatch, eta_scale: float) -> SampleBatch:
     """Rescale the announced relay data by sqrt(eta_scale) before Bob's data
-    processing; final columns are recomputed at the batch's own coefficient.
+    processing, which then runs at the batch's own coefficient.
     `Moments.rescaled` is the same map on moments."""
     r = _relay_scale(eta_scale)
-    return _batch(data.scheme, data.seed, data.n, data.v_a, data.v_b, data.coeff,
-                  data.x_a, data.p_a, data.x_b, data.p_b, r * data.x_c, r * data.p_d)
+    return replace(data, x_c=r * data.x_c, p_d=r * data.p_d)
 
 
 def key_rates_vs_k_from_batch(data: SampleBatch | Moments, k_grid,
                               beta: float = 1.0) -> np.ndarray:
     """Data-driven key rate for each k, from one PM batch's second moments.
 
-    Reads only the base columns x_a ... p_d, so the batch's own k does not
+    Reads only the drawn columns x_a ... p_d, so the batch's own k does not
     enter. The whole grid goes to the grid kernel in one call.
     """
     if data.scheme != "PM":
         raise ValueError("k sweep over data requires a PM batch")
-    k = np.asarray(k_grid, dtype=float)
-    mom = _moments(data)
-    m = mom.covariance()
-    s_a = modulation_scale(mom.v_a)
-    s_b = modulation_scale(mom.v_b)
-    a = (m[0, 0] + m[1, 1]) / (s_a * s_a) - 1.0
-    # modulation units: X_B = x_b + k X_C, P_B = p_b - k P_D
-    var_xb = m[2, 2] + 2 * k * m[2, 4] + k * k * m[4, 4]
-    var_pb = m[3, 3] - 2 * k * m[3, 5] + k * k * m[5, 5]
-    cov_x = m[0, 2] + k * m[0, 4]
-    cov_p = m[1, 3] - k * m[1, 5]
-    # back to covariance-matrix units: Var_mod = s^2 (V+1)/2, Cov_mod = +-s_a s_b c/2
-    b = (var_xb + var_pb) / (s_b * s_b) - 1.0
-    c = (cov_x - cov_p) / (s_a * s_b)
+    a, b, c = _read_block_params(_moments(data), coeff=np.asarray(k_grid, dtype=float))
     return kernels.block_key_rate_grid(a, b, c, beta)
 
 

@@ -20,8 +20,14 @@ import numpy as np
 
 from . import montecarlo as mc
 from .gaussian import block_cm
-from .keyrate import scenario_block_params
-from .protocol import Scenario, k_from_gain, optimal_gain
+from .keyrate import analytic_k, scenario_block_params
+from .protocol import (
+    Scenario,
+    effective_transmittance,
+    equivalent_excess_noise,
+    k_from_gain,
+    optimal_gain,
+)
 
 
 @dataclass(frozen=True)
@@ -41,30 +47,26 @@ def _cov_suite(scenario: Scenario, moments: mc.Moments, wrong_sign: bool) -> Sui
     predicted = mc.heterodyne_image(block_cm(a, b, c))
     z = mc.covariance_z_scores(mc.batch_outcome_covariance(moments), predicted, moments.n)
     zmax = float(np.max(np.abs(z)))
-    return SuiteResult("covariance_vs_analytic", zmax < 4.0, f"max|z|={zmax:.2f}")
+    return SuiteResult("covariance_vs_analytic", zmax < mc.Z_LIMIT, f"max|z|={zmax:.2f}")
 
 
 def _estimation_suite(scenario: Scenario, moments: mc.Moments) -> SuiteResult:
-    from .protocol import effective_transmittance, equivalent_excess_noise
-
     est = mc.estimate_params(moments)
     t_true = effective_transmittance(scenario)
     eps_true = equivalent_excess_noise(scenario)
     zt = abs(est.t_hat - t_true) / est.t_se
     ze = abs(est.eps_hat - eps_true) / est.eps_se
-    return SuiteResult("parameter_estimation_roundtrip", zt < 4.0 and ze < 4.0,
+    return SuiteResult("parameter_estimation_roundtrip", zt < mc.Z_LIMIT and ze < mc.Z_LIMIT,
                        f"z(T)={zt:.2f} z(eps')={ze:.2f}")
 
 
-def _equivalence_suite(cov_eb: np.ndarray, g: float, pm: mc.Moments) -> SuiteResult:
-    report = mc.equivalence_report(cov_eb, pm, g)
+def _equivalence_suite(eb: mc.Moments, pm: mc.Moments) -> SuiteResult:
+    report = mc.equivalence_report(eb, pm)
     return SuiteResult("pm_eb_equivalence", report.passed,
                        f"max|z|={report.max_abs_z:.2f} k={report.k_used:.4f}")
 
 
 def _attack_suite(scenario: Scenario, pm: mc.Moments) -> SuiteResult:
-    from .keyrate import analytic_k
-
     k0 = analytic_k(scenario)
     # dense grid around the optimum so quantization of the max is << tolerance
     grid = k0 * np.logspace(np.log10(0.3), np.log10(3.0), 2001)
@@ -83,6 +85,6 @@ def run_oracle_suites(scenario: Scenario, n: int, seed: int,
     return [
         _cov_suite(scenario, eb, wrong_sign),
         _estimation_suite(scenario, eb),
-        _equivalence_suite(mc.bridged_covariance(eb), g, pm),
+        _equivalence_suite(eb, pm),
         _attack_suite(scenario, pm),
     ]

@@ -6,7 +6,6 @@ composition, gain optimization, and detector-imperfection noise.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -139,7 +138,7 @@ def optimal_gain(scenario: Scenario) -> float:
     eta_b = scenario.channel_b.transmittance
     if scenario.v_b <= 1.0:
         raise ValueError("no Bob modulation (v_b = 1): displacement gain undefined")
-    return np.sqrt(2.0 / eta_b) * np.sqrt((scenario.v_b - 1.0) / (scenario.v_b + 1.0))
+    return np.sqrt(2.0 / eta_b) * _k_per_gain(scenario.v_b)
 
 
 # -- the reduction -------------------------------------------------------------
@@ -206,8 +205,6 @@ def equivalent_excess_noise(scenario: Scenario, g=None):
 def entangling_cloner_variance(eta: float, eps: float) -> float:
     """Variance of Eve's EPR pair realizing transmittance eta and noise eps."""
     if not 0.0 < eta < 1.0:
-        if eta == 1.0 and eps > 0.0:
-            raise ValueError("lossless channel cannot carry entangling-cloner noise")
         raise ValueError(f"transmittance {eta} outside (0, 1)")
     return 1.0 + eta * eps / (1.0 - eta)
 
@@ -248,36 +245,26 @@ def compose_eb_simulated(scenario: Scenario, g: float | None = None) -> Covarian
     beamsplitter C = (A'-B')/sqrt(2), D = (A'+B')/sqrt(2), and Bob's
     outcome-driven displacement B1x' = B1x + g Cx, B1p' = B1p + g Dp. The
     ensemble covariance over announced outcomes is the covariance of these
-    linear quadrature combinations.
+    linear quadrature combinations. A lossless leg adds its excess noise eps
+    to both quadrature variances of its mode, the cloner's eta -> 1 limit.
     """
     if g is None:
         g = scenario.resolved_gain()
     if g <= 0:
         raise ValueError("gain must be > 0")
 
-    # modes: 0=A1, 1=A2, 2=B1, 3=B2, then cloner pairs as needed
+    # modes: 0=A1, 1=A2, 2=B1, 3=B2, then Eve's cloner pair of each lossy leg
     state = tensor(tms_state(scenario.v_a), tms_state(scenario.v_b))
-    parts = [state]
-    next_mode = 4
-    cloners = {}
-    for label, ch in (("a", scenario.channel_a), ("b", scenario.channel_b)):
+    for mode, ch in ((1, scenario.channel_a), (3, scenario.channel_b)):
         eta = ch.transmittance
         if eta < 1.0:
-            w = entangling_cloner_variance(eta, ch.excess_noise)
-            parts.append(tms_state(w))
-            cloners[label] = next_mode  # injected arm; kept arm at next_mode + 1
-            next_mode += 2
-        elif ch.excess_noise > 0.0:
-            warnings.warn(
-                "lossless channel cannot carry cloner noise; treating excess noise as 0",
-                stacklevel=2,
-            )
-    state = tensor(*parts) if len(parts) > 1 else state
-
-    if "a" in cloners:
-        state = apply_beamsplitter(state, cloners["a"], 1, scenario.channel_a.transmittance)
-    if "b" in cloners:
-        state = apply_beamsplitter(state, cloners["b"], 3, scenario.channel_b.transmittance)
+            injected = state.n_modes  # kept arm at injected + 1
+            state = tensor(state, tms_state(entangling_cloner_variance(eta, ch.excess_noise)))
+            state = apply_beamsplitter(state, injected, mode, eta)
+        else:
+            noise = np.zeros(2 * state.n_modes)
+            noise[2 * mode:2 * mode + 2] = ch.excess_noise
+            state = GaussianState(state.mean, CovarianceMatrix(state.cov.entries + np.diag(noise)))
     # relay: mode 1 -> C = (A'-B')/sqrt(2), mode 3 -> D = (A'+B')/sqrt(2)
     state = apply_beamsplitter(state, 1, 3, 0.5)
 

@@ -107,6 +107,30 @@ def ref_asymmetric_range(l_bc: float, **kwargs) -> float:
     return ref_last_positive(lambda l: ref_key_rate_at(l, l_bc, **kwargs))
 
 
+def ref_min_detector_efficiency(v: float = 40.0, eps: float = 0.002,
+                                tol: float = 1e-12) -> float:
+    """Smallest relay detector efficiency eta_D with positive key rate at zero
+    distance (beta = 1, no electronic noise), by bisection to width tol.
+
+    At zero distance T = (V - 1)/(V + 1) and eps' = eps_A + eps_B + 2 chi_det,
+    with the detector noise chi_det = (1 - eta_D)/eta_D.
+    """
+    t = (v - 1.0) / (v + 1.0)
+
+    def rate(eta_d: float) -> float:
+        return ref_key_rate(t, 2.0 * eps + 2.0 * (1.0 - eta_d) / eta_d, v, 1.0)
+
+    lo, hi = 1.0, 0.5
+    assert rate(lo) > 0.0 >= rate(hi)
+    while lo - hi > tol:
+        mid = 0.5 * (lo + hi)
+        if rate(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def random_scenario(rng: np.random.Generator) -> Scenario:
     """Random valid scenario with strictly lossy channels."""
     return Scenario(

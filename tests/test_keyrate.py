@@ -203,7 +203,7 @@ class TestDetectionSchemeOptimizer:
     def test_scaled_grid_invariance(self):
         # evaluating on a rescaled grid shifts the argmax, not the maximum
         s = make_scenario(10.0, 0.0, beta=0.95)
-        grid = default_k_grid(s, n_points=2001)
+        grid = analytic_k(s) * np.logspace(-1.0, 1.0, 2001)
         r1 = key_rate_vs_k(s, grid)
         r2 = key_rate_vs_k(s, grid * 1.25)
         assert abs(float(np.max(r1)) - float(np.max(r2))) < 1e-4

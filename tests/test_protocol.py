@@ -1,5 +1,6 @@
 """Protocol composition: channels, gain optimization, dual-path covariance."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -166,15 +167,24 @@ class TestDetectorNoise:
 
 
 class TestDualPathComposition:
-    def test_identity_at_optimal_gain(self, rng):
+    @staticmethod
+    def draws(rng):
+        """200 random scenarios, then 40 with one leg at 0 km."""
         for _ in range(200):
-            s = random_scenario(rng)
+            yield random_scenario(rng)
+        for leg in ("channel_a", "channel_b"):
+            for _ in range(20):
+                s = random_scenario(rng)
+                zero = dataclasses.replace(getattr(s, leg), length_km=0.0)
+                yield dataclasses.replace(s, **{leg: zero})
+
+    def test_identity_at_optimal_gain(self, rng):
+        for s in self.draws(rng):
             d = np.abs(compose_eb_analytic(s).entries - compose_eb_simulated(s).entries)
             assert np.max(d) <= 1e-10
 
     def test_identity_at_random_gain(self, rng):
-        for _ in range(200):
-            s = random_scenario(rng)
+        for s in self.draws(rng):
             g = optimal_gain(s) * rng.uniform(0.3, 3.0)
             d = np.abs(compose_eb_analytic(s, g).entries - compose_eb_simulated(s, g).entries)
             assert np.max(d) <= 1e-10
@@ -184,10 +194,13 @@ class TestDualPathComposition:
         d = np.abs(compose_eb_analytic(s).entries - compose_eb_simulated(s).entries)
         assert np.max(d) <= 1e-10
 
-    def test_lossless_noisy_leg_warns(self):
-        s = make_scenario(0.0, 0.0, eps=0.01)
-        with pytest.warns(UserWarning):
-            compose_eb_simulated(s)
+    def test_lossless_noisy_legs_keep_their_noise(self):
+        # a zero-length leg carries eps as additive noise, the L -> 0+ limit
+        # that the analytic path and the sampler also take
+        for l_ac, l_bc in ((0.0, 0.0), (88.82, 0.0), (0.0, 5.0)):
+            s = make_scenario(l_ac, l_bc, eps=0.002)
+            d = np.abs(compose_eb_analytic(s).entries - compose_eb_simulated(s).entries)
+            assert np.max(d) <= 1e-10
 
     def test_output_block_structure(self, rng):
         s = random_scenario(rng)
