@@ -12,7 +12,6 @@ from .gaussian import (
     UnphysicalStateError,
     entropy_g,
     heterodyne_condition,
-    homodyne_condition,
     symplectic_eigenvalues,
     tms_state,
     vacuum_state,
@@ -42,7 +41,7 @@ from .protocol import (
     optimal_gain,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "CovarianceMatrix",
@@ -50,7 +49,6 @@ __all__ = [
     "UnphysicalStateError",
     "entropy_g",
     "heterodyne_condition",
-    "homodyne_condition",
     "symplectic_eigenvalues",
     "tms_state",
     "vacuum_state",

@@ -176,14 +176,3 @@ def load_config(path: str | None = None, overrides: list[str] | None = None,
         raise ConfigError(f"mc.n must be >= {MIN_ESTIMATION_SAMPLES}, the smallest batch "
                           f"the oracle's parameter estimation accepts")
     return cfg
-
-
-def parse_effective_lines(lines: list[str]) -> RunConfig:
-    """Re-parse a config block produced by RunConfig.effective_lines."""
-    parser = configparser.ConfigParser()
-    parser.read_string("\n".join(lines))
-    values = {sec: dict(d) for sec, d in _DEFAULTS.items()}
-    for section in parser.sections():
-        for key, raw in parser.items(section):
-            values[section][key] = _convert(section, key, raw, "effective-config block")
-    return RunConfig(values)

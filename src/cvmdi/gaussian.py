@@ -117,12 +117,6 @@ def tms_state(v: float) -> GaussianState:
     return GaussianState(np.zeros(4), block_cm(v, v, np.sqrt(v * v - 1.0)))
 
 
-def thermal_state(v: float) -> GaussianState:
-    if v < 1.0:
-        raise ValueError(f"unphysical thermal variance {v}")
-    return GaussianState(np.zeros(2), CovarianceMatrix(v * I2))
-
-
 def tensor(*states: GaussianState) -> GaussianState:
     """Product state of the given states, modes concatenated in order."""
     mean = np.concatenate([s.mean for s in states])
@@ -165,15 +159,6 @@ def apply_beamsplitter(state: GaussianState, mode_i: int, mode_j: int, tau: floa
     return apply_symplectic(state, beamsplitter_matrix(state.n_modes, mode_i, mode_j, tau))
 
 
-def displace(state: GaussianState, mode: int, dx: float, dp: float) -> GaussianState:
-    """Shift the first moments of one mode; second moments are untouched."""
-    _quad_indices([mode], state.n_modes)
-    mean = state.mean.copy()
-    mean[2 * mode] += dx
-    mean[2 * mode + 1] += dp
-    return GaussianState(mean, state.cov)
-
-
 def _split_measured(state: GaussianState, mode: int):
     n = state.n_modes
     rest = [m for m in range(n) if m != mode]
@@ -203,25 +188,6 @@ def heterodyne_condition(state: GaussianState, mode: int):
     # response to (y - y_mean): dmu = sqrt(2) sigma (gamma_m + I)^-1 dy
     response = np.sqrt(2.0) * g_rm @ m_inv
     outcome = OutcomeDistribution(mean=mu_m / np.sqrt(2.0), cov=0.5 * m, response=response)
-    return GaussianState(mu_r, CovarianceMatrix(cov_cond)), outcome
-
-
-def homodyne_condition(state: GaussianState, mode: int, quadrature: str):
-    """Homodyne x or p of the given mode; rank-1 conditional update."""
-    if state.n_modes < 2:
-        raise ValueError("homodyne conditioning needs at least 2 modes")
-    if quadrature not in ("x", "p"):
-        raise ValueError(f"quadrature must be 'x' or 'p', got {quadrature!r}")
-    q = 0 if quadrature == "x" else 1
-    mu_r, mu_m, g_rr, g_rm, g_mm = _split_measured(state, mode)
-    var = g_mm[q, q]
-    s = g_rm[:, q]
-    # Moore-Penrose inverse of the projected (rank-1) measured variance
-    cov_cond = g_rr - np.outer(s, s) / var
-    response = (s / var).reshape(-1, 1)
-    outcome = OutcomeDistribution(
-        mean=np.array([mu_m[q]]), cov=np.array([[var]]), response=response
-    )
     return GaussianState(mu_r, CovarianceMatrix(cov_cond)), outcome
 
 

@@ -55,7 +55,10 @@ class SweepCurve:
     label: str
     axis_km: np.ndarray
     points: tuple
-    max_distance_km: float  # largest axis value with K > 0 (inf if none found)
+    # axis value where K falls to 0 (`_max_distance`): 0.0 if K(0) <= 0, inf
+    # if K is still positive where the search stops, at a leg of
+    # MAX_DISTANCE_CAP_KM
+    max_distance_km: float
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,7 @@ drawn columns), and every covariance the estimators need is a linear image
 of one covariance C of those columns (ddof 1). `_read_block_params` is the one
 reading of data as the block covariance (a, b, c): parameter estimation and
 the k-scan both call it. `sample_moments` accumulates moments chunk by chunk
-without holding the batch; the estimators also accept a `SampleBatch`, which
-they reduce on entry.
+without holding the batch; `Moments.of` reduces a batch already drawn.
 
 Channels: each leg is an entangling cloner. Eve's kept arm never reaches the
 data, so the sampler draws only the mode she injects into the channel.
@@ -45,8 +44,7 @@ import numpy as np
 from . import kernels
 from .gaussian import CovarianceMatrix
 from .keyrate import block_form_params
-from .protocol import Scenario, block_params, k_from_gain, optimal_gain
-from .protocol import gain_from_k  # noqa: F401 (kept importable as montecarlo.gain_from_k)
+from .protocol import Scenario, k_from_gain, optimal_gain
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -295,16 +293,11 @@ class Moments:
     def rescaled(self, eta_scale: float) -> Moments:
         """Moments after scaling the relay data x_c, p_d by sqrt(eta_scale):
         D G D and D s with D = diag(1, 1, 1, 1, r, r), r = sqrt(eta_scale)."""
-        r = _relay_scale(eta_scale)
+        if eta_scale <= 0:
+            raise ValueError("eta_scale must be > 0")
+        r = math.sqrt(eta_scale)
         d = np.array([1.0, 1.0, 1.0, 1.0, r, r])
         return replace(self, sums=self.sums * d, gram=self.gram * np.outer(d, d))
-
-
-def _relay_scale(eta_scale: float) -> float:
-    """sqrt(eta_scale), the factor on the relay data x_c, p_d of a rescaling."""
-    if eta_scale <= 0:
-        raise ValueError("eta_scale must be > 0")
-    return math.sqrt(eta_scale)
 
 
 def _block_sums(n: int, runs):
@@ -344,10 +337,6 @@ def sample_moments(scenario: Scenario, scheme: str, coeff: float, n: int,
 
     return Moments(scheme, seed, scenario.v_a, scenario.v_b, coeff,
                    *_block_sums(n, runs()))
-
-
-def _moments(data: SampleBatch | Moments) -> Moments:
-    return data if isinstance(data, Moments) else Moments.of(data)
 
 
 def _read_block_params(m: Moments, block: int | None = None, coeff=None):
@@ -394,9 +383,9 @@ def covariance_z_scores(emp_cov: np.ndarray, predicted: np.ndarray, n: int) -> n
     return (emp_cov - predicted) / np.sqrt(var / n)
 
 
-def batch_outcome_covariance(data: SampleBatch | Moments) -> np.ndarray:
+def batch_outcome_covariance(m: Moments) -> np.ndarray:
     """Empirical 4x4 covariance of the final (X_A, P_A, X_B, P_B) data."""
-    return _moments(data).final_covariance()[:4, :4]
+    return m.final_covariance()[:4, :4]
 
 
 # |z| at or above which a Monte Carlo comparison fails
@@ -412,29 +401,10 @@ class EquivalenceReport:
     passed: bool
 
 
-def pm_eb_equivalence_test(scenario: Scenario, g: float | None = None,
-                           n: int = 1_000_000, seed_pair: tuple[int, int] = (11, 12),
-                           k: float | None = None) -> EquivalenceReport:
-    """Compare the 6-variable joint covariance of the two pictures.
-
-    k defaults to the amplification equivalent to g, `k_from_gain(g, v_b)`.
-    Both batches are reduced to moments chunk by chunk.
-    """
-    if g is None:
-        g = optimal_gain(scenario)
-    if k is None:
-        k = k_from_gain(g, scenario.v_b)
-    eb = sample_moments(scenario, "EB", g, n, seed_pair[0])
-    pm = sample_moments(scenario, "PM", k, n, seed_pair[1])
-    return equivalence_report(eb, pm)
-
-
-def equivalence_report(eb_data: SampleBatch | Moments,
-                       pm_data: SampleBatch | Moments) -> EquivalenceReport:
+def equivalence_report(eb: Moments, pm: Moments) -> EquivalenceReport:
     """Compare a PM batch's 6x6 covariance with that of an independent EB
     batch of the same size, mapped to modulation units by `bridge_matrix`.
     The EB batch's coeff is the gain g."""
-    eb, pm = _moments(eb_data), _moments(pm_data)
     if (eb.scheme, pm.scheme) != ("EB", "PM"):
         raise ValueError("equivalence compares an EB batch with a PM batch")
     s = bridge_matrix(eb.v_a, eb.v_b)
@@ -463,7 +433,7 @@ class EstimatedParams:
     eps_se: float
 
 
-def estimate_params(data: SampleBatch | Moments) -> EstimatedParams:
+def estimate_params(m: Moments) -> EstimatedParams:
     """Fit (T, eps') to the two-mode block structure from second moments.
 
     (a, b, c) is read by `_read_block_params` and inverted through
@@ -471,9 +441,8 @@ def estimate_params(data: SampleBatch | Moments) -> EstimatedParams:
     the spread over the N_BLOCKS estimation blocks. Every covariance has
     ddof 1.
     """
-    if data.n < MIN_ESTIMATION_SAMPLES:
+    if m.n < MIN_ESTIMATION_SAMPLES:
         raise ValueError(f"need at least {MIN_ESTIMATION_SAMPLES} samples for estimation")
-    m = _moments(data)
     # G/n - mean^2 of a constant column is rounding noise of its raw second
     # moment G/n, so the variance is judged relative to that
     lmap = m.final_map()
@@ -491,43 +460,15 @@ def estimate_params(data: SampleBatch | Moments) -> EstimatedParams:
     )
 
 
-def sample_block_cm(v_a: float, t: float, eps: float, n: int, seed: int = 0) -> SampleBatch:
-    """Heterodyne-outcome samples drawn directly from a block covariance.
-
-    Generative counterpart of `estimate_params` for round-trip checks. There
-    is no relay data: x_c = p_d = 0 and the gain is 0.
-    """
-    _, b, c = block_params(v_a, t, eps)
-
-    def rows(j, m):
-        qxa, qpa, qxb, qpb = _correlated_pair(v_a, b, c, m, _rng(seed, "alice_source", j))
-        va = _rng(seed, "alice_detection", j).standard_normal((m, 2))
-        vb = _rng(seed, "bob_detection", j).standard_normal((m, 2))
-        return ((qxa + va[:, 0]) / _SQRT2, (qpa - va[:, 1]) / _SQRT2,
-                (qxb + vb[:, 0]) / _SQRT2, (qpb - vb[:, 1]) / _SQRT2)
-
-    x_a, p_a, x_b, p_b = _fill(n, 0, rows)
-    return SampleBatch("EB", seed, n, v_a, b, 0.0, x_a, p_a, x_b, p_b, np.zeros(n), np.zeros(n))
-
-
-def lo_scaling_attack(data: SampleBatch, eta_scale: float) -> SampleBatch:
-    """Rescale the announced relay data by sqrt(eta_scale) before Bob's data
-    processing, which then runs at the batch's own coefficient.
-    `Moments.rescaled` is the same map on moments."""
-    r = _relay_scale(eta_scale)
-    return replace(data, x_c=r * data.x_c, p_d=r * data.p_d)
-
-
-def key_rates_vs_k_from_batch(data: SampleBatch | Moments, k_grid,
-                              beta: float = 1.0) -> np.ndarray:
+def key_rates_vs_k_from_batch(m: Moments, k_grid, beta: float = 1.0) -> np.ndarray:
     """Data-driven key rate for each k, from one PM batch's second moments.
 
     Reads only the drawn columns x_a ... p_d, so the batch's own k does not
     enter. The whole grid goes to the grid kernel in one call.
     """
-    if data.scheme != "PM":
+    if m.scheme != "PM":
         raise ValueError("k sweep over data requires a PM batch")
-    a, b, c = _read_block_params(_moments(data), coeff=np.asarray(k_grid, dtype=float))
+    a, b, c = _read_block_params(m, coeff=np.asarray(k_grid, dtype=float))
     return kernels.block_key_rate_grid(a, b, c, beta)
 
 

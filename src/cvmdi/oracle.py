@@ -7,9 +7,7 @@ then one modulation-based (PM) batch at `seed + 1` and the amplification k
 equivalent to that gain (`protocol.k_from_gain`), read by the equivalence and
 rescaling suites. Each batch is drawn and reduced one chunk at a time
 (`montecarlo.sample_moments`), so a run holds O(`montecarlo.CHUNK_ROWS`)
-samples whatever n is. The chunked sampler changed the samples, so the
-statistics printed for a given seed differ from versions that drew whole
-batches.
+samples whatever n is.
 """
 
 from __future__ import annotations

@@ -60,19 +60,6 @@ class ChannelParams:
             raise ValueError(f"channel length {self.length_km} km at {self.attenuation_db_per_km} "
                              f"dB/km: transmittance underflows to 0")
 
-    @property
-    def chi(self) -> float:
-        eta = self.transmittance
-        return (1.0 - eta) / eta + self.excess_noise
-
-    @classmethod
-    def from_transmittance(cls, eta: float, excess_noise: float = 0.0,
-                           attenuation_db_per_km: float = DEFAULT_ATTENUATION_DB_PER_KM):
-        if not 0.0 < eta <= 1.0:
-            raise ValueError(f"transmittance {eta} outside (0, 1]")
-        length = -10.0 * np.log10(eta) / attenuation_db_per_km
-        return cls(length, attenuation_db_per_km, excess_noise)
-
 
 @dataclass(frozen=True)
 class DetectorParams:

@@ -1,9 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cvmdi import ChannelParams, DetectorParams, Scenario
+from cvmdi.montecarlo import SampleBatch, _correlated_pair, _fill, _rng
+from cvmdi.protocol import block_params
 
 
 @pytest.fixture
@@ -139,3 +142,33 @@ def random_scenario(rng: np.random.Generator) -> Scenario:
         channel_a=ChannelParams(rng.uniform(0.01, 30.0), 0.2, rng.uniform(0.0, 0.05)),
         channel_b=ChannelParams(rng.uniform(0.01, 30.0), 0.2, rng.uniform(0.0, 0.05)),
     )
+
+
+# Test-only Monte Carlo generators, drawn with the sampler's own substreams.
+
+def sample_block_cm(v_a: float, t: float, eps: float, n: int, seed: int = 0) -> SampleBatch:
+    """Heterodyne-outcome samples drawn directly from a block covariance.
+
+    Generative counterpart of `estimate_params` for round-trip checks. There
+    is no relay data: x_c = p_d = 0 and the gain is 0.
+    """
+    _, b, c = block_params(v_a, t, eps)
+    r2 = math.sqrt(2.0)
+
+    def rows(j, m):
+        qxa, qpa, qxb, qpb = _correlated_pair(v_a, b, c, m, _rng(seed, "alice_source", j))
+        va = _rng(seed, "alice_detection", j).standard_normal((m, 2))
+        vb = _rng(seed, "bob_detection", j).standard_normal((m, 2))
+        return ((qxa + va[:, 0]) / r2, (qpa - va[:, 1]) / r2,
+                (qxb + vb[:, 0]) / r2, (qpb - vb[:, 1]) / r2)
+
+    x_a, p_a, x_b, p_b = _fill(n, 0, rows)
+    return SampleBatch("EB", seed, n, v_a, b, 0.0, x_a, p_a, x_b, p_b, np.zeros(n), np.zeros(n))
+
+
+def lo_scaling_attack(batch: SampleBatch, eta_scale: float) -> SampleBatch:
+    """Rescale the announced relay data by sqrt(eta_scale) before Bob's data
+    processing, which then runs at the batch's own coefficient: the
+    batch-level reference for `Moments.rescaled`."""
+    r = math.sqrt(eta_scale)
+    return replace(batch, x_c=r * batch.x_c, p_d=r * batch.p_d)

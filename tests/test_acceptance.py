@@ -10,13 +10,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from cvmdi import ChannelParams, DetectorParams, Scenario
+from cvmdi import ChannelParams, DetectorParams
 from cvmdi import montecarlo as mc
 from cvmdi.gaussian import apply_beamsplitter, beamsplitter_matrix, entropy_g, \
-    symplectic_eigenvalues, symplectic_form, tensor, tms_state, vacuum_state
+    symplectic_eigenvalues, tensor, tms_state, vacuum_state
 from cvmdi.keyrate import (
     analytic_k,
-    key_rate_at,
     max_distance_asymmetric,
     max_distance_detection_scheme,
     max_total_distance_symmetric,
@@ -28,10 +27,11 @@ from cvmdi.protocol import (
     compose_eb_simulated,
     effective_transmittance,
     equivalent_excess_noise,
+    k_from_gain,
     optimal_gain,
 )
-from conftest import make_scenario, random_scenario, ref_asymmetric_range, \
-    ref_min_detector_efficiency, ref_symmetric_range
+from conftest import lo_scaling_attack, make_scenario, random_scenario, \
+    ref_asymmetric_range, ref_min_detector_efficiency, ref_symmetric_range
 
 N_MC = 1_000_000
 SEED = 12345
@@ -161,11 +161,11 @@ def test_criterion_06_dual_path_covariance_identity():
 
 def test_criterion_07_monte_carlo_oracle():
     s = make_scenario(5.0, 2.0)
-    batch = mc.simulate_eb(s, None, N_MC, SEED)
+    moments = mc.Moments.of(mc.simulate_eb(s, None, N_MC, SEED))
     predicted = mc.heterodyne_image(compose_eb_analytic(s))
-    z = mc.covariance_z_scores(mc.batch_outcome_covariance(batch), predicted, N_MC)
+    z = mc.covariance_z_scores(mc.batch_outcome_covariance(moments), predicted, N_MC)
     zmax = float(np.max(np.abs(z)))
-    est = mc.estimate_params(batch)
+    est = mc.estimate_params(moments)
     zt = abs(est.t_hat - effective_transmittance(s)) / est.t_se
     ze = abs(est.eps_hat - equivalent_excess_noise(s)) / est.eps_se
     ok = zmax < 4.0 and zt < 3.0 and ze < 3.0
@@ -177,9 +177,11 @@ def test_criterion_07_monte_carlo_oracle():
 
 def test_criterion_08_pm_eb_equivalence():
     s = make_scenario(5.0, 2.0)
-    report_ok = mc.pm_eb_equivalence_test(s, n=N_MC, seed_pair=(SEED, SEED + 1))
-    k2 = 2.0 * mc.k_from_gain(optimal_gain(s), s.v_b)
-    report_bad = mc.pm_eb_equivalence_test(s, n=N_MC, seed_pair=(SEED, SEED + 1), k=k2)
+    g = optimal_gain(s)
+    eb = mc.sample_moments(s, "EB", g, N_MC, SEED)
+    k = k_from_gain(g, s.v_b)
+    report_ok = mc.equivalence_report(eb, mc.sample_moments(s, "PM", k, N_MC, SEED + 1))
+    report_bad = mc.equivalence_report(eb, mc.sample_moments(s, "PM", 2.0 * k, N_MC, SEED + 1))
     ok = report_ok.passed and not report_bad.passed
     report(8, ok, f"picture equivalence at N=1e6: max|z|={report_ok.max_abs_z:.2f} "
                   f"(expected < 4); 2x-k negative control max|z|={report_bad.max_abs_z:.1f} "
@@ -193,19 +195,20 @@ def test_criterion_09_measurement_rescaling_invariance():
     k0 = analytic_k(s)
     grid = k0 * np.logspace(np.log10(0.3), np.log10(3.0), 2001)
     batch = mc.simulate_pm(s, k0, N_MC, SEED)
-    base = mc.key_rates_vs_k_from_batch(batch, grid, s.beta_r)
+    moments = mc.Moments.of(batch)
+    base = mc.key_rates_vs_k_from_batch(moments, grid, s.beta_r)
     k_base = float(grid[int(np.argmax(base))])
     max_dev, argmax_dev, details = 0.0, 0.0, []
     for eta in (0.25, 0.64, 1.44):
-        scaled = mc.key_rates_vs_k_from_batch(mc.lo_scaling_attack(batch, eta),
+        scaled = mc.key_rates_vs_k_from_batch(mc.Moments.of(lo_scaling_attack(batch, eta)),
                                               grid, s.beta_r)
         max_dev = max(max_dev, abs(float(np.max(base)) - float(np.max(scaled))))
         k_scaled = float(grid[int(np.argmax(scaled))])
         argmax_dev = max(argmax_dev, abs(k_scaled * math.sqrt(eta) / k_base - 1.0))
         details.append(f"eta={eta}: argmax ratio {k_scaled / k_base:.3f}")
-    fixed_base = float(mc.key_rates_vs_k_from_batch(batch, [k0], s.beta_r)[0])
+    fixed_base = float(mc.key_rates_vs_k_from_batch(moments, [k0], s.beta_r)[0])
     fixed_scaled = float(mc.key_rates_vs_k_from_batch(
-        mc.lo_scaling_attack(batch, 0.64), [k0], s.beta_r)[0])
+        mc.Moments.of(lo_scaling_attack(batch, 0.64)), [k0], s.beta_r)[0])
     control = abs(fixed_base - fixed_scaled)
     ok = max_dev < 1e-3 and argmax_dev < 0.01 and control > 1e-2
     report(9, ok, f"rescaling invariance: |dK_max|={max_dev:.2e} (expected < 1e-3), "

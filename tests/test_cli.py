@@ -1,10 +1,9 @@
 """CLI and configuration layer: exit codes, determinism, strict validation."""
 
-import numpy as np
 import pytest
 
 from cvmdi.cli import main
-from cvmdi.config import ConfigError, load_config, parse_effective_lines
+from cvmdi.config import ConfigError, load_config
 
 
 class TestConfig:
@@ -50,9 +49,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="not found"):
             load_config("/nonexistent/run.cfg", environ={})
 
-    def test_effective_lines_round_trip(self):
+    def test_effective_lines_round_trip(self, tmp_path):
         cfg = load_config(overrides=["scenario.v_a=17.5", "mc.seed=99"], environ={})
-        again = parse_effective_lines(cfg.effective_lines())
+        path = tmp_path / "effective.cfg"
+        path.write_text("\n".join(cfg.effective_lines()) + "\n")
+        again = load_config(str(path), environ={})
         assert again.values == cfg.values
 
     def test_l_bc_values(self):

@@ -16,7 +16,6 @@ from cvmdi.keyrate import (
     key_rate_at,
     key_rate_vs_k,
     max_distance_asymmetric,
-    max_distance_detection_scheme,
     max_total_distance_symmetric,
     min_detector_efficiency,
     mutual_information,

@@ -15,9 +15,11 @@ from cvmdi.protocol import (
     compose_eb_analytic,
     effective_transmittance,
     equivalent_excess_noise,
+    gain_from_k,
+    k_from_gain,
     optimal_gain,
 )
-from conftest import make_scenario
+from conftest import lo_scaling_attack, make_scenario, sample_block_cm
 
 N_FAST = 200_000
 SEED = 20260823
@@ -36,6 +38,16 @@ def eb_batch(scenario):
 @pytest.fixture(scope="module")
 def pm_batch(scenario):
     return mc.simulate_pm(scenario, analytic_k(scenario), N_FAST, SEED + 1)
+
+
+@pytest.fixture(scope="module")
+def eb_moments(eb_batch):
+    return mc.Moments.of(eb_batch)
+
+
+@pytest.fixture(scope="module")
+def pm_moments(pm_batch):
+    return mc.Moments.of(pm_batch)
 
 
 class TestReproducibility:
@@ -57,10 +69,10 @@ class TestReproducibility:
 
 
 class TestCovarianceOracle:
-    def test_final_data_matches_analytic_image(self, scenario, eb_batch):
+    def test_final_data_matches_analytic_image(self, scenario, eb_moments):
         predicted = mc.heterodyne_image(compose_eb_analytic(scenario))
         z = mc.covariance_z_scores(
-            mc.batch_outcome_covariance(eb_batch), predicted, N_FAST)
+            mc.batch_outcome_covariance(eb_moments), predicted, N_FAST)
         assert np.max(np.abs(z)) < 4.0
 
     def test_relay_outcome_variances(self, scenario, eb_batch):
@@ -89,60 +101,70 @@ class TestCovarianceOracle:
         s = Scenario(v_a=5.0, v_b=5.0,
                      channel_a=ChannelParams(5.0, 0.2, 0.01),
                      channel_b=ChannelParams(0.0, 0.2, 0.2))
-        batch = mc.simulate_eb(s, None, N_FAST, SEED)
+        moments = mc.Moments.of(mc.simulate_eb(s, None, N_FAST, SEED))
         predicted = mc.heterodyne_image(compose_eb_analytic(s))
         z = mc.covariance_z_scores(
-            mc.batch_outcome_covariance(batch), predicted, N_FAST)
+            mc.batch_outcome_covariance(moments), predicted, N_FAST)
         assert np.max(np.abs(z)) < 4.0
 
-    def test_wrong_prediction_is_rejected(self, scenario, eb_batch):
+    def test_wrong_prediction_is_rejected(self, scenario, eb_moments):
         predicted = mc.heterodyne_image(compose_eb_analytic(scenario)) * 1.05
         z = mc.covariance_z_scores(
-            mc.batch_outcome_covariance(eb_batch), predicted, N_FAST)
+            mc.batch_outcome_covariance(eb_moments), predicted, N_FAST)
         assert np.max(np.abs(z)) > 10.0
 
 
 class TestAmplificationFit:
     def test_bridge_round_trip(self):
-        assert mc.gain_from_k(mc.k_from_gain(1.7, 40.0), 40.0) == pytest.approx(1.7)
+        assert gain_from_k(k_from_gain(1.7, 40.0), 40.0) == pytest.approx(1.7)
 
 
 class TestPictureEquivalence:
+    @staticmethod
+    def report(scenario, k_factor=1.0):
+        """EB moments at the optimal gain g (seed SEED) against PM moments at
+        k_factor times the k equivalent to g (seed SEED + 1)."""
+        g = optimal_gain(scenario)
+        eb = mc.sample_moments(scenario, "EB", g, N_FAST, SEED)
+        k = k_factor * k_from_gain(g, scenario.v_b)
+        return mc.equivalence_report(eb, mc.sample_moments(scenario, "PM", k, N_FAST, SEED + 1))
+
     def test_joint_covariances_agree(self, scenario):
-        report = mc.pm_eb_equivalence_test(scenario, n=N_FAST, seed_pair=(SEED, SEED + 1))
+        report = self.report(scenario)
         assert report.passed, f"max|z|={report.max_abs_z}"
         assert report.k_used == pytest.approx(
-            mc.k_from_gain(report.g_used, scenario.v_b), rel=0.01)
+            k_from_gain(report.g_used, scenario.v_b), rel=0.01)
 
     def test_negative_control_double_k_fails(self, scenario):
-        k = 2.0 * mc.k_from_gain(optimal_gain(scenario), scenario.v_b)
-        report = mc.pm_eb_equivalence_test(
-            scenario, n=N_FAST, seed_pair=(SEED, SEED + 1), k=k)
-        assert not report.passed
+        assert not self.report(scenario, k_factor=2.0).passed
+
+    def test_rejects_swapped_schemes(self, eb_moments, pm_moments):
+        with pytest.raises(ValueError):
+            mc.equivalence_report(pm_moments, eb_moments)
 
 
 class TestParameterEstimation:
-    def test_eb_round_trip(self, scenario, eb_batch):
-        est = mc.estimate_params(eb_batch)
+    def test_eb_round_trip(self, scenario, eb_moments):
+        est = mc.estimate_params(eb_moments)
         assert abs(est.t_hat - effective_transmittance(scenario)) < 4.0 * est.t_se
         assert abs(est.eps_hat - equivalent_excess_noise(scenario)) < 4.0 * est.eps_se
 
-    def test_pm_round_trip(self, scenario, pm_batch):
-        est = mc.estimate_params(pm_batch)
+    def test_pm_round_trip(self, scenario, pm_moments):
+        est = mc.estimate_params(pm_moments)
         assert abs(est.t_hat - effective_transmittance(scenario)) < 4.0 * est.t_se
         assert abs(est.eps_hat - equivalent_excess_noise(scenario)) < 4.0 * est.eps_se
 
     def test_generative_round_trip(self):
         t_in, eps_in = 0.5, 0.1
-        batch = mc.sample_block_cm(40.0, t_in, eps_in, 400_000, seed=SEED)
-        est = mc.estimate_params(batch)
+        batch = sample_block_cm(40.0, t_in, eps_in, 400_000, seed=SEED)
+        est = mc.estimate_params(mc.Moments.of(batch))
         assert abs(est.t_hat - t_in) < 4.0 * est.t_se
         assert abs(est.eps_hat - eps_in) < 4.0 * est.eps_se
 
     def test_rejects_tiny_batches(self, scenario):
         small = mc.simulate_eb(scenario, None, 100, SEED)
         with pytest.raises(ValueError):
-            mc.estimate_params(small)
+            mc.estimate_params(mc.Moments.of(small))
 
 
 class TestRescalingAnalysis:
@@ -150,39 +172,39 @@ class TestRescalingAnalysis:
         k0 = analytic_k(scenario)
         return k0 * np.logspace(np.log10(0.3), np.log10(3.0), 2001)
 
-    def test_maximum_rate_is_invariant(self, scenario, pm_batch):
+    def test_maximum_rate_is_invariant(self, scenario, pm_batch, pm_moments):
         grid = self.grid(scenario)
-        base = mc.key_rates_vs_k_from_batch(pm_batch, grid, scenario.beta_r)
+        base = mc.key_rates_vs_k_from_batch(pm_moments, grid, scenario.beta_r)
         for eta in (0.25, 0.64, 1.44):
             scaled = mc.key_rates_vs_k_from_batch(
-                mc.lo_scaling_attack(pm_batch, eta), grid, scenario.beta_r)
+                mc.Moments.of(lo_scaling_attack(pm_batch, eta)), grid, scenario.beta_r)
             assert abs(float(np.max(base)) - float(np.max(scaled))) < 1e-3
 
-    def test_argmax_scales_inversely(self, scenario, pm_batch):
+    def test_argmax_scales_inversely(self, scenario, pm_batch, pm_moments):
         grid = self.grid(scenario)
-        base = mc.key_rates_vs_k_from_batch(pm_batch, grid, scenario.beta_r)
+        base = mc.key_rates_vs_k_from_batch(pm_moments, grid, scenario.beta_r)
         k_base = grid[int(np.argmax(base))]
         for eta in (0.25, 0.64, 1.44):
             scaled = mc.key_rates_vs_k_from_batch(
-                mc.lo_scaling_attack(pm_batch, eta), grid, scenario.beta_r)
+                mc.Moments.of(lo_scaling_attack(pm_batch, eta)), grid, scenario.beta_r)
             k_scaled = grid[int(np.argmax(scaled))]
             assert k_scaled * math.sqrt(eta) == pytest.approx(k_base, rel=0.01)
 
-    def test_fixed_k_negative_control(self, scenario, pm_batch):
+    def test_fixed_k_negative_control(self, scenario, pm_batch, pm_moments):
         k0 = np.array([analytic_k(scenario)])
-        base = float(mc.key_rates_vs_k_from_batch(pm_batch, k0, scenario.beta_r)[0])
+        base = float(mc.key_rates_vs_k_from_batch(pm_moments, k0, scenario.beta_r)[0])
         scaled = float(mc.key_rates_vs_k_from_batch(
-            mc.lo_scaling_attack(pm_batch, 0.64), k0, scenario.beta_r)[0])
+            mc.Moments.of(lo_scaling_attack(pm_batch, 0.64)), k0, scenario.beta_r)[0])
         assert abs(base - scaled) > 1e-2
 
-    def test_batch_rate_matches_analytic(self, scenario, pm_batch):
+    def test_batch_rate_matches_analytic(self, scenario, pm_moments):
         k0 = np.array([analytic_k(scenario)])
-        empirical = float(mc.key_rates_vs_k_from_batch(pm_batch, k0, scenario.beta_r)[0])
+        empirical = float(mc.key_rates_vs_k_from_batch(pm_moments, k0, scenario.beta_r)[0])
         assert empirical == pytest.approx(secret_key_rate(scenario).k, abs=0.02)
 
-    def test_grid_matches_scalar_kernel_loop(self, scenario, pm_batch):
+    def test_grid_matches_scalar_kernel_loop(self, scenario, pm_batch, pm_moments):
         grid = self.grid(scenario)
-        rates = mc.key_rates_vs_k_from_batch(pm_batch, grid, scenario.beta_r)
+        rates = mc.key_rates_vs_k_from_batch(pm_moments, grid, scenario.beta_r)
         m = np.cov(np.column_stack([pm_batch.x_a, pm_batch.p_a, pm_batch.x_b,
                                     pm_batch.p_b, pm_batch.x_c, pm_batch.p_d]),
                    rowvar=False)
@@ -199,21 +221,22 @@ class TestRescalingAnalysis:
             assert rate == pytest.approx(
                 float(kernels.block_key_rate(a, b, c, scenario.beta_r)), abs=1e-12)
 
-    def test_estimation_and_k_scan_read_the_same_block(self, scenario, pm_batch):
+    def test_estimation_and_k_scan_read_the_same_block(self, scenario, pm_moments):
         # one reading of data as (a, b, c): at the batch's own k, the k-scan
         # evaluates the block that estimation fits
-        est = mc.estimate_params(pm_batch)
+        est = mc.estimate_params(pm_moments)
         rate = float(kernels.block_key_rate(est.a, est.b, est.c, scenario.beta_r))
-        scan = mc.key_rates_vs_k_from_batch(pm_batch, [pm_batch.coeff], scenario.beta_r)
+        scan = mc.key_rates_vs_k_from_batch(pm_moments, [pm_moments.coeff], scenario.beta_r)
         assert rate == pytest.approx(float(scan[0]), abs=1e-12)
 
-    def test_rejects_eb_batch(self, eb_batch):
+    def test_rejects_eb_batch(self, eb_moments):
         with pytest.raises(ValueError):
-            mc.key_rates_vs_k_from_batch(eb_batch, [1.0])
+            mc.key_rates_vs_k_from_batch(eb_moments, [1.0])
 
-    def test_rejects_bad_scale(self, pm_batch):
+    def test_rejects_bad_scale(self, pm_moments):
+        # eta_scale = 0: see test_rescaling_moments_matches_rescaling_batch
         with pytest.raises(ValueError):
-            mc.lo_scaling_attack(pm_batch, 0.0)
+            pm_moments.rescaled(-0.64)
 
 
 class TestExport:
@@ -290,30 +313,10 @@ class TestChunkedSampling:
         assert np.allclose(m.covariance(3), block,
                            rtol=1e-12, atol=1e-12 * np.abs(block).max())
 
-    def test_consumers_agree_on_batch_and_moments(self, scenario, eb_batch, pm_batch):
-        eb, pm = mc.Moments.of(eb_batch), mc.Moments.of(pm_batch)
-
-        def close(a, b):
-            a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-            return np.allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
-
-        assert close(mc.batch_outcome_covariance(eb), mc.batch_outcome_covariance(eb_batch))
-        assert close(mc.equivalence_report(eb, pm).z_scores,
-                     mc.equivalence_report(eb_batch, pm_batch).z_scores)
-        with pytest.raises(ValueError):
-            mc.equivalence_report(pm, eb)
-        for moments, batch in ((eb, eb_batch), (pm, pm_batch)):
-            e1, e2 = mc.estimate_params(moments), mc.estimate_params(batch)
-            for field in ("a", "b", "c", "t_hat", "eps_hat", "t_se", "eps_se"):
-                assert close(getattr(e1, field), getattr(e2, field)), field
-        grid = analytic_k(scenario) * np.linspace(0.5, 2.0, 51)
-        assert close(mc.key_rates_vs_k_from_batch(pm, grid, scenario.beta_r),
-                     mc.key_rates_vs_k_from_batch(pm_batch, grid, scenario.beta_r))
-
     def test_rescaling_moments_matches_rescaling_batch(self, pm_batch):
         for eta in (0.25, 0.64, 1.44):
             on_moments = mc.Moments.of(pm_batch).rescaled(eta)
-            on_batch = mc.Moments.of(mc.lo_scaling_attack(pm_batch, eta))
+            on_batch = mc.Moments.of(lo_scaling_attack(pm_batch, eta))
             for a, b in ((on_moments.sums, on_batch.sums), (on_moments.gram, on_batch.gram)):
                 assert np.allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
         with pytest.raises(ValueError):
@@ -324,17 +327,16 @@ class TestChunkedSampling:
         # G/n - mean^2 of a non-zero constant column is rounding noise that
         # may come out positive; it must still be rejected
         flat = dataclasses.replace(eb_batch, x_a=np.full(eb_batch.n, value))
-        for data in (flat, mc.Moments.of(flat)):
-            with pytest.raises(ValueError, match="degenerate"):
-                mc.estimate_params(data)
+        with pytest.raises(ValueError, match="degenerate"):
+            mc.estimate_params(mc.Moments.of(flat))
 
     def test_high_v_estimate_is_unbiased(self):
         # one ddof for every covariance: mixing ddof 0 variances with a ddof 1
         # cross covariance biases eps' by about -2V/n, many standard errors
         # at V = 1e5 and n = 2e4
         t_in, eps_in = 0.5, 0.1
-        batch = mc.sample_block_cm(1e5, t_in, eps_in, 20_000, seed=SEED)
-        est = mc.estimate_params(batch)
+        batch = sample_block_cm(1e5, t_in, eps_in, 20_000, seed=SEED)
+        est = mc.estimate_params(mc.Moments.of(batch))
         assert abs(est.t_hat - t_in) < 4.0 * est.t_se
         assert abs(est.eps_hat - eps_in) < 4.0 * est.eps_se
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cvmdi import ChannelParams, DetectorParams, Scenario
+from cvmdi import ChannelParams, DetectorParams
 from cvmdi.protocol import (
     block_params,
     compose_eb_analytic,
@@ -27,21 +27,11 @@ class TestChannelParams:
         assert ChannelParams(0.0).transmittance == 1.0
         assert ChannelParams(50.0, 0.2).transmittance == pytest.approx(0.1)
 
-    def test_chi(self):
-        ch = ChannelParams(50.0, 0.2, 0.01)
-        assert ch.chi == pytest.approx(9.0 + 0.01)
-
-    def test_from_transmittance_round_trip(self):
-        ch = ChannelParams.from_transmittance(0.37)
-        assert ch.transmittance == pytest.approx(0.37)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ChannelParams(-1.0)
         with pytest.raises(ValueError):
             ChannelParams(1.0, excess_noise=-0.1)
-        with pytest.raises(ValueError):
-            ChannelParams.from_transmittance(1.5)
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="must be finite"):
                 ChannelParams(bad)
