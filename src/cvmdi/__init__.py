@@ -8,7 +8,6 @@ distance sweeps, and a quadrature-level Monte Carlo verification layer.
 from . import kernels
 from .gaussian import (
     CovarianceMatrix,
-    GaussianState,
     UnphysicalStateError,
     entropy_g,
     heterodyne_condition,
@@ -19,12 +18,10 @@ from .gaussian import (
 )
 from .keyrate import (
     KeyRatePoint,
-    holevo_bound_reverse,
     key_rate_vs_k,
     max_distance_asymmetric,
     max_total_distance_symmetric,
     min_detector_efficiency,
-    mutual_information,
     optimize_k_detection_scheme,
     secret_key_rate,
     sweep_asymmetric,
@@ -41,11 +38,10 @@ from .protocol import (
     optimal_gain,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "CovarianceMatrix",
-    "GaussianState",
     "UnphysicalStateError",
     "entropy_g",
     "heterodyne_condition",
@@ -54,12 +50,10 @@ __all__ = [
     "vacuum_state",
     "von_neumann_entropy",
     "KeyRatePoint",
-    "holevo_bound_reverse",
     "key_rate_vs_k",
     "max_distance_asymmetric",
     "max_total_distance_symmetric",
     "min_detector_efficiency",
-    "mutual_information",
     "optimize_k_detection_scheme",
     "secret_key_rate",
     "sweep_asymmetric",

@@ -38,8 +38,11 @@ def _write_csv(path, cfg: RunConfig, header: list[str], rows: list[tuple]) -> No
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     text = "\n".join(lines) + "\n"
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {path}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -52,11 +55,12 @@ def _grid(cfg: RunConfig) -> np.ndarray:
 def cmd_keyrate(cfg: RunConfig, out: str | None) -> int:
     point = secret_key_rate(cfg.scenario())
     status = "positive" if point.positive else "nonpositive"
-    print(f"K={point.k!r} I_AB={point.i_ab!r} chi_BE={point.chi_be!r} "
-          f"g={point.g_used!r} gain={point.gain_provenance} status={status}")
+    # the CSV first: an unwritable path exits 2 before anything is printed
     if out:
         _write_csv(out, cfg, ["K_bits_per_use", "I_AB_bits", "chi_BE_bits", "g", "status"],
                    [(point.k, point.i_ab, point.chi_be, point.g_used, status)])
+    print(f"K={point.k!r} I_AB={point.i_ab!r} chi_BE={point.chi_be!r} "
+          f"g={point.g_used!r} gain={point.gain_provenance} status={status}")
     return 0
 
 

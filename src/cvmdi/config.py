@@ -129,8 +129,12 @@ def load_config(path: str | None = None, overrides: list[str] | None = None,
     values = {sec: dict(d) for sec, d in _DEFAULTS.items()}
 
     if path is not None:
-        parser = configparser.ConfigParser()
-        read = parser.read(path)
+        # no interpolation: '%' is literal, as it is for --set and effective_lines()
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            read = parser.read(path)
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"malformed config file {path}: {' '.join(str(exc).split())}") from exc
         if not read:
             raise ConfigError(f"config file not found: {path}")
         for section in parser.sections():
@@ -166,7 +170,10 @@ def load_config(path: str | None = None, overrides: list[str] | None = None,
         raise ConfigError("sweep grid must satisfy 0 <= l_min_km <= l_max_km")
     # every sweep length must make a valid leg (finite, >= 0, transmittance > 0)
     legs = [("sweep.l_max_km", values["sweep"]["l_max_km"])]
-    legs += [("sweep.l_bc_values_km", length) for length in cfg.l_bc_values()]
+    l_bc_values = cfg.l_bc_values()
+    if not l_bc_values:
+        raise ConfigError("sweep.l_bc_values_km must list at least one length")
+    legs += [("sweep.l_bc_values_km", length) for length in l_bc_values]
     for key, length in legs:
         try:
             ChannelParams(length, values["scenario"]["attenuation_db_per_km"])

@@ -1,12 +1,14 @@
 """Gaussian quadrature-state toolkit in shot-noise units (vacuum variance = 1).
 
-Quadrature ordering is (x1, p1, x2, p2, ...) throughout. All objects are
-immutable values and all operations are pure functions.
+Every state here has zero mean, so a state is its covariance matrix: the key
+rate and the Holevo bound depend on second moments only. Quadrature ordering
+is (x1, p1, x2, p2, ...) throughout. All objects are immutable values and all
+operations are pure functions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,40 +62,6 @@ class CovarianceMatrix:
         return symplectic_eigenvalues(self)[-1] >= 1.0 - tol
 
 
-@dataclass(frozen=True)
-class GaussianState:
-    """First and second quadrature moments of an n-mode Gaussian state."""
-
-    mean: np.ndarray
-    cov: CovarianceMatrix
-
-    def __post_init__(self):
-        mu = np.asarray(self.mean, dtype=float).copy()
-        if mu.ndim != 1 or mu.size != 2 * self.cov.n_modes:
-            raise ValueError(
-                f"mean length {mu.size} does not match {self.cov.n_modes} modes"
-            )
-        mu.setflags(write=False)
-        object.__setattr__(self, "mean", mu)
-
-    @property
-    def n_modes(self) -> int:
-        return self.cov.n_modes
-
-
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    """Gaussian distribution of a measurement outcome.
-
-    ``response`` maps (outcome - mean) to the shift of the remaining state's
-    mean vector, so the conditional mean is ``state.mean + response @ dy``.
-    """
-
-    mean: np.ndarray
-    cov: np.ndarray
-    response: np.ndarray = field(repr=False, default=None)
-
-
 def _quad_indices(modes, n_modes) -> np.ndarray:
     modes = np.atleast_1d(np.asarray(modes, dtype=int))
     if np.any(modes < 0) or np.any(modes >= n_modes):
@@ -101,8 +69,8 @@ def _quad_indices(modes, n_modes) -> np.ndarray:
     return np.concatenate([[2 * m, 2 * m + 1] for m in modes])
 
 
-def vacuum_state(n_modes: int) -> GaussianState:
-    return GaussianState(np.zeros(2 * n_modes), CovarianceMatrix(np.eye(2 * n_modes)))
+def vacuum_state(n_modes: int) -> CovarianceMatrix:
+    return CovarianceMatrix(np.eye(2 * n_modes))
 
 
 def block_cm(a: float, b: float, c: float) -> CovarianceMatrix:
@@ -110,24 +78,23 @@ def block_cm(a: float, b: float, c: float) -> CovarianceMatrix:
     return CovarianceMatrix(np.block([[a * I2, c * SIGMA_Z], [c * SIGMA_Z, b * I2]]))
 
 
-def tms_state(v: float) -> GaussianState:
+def tms_state(v: float) -> CovarianceMatrix:
     """Two-mode squeezed vacuum with quadrature variance v per mode."""
     if v < 1.0:
         raise ValueError(f"unphysical squeezing variance {v} (must be >= 1)")
-    return GaussianState(np.zeros(4), block_cm(v, v, np.sqrt(v * v - 1.0)))
+    return block_cm(v, v, np.sqrt(v * v - 1.0))
 
 
-def tensor(*states: GaussianState) -> GaussianState:
+def tensor(*states: CovarianceMatrix) -> CovarianceMatrix:
     """Product state of the given states, modes concatenated in order."""
-    mean = np.concatenate([s.mean for s in states])
-    dim = mean.size
+    dim = sum(2 * s.n_modes for s in states)
     cov = np.zeros((dim, dim))
     k = 0
     for s in states:
         d = 2 * s.n_modes
-        cov[k:k + d, k:k + d] = s.cov.entries
+        cov[k:k + d, k:k + d] = s.entries
         k += d
-    return GaussianState(mean, CovarianceMatrix(cov))
+    return CovarianceMatrix(cov)
 
 
 def beamsplitter_matrix(n_modes: int, mode_i: int, mode_j: int, tau: float) -> np.ndarray:
@@ -151,44 +118,31 @@ def beamsplitter_matrix(n_modes: int, mode_i: int, mode_j: int, tau: float) -> n
     return s
 
 
-def apply_symplectic(state: GaussianState, s: np.ndarray) -> GaussianState:
-    return GaussianState(s @ state.mean, CovarianceMatrix(s @ state.cov.entries @ s.T))
+def apply_symplectic(state: CovarianceMatrix, s: np.ndarray) -> CovarianceMatrix:
+    return CovarianceMatrix(s @ state.entries @ s.T)
 
 
-def apply_beamsplitter(state: GaussianState, mode_i: int, mode_j: int, tau: float) -> GaussianState:
+def apply_beamsplitter(state: CovarianceMatrix, mode_i: int, mode_j: int,
+                       tau: float) -> CovarianceMatrix:
     return apply_symplectic(state, beamsplitter_matrix(state.n_modes, mode_i, mode_j, tau))
 
 
-def _split_measured(state: GaussianState, mode: int):
-    n = state.n_modes
-    rest = [m for m in range(n) if m != mode]
-    ri = _quad_indices(rest, n)
-    mi = _quad_indices([mode], n)
-    g = state.cov.entries
-    return (
-        state.mean[ri], state.mean[mi],
-        g[np.ix_(ri, ri)], g[np.ix_(ri, mi)], g[np.ix_(mi, mi)],
-    )
+def heterodyne_condition(state: CovarianceMatrix, mode: int) -> CovarianceMatrix:
+    """Covariance of the remaining modes after heterodyning the given mode.
 
-
-def heterodyne_condition(state: GaussianState, mode: int):
-    """Heterodyne the given mode; return (remaining state, outcome distribution).
-
-    The outcome is modeled as y = (q_m + v)/sqrt(2) with v a fresh vacuum, so
-    its covariance is (gamma_m + I)/2 and its mean is mean_m/sqrt(2). The
-    conditional covariance of the remaining modes is outcome-independent. The
-    remaining state's mean is the conditional mean at the mean outcome.
+    The outcome is modeled as y = (q_m + v)/sqrt(2) with v a fresh vacuum; the
+    conditional covariance g_rr - g_rm (g_mm + I)^-1 g_rm^T does not depend
+    on the outcome.
     """
-    if state.n_modes < 2:
+    n = state.n_modes
+    if n < 2:
         raise ValueError("heterodyne conditioning needs at least 2 modes")
-    mu_r, mu_m, g_rr, g_rm, g_mm = _split_measured(state, mode)
-    m = g_mm + I2
-    m_inv = np.linalg.inv(m)
-    cov_cond = g_rr - g_rm @ m_inv @ g_rm.T
-    # response to (y - y_mean): dmu = sqrt(2) sigma (gamma_m + I)^-1 dy
-    response = np.sqrt(2.0) * g_rm @ m_inv
-    outcome = OutcomeDistribution(mean=mu_m / np.sqrt(2.0), cov=0.5 * m, response=response)
-    return GaussianState(mu_r, CovarianceMatrix(cov_cond)), outcome
+    ri = _quad_indices([m for m in range(n) if m != mode], n)
+    mi = _quad_indices([mode], n)
+    g = state.entries
+    g_rm = g[np.ix_(ri, mi)]
+    m_inv = np.linalg.inv(g[np.ix_(mi, mi)] + I2)
+    return CovarianceMatrix(g[np.ix_(ri, ri)] - g_rm @ m_inv @ g_rm.T)
 
 
 def symplectic_eigenvalues(cov: CovarianceMatrix) -> np.ndarray:

@@ -10,8 +10,7 @@ Each formula exists twice, and the call site picks the form:
 * the scalar functions take and return floats and use plain `math`. They
   serve one evaluation at a time: `keyrate.secret_key_rate` (one
   `block_mutual_information` and one `block_holevo_reverse` call per point,
-  and so every sweep and range search), `keyrate.mutual_information` and
-  `keyrate.holevo_bound_reverse`;
+  and so every sweep and range search);
 * the `*_grid` functions take numpy arrays (scalars broadcast) and evaluate
   a whole grid in one call: `block_key_rate_grid` for `keyrate.key_rate_vs_k`
   (the detection scheme's k scan) and `montecarlo.key_rates_vs_k_from_batch`.

@@ -8,13 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .gaussian import (
-    CovarianceMatrix,
-    GaussianState,
-    block_cm,
-    heterodyne_condition,
-    von_neumann_entropy,
-)
+from .gaussian import CovarianceMatrix, heterodyne_condition, von_neumann_entropy
 from .protocol import (
     DetectorParams,
     Scenario,
@@ -25,7 +19,6 @@ from .protocol import (
     k_from_gain,
 )
 
-BLOCK_FORM_TOL = 1e-9
 BISECT_TOL_KM = 0.01
 BISECT_MAX_ITER = 60
 MAX_DISTANCE_CAP_KM = 2000.0
@@ -67,23 +60,6 @@ class SweepResult:
     curves: tuple
 
 
-def block_form_params(cov2: CovarianceMatrix) -> tuple[float, float, float]:
-    """Extract (a, b, c) from [[a I2, c sigma_z], [c sigma_z, b I2]]."""
-    if cov2.n_modes != 2:
-        raise ValueError("expected a two-mode covariance matrix")
-    m = cov2.entries
-    a, b, c = m[0, 0], m[2, 2], m[0, 2]
-    if np.max(np.abs(m - block_cm(a, b, c).entries)) > BLOCK_FORM_TOL:
-        raise ValueError("covariance matrix is not in a*I2 / c*sigma_z block form")
-    return float(a), float(b), float(c)
-
-
-def mutual_information(cov2: CovarianceMatrix) -> float:
-    """Mutual information of dual-heterodyne data on both modes, bits/use."""
-    a, b, c = block_form_params(cov2)
-    return kernels.block_mutual_information(a, b, c)
-
-
 def mutual_information_generic(cov2: CovarianceMatrix) -> float:
     """Determinant-based Gaussian MI of the joint heterodyne outcomes."""
     sigma = (cov2.entries + np.eye(4)) / 2.0
@@ -92,18 +68,10 @@ def mutual_information_generic(cov2: CovarianceMatrix) -> float:
     return float(0.5 * np.log2(det_a * det_b / np.linalg.det(sigma)))
 
 
-def holevo_bound_reverse(cov2: CovarianceMatrix) -> float:
-    """Holevo bound on Eve's information about mode-B heterodyne data."""
-    a, b, c = block_form_params(cov2)
-    return kernels.block_holevo_reverse(a, b, c)
-
-
 def holevo_bound_reverse_generic(cov2: CovarianceMatrix) -> float:
-    """Same bound via full symplectic spectra and explicit conditioning."""
-    s_ab = von_neumann_entropy(cov2)
-    state = GaussianState(np.zeros(4), cov2)
-    remaining, _ = heterodyne_condition(state, mode=1)
-    return s_ab - von_neumann_entropy(remaining.cov)
+    """Holevo bound on Eve's information about mode-B heterodyne data, from
+    full symplectic spectra and explicit conditioning."""
+    return von_neumann_entropy(cov2) - von_neumann_entropy(heterodyne_condition(cov2, mode=1))
 
 
 def scenario_block_params(scenario: Scenario, g=None):
@@ -195,7 +163,8 @@ def sweep_asymmetric(scenario: Scenario, l_ac_grid, l_bc_values) -> SweepResult:
     """Key rate vs first-leg length, one curve per second-leg length."""
     l_ac_grid = np.asarray(l_ac_grid, dtype=float)
     l_bc_values = np.atleast_1d(np.asarray(l_bc_values, dtype=float))
-    if l_ac_grid.size == 0 or np.any(l_ac_grid < 0) or np.any(l_bc_values < 0):
+    if (l_ac_grid.size == 0 or l_bc_values.size == 0
+            or np.any(l_ac_grid < 0) or np.any(l_bc_values < 0)):
         raise ValueError("grids must be nonempty and nonnegative")
     curves = []
     for l_bc in l_bc_values.tolist():

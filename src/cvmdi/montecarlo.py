@@ -8,7 +8,7 @@ Sampling conventions (shot-noise units, vacuum variance 1):
   * homodyne reads the quadrature value exactly;
   * heterodyne outcome y_x = (q_x + v_x)/sqrt(2), y_p = (q_p - v_p)/sqrt(2)
     with v a fresh vacuum, so the outcome variance is (V + 1)/2 per
-    quadrature, matching `gaussian.heterodyne_condition`.
+    quadrature, matching `heterodyne_image`.
 
 Randomness: a batch is a run of chunks of CHUNK_ROWS rows. Chunk j of each
 noise source is drawn by its own counter-based Philox generator, keyed by
@@ -42,8 +42,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .gaussian import CovarianceMatrix
-from .keyrate import block_form_params
 from .protocol import Scenario, k_from_gain, optimal_gain
 
 _SQRT2 = math.sqrt(2.0)
@@ -362,9 +360,9 @@ def _read_block_params(m: Moments, block: int | None = None, coeff=None):
     return a, b, c
 
 
-def heterodyne_image(cov2: CovarianceMatrix) -> np.ndarray:
-    """Predicted covariance of dual-heterodyne outcomes of a two-mode state."""
-    a, b, c = block_form_params(cov2)
+def heterodyne_image(a: float, b: float, c: float) -> np.ndarray:
+    """Predicted covariance of dual-heterodyne outcomes of the two-mode state
+    with block covariance (a, b, c)."""
     return np.array([
         [(a + 1) / 2, 0, c / 2, 0],
         [0, (a + 1) / 2, 0, -c / 2],

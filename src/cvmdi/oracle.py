@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import montecarlo as mc
-from .gaussian import block_cm
 from .keyrate import analytic_k, scenario_block_params
 from .protocol import (
     Scenario,
@@ -41,8 +40,7 @@ def _cov_suite(scenario: Scenario, moments: mc.Moments, wrong_sign: bool) -> Sui
     if wrong_sign:
         # test hook: displacement applied with inverted sign
         moments = replace(moments, coeff=-g)
-    a, b, c = scenario_block_params(scenario, g)
-    predicted = mc.heterodyne_image(block_cm(a, b, c))
+    predicted = mc.heterodyne_image(*scenario_block_params(scenario, g))
     z = mc.covariance_z_scores(mc.batch_outcome_covariance(moments), predicted, moments.n)
     zmax = float(np.max(np.abs(z)))
     return SuiteResult("covariance_vs_analytic", zmax < mc.Z_LIMIT, f"max|z|={zmax:.2f}")

@@ -12,7 +12,6 @@ import numpy as np
 
 from .gaussian import (
     CovarianceMatrix,
-    GaussianState,
     apply_beamsplitter,
     block_cm,
     tensor,
@@ -251,7 +250,7 @@ def compose_eb_simulated(scenario: Scenario, g: float | None = None) -> Covarian
         else:
             noise = np.zeros(2 * state.n_modes)
             noise[2 * mode:2 * mode + 2] = ch.excess_noise
-            state = GaussianState(state.mean, CovarianceMatrix(state.cov.entries + np.diag(noise)))
+            state = CovarianceMatrix(state.entries + np.diag(noise))
     # relay: mode 1 -> C = (A'-B')/sqrt(2), mode 3 -> D = (A'+B')/sqrt(2)
     state = apply_beamsplitter(state, 1, 3, 0.5)
 
@@ -263,4 +262,4 @@ def compose_eb_simulated(scenario: Scenario, g: float | None = None) -> Covarian
     sel[2, 2] = g                   # + g Cx
     sel[3, 5] = 1.0                 # B1 p
     sel[3, 7] = g                   # + g Dp
-    return CovarianceMatrix(sel @ state.cov.entries @ sel.T)
+    return CovarianceMatrix(sel @ state.entries @ sel.T)

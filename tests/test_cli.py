@@ -50,7 +50,9 @@ class TestConfig:
             load_config("/nonexistent/run.cfg", environ={})
 
     def test_effective_lines_round_trip(self, tmp_path):
-        cfg = load_config(overrides=["scenario.v_a=17.5", "mc.seed=99"], environ={})
+        # '%' is literal in a file, as it is in --set
+        cfg = load_config(overrides=["scenario.v_a=17.5", "mc.seed=99",
+                                     "output.path=/tmp/k%.csv"], environ={})
         path = tmp_path / "effective.cfg"
         path.write_text("\n".join(cfg.effective_lines()) + "\n")
         again = load_config(str(path), environ={})
@@ -67,9 +69,28 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "K=" in out and "status=positive" in out
 
-    def test_config_error_is_2(self, capsys):
+    def test_config_error_is_2(self, capsys, tmp_path):
         assert main(["--set", "scenario.bogus=1", "keyrate"]) == 2
         assert "config error" in capsys.readouterr().err
+        # malformed files: no section header, an unclosed header, an option set
+        # twice, a byte that is not UTF-8
+        for i, text in enumerate([b"v_a = 3\n", b"[mc]\nseed = 1\n[scenario\n",
+                                  b"[scenario]\nv_a = 3\nv_a = 4\n", b"[scenario]\nv_a = 3\xff\n"]):
+            path = tmp_path / f"bad{i}.cfg"
+            path.write_bytes(text)
+            assert main(["--config", str(path), "keyrate"]) == 2
+            captured = capsys.readouterr()
+            assert "config error" in captured.err and str(path) in captured.err
+            assert captured.out == ""
+
+    @pytest.mark.parametrize("where", ["--out", "output.path"])
+    def test_unwritable_output_is_2(self, capsys, tmp_path, where):
+        path = tmp_path / "missing" / "x.csv"
+        args = ["--out", str(path)] if where == "--out" else ["--set", f"output.path={path}"]
+        assert main([*args, "keyrate"]) == 2
+        captured = capsys.readouterr()
+        assert "config error" in captured.err and str(path) in captured.err
+        assert captured.out == ""
 
     def test_bad_value_is_2(self, capsys):
         assert main(["--set", "scenario.v_a=-5", "keyrate"]) == 2
@@ -115,6 +136,7 @@ PASS measurement_rescaling_invariance (|dK_max|=5.03e-05) seed=12345 n=100000
         ("scenario.v_b=1", "v_b"),
         ("sweep.l_max_km=1e5", "sweep.l_max_km"),
         ("sweep.l_bc_values_km=0,nan", "sweep.l_bc_values_km"),
+        ("sweep.l_bc_values_km=", "sweep.l_bc_values_km"),
     ])
     def test_non_finite_or_degenerate_input_is_2(self, capsys, override, field):
         assert main(["--set", override, "keyrate"]) == 2

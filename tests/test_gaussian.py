@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvmdi import kernels
+from cvmdi.montecarlo import heterodyne_image
 from cvmdi.gaussian import (
     CovarianceMatrix,
-    GaussianState,
     UnphysicalStateError,
     apply_beamsplitter,
     apply_symplectic,
@@ -27,9 +27,9 @@ from cvmdi.gaussian import (
 )
 
 
-def thermal(v: float) -> GaussianState:
+def thermal(v: float) -> CovarianceMatrix:
     """Single-mode thermal state with quadrature variance v."""
-    return GaussianState(np.zeros(2), CovarianceMatrix(v * np.eye(2)))
+    return CovarianceMatrix(v * np.eye(2))
 
 
 class TestCovarianceMatrix:
@@ -55,28 +55,26 @@ class TestCovarianceMatrix:
     def test_block_and_reduced(self):
         s = tms_state(3.0)
         c = math.sqrt(8.0)
-        assert np.allclose(s.cov.block(0, 1), np.diag([c, -c]))
-        red = s.cov.reduced([1])
+        assert np.allclose(s.block(0, 1), np.diag([c, -c]))
+        red = s.reduced([1])
         assert np.allclose(red.entries, 3.0 * np.eye(2))
 
     def test_physicality(self):
-        assert tms_state(5.0).cov.is_physical()
+        assert tms_state(5.0).is_physical()
         assert not CovarianceMatrix(0.5 * np.eye(2)).is_physical()
 
 
 class TestStatesAndMaps:
     def test_vacuum(self):
-        s = vacuum_state(2)
-        assert np.allclose(s.cov.entries, np.eye(4))
-        assert np.allclose(s.mean, 0.0)
+        assert np.allclose(vacuum_state(2).entries, np.eye(4))
 
     def test_tms_is_the_block_form(self):
         for v in (1.0, 3.0, 40.0):
             expected = block_cm(v, v, math.sqrt(v * v - 1.0)).entries
-            assert np.array_equal(tms_state(v).cov.entries, expected)
+            assert np.array_equal(tms_state(v).entries, expected)
 
     def test_tms_is_pure(self):
-        nus = symplectic_eigenvalues(tms_state(7.0).cov)
+        nus = symplectic_eigenvalues(tms_state(7.0))
         assert np.allclose(nus, 1.0, atol=1e-12)
 
     def test_tms_rejects_subunit_variance(self):
@@ -85,7 +83,7 @@ class TestStatesAndMaps:
 
     def test_tensor_block_diagonal(self):
         s = tensor(thermal(2.0), thermal(3.0))
-        assert np.allclose(s.cov.entries, np.diag([2.0, 2.0, 3.0, 3.0]))
+        assert np.allclose(s.entries, np.diag([2.0, 2.0, 3.0, 3.0]))
 
     def test_beamsplitter_is_symplectic(self):
         s = beamsplitter_matrix(3, 0, 2, 0.3)
@@ -93,30 +91,28 @@ class TestStatesAndMaps:
         assert np.allclose(s @ omega @ s.T, omega, atol=1e-12)
 
     def test_balanced_beamsplitter_convention(self):
-        # C = (A - B)/sqrt(2), D = (A + B)/sqrt(2) on the mean vector
-        state = GaussianState(np.array([1.0, 0.0, 3.0, 0.0]), CovarianceMatrix(np.eye(4)))
-        out = apply_beamsplitter(state, 0, 1, 0.5)
-        assert out.mean[0] == pytest.approx((1.0 - 3.0) / math.sqrt(2.0))
-        assert out.mean[2] == pytest.approx((1.0 + 3.0) / math.sqrt(2.0))
+        # C = (A - B)/sqrt(2), D = (A + B)/sqrt(2) on a quadrature vector
+        out = beamsplitter_matrix(2, 0, 1, 0.5) @ np.array([1.0, 0.0, 3.0, 0.0])
+        assert out[0] == pytest.approx((1.0 - 3.0) / math.sqrt(2.0))
+        assert out[2] == pytest.approx((1.0 + 3.0) / math.sqrt(2.0))
 
     def test_lossy_beamsplitter_thermalizes(self):
         # vacuum mixed into a thermal state: V -> eta V + (1 - eta)
         s = tensor(thermal(9.0), vacuum_state(1))
         out = apply_beamsplitter(s, 0, 1, 0.6)
-        assert out.cov.block(0, 0)[0, 0] == pytest.approx(0.6 * 9.0 + 0.4)
+        assert out.block(0, 0)[0, 0] == pytest.approx(0.6 * 9.0 + 0.4)
 
 
 class TestConditioning:
     def test_heterodyne_tms_closed_form(self):
         v = 6.0
-        state = tms_state(v)
-        remaining, outcome = heterodyne_condition(state, 1)
+        remaining = heterodyne_condition(tms_state(v), 1)
         # V - (V^2 - 1)/(V + 1) = 1: heterodyning one arm purifies the other
-        assert np.allclose(remaining.cov.entries, np.eye(2), atol=1e-12)
-        assert np.allclose(outcome.cov, (v + 1.0) / 2.0 * np.eye(2), atol=1e-12)
+        assert np.allclose(remaining.entries, np.eye(2), atol=1e-12)
 
     def test_heterodyne_response_matches_regression(self, rng):
-        """Monte Carlo oracle: conditional response and residual covariance."""
+        """Monte Carlo oracle: outcome covariance, and residual covariance
+        after regressing the kept mode on the outcome."""
         v = 4.0
         n = 400_000
         c = math.sqrt(v * v - 1.0)
@@ -129,12 +125,13 @@ class TestConditioning:
                              (p[:, 1] - vac[:, 1]) / math.sqrt(2.0)])
         kept = np.column_stack([x[:, 0], p[:, 0]])
 
-        remaining, outcome = heterodyne_condition(tms_state(v), 1)
+        # the outcome covariance (V + 1)/2 per quadrature
+        assert np.allclose(np.cov(y, rowvar=False), heterodyne_image(v, v, c)[2:, 2:], atol=0.05)
+        remaining = heterodyne_condition(tms_state(v), 1)
         slope = np.linalg.lstsq(y, kept, rcond=None)[0].T
-        assert np.allclose(slope, outcome.response, atol=0.02)
-        resid = kept - y @ outcome.response.T
+        resid = kept - y @ slope.T
         emp = np.cov(resid, rowvar=False)
-        assert np.allclose(emp, remaining.cov.entries, atol=0.05)
+        assert np.allclose(emp, remaining.entries, atol=0.05)
 
     def test_conditioning_requires_two_modes(self):
         with pytest.raises(ValueError):
@@ -160,7 +157,7 @@ class TestSpectraAndEntropy:
 
     def test_thermal_entropy_value(self):
         # g(3) = 2 log2(2) - 1 log2(1) = 2
-        assert von_neumann_entropy(thermal(3.0).cov) == pytest.approx(2.0)
+        assert von_neumann_entropy(thermal(3.0)) == pytest.approx(2.0)
 
     def test_entropy_g_boundary(self):
         assert entropy_g(1.0) == 0.0
@@ -168,7 +165,7 @@ class TestSpectraAndEntropy:
             entropy_g(0.5)
 
     def test_pure_state_entropy_zero(self):
-        assert von_neumann_entropy(tms_state(20.0).cov) == pytest.approx(0.0, abs=1e-9)
+        assert von_neumann_entropy(tms_state(20.0)) == pytest.approx(0.0, abs=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
@@ -176,7 +173,7 @@ class TestSpectraAndEntropy:
 def test_property_beamsplitter_preserves_physicality(v, tau):
     s = tensor(tms_state(v), vacuum_state(1))
     out = apply_beamsplitter(s, 1, 2, tau)
-    assert out.cov.is_physical()
+    assert out.is_physical()
 
 
 @settings(max_examples=60, deadline=None)
@@ -191,8 +188,8 @@ def test_property_symplectic_spectrum_invariant(v, tau, seed):
     for m, t in enumerate(th):
         rot[2 * m:2 * m + 2, 2 * m:2 * m + 2] = [[np.cos(t), np.sin(t)],
                                                  [-np.sin(t), np.cos(t)]]
-    before = symplectic_eigenvalues(state.cov)
-    after = symplectic_eigenvalues(apply_symplectic(state, rot @ s).cov)
+    before = symplectic_eigenvalues(state)
+    after = symplectic_eigenvalues(apply_symplectic(state, rot @ s))
     assert np.allclose(before, after, atol=1e-9)
 
 

@@ -6,19 +6,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cvmdi.gaussian import CovarianceMatrix, block_cm
+from cvmdi import kernels
+from cvmdi.gaussian import block_cm
 from cvmdi.keyrate import (
     analytic_k,
-    block_form_params,
     default_k_grid,
-    holevo_bound_reverse,
     holevo_bound_reverse_generic,
     key_rate_at,
     key_rate_vs_k,
     max_distance_asymmetric,
     max_total_distance_symmetric,
     min_detector_efficiency,
-    mutual_information,
     mutual_information_generic,
     optimize_k_detection_scheme,
     scenario_block_params,
@@ -30,42 +28,24 @@ from cvmdi.protocol import compose_eb_analytic, gain_from_k, optimal_gain
 from conftest import make_scenario, random_scenario
 
 
-class TestBlockForm:
-    def test_extracts_params(self):
-        assert block_form_params(block_cm(5.0, 3.0, 2.0)) == (5.0, 3.0, 2.0)
-        m = block_cm(5.0, 3.0, 2.0).entries
-        assert m[0, 2] == -m[1, 3] == 2.0 and m[0, 1] == m[0, 3] == 0.0
-
-    def test_rejects_non_block_form(self):
-        m = block_cm(5.0, 3.0, 2.0).entries.copy()
-        m[0, 1] = m[1, 0] = 0.5
-        with pytest.raises(ValueError):
-            block_form_params(CovarianceMatrix(m))
-
-    def test_rejects_wrong_size(self):
-        with pytest.raises(ValueError):
-            block_form_params(CovarianceMatrix(np.eye(2)))
-
-
 class TestMutualInformation:
     def test_known_value(self):
         # a = b = 40, c = sqrt(1599): maximally correlated two-mode block
         a = b = 40.0
         c = math.sqrt(a * a - 1.0)
         expected = math.log2((a + 1.0) / (a + 1.0 - c * c / (b + 1.0)))
-        assert mutual_information(block_cm(a, b, c)) == pytest.approx(expected)
+        assert kernels.block_mutual_information(a, b, c) == pytest.approx(expected)
         assert expected == pytest.approx(math.log2(41.0 / (41.0 - 1599.0 / 41.0)))
 
     def test_uncorrelated_is_zero(self):
-        assert mutual_information(block_cm(5.0, 5.0, 0.0)) == pytest.approx(0.0)
+        assert kernels.block_mutual_information(5.0, 5.0, 0.0) == pytest.approx(0.0)
 
     def test_matches_generic_determinant_form(self, rng):
         for _ in range(200):
             a, b = rng.uniform(1.0, 80.0, 2)
             c = rng.uniform(0.0, 0.99) * math.sqrt((a * a - 1.0) * (b * b - 1.0)) ** 0.5
-            cm = block_cm(a, b, c)
-            assert mutual_information(cm) == pytest.approx(
-                mutual_information_generic(cm), abs=1e-10)
+            assert kernels.block_mutual_information(a, b, c) == pytest.approx(
+                mutual_information_generic(block_cm(a, b, c)), abs=1e-10)
 
 
 class TestHolevoBound:
@@ -73,13 +53,13 @@ class TestHolevoBound:
         """Closed-form spectrum vs explicit conditioning, to 1e-10."""
         for _ in range(100):
             s = random_scenario(rng)
-            cm = compose_eb_analytic(s)
-            assert holevo_bound_reverse(cm) == pytest.approx(
-                holevo_bound_reverse_generic(cm), abs=1e-10)
+            a, b, c = scenario_block_params(s)
+            assert kernels.block_holevo_reverse(a, b, c) == pytest.approx(
+                holevo_bound_reverse_generic(compose_eb_analytic(s)), abs=1e-10)
 
     def test_pure_loss_has_positive_bound(self):
         s = make_scenario(20.0, 0.0, eps=0.0)
-        assert holevo_bound_reverse(compose_eb_analytic(s)) > 0.0
+        assert kernels.block_holevo_reverse(*scenario_block_params(s)) > 0.0
 
 
 class TestSecretKeyRate:
@@ -112,8 +92,8 @@ class TestSecretKeyRate:
         for _ in range(50):
             s = random_scenario(rng)
             a, b, c = scenario_block_params(s)
-            aa, bb, cc = block_form_params(compose_eb_analytic(s))
-            assert (a, b, c) == pytest.approx((aa, bb, cc), abs=1e-12)
+            assert np.allclose(block_cm(a, b, c).entries, compose_eb_analytic(s).entries,
+                               rtol=0.0, atol=1e-12)
 
 
 class TestDistanceSearch:
@@ -161,6 +141,8 @@ class TestSweeps:
             sweep_symmetric(make_scenario(), [])
         with pytest.raises(ValueError):
             sweep_symmetric(make_scenario(), [-1.0])
+        with pytest.raises(ValueError):
+            sweep_asymmetric(make_scenario(), [0.0, 1.0], [])
 
 
 class TestDetectionSchemeOptimizer:

@@ -1,4 +1,4 @@
-"""Lint: every imported name is used.
+"""Lint: every imported name is used, and the package keeps its layering.
 
 A module of `src/cvmdi` or of `tests/` that imports a name must reference it.
 The package's `__init__.py` is exempt: its imports are its exports.
@@ -30,3 +30,35 @@ def test_no_unused_imports():
     modules += sorted((ROOT / "tests").glob("*.py"))
     unused = {str(p.relative_to(ROOT)): unused_imports(p.read_text()) for p in modules}
     assert {path: names for path, names in unused.items() if names} == {}
+
+
+def package_imports(source: str) -> set[str]:
+    """Modules of the `cvmdi` package that a module imports, relative or absolute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            # inside the package, `from .x import y` imports cvmdi.x
+            base = node.module or ""
+            if node.level:
+                base = f"cvmdi.{base}" if base else "cvmdi"
+            names = [f"{base}.{alias.name}" for alias in node.names] if base == "cvmdi" else [base]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found.update(name.split(".")[1] for name in names if name.startswith("cvmdi."))
+    return found
+
+
+def test_layering():
+    """The generic path (`gaussian`) sits behind `protocol` and `keyrate`; the
+    Monte Carlo layer works on (a, b, c) from `protocol` and `kernels` alone."""
+    assert package_imports("from . import kernels as k\nfrom .protocol import x\n"
+                           "from cvmdi.gaussian import y\nimport cvmdi.oracle\n"
+                           "from cvmdi import keyrate\n") == {
+        "kernels", "protocol", "gaussian", "oracle", "keyrate"}
+    imports = {p.stem: package_imports(p.read_text())
+               for p in (ROOT / "src" / "cvmdi").glob("*.py")}
+    assert {m for m, names in imports.items() if "gaussian" in names} == {
+        "__init__", "keyrate", "protocol"}
+    assert imports["montecarlo"] == {"kernels", "protocol"}

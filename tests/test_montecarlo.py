@@ -9,10 +9,9 @@ import pytest
 
 from cvmdi import ChannelParams, Scenario, kernels
 from cvmdi import montecarlo as mc
-from cvmdi.keyrate import analytic_k, secret_key_rate
+from cvmdi.keyrate import analytic_k, scenario_block_params, secret_key_rate
 from cvmdi.oracle import run_oracle_suites
 from cvmdi.protocol import (
-    compose_eb_analytic,
     effective_transmittance,
     equivalent_excess_noise,
     gain_from_k,
@@ -70,7 +69,7 @@ class TestReproducibility:
 
 class TestCovarianceOracle:
     def test_final_data_matches_analytic_image(self, scenario, eb_moments):
-        predicted = mc.heterodyne_image(compose_eb_analytic(scenario))
+        predicted = mc.heterodyne_image(*scenario_block_params(scenario))
         z = mc.covariance_z_scores(
             mc.batch_outcome_covariance(eb_moments), predicted, N_FAST)
         assert np.max(np.abs(z)) < 4.0
@@ -102,13 +101,13 @@ class TestCovarianceOracle:
                      channel_a=ChannelParams(5.0, 0.2, 0.01),
                      channel_b=ChannelParams(0.0, 0.2, 0.2))
         moments = mc.Moments.of(mc.simulate_eb(s, None, N_FAST, SEED))
-        predicted = mc.heterodyne_image(compose_eb_analytic(s))
+        predicted = mc.heterodyne_image(*scenario_block_params(s))
         z = mc.covariance_z_scores(
             mc.batch_outcome_covariance(moments), predicted, N_FAST)
         assert np.max(np.abs(z)) < 4.0
 
     def test_wrong_prediction_is_rejected(self, scenario, eb_moments):
-        predicted = mc.heterodyne_image(compose_eb_analytic(scenario)) * 1.05
+        predicted = mc.heterodyne_image(*scenario_block_params(scenario)) * 1.05
         z = mc.covariance_z_scores(
             mc.batch_outcome_covariance(eb_moments), predicted, N_FAST)
         assert np.max(np.abs(z)) > 10.0
