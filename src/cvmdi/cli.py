@@ -8,6 +8,7 @@ shortest round-trip decimal formatting.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -15,6 +16,7 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
 from .keyrate import (
+    MAX_DISTANCE_CAP_KM,
     max_distance_detection_scheme,
     optimize_k_detection_scheme,
     secret_key_rate,
@@ -60,46 +62,32 @@ def cmd_keyrate(cfg: RunConfig, out: str | None) -> int:
         _write_csv(out, cfg, ["K_bits_per_use", "I_AB_bits", "chi_BE_bits", "g", "status"],
                    [(point.k, point.i_ab, point.chi_be, point.g_used, status)])
     print(f"K={point.k!r} I_AB={point.i_ab!r} chi_BE={point.chi_be!r} "
-          f"g={point.g_used!r} gain={point.gain_provenance} status={status}")
+          f"g={point.g_used!r} gain={point.scenario.gain_mode} status={status}")
     return 0
 
 
-def _sweep_rows(result) -> list[tuple]:
-    rows = []
-    for curve in result.curves:
-        for axis, point in zip(curve.axis_km, curve.points):
-            rows.append((float(axis), point.k, curve.label))
-        rows.append((curve.max_distance_km, "", f"{curve.label}:max_distance"))
-    return rows
+def _endpoint(km: float, label: str) -> float:
+    """A range endpoint of the configured scenario: `inf`, beyond the search cap, exits 2."""
+    if math.isinf(km):
+        raise ConfigError(f"{label}: the key rate is still positive at the "
+                          f"{MAX_DISTANCE_CAP_KM:g} km per-leg search cap, so the range endpoint "
+                          f"lies beyond it; a larger scenario.attenuation_db_per_km shortens it")
+    return km
+
+
+def _curve_rows(curve, label: str, end: str, bounded: bool = True) -> list[tuple]:
+    """The curve's grid rows under `label`, then its endpoint row `label:end`."""
+    rows = [(float(axis), point.k, label) for axis, point in zip(curve.axis_km, curve.points)]
+    km = _endpoint(curve.max_distance_km, label) if bounded else curve.max_distance_km
+    return rows + [(km, "", f"{label}:{end}")]
 
 
 def cmd_figure(cfg: RunConfig, figure: str, out: str | None) -> int:
     scenario = cfg.scenario()
-    if figure == "fig4":
-        legs = _grid(cfg) / 2.0
-        rows = []
-        for label, scn in (
-            ("practical", scenario),
-            ("ideal", _idealized(scenario)),
-        ):
-            (curve,) = sweep_symmetric(scn, legs).curves
-            rows.extend((float(a), p.k, label) for a, p in zip(curve.axis_km, curve.points))
-            rows.append((curve.max_distance_km, "", f"{label}:max_total_distance"))
-        _write_csv(out, cfg, ["axis_km", "K_bits_per_use", "curve_label"], rows)
-        return 0
-    if figure == "fig5b":
-        rows = []
-        for label, scn in (
-            ("practical", scenario),
-            ("ideal", _idealized(scenario)),
-        ):
-            res = sweep_asymmetric(scn, _grid(cfg), cfg.l_bc_values())
-            for a, k, lab in _sweep_rows(res):
-                rows.append((a, k, f"{label}:{lab}"))
-        _write_csv(out, cfg, ["axis_km", "K_bits_per_use", "curve_label"], rows)
-        return 0
+    header = ["axis_km", "K_bits_per_use", "curve_label"]
+    rows = []
     if figure == "fig6":
-        rows = []
+        header.append("k_opt")
         for beta in (1.0, 0.95):
             scn = replace(scenario, beta_r=beta)
             label = f"beta={beta:g}"
@@ -108,10 +96,19 @@ def cmd_figure(cfg: RunConfig, figure: str, out: str | None) -> int:
                 k_opt, k_max = optimize_k_detection_scheme(s)
                 rows.append((float(l_ab), k_max, label, k_opt))
             endpoint = max_distance_detection_scheme(scn.with_lengths(0.0, 0.0))
-            rows.append((endpoint, "", f"{label}:max_distance", ""))
-        _write_csv(out, cfg, ["axis_km", "K_bits_per_use", "curve_label", "k_opt"], rows)
-        return 0
-    raise ConfigError(f"unknown figure id {figure!r}")
+            rows.append((_endpoint(endpoint, label), "", f"{label}:max_distance", ""))
+    else:
+        # the ideal reference's range can be unbounded (ideal:l_bc=0km): it keeps inf
+        for label, scn in (("practical", scenario), ("ideal", _idealized(scenario))):
+            bounded = scn is scenario
+            if figure == "fig4":
+                (curve,) = sweep_symmetric(scn, _grid(cfg) / 2.0).curves
+                rows += _curve_rows(curve, label, "max_total_distance", bounded)
+            else:
+                for curve in sweep_asymmetric(scn, _grid(cfg), cfg.l_bc_values()).curves:
+                    rows += _curve_rows(curve, f"{label}:{curve.label}", "max_distance", bounded)
+    _write_csv(out, cfg, header, rows)
+    return 0
 
 
 def _idealized(scenario):
@@ -127,11 +124,10 @@ def cmd_sweep(cfg: RunConfig, mode: str, out: str | None) -> int:
     scenario = cfg.scenario()
     if mode == "symmetric":
         result = sweep_symmetric(scenario, _grid(cfg) / 2.0)
-    elif mode == "asymmetric":
-        result = sweep_asymmetric(scenario, _grid(cfg), cfg.l_bc_values())
     else:
-        raise ConfigError(f"unknown sweep mode {mode!r}")
-    _write_csv(out, cfg, ["axis_km", "K_bits_per_use", "curve_label"], _sweep_rows(result))
+        result = sweep_asymmetric(scenario, _grid(cfg), cfg.l_bc_values())
+    rows = [row for c in result.curves for row in _curve_rows(c, c.label, "max_distance")]
+    _write_csv(out, cfg, ["axis_km", "K_bits_per_use", "curve_label"], rows)
     return 0
 
 
@@ -184,9 +180,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_figure(cfg, args.figure_id, out)
         if args.command == "sweep":
             return cmd_sweep(cfg, args.mode, out)
-        if args.command == "oracle":
-            return cmd_oracle(cfg, args.negative_control)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_oracle(cfg, args.negative_control)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

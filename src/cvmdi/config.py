@@ -16,24 +16,7 @@ from .protocol import ChannelParams, DetectorParams, Scenario
 
 ENV_PREFIX = "CVMDI_"
 
-_SCHEMA = {
-    "scenario": {
-        "v_a": float, "v_b": float,
-        "l_ac_km": float, "l_bc_km": float,
-        "attenuation_db_per_km": float,
-        "eps_a": float, "eps_b": float,
-        "beta_r": float,
-        "eta_d": float, "v_el": float,
-        "gain_mode": str, "gain": float,
-    },
-    "sweep": {
-        "l_min_km": float, "l_max_km": float, "points": int,
-        "l_bc_values_km": str,
-    },
-    "mc": {"n": int, "seed": int},
-    "output": {"path": str},
-}
-
+# the one table of keys: a key's type is its default's (float for a None default)
 _DEFAULTS = {
     "scenario": {
         "v_a": 40.0, "v_b": 40.0,
@@ -89,7 +72,7 @@ class RunConfig:
     def effective_lines(self) -> list[str]:
         """Config block that re-parses to an equivalent RunConfig."""
         lines = []
-        for section in _SCHEMA:
+        for section in _DEFAULTS:
             lines.append(f"[{section}]")
             for key, val in self.values[section].items():
                 if val is None:
@@ -108,11 +91,12 @@ def _build(cls, scenario: dict, *keys: str):
 
 
 def _convert(section: str, key: str, raw, where: str):
-    if section not in _SCHEMA:
+    if section not in _DEFAULTS:
         raise ConfigError(f"unknown section [{section}] ({where})")
-    if key not in _SCHEMA[section]:
+    if key not in _DEFAULTS[section]:
         raise ConfigError(f"unknown key {section}.{key} ({where})")
-    typ = _SCHEMA[section][key]
+    default = _DEFAULTS[section][key]
+    typ = float if default is None else type(default)
     value = raw
     if not isinstance(raw, typ):
         try:
@@ -132,11 +116,14 @@ def load_config(path: str | None = None, overrides: list[str] | None = None,
         # no interpolation: '%' is literal, as it is for --set and effective_lines()
         parser = configparser.ConfigParser(interpolation=None)
         try:
-            read = parser.read(path)
+            with open(path) as fh:
+                parser.read_file(fh, source=path)
+        except FileNotFoundError as exc:
+            raise ConfigError(f"config file not found: {path}") from exc
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
         except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"malformed config file {path}: {' '.join(str(exc).split())}") from exc
-        if not read:
-            raise ConfigError(f"config file not found: {path}")
         for section in parser.sections():
             for key, raw in parser.items(section):
                 # RHS raises ConfigError for unknown sections/keys
@@ -147,7 +134,7 @@ def load_config(path: str | None = None, overrides: list[str] | None = None,
         if not name.startswith(ENV_PREFIX):
             continue
         rest = name[len(ENV_PREFIX):].lower()
-        for section in _SCHEMA:
+        for section in _DEFAULTS:
             if rest.startswith(section + "_"):
                 key = rest[len(section) + 1:]
                 values[section][key] = _convert(section, key, raw, f"env {name}")

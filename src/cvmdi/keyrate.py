@@ -36,7 +36,6 @@ class KeyRatePoint:
     i_ab: float
     chi_be: float
     k: float
-    gain_provenance: str = "optimal"
 
     @property
     def positive(self) -> bool:
@@ -95,7 +94,6 @@ def secret_key_rate(scenario: Scenario) -> KeyRatePoint:
         i_ab=i_ab,
         chi_be=chi,
         k=scenario.beta_r * i_ab - chi,
-        gain_provenance=scenario.gain_mode,
     )
 
 

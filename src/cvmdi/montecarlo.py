@@ -42,9 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .protocol import Scenario, k_from_gain, optimal_gain
-
-_SQRT2 = math.sqrt(2.0)
+from .protocol import _SQRT2, Scenario, k_from_gain, optimal_gain
 
 # rows per chunk: a batch is drawn, and reduced to moments, this many rows at
 # a time
@@ -243,12 +241,11 @@ class Moments:
     """Second moments of a batch's base columns x_a, p_a, x_b, p_b, x_c, p_d,
     per estimation block: row count, column sums and Gram matrix sum(v v^T).
 
-    scheme, seed, v_a, v_b and coeff are those of the batch; coeff sets the
-    linear map from base to final columns.
+    scheme, v_a, v_b and coeff are those of the batch; coeff sets the linear
+    map from base to final columns.
     """
 
     scheme: str
-    seed: int
     v_a: float
     v_b: float
     coeff: float
@@ -265,7 +262,7 @@ class Moments:
         """Moments of a whole batch, reduced CHUNK_ROWS rows at a time."""
         runs = ((lo, [getattr(batch, c)[lo:lo + CHUNK_ROWS] for c in _BASE])
                 for lo in range(0, batch.n, CHUNK_ROWS))
-        return cls(batch.scheme, batch.seed, batch.v_a, batch.v_b, batch.coeff,
+        return cls(batch.scheme, batch.v_a, batch.v_b, batch.coeff,
                    *_block_sums(batch.n, runs))
 
     def covariance(self, block: int | None = None) -> np.ndarray:
@@ -333,7 +330,7 @@ def sample_moments(scenario: Scenario, scheme: str, coeff: float, n: int,
             part = simulate(scenario, coeff, min(CHUNK_ROWS, n - lo), seed, chunk=lo // CHUNK_ROWS)
             yield lo, [getattr(part, c) for c in _BASE]
 
-    return Moments(scheme, seed, scenario.v_a, scenario.v_b, coeff,
+    return Moments(scheme, scenario.v_a, scenario.v_b, coeff,
                    *_block_sums(n, runs()))
 
 
@@ -371,49 +368,30 @@ def heterodyne_image(a: float, b: float, c: float) -> np.ndarray:
     ])
 
 
+def _entry_se(cov: np.ndarray, n) -> np.ndarray:
+    """Standard error of each entry of the sample covariance of n Gaussian
+    samples whose true covariance is cov: sqrt((C_ii C_jj + C_ij^2) / n)."""
+    var = np.outer(np.diag(cov), np.diag(cov)) + cov**2
+    return np.sqrt(var / n)
+
+
 def covariance_z_scores(emp_cov: np.ndarray, predicted: np.ndarray, n: int) -> np.ndarray:
-    """Entrywise z-scores of an empirical covariance against a prediction.
-
-    Standard error of a Gaussian sample covariance entry:
-    sqrt((C_ii C_jj + C_ij^2) / N), evaluated at the prediction.
-    """
-    var = np.outer(np.diag(predicted), np.diag(predicted)) + predicted**2
-    return (emp_cov - predicted) / np.sqrt(var / n)
+    """Entrywise z-scores of an empirical covariance against a prediction,
+    with the standard error evaluated at the prediction."""
+    return (emp_cov - predicted) / _entry_se(predicted, n)
 
 
-def batch_outcome_covariance(m: Moments) -> np.ndarray:
-    """Empirical 4x4 covariance of the final (X_A, P_A, X_B, P_B) data."""
-    return m.final_covariance()[:4, :4]
-
-
-# |z| at or above which a Monte Carlo comparison fails
-Z_LIMIT = 4.0
-
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    k_used: float
-    g_used: float
-    z_scores: np.ndarray
-    max_abs_z: float
-    passed: bool
-
-
-def equivalence_report(eb: Moments, pm: Moments) -> EquivalenceReport:
-    """Compare a PM batch's 6x6 covariance with that of an independent EB
-    batch of the same size, mapped to modulation units by `bridge_matrix`.
-    The EB batch's coeff is the gain g."""
+def equivalence_z_scores(eb: Moments, pm: Moments) -> np.ndarray:
+    """Entrywise z-scores of a PM batch's 6x6 final covariance against that of
+    an independent, equally large EB batch mapped by `bridge_matrix`. Two
+    independent n-sample estimates differ with the standard error of one
+    n/2-sample estimate, evaluated at their mean."""
     if (eb.scheme, pm.scheme) != ("EB", "PM"):
         raise ValueError("equivalence compares an EB batch with a PM batch")
     s = bridge_matrix(eb.v_a, eb.v_b)
     cov_eb = s @ eb.final_covariance() @ s
     cov_pm = pm.final_covariance()
-    mid = 0.5 * (cov_eb + cov_pm)
-    var = (np.outer(np.diag(mid), np.diag(mid)) + mid**2) / pm.n
-    z = (cov_pm - cov_eb) / np.sqrt(2.0 * var)  # two independent estimates
-    max_z = float(np.max(np.abs(z)))
-    return EquivalenceReport(k_used=float(pm.coeff), g_used=float(eb.coeff), z_scores=z,
-                             max_abs_z=max_z, passed=max_z < Z_LIMIT)
+    return (cov_pm - cov_eb) / _entry_se(0.5 * (cov_eb + cov_pm), pm.n / 2)
 
 
 # smallest batch `estimate_params` accepts; `load_config` holds mc.n to it

@@ -105,6 +105,9 @@ class Scenario:
         if self.gain_mode == "fixed":
             if self.gain is None or self.gain <= 0:
                 raise ValueError("fixed gain_mode requires gain > 0")
+        elif self.gain is not None:
+            raise ValueError(f"scenario.gain = {self.gain} has no effect under gain_mode "
+                             f"'optimal'; set gain_mode to 'fixed' to use it")
 
     def with_lengths(self, l_ac_km: float, l_bc_km: float) -> "Scenario":
         a, b = self.channel_a, self.channel_b

@@ -23,6 +23,7 @@ from cvmdi.keyrate import (
     scenario_block_params,
     secret_key_rate,
 )
+from cvmdi.oracle import Z_LIMIT
 from cvmdi.protocol import (
     compose_eb_analytic,
     compose_eb_simulated,
@@ -164,7 +165,7 @@ def test_criterion_07_monte_carlo_oracle():
     s = make_scenario(5.0, 2.0)
     moments = mc.Moments.of(mc.simulate_eb(s, None, N_MC, SEED))
     predicted = mc.heterodyne_image(*scenario_block_params(s))
-    z = mc.covariance_z_scores(mc.batch_outcome_covariance(moments), predicted, N_MC)
+    z = mc.covariance_z_scores(moments.final_covariance()[:4, :4], predicted, N_MC)
     zmax = float(np.max(np.abs(z)))
     est = mc.estimate_params(moments)
     zt = abs(est.t_hat - effective_transmittance(s)) / est.t_se
@@ -181,14 +182,18 @@ def test_criterion_08_pm_eb_equivalence():
     g = optimal_gain(s)
     eb = mc.sample_moments(s, "EB", g, N_MC, SEED)
     k = k_from_gain(g, s.v_b)
-    report_ok = mc.equivalence_report(eb, mc.sample_moments(s, "PM", k, N_MC, SEED + 1))
-    report_bad = mc.equivalence_report(eb, mc.sample_moments(s, "PM", 2.0 * k, N_MC, SEED + 1))
-    ok = report_ok.passed and not report_bad.passed
-    report(8, ok, f"picture equivalence at N=1e6: max|z|={report_ok.max_abs_z:.2f} "
-                  f"(expected < 4); 2x-k negative control max|z|={report_bad.max_abs_z:.1f} "
+
+    def max_abs_z(k_pm):
+        pm = mc.sample_moments(s, "PM", k_pm, N_MC, SEED + 1)
+        return float(np.max(np.abs(mc.equivalence_z_scores(eb, pm))))
+
+    z_ok, z_bad = max_abs_z(k), max_abs_z(2.0 * k)
+    ok = z_ok < Z_LIMIT <= z_bad
+    report(8, ok, f"picture equivalence at N=1e6: max|z|={z_ok:.2f} "
+                  f"(expected < 4); 2x-k negative control max|z|={z_bad:.1f} "
                   f"(expected >= 4)")
-    assert report_ok.passed
-    assert not report_bad.passed
+    assert z_ok < Z_LIMIT
+    assert z_bad >= Z_LIMIT
 
 
 def test_criterion_09_measurement_rescaling_invariance():

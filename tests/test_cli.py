@@ -3,10 +3,48 @@
 import pytest
 
 from cvmdi.cli import main
-from cvmdi.config import ConfigError, load_config
+from cvmdi.config import _DEFAULTS, ConfigError, load_config
+
+# two valid values for every key of the config table, as text. A gain is
+# valid only under gain_mode = fixed, and fixed needs a gain, so the file that
+# sets one of the two also sets the other (CONTEXT).
+VALUES = {
+    "scenario.v_a": ("20", "25"), "scenario.v_b": ("30", "35"),
+    "scenario.l_ac_km": ("3", "4.5"), "scenario.l_bc_km": ("1", "2"),
+    "scenario.attenuation_db_per_km": ("0.3", "0.25"),
+    "scenario.eps_a": ("0.01", "0.02"), "scenario.eps_b": ("0.03", "0.04"),
+    "scenario.beta_r": ("0.9", "0.95"),
+    "scenario.eta_d": ("0.9", "0.8"), "scenario.v_el": ("0.01", "0.05"),
+    "scenario.gain_mode": ("fixed", "fixed"), "scenario.gain": ("2.5", "0.75"),
+    "sweep.l_min_km": ("1", "2"), "sweep.l_max_km": ("5", "8"), "sweep.points": ("3", "4"),
+    "sweep.l_bc_values_km": ("2", "0,4"),
+    "mc.n": ("2000", "3000"), "mc.seed": ("7", "8"),
+    "output.path": ("a.csv", "b.csv"),
+}
+CONTEXT = {"scenario.gain_mode": "gain = 1.5", "scenario.gain": "gain_mode = fixed"}
+
+
+def write_config(tmp_path, name: str, text: str) -> str:
+    """A config file setting section.key (name) to text, with its CONTEXT."""
+    section, key = name.split(".")
+    path = tmp_path / "run.cfg"
+    path.write_text(f"[{section}]\n{key} = {text}\n{CONTEXT.get(name, '')}\n")
+    return str(path)
+
+
+def assert_reads(cfg, name: str, text: str):
+    """cfg holds text at section.key (name), with the type of the key's default."""
+    section, key = name.split(".")
+    default = _DEFAULTS[section][key]
+    typ = float if default is None else type(default)
+    value = cfg[section][key]
+    assert type(value) is typ and value == typ(text)
 
 
 class TestConfig:
+    def test_values_cover_the_table(self):
+        assert set(VALUES) == {f"{sec}.{key}" for sec, keys in _DEFAULTS.items() for key in keys}
+
     def test_defaults(self):
         cfg = load_config(environ={})
         assert cfg["scenario"]["v_a"] == 40.0
@@ -14,16 +52,20 @@ class TestConfig:
         s = cfg.scenario()
         assert s.channel_a.excess_noise == 0.002
 
-    def test_file_and_override_precedence(self, tmp_path):
-        f = tmp_path / "run.cfg"
-        f.write_text("[scenario]\nv_a = 20\nl_ac_km = 3\n")
-        cfg = load_config(str(f), ["scenario.v_a=25"], environ={})
-        assert cfg["scenario"]["v_a"] == 25.0
-        assert cfg["scenario"]["l_ac_km"] == 3.0
+    @pytest.mark.parametrize("name", sorted(VALUES))
+    def test_file_and_override_precedence(self, tmp_path, name):
+        first, second = VALUES[name]
+        path = write_config(tmp_path, name, first)
+        assert_reads(load_config(path, environ={}), name, first)
+        assert_reads(load_config(path, [f"{name}={second}"], environ={}), name, second)
 
-    def test_environment_override(self):
-        cfg = load_config(environ={"CVMDI_SCENARIO_BETA_R": "0.9"})
-        assert cfg["scenario"]["beta_r"] == 0.9
+    @pytest.mark.parametrize("name", sorted(VALUES))
+    def test_environment_override(self, tmp_path, name):
+        first, second = VALUES[name]
+        path = write_config(tmp_path, name, first)
+        env = {"CVMDI_" + name.replace(".", "_").upper(): second}
+        assert_reads(load_config(path, environ=env), name, second)
+        assert_reads(load_config(path, [f"{name}={first}"], environ=env), name, first)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -48,6 +90,10 @@ class TestConfig:
     def test_missing_file_rejected(self):
         with pytest.raises(ConfigError, match="not found"):
             load_config("/nonexistent/run.cfg", environ={})
+
+    def test_directory_rejected_with_its_cause(self, tmp_path):
+        with pytest.raises(ConfigError, match="Is a directory"):
+            load_config(str(tmp_path), environ={})
 
     def test_effective_lines_round_trip(self, tmp_path):
         # '%' is literal in a file, as it is in --set
@@ -137,12 +183,29 @@ PASS measurement_rescaling_invariance (|dK_max|=5.03e-05) seed=12345 n=100000
         ("sweep.l_max_km=1e5", "sweep.l_max_km"),
         ("sweep.l_bc_values_km=0,nan", "sweep.l_bc_values_km"),
         ("sweep.l_bc_values_km=", "sweep.l_bc_values_km"),
+        ("scenario.gain=1", "scenario.gain"),
     ])
     def test_non_finite_or_degenerate_input_is_2(self, capsys, override, field):
         assert main(["--set", override, "keyrate"]) == 2
         captured = capsys.readouterr()
         assert field in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
+
+    # the key rate is still positive at the 2000 km per-leg cap: one-sided at
+    # 0.001 dB/km; symmetric (1411.5 km total at 0.001 dB/km) at 0.0001 dB/km
+    @pytest.mark.parametrize("attenuation, command", [
+        ("0.001", ["sweep", "asymmetric"]),
+        ("0.0001", ["figure", "fig4"]),
+    ])
+    def test_range_beyond_search_cap_is_2(self, capsys, tmp_path, attenuation, command):
+        path = tmp_path / "x.csv"
+        args = ["--set", f"scenario.attenuation_db_per_km={attenuation}", "--out", str(path),
+                *command]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert "2000 km" in captured.err and "scenario.attenuation_db_per_km" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not path.exists()
 
     def test_oracle_sample_size_below_estimation_floor_is_2(self, capsys):
         assert main(["--set", "mc.n=10", "oracle"]) == 2

@@ -67,7 +67,7 @@ class TestSecretKeyRate:
         s = make_scenario(2.0, 2.0)
         pt = secret_key_rate(s)
         assert pt.k == pytest.approx(s.beta_r * pt.i_ab - pt.chi_be)
-        assert pt.gain_provenance == "optimal"
+        assert pt.scenario.gain_mode == "optimal"
         assert pt.positive
 
     def test_fixed_gain_at_optimal_value_matches(self, rng):
@@ -76,7 +76,7 @@ class TestSecretKeyRate:
             s_fixed = replace(s, gain_mode="fixed", gain=float(optimal_gain(s)))
             pt_opt, pt_fix = secret_key_rate(s), secret_key_rate(s_fixed)
             assert pt_fix.k == pytest.approx(pt_opt.k, abs=1e-12)
-            assert pt_fix.gain_provenance == "fixed"
+            assert pt_fix.scenario.gain_mode == "fixed"
 
     def test_detector_penalty_reduces_rate(self):
         ideal = secret_key_rate(make_scenario(5.0, 5.0)).k

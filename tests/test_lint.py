@@ -62,3 +62,29 @@ def test_layering():
     assert {m for m, names in imports.items() if "gaussian" in names} == {
         "__init__", "keyrate", "protocol"}
     assert imports["montecarlo"] == {"kernels", "protocol"}
+
+
+def module_level_names(source: str) -> set[str]:
+    """Names a module defines at its top level: assignments, functions, classes."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def test_each_name_defined_once():
+    """No top-level name is defined in two modules of the package; a module
+    that needs another's name imports it."""
+    assert module_level_names("import os\nX = 1\ny: int = 2\ndef f(): Z = 3\nclass C: pass\n") == {
+        "X", "y", "f", "C"}
+    owners: dict[str, list[str]] = {}
+    for p in sorted((ROOT / "src" / "cvmdi").glob("*.py")):
+        if p.name != "__init__.py":
+            for name in module_level_names(p.read_text()):
+                owners.setdefault(name, []).append(p.stem)
+    assert {name: mods for name, mods in owners.items() if len(mods) > 1} == {}
