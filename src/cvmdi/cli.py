@@ -23,6 +23,7 @@ from .keyrate import (
     sweep_asymmetric,
     sweep_symmetric,
 )
+from .montecarlo import UnsupportedScenario
 from .oracle import run_oracle_suites
 
 IDEAL_V = 1e5  # modulation variance used for "ideal" comparison curves
@@ -131,15 +132,16 @@ def cmd_sweep(cfg: RunConfig, mode: str, out: str | None) -> int:
     return 0
 
 
-def cmd_oracle(cfg: RunConfig, negative_control: bool) -> int:
-    n = cfg["mc"]["n"]
-    seed = cfg["mc"]["seed"]
+def cmd_oracle(cfg: RunConfig, negative_control: bool, out: str | None) -> int:
+    n, seed = cfg["mc"]["n"], cfg["mc"]["seed"]
     results = run_oracle_suites(cfg.scenario(), n, seed, wrong_sign=negative_control)
-    ok = True
-    for r in results:
-        print(f"{'PASS' if r.passed else 'FAIL'} {r.name} ({r.detail}) seed={seed} n={n}")
-        ok = ok and r.passed
-    return 0 if ok else 1
+    rows = [(r.name, "PASS" if r.passed else "FAIL", r.detail, seed, n) for r in results]
+    # the CSV first: an unwritable path exits 2 before anything is printed
+    if out:
+        _write_csv(out, cfg, ["suite", "status", "detail", "seed", "n"], rows)
+    for name, status, detail, _, _ in rows:
+        print(f"{status} {name} ({detail}) seed={seed} n={n}")
+    return 0 if all(r.passed for r in results) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -180,8 +182,8 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_figure(cfg, args.figure_id, out)
         if args.command == "sweep":
             return cmd_sweep(cfg, args.mode, out)
-        return cmd_oracle(cfg, args.negative_control)
-    except ConfigError as exc:
+        return cmd_oracle(cfg, args.negative_control, out)
+    except (ConfigError, UnsupportedScenario) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

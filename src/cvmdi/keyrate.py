@@ -73,11 +73,9 @@ def holevo_bound_reverse_generic(cov2: CovarianceMatrix) -> float:
     return von_neumann_entropy(cov2) - von_neumann_entropy(heterodyne_condition(cov2, mode=1))
 
 
-def scenario_block_params(scenario: Scenario, g=None):
+def scenario_block_params(scenario: Scenario, g):
     """(a, b, c) of the post-protocol covariance at gain g, detector penalty
-    included: g is a float or an array of gains, the resolved gain if omitted."""
-    if g is None:
-        g = float(scenario.resolved_gain())
+    included: g is a float or an array of gains."""
     t = effective_transmittance(scenario, g)
     return block_params(scenario.v_a, t, imperfect_excess_noise(scenario, g))
 
@@ -177,7 +175,7 @@ def sweep_asymmetric(scenario: Scenario, l_ac_grid, l_bc_values) -> SweepResult:
 
 
 def analytic_k(scenario: Scenario) -> float:
-    """Data-domain amplification coefficient matching the optimal gain."""
+    """Data-domain amplification coefficient matching the scenario's gain."""
     return k_from_gain(scenario.resolved_gain(), scenario.v_b)
 
 

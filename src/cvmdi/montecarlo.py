@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .protocol import _SQRT2, Scenario, k_from_gain, optimal_gain
+from .protocol import _SQRT2, Scenario, k_from_gain
 
 # rows per chunk: a batch is drawn, and reduced to moments, this many rows at
 # a time
@@ -83,21 +83,32 @@ def _fill(n: int, chunk: int, rows) -> list[np.ndarray]:
     return cols
 
 
-def _correlated_pair(a: float, b: float, c: float, m: int, rng: np.random.Generator):
-    """m samples (x1, p1, x2, p2) of a two-mode Gaussian state with
-    x-covariance [[a, c], [c, b]] and p-covariance [[a, -c], [-c, b]], from
-    one (m, 4) normal draw."""
-    lx = np.linalg.cholesky(np.array([[a, c], [c, b]]))
-    lp = np.linalg.cholesky(np.array([[a, -c], [-c, b]]))
+class UnsupportedScenario(ValueError):
+    """A scenario outside what the sampler draws; the message names the field."""
+
+
+def _correlated_pair(lx, lp, m: int, rng: np.random.Generator):
+    """m samples (x1, p1, x2, p2) of a two-mode Gaussian state from one (m, 4)
+    normal draw; lx, lp are Cholesky factors of its x- and p-covariances."""
     z = rng.standard_normal((m, 4))
     x = z[:, :2] @ lx.T
     p = z[:, 2:] @ lp.T
     return x[:, 0], p[:, 0], x[:, 1], p[:, 1]
 
 
-def _sample_epr(v: float, m: int, rng: np.random.Generator):
-    """Wigner samples of a two-mode squeezed state: (x1, p1, x2, p2)."""
-    return _correlated_pair(v, v, math.sqrt(v * v - 1.0), m, rng)
+def _epr_factors(scenario: Scenario) -> list:
+    """[lx, lp] of Alice's and of Bob's two-mode squeezed source: the Cholesky
+    factors of [[V, c], [c, V]] and [[V, -c], [-c, V]], c = sqrt(V^2 - 1)."""
+    factors = []
+    for name in ("v_a", "v_b"):
+        v = getattr(scenario, name)
+        c = math.sqrt(v * v - 1.0)
+        try:
+            factors.append([np.linalg.cholesky(np.array([[v, s], [s, v]])) for s in (c, -c)])
+        except np.linalg.LinAlgError:  # V^2 - 1 rounds to V^2
+            raise UnsupportedScenario(f"scenario.{name} = {v!r}: the sampler cannot factor the "
+                                      "two-mode squeezed covariance of this V") from None
+    return factors
 
 
 def _through_channel(qx, qp, channel, rng: np.random.Generator):
@@ -176,10 +187,10 @@ def bridge_matrix(v_a: float, v_b: float) -> np.ndarray:
     return np.diag([s_a, -s_a, s_b, -s_b, 1.0, 1.0])
 
 
-def _eb_rows(scenario: Scenario, seed: int, j: int, m: int):
-    """Base columns of the first m rows of EB chunk j."""
-    a1x, a1p, a2x, a2p = _sample_epr(scenario.v_a, m, _rng(seed, "alice_source", j))
-    b1x, b1p, b2x, b2p = _sample_epr(scenario.v_b, m, _rng(seed, "bob_source", j))
+def _eb_rows(scenario: Scenario, epr: list, seed: int, j: int, m: int):
+    """Base columns of the first m rows of EB chunk j; epr is `_epr_factors`."""
+    a1x, a1p, a2x, a2p = _correlated_pair(*epr[0], m, _rng(seed, "alice_source", j))
+    b1x, b1p, b2x, b2p = _correlated_pair(*epr[1], m, _rng(seed, "bob_source", j))
     apx, app = _through_channel(a2x, a2p, scenario.channel_a, _rng(seed, "cloner_a", j))
     bpx, bpp = _through_channel(b2x, b2p, scenario.channel_b, _rng(seed, "cloner_b", j))
     va = _rng(seed, "alice_detection", j).standard_normal((m, 2))
@@ -207,16 +218,16 @@ def _pm_rows(scenario: Scenario, seed: int, j: int, m: int):
             (apx - bpx) / _SQRT2, (app + bpp) / _SQRT2)
 
 
-def simulate_eb(scenario: Scenario, g: float | None = None,
-                n: int = 100_000, seed: int = 0, chunk: int = 0) -> SampleBatch:
+def simulate_eb(scenario: Scenario, g: float, n: int = 100_000, seed: int = 0,
+                chunk: int = 0) -> SampleBatch:
     """Sample the source-based picture: EPR pairs, cloner channels, relay
     beamsplitter, dual homodyne, displacement, heterodyne detections.
 
     Returns rows [chunk C, chunk C + n) of the seed's stream, C = CHUNK_ROWS.
+    Both sources are factored before the first draw.
     """
-    if g is None:
-        g = optimal_gain(scenario)
-    cols = _fill(n, chunk, lambda j, m: _eb_rows(scenario, seed, j, m))
+    epr = _epr_factors(scenario)
+    cols = _fill(n, chunk, lambda j, m: _eb_rows(scenario, epr, seed, j, m))
     return SampleBatch("EB", seed, n, scenario.v_a, scenario.v_b, g, *cols)
 
 

@@ -1,13 +1,13 @@
 """Monte Carlo verification suites driven by the `oracle` CLI subcommand.
 
-One run draws two n-sample batches and the four suites read their second
-moments (`montecarlo.Moments`): one source-based (EB) batch at `seed` and
-the optimal gain, read by the covariance, estimation and equivalence suites,
-then one modulation-based (PM) batch at `seed + 1` and the amplification k
-equivalent to that gain (`protocol.k_from_gain`), read by the equivalence and
-rescaling suites. Each batch is drawn and reduced one chunk at a time
-(`montecarlo.sample_moments`), so a run holds O(`montecarlo.CHUNK_ROWS`)
-samples whatever n is.
+One run draws two n-sample batches at the scenario's gain g
+(`Scenario.resolved_gain`), and each suite reads g, or the amplification k
+equivalent to it (`protocol.k_from_gain`), from its batch's second moments
+(`montecarlo.Moments`): one source-based (EB) batch at `seed`, read by the
+covariance, estimation and equivalence suites, then one modulation-based
+(PM) batch at `seed + 1`, read by the equivalence and rescaling suites. Each
+batch is drawn and reduced one chunk at a time (`montecarlo.sample_moments`),
+so a run holds O(`montecarlo.CHUNK_ROWS`) samples whatever n is.
 """
 
 from __future__ import annotations
@@ -17,14 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import montecarlo as mc
-from .keyrate import analytic_k, scenario_block_params
-from .protocol import (
-    Scenario,
-    effective_transmittance,
-    equivalent_excess_noise,
-    k_from_gain,
-    optimal_gain,
-)
+from .keyrate import scenario_block_params
+from .protocol import Scenario, effective_transmittance, equivalent_excess_noise, k_from_gain
 
 
 # |z| at or above which a Monte Carlo comparison fails
@@ -52,8 +46,8 @@ def _cov_suite(scenario: Scenario, moments: mc.Moments, wrong_sign: bool) -> Sui
 
 def _estimation_suite(scenario: Scenario, moments: mc.Moments) -> SuiteResult:
     est = mc.estimate_params(moments)
-    t_true = effective_transmittance(scenario)
-    eps_true = equivalent_excess_noise(scenario)
+    t_true = effective_transmittance(scenario, moments.coeff)
+    eps_true = equivalent_excess_noise(scenario, moments.coeff)
     zt = abs(est.t_hat - t_true) / est.t_se
     ze = abs(est.eps_hat - eps_true) / est.eps_se
     return SuiteResult("parameter_estimation_roundtrip", zt < Z_LIMIT and ze < Z_LIMIT,
@@ -66,9 +60,8 @@ def _equivalence_suite(eb: mc.Moments, pm: mc.Moments) -> SuiteResult:
 
 
 def _attack_suite(scenario: Scenario, pm: mc.Moments) -> SuiteResult:
-    k0 = analytic_k(scenario)
-    # dense grid around the optimum so quantization of the max is << tolerance
-    grid = k0 * np.logspace(np.log10(0.3), np.log10(3.0), 2001)
+    # dense grid around the batch's k so quantization of the max is << tolerance
+    grid = pm.coeff * np.logspace(np.log10(0.3), np.log10(3.0), 2001)
     base = mc.key_rates_vs_k_from_batch(pm, grid, scenario.beta_r)
     scaled = mc.key_rates_vs_k_from_batch(pm.rescaled(0.64), grid, scenario.beta_r)
     dmax = abs(float(np.max(base)) - float(np.max(scaled)))
@@ -78,7 +71,13 @@ def _attack_suite(scenario: Scenario, pm: mc.Moments) -> SuiteResult:
 
 def run_oracle_suites(scenario: Scenario, n: int, seed: int,
                       wrong_sign: bool = False) -> list[SuiteResult]:
-    g = optimal_gain(scenario)
+    """The four suites at the scenario's gain; `mc.UnsupportedScenario` before any draw."""
+    det = scenario.detector
+    if (det.efficiency, det.electronic_noise) != (1.0, 0.0):
+        raise mc.UnsupportedScenario(
+            f"scenario.eta_d = {det.efficiency!r}, scenario.v_el = {det.electronic_noise!r}: "
+            "the oracle samples a perfect relay detector (eta_d = 1, v_el = 0)")
+    g = scenario.resolved_gain()
     eb = mc.sample_moments(scenario, "EB", g, n, seed)
     pm = mc.sample_moments(scenario, "PM", k_from_gain(g, scenario.v_b), n, seed + 1)
     return [

@@ -119,14 +119,13 @@ class Scenario:
         )
 
     def resolved_gain(self) -> float:
+        """The one gain rule: `gain` when fixed, else `optimal_gain`; callers pass it on."""
         return self.gain if self.gain_mode == "fixed" else optimal_gain(self)
 
 
 def optimal_gain(scenario: Scenario) -> float:
     """Displacement gain minimizing the equivalent excess noise."""
     eta_b = scenario.channel_b.transmittance
-    if scenario.v_b <= 1.0:
-        raise ValueError("no Bob modulation (v_b = 1): displacement gain undefined")
     return np.sqrt(2.0 / eta_b) * _k_per_gain(scenario.v_b)
 
 
@@ -173,19 +172,14 @@ def block_params(v_a, t, eps):
     return v_a, t * (v_a - 1.0) + 1.0 + t * eps, (t * (v_a * v_a - 1.0)) ** 0.5
 
 
-def effective_transmittance(scenario: Scenario, g=None):
-    """T = eta_a g^2 / 2 at gain g: a float or an array of gains, the
-    resolved gain if omitted."""
-    if g is None:
-        g = float(scenario.resolved_gain())
+def effective_transmittance(scenario: Scenario, g):
+    """T = eta_a g^2 / 2 at gain g: a float or an array of gains."""
     return scenario.channel_a.transmittance / 2.0 * g * g
 
 
-def equivalent_excess_noise(scenario: Scenario, g=None):
+def equivalent_excess_noise(scenario: Scenario, g):
     """Equivalent excess noise eps' at gain g (`equivalent_noise`): a float or
-    an array of gains, the resolved gain if omitted."""
-    if g is None:
-        g = float(scenario.resolved_gain())
+    an array of gains."""
     ch_a, ch_b = scenario.channel_a, scenario.channel_b
     return equivalent_noise(g, scenario.v_b, ch_a.transmittance, ch_b.transmittance,
                             ch_a.excess_noise, ch_b.excess_noise)
@@ -207,27 +201,25 @@ def detector_noise(eta_d: float, v_el: float) -> float:
     return (1.0 - eta_d) / eta_d + v_el / eta_d
 
 
-def imperfect_excess_noise(scenario: Scenario, g=None):
+def imperfect_excess_noise(scenario: Scenario, g):
     """Equivalent excess noise including the relay detector penalty."""
     chi_det = detector_noise(scenario.detector.efficiency, scenario.detector.electronic_noise)
     return equivalent_excess_noise(scenario, g) + 2.0 * chi_det / scenario.channel_a.transmittance
 
 
-def compose_eb_analytic(scenario: Scenario, g: float | None = None) -> CovarianceMatrix:
+def compose_eb_analytic(scenario: Scenario, g: float) -> CovarianceMatrix:
     """Post-protocol covariance of (kept mode, displaced mode), closed form.
 
     Detector imperfections are not included here; this is the ideal-relay
     covariance that the explicit composition must reproduce.
     """
-    if g is None:
-        g = float(scenario.resolved_gain())
     if g <= 0:
         raise ValueError("gain must be > 0")
     t = effective_transmittance(scenario, g)
     return block_cm(*block_params(scenario.v_a, t, equivalent_excess_noise(scenario, g)))
 
 
-def compose_eb_simulated(scenario: Scenario, g: float | None = None) -> CovarianceMatrix:
+def compose_eb_simulated(scenario: Scenario, g: float) -> CovarianceMatrix:
     """Post-protocol covariance by explicit Gaussian composition.
 
     Chain: two EPR sources, entangling-cloner channels, the 50:50 relay
@@ -237,8 +229,6 @@ def compose_eb_simulated(scenario: Scenario, g: float | None = None) -> Covarian
     linear quadrature combinations. A lossless leg adds its excess noise eps
     to both quadrature variances of its mode, the cloner's eta -> 1 limit.
     """
-    if g is None:
-        g = scenario.resolved_gain()
     if g <= 0:
         raise ValueError("gain must be > 0")
 

@@ -153,10 +153,11 @@ def sample_block_cm(v_a: float, t: float, eps: float, n: int, seed: int = 0) -> 
     is no relay data: x_c = p_d = 0 and the gain is 0.
     """
     _, b, c = block_params(v_a, t, eps)
+    lx, lp = (np.linalg.cholesky(np.array([[v_a, s], [s, b]])) for s in (c, -c))
     r2 = math.sqrt(2.0)
 
     def rows(j, m):
-        qxa, qpa, qxb, qpb = _correlated_pair(v_a, b, c, m, _rng(seed, "alice_source", j))
+        qxa, qpa, qxb, qpb = _correlated_pair(lx, lp, m, _rng(seed, "alice_source", j))
         va = _rng(seed, "alice_detection", j).standard_normal((m, 2))
         vb = _rng(seed, "bob_detection", j).standard_normal((m, 2))
         return ((qxa + va[:, 0]) / r2, (qpa - va[:, 1]) / r2,

@@ -92,7 +92,8 @@ def test_criterion_01_symmetric_range():
 
 
 def test_criterion_02_equivalent_noise_spot_value():
-    eps = equivalent_excess_noise(make_scenario(3.5, 3.5, eps=0.0))
+    s = make_scenario(3.5, 3.5, eps=0.0)
+    eps = equivalent_excess_noise(s, s.resolved_gain())
     ok = abs(eps - 0.35) <= 0.01
     report(2, ok, f"eps'(3.5 km legs, noiseless fibers) = {eps:.4f} "
                   f"(expected 0.35 +- 0.01)")
@@ -163,13 +164,13 @@ def test_criterion_06_dual_path_covariance_identity():
 
 def test_criterion_07_monte_carlo_oracle():
     s = make_scenario(5.0, 2.0)
-    moments = mc.Moments.of(mc.simulate_eb(s, None, N_MC, SEED))
-    predicted = mc.heterodyne_image(*scenario_block_params(s))
+    moments = mc.Moments.of(mc.simulate_eb(s, s.resolved_gain(), N_MC, SEED))
+    predicted = mc.heterodyne_image(*scenario_block_params(s, s.resolved_gain()))
     z = mc.covariance_z_scores(moments.final_covariance()[:4, :4], predicted, N_MC)
     zmax = float(np.max(np.abs(z)))
     est = mc.estimate_params(moments)
-    zt = abs(est.t_hat - effective_transmittance(s)) / est.t_se
-    ze = abs(est.eps_hat - equivalent_excess_noise(s)) / est.eps_se
+    zt = abs(est.t_hat - effective_transmittance(s, s.resolved_gain())) / est.t_se
+    ze = abs(est.eps_hat - equivalent_excess_noise(s, s.resolved_gain())) / est.eps_se
     ok = zmax < 4.0 and zt < 3.0 and ze < 3.0
     report(7, ok, f"N=1e6 covariance max|z|={zmax:.2f} (expected < 4); "
                   f"round trip z(T)={zt:.2f}, z(eps')={ze:.2f} (expected < 3)")

@@ -167,6 +167,20 @@ PASS measurement_rescaling_invariance (|dK_max|=5.03e-05) seed=12345 n=100000
         assert main(["oracle"]) == 0
         assert capsys.readouterr().out == self.ORACLE_DEFAULT
 
+    # drawn and predicted at the fixed gain 1.0, not at the optimal gain 1.41
+    ORACLE_FIXED_GAIN = """\
+PASS covariance_vs_analytic (max|z|=1.43) seed=12345 n=100000
+PASS parameter_estimation_roundtrip (z(T)=0.26 z(eps')=0.00) seed=12345 n=100000
+PASS pm_eb_equivalence (max|z|=2.03 k=0.9753) seed=12345 n=100000
+PASS measurement_rescaling_invariance (|dK_max|=2.33e-05) seed=12345 n=100000
+"""
+
+    def test_oracle_fixed_gain_output(self, capsys):
+        args = ["--set", "scenario.l_ac_km=3", "--set", "scenario.l_bc_km=2",
+                "--set", "scenario.gain_mode=fixed", "--set", "scenario.gain=1.0", "oracle"]
+        assert main(args) == 0
+        assert capsys.readouterr().out == self.ORACLE_FIXED_GAIN
+
     def test_oracle_negative_control_is_1(self, capsys):
         args = ["--set", "mc.n=30000", "--seed", "7",
                 "--set", "scenario.l_ac_km=3", "--set", "scenario.l_bc_km=1",
@@ -211,6 +225,19 @@ PASS measurement_rescaling_invariance (|dK_max|=5.03e-05) seed=12345 n=100000
         assert main(["--set", "mc.n=10", "oracle"]) == 2
         err = capsys.readouterr().err
         assert "mc.n" in err and "Traceback" not in err
+
+    # the sampler draws a perfect relay detector, and factors each source's
+    # covariance, c = sqrt(V^2 - 1), which is singular once V^2 - 1 rounds to V^2
+    @pytest.mark.parametrize("override, field", [
+        ("scenario.eta_d=0.9", "scenario.eta_d"),
+        ("scenario.v_el=0.01", "scenario.v_el"),
+        ("scenario.v_a=1e8", "scenario.v_a"),
+    ])
+    def test_oracle_scenario_outside_the_sampler_is_2(self, capsys, override, field):
+        assert main(["--set", override, "--set", "mc.n=1000", "oracle"]) == 2
+        captured = capsys.readouterr()
+        assert field in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 class TestCsvOutput:
@@ -279,6 +306,26 @@ class TestCsvOutput:
         body = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
         assert body[0].startswith("K_bits_per_use")
         assert body[1].endswith("positive")
+
+    def test_oracle_csv(self, tmp_path, capsys):
+        path = tmp_path / "oracle.csv"
+        assert main(["--set", "mc.n=2000", "--out", str(path), "oracle"]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        lines = path.read_text().splitlines()
+        # the effective-config header parses back as a config file
+        header = tmp_path / "header.cfg"
+        header.write_text("".join(ln[2:] + "\n" for ln in lines if ln.startswith("# ")))
+        assert load_config(str(header), environ={})["mc"]["n"] == 2000
+        body = [ln.split(",") for ln in lines if not ln.startswith("#")]
+        assert body[0] == ["suite", "status", "detail", "seed", "n"]
+        assert [f"{status} {suite} ({detail}) seed={int(seed)} n={int(n)}"
+                for suite, status, detail, seed, n in body[1:]] == printed
+        assert [row[1] for row in body[1:]] == ["PASS"] * 4
+        # an unwritable path exits 2 before anything is printed
+        missing = tmp_path / "missing" / "x.csv"
+        assert main(["--set", "mc.n=2000", "--out", str(missing), "oracle"]) == 2
+        captured = capsys.readouterr()
+        assert str(missing) in captured.err and captured.out == ""
 
     def test_output_path_sets_the_default_out(self, tmp_path, capsys):
         path = tmp_path / "fromcfg.csv"

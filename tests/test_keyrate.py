@@ -53,13 +53,14 @@ class TestHolevoBound:
         """Closed-form spectrum vs explicit conditioning, to 1e-10."""
         for _ in range(100):
             s = random_scenario(rng)
-            a, b, c = scenario_block_params(s)
+            g = s.resolved_gain()
+            a, b, c = scenario_block_params(s, g)
             assert kernels.block_holevo_reverse(a, b, c) == pytest.approx(
-                holevo_bound_reverse_generic(compose_eb_analytic(s)), abs=1e-10)
+                holevo_bound_reverse_generic(compose_eb_analytic(s, g)), abs=1e-10)
 
     def test_pure_loss_has_positive_bound(self):
         s = make_scenario(20.0, 0.0, eps=0.0)
-        assert kernels.block_holevo_reverse(*scenario_block_params(s)) > 0.0
+        assert kernels.block_holevo_reverse(*scenario_block_params(s, s.resolved_gain())) > 0.0
 
 
 class TestSecretKeyRate:
@@ -91,8 +92,9 @@ class TestSecretKeyRate:
     def test_block_params_match_composition(self, rng):
         for _ in range(50):
             s = random_scenario(rng)
-            a, b, c = scenario_block_params(s)
-            assert np.allclose(block_cm(a, b, c).entries, compose_eb_analytic(s).entries,
+            g = s.resolved_gain()
+            a, b, c = scenario_block_params(s, g)
+            assert np.allclose(block_cm(a, b, c).entries, compose_eb_analytic(s, g).entries,
                                rtol=0.0, atol=1e-12)
 
 

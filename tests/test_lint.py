@@ -88,3 +88,53 @@ def test_each_name_defined_once():
             for name in module_level_names(p.read_text()):
                 owners.setdefault(name, []).append(p.stem)
     assert {name: mods for name, mods in owners.items() if len(mods) > 1} == {}
+
+
+def callers(source: str, name: str) -> set[str]:
+    """Qualified names of the functions whose bodies call `name`, as `f(...)`
+    or `x.f(...)`; a call at module level is reported as '<module>'."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                    found.add(scope or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def none_defaults(source: str, param: str) -> set[str]:
+    """Names of the functions with a parameter `param` that defaults to None."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+            pairs += zip(args.kwonlyargs, args.kw_defaults)
+            if any(arg.arg == param and isinstance(default, ast.Constant)
+                   and default.value is None for arg, default in pairs):
+                found.add(node.name)
+    return found
+
+
+def test_one_gain_rule():
+    """`Scenario.resolved_gain` is the one rule for a run's gain: it alone
+    calls `optimal_gain`, and no function picks a gain of its own when its
+    caller omits g."""
+    assert callers("def f():\n    optimal_gain(s)\nclass C:\n    def m(self):\n"
+                   "        return p.optimal_gain(h(self))\noptimal_gain(0)\n",
+                   "optimal_gain") == {"f", "C.m", "<module>"}
+    assert none_defaults("def f(s, g=None): pass\ndef h(s, g, n=None): pass\n"
+                         "def k(s, *, g=None, n=1): pass\ndef m(g=0.0): pass\n", "g") == {"f", "k"}
+    modules = sorted((ROOT / "src" / "cvmdi").glob("*.py"))
+    assert {f"{p.stem}.{f}" for p in modules for f in callers(p.read_text(), "optimal_gain")} == {
+        "protocol.Scenario.resolved_gain"}
+    assert {f"{p.stem}.{f}" for p in modules for f in none_defaults(p.read_text(), "g")} == set()

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from cvmdi import ChannelParams, Scenario, kernels
+from cvmdi import ChannelParams, DetectorParams, Scenario, kernels
 from cvmdi import montecarlo as mc
 from cvmdi.keyrate import analytic_k, scenario_block_params, secret_key_rate
 from cvmdi.oracle import Z_LIMIT, run_oracle_suites
@@ -31,7 +31,7 @@ def scenario():
 
 @pytest.fixture(scope="module")
 def eb_batch(scenario):
-    return mc.simulate_eb(scenario, None, N_FAST, SEED)
+    return mc.simulate_eb(scenario, scenario.resolved_gain(), N_FAST, SEED)
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +51,7 @@ def pm_moments(pm_batch):
 
 class TestReproducibility:
     def test_eb_bit_identical(self, scenario, eb_batch):
-        again = mc.simulate_eb(scenario, None, N_FAST, SEED)
+        again = mc.simulate_eb(scenario, scenario.resolved_gain(), N_FAST, SEED)
         assert np.array_equal(eb_batch.data_matrix(), again.data_matrix())
 
     def test_pm_bit_identical(self, scenario, pm_batch):
@@ -59,17 +59,17 @@ class TestReproducibility:
         assert np.array_equal(pm_batch.data_matrix(), again.data_matrix())
 
     def test_seed_changes_samples(self, scenario, eb_batch):
-        other = mc.simulate_eb(scenario, None, N_FAST, SEED + 7)
+        other = mc.simulate_eb(scenario, scenario.resolved_gain(), N_FAST, SEED + 7)
         assert not np.array_equal(eb_batch.x_a, other.x_a)
 
     def test_rejects_empty_batch(self, scenario):
         with pytest.raises(ValueError):
-            mc.simulate_eb(scenario, None, 0, SEED)
+            mc.simulate_eb(scenario, scenario.resolved_gain(), 0, SEED)
 
 
 class TestCovarianceOracle:
     def test_final_data_matches_analytic_image(self, scenario, eb_moments):
-        predicted = mc.heterodyne_image(*scenario_block_params(scenario))
+        predicted = mc.heterodyne_image(*scenario_block_params(scenario, scenario.resolved_gain()))
         z = mc.covariance_z_scores(eb_moments.final_covariance()[:4, :4], predicted, N_FAST)
         assert np.max(np.abs(z)) < 4.0
 
@@ -99,13 +99,14 @@ class TestCovarianceOracle:
         s = Scenario(v_a=5.0, v_b=5.0,
                      channel_a=ChannelParams(5.0, 0.2, 0.01),
                      channel_b=ChannelParams(0.0, 0.2, 0.2))
-        moments = mc.Moments.of(mc.simulate_eb(s, None, N_FAST, SEED))
-        predicted = mc.heterodyne_image(*scenario_block_params(s))
+        moments = mc.Moments.of(mc.simulate_eb(s, s.resolved_gain(), N_FAST, SEED))
+        predicted = mc.heterodyne_image(*scenario_block_params(s, s.resolved_gain()))
         z = mc.covariance_z_scores(moments.final_covariance()[:4, :4], predicted, N_FAST)
         assert np.max(np.abs(z)) < 4.0
 
     def test_wrong_prediction_is_rejected(self, scenario, eb_moments):
-        predicted = mc.heterodyne_image(*scenario_block_params(scenario)) * 1.05
+        g = scenario.resolved_gain()
+        predicted = mc.heterodyne_image(*scenario_block_params(scenario, g)) * 1.05
         z = mc.covariance_z_scores(eb_moments.final_covariance()[:4, :4], predicted, N_FAST)
         assert np.max(np.abs(z)) > 10.0
 
@@ -141,13 +142,15 @@ class TestPictureEquivalence:
 class TestParameterEstimation:
     def test_eb_round_trip(self, scenario, eb_moments):
         est = mc.estimate_params(eb_moments)
-        assert abs(est.t_hat - effective_transmittance(scenario)) < 4.0 * est.t_se
-        assert abs(est.eps_hat - equivalent_excess_noise(scenario)) < 4.0 * est.eps_se
+        g = scenario.resolved_gain()
+        assert abs(est.t_hat - effective_transmittance(scenario, g)) < 4.0 * est.t_se
+        assert abs(est.eps_hat - equivalent_excess_noise(scenario, g)) < 4.0 * est.eps_se
 
     def test_pm_round_trip(self, scenario, pm_moments):
         est = mc.estimate_params(pm_moments)
-        assert abs(est.t_hat - effective_transmittance(scenario)) < 4.0 * est.t_se
-        assert abs(est.eps_hat - equivalent_excess_noise(scenario)) < 4.0 * est.eps_se
+        g = scenario.resolved_gain()
+        assert abs(est.t_hat - effective_transmittance(scenario, g)) < 4.0 * est.t_se
+        assert abs(est.eps_hat - equivalent_excess_noise(scenario, g)) < 4.0 * est.eps_se
 
     def test_generative_round_trip(self):
         t_in, eps_in = 0.5, 0.1
@@ -157,7 +160,7 @@ class TestParameterEstimation:
         assert abs(est.eps_hat - eps_in) < 4.0 * est.eps_se
 
     def test_rejects_tiny_batches(self, scenario):
-        small = mc.simulate_eb(scenario, None, 100, SEED)
+        small = mc.simulate_eb(scenario, scenario.resolved_gain(), 100, SEED)
         with pytest.raises(ValueError):
             mc.estimate_params(mc.Moments.of(small))
 
@@ -269,12 +272,30 @@ class TestOracleSuites:
         assert bad[0].name == "covariance_vs_analytic" and not bad[0].passed
         assert bad[1:] == results[1:]
 
+    @pytest.mark.parametrize("gain", [1.0, 1.3, 2.0])
+    def test_fixed_gain_scenario_passes(self, scenario, gain):
+        # both batches are drawn, and every suite predicts, at the fixed gain
+        fixed = dataclasses.replace(scenario, gain_mode="fixed", gain=gain)
+        results = run_oracle_suites(fixed, N_FAST, SEED)
+        assert [r.passed for r in results] == [True] * 4, results
+        assert f"k={k_from_gain(gain, fixed.v_b):.4f}" in results[2].detail
+
+    @pytest.mark.parametrize("change, field", [
+        ({"detector": DetectorParams(0.9, 0.0)}, "scenario.eta_d"),
+        ({"detector": DetectorParams(1.0, 0.01)}, "scenario.v_el"),
+        ({"v_a": 1e8}, "scenario.v_a"),
+        ({"v_b": 1e12}, "scenario.v_b"),
+    ])
+    def test_scenario_outside_the_sampler_is_refused(self, scenario, change, field):
+        with pytest.raises(mc.UnsupportedScenario, match=field):
+            run_oracle_suites(dataclasses.replace(scenario, **change), N_FAST, SEED)
+
 
 class TestChunkedSampling:
     C = mc.CHUNK_ROWS
 
     @pytest.mark.parametrize("sample", [
-        lambda s, n, chunk=0: mc.simulate_eb(s, None, n, SEED, chunk=chunk),
+        lambda s, n, chunk=0: mc.simulate_eb(s, s.resolved_gain(), n, SEED, chunk=chunk),
         lambda s, n, chunk=0: mc.simulate_pm(s, 1.3, n, SEED, chunk=chunk),
     ], ids=["EB", "PM"])
     def test_chunk_rows_depend_only_on_seed_stream_and_chunk(self, scenario, sample):

@@ -83,8 +83,8 @@ class TestEquivalentChannel:
             ch_a, ch_b = s.channel_a, s.channel_b
             t, eps = ref_reduction(ch_a.transmittance, ch_b.transmittance,
                                    ch_a.excess_noise, ch_b.excess_noise, s.v_b)
-            assert equivalent_excess_noise(s) == pytest.approx(eps, abs=1e-12)
-            assert effective_transmittance(s) == pytest.approx(t, rel=1e-12)
+            assert equivalent_excess_noise(s, s.resolved_gain()) == pytest.approx(eps, abs=1e-12)
+            assert effective_transmittance(s, s.resolved_gain()) == pytest.approx(t, rel=1e-12)
 
     def test_reduction_floats_and_arrays_agree(self, rng):
         g, v_a, v_b = rng.uniform(0.1, 5.0, 500), *rng.uniform(1.5, 100.0, (2, 500))
@@ -114,7 +114,7 @@ class TestEquivalentChannel:
         # at zero distance and zero channel noise the optimal gain cancels
         # Bob's source contribution exactly
         s = make_scenario(0.0, 0.0, eps=0.0)
-        assert equivalent_excess_noise(s) == pytest.approx(0.0, abs=1e-12)
+        assert equivalent_excess_noise(s, s.resolved_gain()) == pytest.approx(0.0, abs=1e-12)
 
     def test_effective_transmittance(self):
         s = make_scenario(10.0, 0.0)
@@ -123,7 +123,8 @@ class TestEquivalentChannel:
             s.channel_a.transmittance * g * g / 2.0)
 
     def test_noise_increases_with_bob_leg_loss(self):
-        vals = [equivalent_excess_noise(make_scenario(5.0, l)) for l in (0.0, 2.0, 5.0)]
+        scenarios = [make_scenario(5.0, l) for l in (0.0, 2.0, 5.0)]
+        vals = [equivalent_excess_noise(s, s.resolved_gain()) for s in scenarios]
         assert vals[0] < vals[1] < vals[2]
 
 
@@ -150,9 +151,9 @@ class TestDetectorNoise:
 
     def test_penalty_is_additive(self):
         s = make_scenario(5.0, 5.0, eta_d=0.9, v_el=0.05)
-        base = equivalent_excess_noise(s)
+        base = equivalent_excess_noise(s, s.resolved_gain())
         chi_det = detector_noise(0.9, 0.05)
-        assert imperfect_excess_noise(s) == pytest.approx(
+        assert imperfect_excess_noise(s, s.resolved_gain()) == pytest.approx(
             base + 2.0 * chi_det / s.channel_a.transmittance)
 
 
@@ -170,7 +171,8 @@ class TestDualPathComposition:
 
     def test_identity_at_optimal_gain(self, rng):
         for s in self.draws(rng):
-            d = np.abs(compose_eb_analytic(s).entries - compose_eb_simulated(s).entries)
+            g = s.resolved_gain()
+            d = np.abs(compose_eb_analytic(s, g).entries - compose_eb_simulated(s, g).entries)
             assert np.max(d) <= 1e-10
 
     def test_identity_at_random_gain(self, rng):
@@ -181,7 +183,8 @@ class TestDualPathComposition:
 
     def test_identity_with_lossless_noiseless_legs(self):
         s = make_scenario(0.0, 0.0, eps=0.0)
-        d = np.abs(compose_eb_analytic(s).entries - compose_eb_simulated(s).entries)
+        g = s.resolved_gain()
+        d = np.abs(compose_eb_analytic(s, g).entries - compose_eb_simulated(s, g).entries)
         assert np.max(d) <= 1e-10
 
     def test_lossless_noisy_legs_keep_their_noise(self):
@@ -189,12 +192,13 @@ class TestDualPathComposition:
         # that the analytic path and the sampler also take
         for l_ac, l_bc in ((0.0, 0.0), (88.82, 0.0), (0.0, 5.0)):
             s = make_scenario(l_ac, l_bc, eps=0.002)
-            d = np.abs(compose_eb_analytic(s).entries - compose_eb_simulated(s).entries)
+            g = s.resolved_gain()
+            d = np.abs(compose_eb_analytic(s, g).entries - compose_eb_simulated(s, g).entries)
             assert np.max(d) <= 1e-10
 
     def test_output_block_structure(self, rng):
         s = random_scenario(rng)
-        m = compose_eb_analytic(s).entries
+        m = compose_eb_analytic(s, s.resolved_gain()).entries
         assert m[0, 0] == pytest.approx(m[1, 1])
         assert m[2, 2] == pytest.approx(m[3, 3])
         assert m[0, 2] == pytest.approx(-m[1, 3])
