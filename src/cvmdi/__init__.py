@@ -38,7 +38,7 @@ from .protocol import (
     optimal_gain,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "CovarianceMatrix",

@@ -23,12 +23,16 @@ x_c, p_d; Bob's final data X_B = x_b + w_x x_c, P_B = p_b + w_p p_d
 (`_final_weights`) are derived on demand.
 
 Moments: every estimator here reads second moments only. `Moments` holds
-them per estimation block (count, column sums and the 6x6 Gram matrix of the
-drawn columns), and every covariance the estimators need is a linear image
-of one covariance C of those columns (ddof 1). `_read_block_params` is the one
-reading of data as the block covariance (a, b, c): parameter estimation and
-the k-scan both call it. `sample_moments` accumulates moments chunk by chunk
-without holding the batch; `Moments.of` reduces a batch already drawn.
+them for the whole batch (row count n, column sums and the Gram matrix of
+the drawn columns), so every covariance is a linear image of one covariance
+C of those columns (ddof 1). `_reading` states once how data are read as the
+block covariance (a, b, c): fixed weights R on the covariance F = L C L^T of
+the final columns. Estimation, its errors and the k-scan all use it.
+
+Standard errors: one rule, the normal-theory (Isserlis) covariance of the
+sample covariance of n Gaussian rows, Cov(F_ij, F_kl) = (F_ik F_jl +
+F_il F_jk)/n, with n the row count. `_entry_se` applies it to one entry,
+`_reading_covariance` to linear readings tr(R F).
 
 Channels: each leg is an entangling cloner. Eve's kept arm never reaches the
 data, so the sampler draws only the mode she injects into the channel.
@@ -243,14 +247,10 @@ def simulate_pm(scenario: Scenario, k: float, n: int = 100_000, seed: int = 0,
     return SampleBatch("PM", seed, n, scenario.v_a, scenario.v_b, k, *cols)
 
 
-# estimation blocks: the contiguous np.array_split blocks of a batch
-N_BLOCKS = 10
-
-
 @dataclass(frozen=True, eq=False)
 class Moments:
-    """Second moments of a batch's base columns x_a, p_a, x_b, p_b, x_c, p_d,
-    per estimation block: row count, column sums and Gram matrix sum(v v^T).
+    """Second moments of a batch's base columns x_a, p_a, x_b, p_b, x_c, p_d:
+    row count n, column sums and Gram matrix sum(v v^T).
 
     scheme, v_a, v_b and coeff are those of the batch; coeff sets the linear
     map from base to final columns.
@@ -260,30 +260,23 @@ class Moments:
     v_a: float
     v_b: float
     coeff: float
-    counts: np.ndarray  # (blocks,)
-    sums: np.ndarray    # (blocks, 6)
-    gram: np.ndarray    # (blocks, 6, 6)
-
-    @property
-    def n(self) -> int:
-        return int(self.counts.sum())
+    n: int
+    sums: np.ndarray  # (6,)
+    gram: np.ndarray  # (6, 6)
 
     @classmethod
     def of(cls, batch: SampleBatch) -> Moments:
         """Moments of a whole batch, reduced CHUNK_ROWS rows at a time."""
-        runs = ((lo, [getattr(batch, c)[lo:lo + CHUNK_ROWS] for c in _BASE])
-                for lo in range(0, batch.n, CHUNK_ROWS))
-        return cls(batch.scheme, batch.v_a, batch.v_b, batch.coeff,
-                   *_block_sums(batch.n, runs))
+        sums, gram = np.zeros(6), np.zeros((6, 6))
+        for lo in range(0, batch.n, CHUNK_ROWS):
+            rows = np.stack([getattr(batch, c)[lo:lo + CHUNK_ROWS] for c in _BASE])
+            sums += rows.sum(axis=1)
+            gram += rows @ rows.T
+        return cls(batch.scheme, batch.v_a, batch.v_b, batch.coeff, batch.n, sums, gram)
 
-    def covariance(self, block: int | None = None) -> np.ndarray:
-        """Sample covariance (ddof 1) of the drawn columns, over the batch or
-        over one block."""
-        if block is None:
-            n, s, g = self.n, self.sums.sum(axis=0), self.gram.sum(axis=0)
-        else:
-            n, s, g = int(self.counts[block]), self.sums[block], self.gram[block]
-        return (g - np.outer(s, s) / n) / (n - 1)
+    def covariance(self) -> np.ndarray:
+        """Sample covariance (ddof 1) of the drawn columns."""
+        return (self.gram - np.outer(self.sums, self.sums) / self.n) / (self.n - 1)
 
     def final_map(self) -> np.ndarray:
         """L with (X_A, P_A, X_B, P_B, X_C, P_D) = L (x_a, p_a, x_b, p_b, x_c, p_d)."""
@@ -306,26 +299,6 @@ class Moments:
         return replace(self, sums=self.sums * d, gram=self.gram * np.outer(d, d))
 
 
-def _block_sums(n: int, runs):
-    """(counts, sums, gram) per block of a batch of n rows given as runs
-    (start, six drawn columns); a run that straddles a block boundary is
-    split at the boundary."""
-    q, r = divmod(n, N_BLOCKS)
-    edges = [i * q + min(i, r) for i in range(N_BLOCKS + 1)]  # as np.array_split
-    counts = np.zeros(N_BLOCKS, dtype=np.int64)
-    sums, gram = np.zeros((N_BLOCKS, 6)), np.zeros((N_BLOCKS, 6, 6))
-    for start, columns in runs:
-        rows = np.stack(columns)
-        for blk in range(N_BLOCKS):
-            lo, hi = max(start, edges[blk]), min(start + rows.shape[1], edges[blk + 1])
-            if lo < hi:
-                part = rows[:, lo - start:hi - start]
-                counts[blk] += hi - lo
-                sums[blk] += part.sum(axis=1)
-                gram[blk] += part @ part.T
-    return counts, sums, gram
-
-
 def sample_moments(scenario: Scenario, scheme: str, coeff: float, n: int,
                    seed: int = 0) -> Moments:
     """Moments of `simulate_eb` (scheme "EB", coeff the gain g) or
@@ -335,37 +308,43 @@ def sample_moments(scenario: Scenario, scheme: str, coeff: float, n: int,
     simulate = {"EB": simulate_eb, "PM": simulate_pm}[scheme]
     if n < 1:
         raise ValueError("n must be >= 1")
-
-    def runs():
-        for lo in range(0, n, CHUNK_ROWS):
-            part = simulate(scenario, coeff, min(CHUNK_ROWS, n - lo), seed, chunk=lo // CHUNK_ROWS)
-            yield lo, [getattr(part, c) for c in _BASE]
-
-    return Moments(scheme, scenario.v_a, scenario.v_b, coeff,
-                   *_block_sums(n, runs()))
+    parts = [Moments.of(simulate(scenario, coeff, min(CHUNK_ROWS, n - lo), seed, lo // CHUNK_ROWS))
+             for lo in range(0, n, CHUNK_ROWS)]
+    return replace(parts[0], n=n, sums=sum(p.sums for p in parts), gram=sum(p.gram for p in parts))
 
 
-def _read_block_params(m: Moments, block: int | None = None, coeff=None):
-    """(a, b, c) of [[a I2, c sigma_z], [c sigma_z, b I2]] read from the
-    moments of the batch or of one block, with Bob's final data formed at the
-    batch's coeff or at coeff (a float or an array, elementwise).
+def _reading(m: Moments) -> np.ndarray:
+    """The one reading of data as the block covariance [[a I2, c sigma_z],
+    [c sigma_z, b I2]]: symmetric weights R, shape (3, 6, 6), with
+    (a + 1, b + 1, c) = tr(R_i F) on the covariance F of the final columns.
 
     Heterodyne outcomes scaled by sqrt(2) have variances V + 1 and
     covariances +-c; PM modulation data are `modulation_scale` times those
     outcomes, with the p-signs of `bridge_matrix`.
     """
-    cov = m.covariance(block)
-    w_x, w_p = _final_weights(m.scheme, m.coeff if coeff is None else coeff)
     pm = m.scheme == "PM"
     s_a, s_b = (modulation_scale(m.v_a), modulation_scale(m.v_b)) if pm else (1.0, 1.0)
-    var_x = cov[2, 2] + 2 * w_x * cov[2, 4] + w_x * w_x * cov[4, 4]
-    var_p = cov[3, 3] + 2 * w_p * cov[3, 5] + w_p * w_p * cov[5, 5]
-    cov_x = cov[0, 2] + w_x * cov[0, 4]
-    cov_p = cov[1, 3] + w_p * cov[1, 5]
-    a = (cov[0, 0] + cov[1, 1]) / (s_a * s_a) - 1.0
-    b = (var_x + var_p) / (s_b * s_b) - 1.0
-    c = (cov_x - cov_p) / (s_a * s_b)
-    return a, b, c
+    r = np.zeros((3, 6, 6))
+    r[0, 0, 0] = r[0, 1, 1] = 1.0 / (s_a * s_a)
+    r[1, 2, 2] = r[1, 3, 3] = 1.0 / (s_b * s_b)
+    r[2, 0, 2] = r[2, 2, 0] = 0.5 / (s_a * s_b)
+    r[2, 1, 3] = r[2, 3, 1] = -0.5 / (s_a * s_b)
+    return r
+
+
+def _read_block_params(m: Moments, coeff=None):
+    """(a, b, c) of `_reading` with Bob's final data formed at the batch's
+    coeff or at coeff (a float or an array, elementwise): L = I + coeff D, so
+    tr(R L C L^T) = tr(R C) + coeff tr(R (D C + C D^T)) + coeff^2 tr(R D C D^T).
+    """
+    d = np.zeros((6, 6))
+    d[2, 4], d[3, 5] = _final_weights(m.scheme, 1.0)
+    cov = m.covariance()
+    dc = d @ cov
+    poly = np.einsum("rij,pij->rp", _reading(m), np.stack([cov, dc + dc.T, dc @ d.T]))
+    k = np.asarray(m.coeff if coeff is None else coeff, dtype=float)
+    a1, b1, c = (p0 + k * (p1 + k * p2) for p0, p1, p2 in poly)
+    return a1 - 1.0, b1 - 1.0, c
 
 
 def heterodyne_image(a: float, b: float, c: float) -> np.ndarray:
@@ -384,6 +363,25 @@ def _entry_se(cov: np.ndarray, n) -> np.ndarray:
     samples whose true covariance is cov: sqrt((C_ii C_jj + C_ij^2) / n)."""
     var = np.outer(np.diag(cov), np.diag(cov)) + cov**2
     return np.sqrt(var / n)
+
+
+def _reading_covariance(weights: np.ndarray, cov: np.ndarray, n) -> np.ndarray:
+    """Covariance of the readings tr(R_i F) of the sample covariance F of n
+    Gaussian samples whose true covariance is cov, for symmetric weights R_i:
+    2 tr(R_i cov R_j cov) / n, the rule of `_entry_se` summed over entries."""
+    rc = weights @ cov
+    return 2.0 * np.einsum("iab,jba->ij", rc, rc) / n
+
+
+def _param_gradient(a: float, b: float, c: float) -> np.ndarray:
+    """Jacobian d(t, eps')/d(a, b, c) of t = c^2/(a^2 - 1) and
+    eps' = (b - 1)/t - (a - 1)."""
+    q = a * a - 1.0
+    t = c * c / q
+    return np.array([
+        [-2.0 * a * t / q, 0.0, 2.0 * c / q],
+        [2.0 * a * (b - 1.0) / (c * c) - 1.0, 1.0 / t, -2.0 * (b - 1.0) / (t * c)],
+    ])
 
 
 def covariance_z_scores(emp_cov: np.ndarray, predicted: np.ndarray, n: int) -> np.ndarray:
@@ -424,27 +422,28 @@ def estimate_params(m: Moments) -> EstimatedParams:
     """Fit (T, eps') to the two-mode block structure from second moments.
 
     (a, b, c) is read by `_read_block_params` and inverted through
-    b = T (a - 1) + 1 + T eps', c^2 = T (a^2 - 1). Standard errors come from
-    the spread over the N_BLOCKS estimation blocks. Every covariance has
-    ddof 1.
+    b = T (a - 1) + 1 + T eps', c^2 = T (a^2 - 1). Every covariance has
+    ddof 1. Standard errors are the delta method (`_param_gradient`) on
+    Cov(a, b, c) = 2 tr(R_i F R_j F)/n, the Isserlis covariance of the
+    readings R of `_reading` with n the row count, evaluated at the batch's
+    own final covariance F: the result is a function of the data alone.
     """
     if m.n < MIN_ESTIMATION_SAMPLES:
         raise ValueError(f"need at least {MIN_ESTIMATION_SAMPLES} samples for estimation")
     # G/n - mean^2 of a constant column is rounding noise of its raw second
     # moment G/n, so the variance is judged relative to that
     lmap = m.final_map()
-    raw = np.diag(lmap @ m.gram.sum(axis=0) @ lmap.T)[:4] / m.n
-    if np.any(np.diag(m.final_covariance())[:4] <= 1e-12 * raw):
+    raw = np.diag(lmap @ m.gram @ lmap.T)[:4] / m.n
+    final = m.final_covariance()
+    if np.any(np.diag(final)[:4] <= 1e-12 * raw):
         raise ValueError("degenerate (zero-variance) data column")
-    # the whole batch first, then each block
-    a, b, c = np.array([_read_block_params(m, blk) for blk in (None, *range(len(m.counts)))]).T
+    a, b, c = (float(v) for v in _read_block_params(m))
     t = c * c / (a * a - 1.0)
     eps = (b - 1.0 - t * (a - 1.0)) / t
-    t_se, eps_se = np.std([t[1:], eps[1:]], axis=1, ddof=1) / math.sqrt(len(m.counts))
-    return EstimatedParams(
-        a=float(a[0]), b=float(b[0]), c=float(c[0]), t_hat=float(t[0]), eps_hat=float(eps[0]),
-        t_se=float(t_se), eps_se=float(eps_se),
-    )
+    grad = _param_gradient(a, b, c)
+    var = np.diag(grad @ _reading_covariance(_reading(m), final, m.n) @ grad.T)
+    return EstimatedParams(a=a, b=b, c=c, t_hat=t, eps_hat=eps,
+                           t_se=math.sqrt(var[0]), eps_se=math.sqrt(var[1]))
 
 
 def key_rates_vs_k_from_batch(m: Moments, k_grid, beta: float = 1.0) -> np.ndarray:

@@ -5,6 +5,7 @@ The package's `__init__.py` is exempt: its imports are its exports.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,17 +65,20 @@ def test_layering():
     assert imports["montecarlo"] == {"kernels", "protocol"}
 
 
+def _defined(node: ast.stmt) -> set[str]:
+    """Names one top-level statement defines: an assignment, function or class."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, ast.Assign):
+        return {t.id for t in node.targets if isinstance(t, ast.Name)}
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return {node.target.id}
+    return set()
+
+
 def module_level_names(source: str) -> set[str]:
     """Names a module defines at its top level: assignments, functions, classes."""
-    names = set()
-    for node in ast.parse(source).body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, ast.Assign):
-            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            names.add(node.target.id)
-    return names
+    return set().union(*(_defined(node) for node in ast.parse(source).body))
 
 
 def test_each_name_defined_once():
@@ -88,6 +92,38 @@ def test_each_name_defined_once():
             for name in module_level_names(p.read_text()):
                 owners.setdefault(name, []).append(p.stem)
     assert {name: mods for name, mods in owners.items() if len(mods) > 1} == {}
+
+
+def unreferenced_names(source: str, elsewhere: str) -> set[str]:
+    """Top-level names of a module that appear as a word neither in
+    `elsewhere` nor in the module outside their own definition."""
+    lines = source.splitlines()
+    missing = set()
+    for node in ast.parse(source).body:
+        first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
+        rest = "\n".join(lines[:first - 1] + lines[node.end_lineno:])
+        for name in _defined(node):
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            if not word.search(rest) and not word.search(elsewhere):
+                missing.add(name)
+    return missing
+
+
+def test_every_name_is_referenced():
+    """Each top-level name of the package is read somewhere, by the package,
+    the tests or the benchmark, read as text; `__init__.__all__` is exempt."""
+    assert unreferenced_names("X = 1\ndef f():\n    return f(X)\n@d\nclass C:\n    pass\n"
+                              "Y = X\n", "C") == {"f", "Y"}
+    texts = {p: p.read_text() for d in ("src", "tests", "perfbench")
+             for p in sorted((ROOT / d).rglob("*.py"))}
+    missing = {}
+    for p in sorted((ROOT / "src" / "cvmdi").glob("*.py")):
+        elsewhere = "\n".join(text for q, text in texts.items() if q != p)
+        names = unreferenced_names(texts[p], elsewhere) - ({"__all__"} if p.name == "__init__.py"
+                                                           else set())
+        if names:
+            missing[p.name] = sorted(names)
+    assert missing == {}
 
 
 def callers(source: str, name: str) -> set[str]:
