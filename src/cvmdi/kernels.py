@@ -14,6 +14,11 @@ Each formula exists twice, and the call site picks the form:
 * the `*_grid` functions take numpy arrays (scalars broadcast) and evaluate
   a whole grid in one call: `block_key_rate_grid` for `keyrate.key_rate_vs_k`
   (the detection scheme's k scan) and `montecarlo.key_rates_vs_k_from_batch`.
+  The grid Holevo bound makes one entropy pass, over the stacked symplectic
+  eigenvalues (nu1, nu2, nu3), and `block_key_rate_grid` computes what the
+  mutual information and nu3 share once. Both equal, bit for bit, the
+  composition g(nu1) + g(nu2) - g(nu3) and beta*I - chi of the other grid
+  functions.
 
 The test suite checks the two forms against each other elementwise.
 """
@@ -78,11 +83,20 @@ def block_mutual_information_grid(a, b, c):
     return np.log2((a + 1.0) / (a + 1.0 - c * c / (b + 1.0)))
 
 
-def block_holevo_reverse_grid(a, b, c):
+def _holevo_grid(a, b, c, nu3):
+    """chi from the block and nu3 = a - c^2/(b+1), in one entropy pass over the
+    stacked (nu1, nu2, nu3)."""
     nu1, nu2 = block_symplectic_eigenvalues_grid(a, b, c)
-    nu3 = a - c * c / (b + 1.0)
-    return g_entropy_grid(nu1) + g_entropy_grid(nu2) - g_entropy_grid(nu3)
+    g = g_entropy_grid(np.array((nu1, nu2, nu3)))
+    return g[0] + g[1] - g[2]
+
+
+def block_holevo_reverse_grid(a, b, c):
+    return _holevo_grid(a, b, c, a - c * c / (b + 1.0))
 
 
 def block_key_rate_grid(a, b, c, beta):
-    return beta * block_mutual_information_grid(a, b, c) - block_holevo_reverse_grid(a, b, c)
+    # c^2/(b+1) and a+1 are shared by the mutual information and nu3
+    a1 = a + 1.0
+    c2b = c * c / (b + 1.0)
+    return beta * np.log2(a1 / (a1 - c2b)) - _holevo_grid(a, b, c, a - c2b)

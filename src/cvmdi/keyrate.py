@@ -26,6 +26,9 @@ MAX_DISTANCE_CAP_KM = 2000.0
 # over k0 * K_GRID_SPAN, k0 the k of the optimal gain
 K_GRID_POINTS = 400
 K_GRID_SPAN = (0.1, 10.0)
+# the grid over k0 = 1, built once; K_GRID_POINTS and K_GRID_SPAN still define it
+_K_UNIT_GRID = np.logspace(np.log10(K_GRID_SPAN[0]), np.log10(K_GRID_SPAN[1]), K_GRID_POINTS)
+_K_UNIT_GRID.flags.writeable = False
 DETECTOR_EFFICIENCY_TOL = 1e-6
 
 
@@ -162,9 +165,12 @@ def sweep_asymmetric(scenario: Scenario, l_ac_grid, l_bc_values) -> SweepResult:
     if (l_ac_grid.size == 0 or l_bc_values.size == 0
             or np.any(l_ac_grid < 0) or np.any(l_bc_values < 0)):
         raise ValueError("grids must be nonempty and nonnegative")
+    # each channel is built once: a first leg per grid length, a second leg per curve
+    legs_a = [scenario.channel_a.with_length(l) for l in l_ac_grid.tolist()]
     curves = []
     for l_bc in l_bc_values.tolist():
-        points = tuple(secret_key_rate(scenario.with_lengths(l, l_bc)) for l in l_ac_grid.tolist())
+        leg_b = scenario.channel_b.with_length(l_bc)
+        points = tuple(secret_key_rate(scenario.with_channels(leg_a, leg_b)) for leg_a in legs_a)
         curves.append(SweepCurve(
             label=f"l_bc={l_bc:g}km",
             axis_km=l_ac_grid.copy(),
@@ -180,15 +186,15 @@ def analytic_k(scenario: Scenario) -> float:
 
 
 def default_k_grid(scenario: Scenario) -> np.ndarray:
-    k0 = analytic_k(scenario)
-    return k0 * np.logspace(np.log10(K_GRID_SPAN[0]), np.log10(K_GRID_SPAN[1]), K_GRID_POINTS)
+    return analytic_k(scenario) * _K_UNIT_GRID
 
 
 def key_rate_vs_k(scenario: Scenario, k_grid) -> np.ndarray:
     """Key rate at each amplification coefficient of the data processing."""
     k_grid = np.asarray(k_grid, dtype=float)
-    if k_grid.size == 0 or np.any(k_grid <= 0):
-        raise ValueError("k grid must be nonempty and positive")
+    # a NaN makes min and max NaN, which fails both comparisons
+    if k_grid.size == 0 or not (k_grid.min() > 0.0 and k_grid.max() < math.inf):
+        raise ValueError("k grid must be nonempty, finite and positive")
     a, b, c = scenario_block_params(scenario, gain_from_k(k_grid, scenario.v_b))
     return kernels.block_key_rate_grid(a, b, c, scenario.beta_r)
 
@@ -204,7 +210,7 @@ def optimize_k_detection_scheme(scenario: Scenario) -> tuple[float, float]:
 def max_distance_detection_scheme(scenario: Scenario) -> float:
     """Largest first-leg length with positive k-optimized key rate."""
     def best_rate(l: float) -> float:
-        s = scenario.with_lengths(l, scenario.channel_b.length_km)
+        s = scenario.with_channels(scenario.channel_a.with_length(l), scenario.channel_b)
         return optimize_k_detection_scheme(s)[1]
     return _max_distance(best_rate)
 
@@ -212,9 +218,11 @@ def max_distance_detection_scheme(scenario: Scenario) -> float:
 def min_detector_efficiency(scenario: Scenario) -> float:
     """Smallest relay detector efficiency with K > 0 at vanishing distance,
     to within DETECTOR_EFFICIENCY_TOL."""
+    at_zero = scenario.with_lengths(0.0, 0.0)
+
     def rate(eta_d: float) -> float:
-        s = replace(scenario, detector=DetectorParams(eta_d, scenario.detector.electronic_noise))
-        return key_rate_at(s, 0.0, 0.0)
+        d = DetectorParams(eta_d, scenario.detector.electronic_noise)
+        return secret_key_rate(replace(at_zero, detector=d)).k
 
     lo, hi = 0.999999, 0.2
     if rate(lo) <= 0.0:

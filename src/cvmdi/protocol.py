@@ -59,6 +59,10 @@ class ChannelParams:
             raise ValueError(f"channel length {self.length_km} km at {self.attenuation_db_per_km} "
                              f"dB/km: transmittance underflows to 0")
 
+    def with_length(self, length_km: float) -> "ChannelParams":
+        """The same fiber at another length."""
+        return ChannelParams(length_km, self.attenuation_db_per_km, self.excess_noise)
+
 
 @dataclass(frozen=True)
 class DetectorParams:
@@ -110,13 +114,20 @@ class Scenario:
                              f"'optimal'; set gain_mode to 'fixed' to use it")
 
     def with_lengths(self, l_ac_km: float, l_bc_km: float) -> "Scenario":
-        a, b = self.channel_a, self.channel_b
-        return Scenario(
-            self.v_a, self.v_b,
-            ChannelParams(l_ac_km, a.attenuation_db_per_km, a.excess_noise),
-            ChannelParams(l_bc_km, b.attenuation_db_per_km, b.excess_noise),
-            self.beta_r, self.detector, self.gain_mode, self.gain,
-        )
+        return self.with_channels(self.channel_a.with_length(l_ac_km),
+                                  self.channel_b.with_length(l_bc_km))
+
+    def with_channels(self, channel_a: ChannelParams, channel_b: ChannelParams) -> "Scenario":
+        """This scenario over other channels.
+
+        A copy, not a new construction: every field `__post_init__` checks is
+        this scenario's, and each `ChannelParams` checked itself when built.
+        """
+        new = object.__new__(Scenario)
+        state = new.__dict__
+        state.update(self.__dict__)
+        state["channel_a"], state["channel_b"] = channel_a, channel_b
+        return new
 
     def resolved_gain(self) -> float:
         """The one gain rule: `gain` when fixed, else `optimal_gain`; callers pass it on."""

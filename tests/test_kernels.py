@@ -34,6 +34,38 @@ def test_scalar_functions_agree(rng):
             (nu1[i], nu2[i]), abs=1e-11)
 
 
+def three_pass_holevo(a, b, c):
+    """The grid Holevo bound as one entropy pass per symplectic eigenvalue."""
+    nu1, nu2 = kernels.block_symplectic_eigenvalues_grid(a, b, c)
+    nu3 = a - c * c / (b + 1.0)
+    return kernels.g_entropy_grid(nu1) + kernels.g_entropy_grid(nu2) - kernels.g_entropy_grid(nu3)
+
+
+def three_pass_key_rate(a, b, c, beta):
+    return beta * kernels.block_mutual_information_grid(a, b, c) - three_pass_holevo(a, b, c)
+
+
+def test_one_pass_grid_forms_equal_the_three_pass_composition(rng):
+    physical = np.array([grid_params(rng) for _ in range(300)])
+    # c up to three times sqrt(a b): sqrt and log2 meet negative arguments (NaN)
+    unphysical = physical.copy()
+    unphysical[:, 2] = rng.uniform(0.5, 3.0, 300) * np.sqrt(physical[:, 0] * physical[:, 1])
+    a, b, c = np.concatenate([physical, unphysical]).T
+    cases = [(a, b, c), (a[7], b, c), (float(a[7]), b, c), (a, b[7], c[7])]
+    cases += [(np.float64(x), y, z) for x, y, z in zip(a[::40], b[::40], c[::40])]
+    cases += [tuple(map(float, block)) for block in zip(a[::40], b[::40], c[::40])]
+    with np.errstate(all="ignore"):
+        for args in cases:
+            chi = kernels.block_holevo_reverse_grid(*args)
+            rate = kernels.block_key_rate_grid(*args, 0.95)
+            # scalars broadcast: the shape is that of the inputs, 0-d for all-0-d inputs
+            assert np.shape(chi) == np.shape(rate) == np.broadcast(*args).shape
+            assert np.array_equal(chi, three_pass_holevo(*args), equal_nan=True)
+            assert np.array_equal(rate, three_pass_key_rate(*args, 0.95), equal_nan=True)
+        nan = np.isnan(kernels.block_key_rate_grid(a, b, c, 0.95))
+    assert not nan[:300].any() and nan[300:].any() and not nan[300:].all()
+
+
 def test_scalar_functions_return_floats(rng):
     a, b, c = (float(x) for x in grid_params(rng))
     values = (kernels.g_entropy(a), kernels.block_mutual_information(a, b, c),

@@ -1,7 +1,8 @@
 """Key-rate formulas, distance sweeps, and the k-grid detection optimizer."""
 
 import math
-from dataclasses import replace
+import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ import pytest
 from cvmdi import kernels
 from cvmdi.gaussian import block_cm
 from cvmdi.keyrate import (
+    K_GRID_POINTS,
+    K_GRID_SPAN,
+    KeyRatePoint,
     analytic_k,
     default_k_grid,
     holevo_bound_reverse_generic,
@@ -138,6 +142,21 @@ class TestSweeps:
         assert res.curves[0].label == "l_bc=0km"
         assert res.curves[1].points[0].k < res.curves[0].points[0].k
 
+    def test_points_are_the_secret_key_rates(self, rng):
+        # each point is, field by field, the key rate of the scenario at its lengths
+        axis = np.linspace(0.0, 10.0, 11)
+        for s in (make_scenario(eta_d=0.9, v_el=0.01, beta=0.95), random_scenario(rng)):
+            pairs = [(l, l) for l in axis.tolist()]
+            (sym,) = sweep_symmetric(s, axis).curves
+            curves = sweep_asymmetric(s, axis, [0.0, 1.0, 3.0]).curves
+            pairs += [(l, l_bc) for l_bc in (0.0, 1.0, 3.0) for l in axis.tolist()]
+            points = sym.points + tuple(p for c in curves for p in c.points)
+            assert len(points) == len(pairs)
+            for point, (l_ac, l_bc) in zip(points, pairs):
+                expected = secret_key_rate(s.with_lengths(l_ac, l_bc))
+                for f in fields(KeyRatePoint):
+                    assert getattr(point, f.name) == getattr(expected, f.name), f.name
+
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
             sweep_symmetric(make_scenario(), [])
@@ -179,9 +198,29 @@ class TestDetectionSchemeOptimizer:
         grid = default_k_grid(s)
         assert grid[0] < analytic_k(s) < grid[-1]
 
+    def test_default_grid_is_k0_times_the_span(self, rng):
+        for s in (make_scenario(10.0, 0.0), random_scenario(rng)):
+            unit = np.logspace(np.log10(K_GRID_SPAN[0]), np.log10(K_GRID_SPAN[1]), K_GRID_POINTS)
+            assert np.array_equal(default_k_grid(s), analytic_k(s) * unit)
+
+    def test_optimum_is_the_argmax_of_the_default_scan(self, rng):
+        for s in (make_scenario(10.0, 0.0, beta=0.95), random_scenario(rng)):
+            grid = default_k_grid(s)
+            rates = key_rate_vs_k(s, grid)
+            i = int(np.argmax(rates))
+            assert optimize_k_detection_scheme(s) == (float(grid[i]), float(rates[i]))
+
     def test_rejects_nonpositive_k(self):
         with pytest.raises(ValueError):
             key_rate_vs_k(make_scenario(), [0.0])
+
+    @pytest.mark.parametrize("bad", [[math.nan], [1.0, math.nan], [math.inf], [-math.inf]])
+    def test_rejects_non_finite_k(self, bad):
+        # rejected before any arithmetic: no NaN result and no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite and positive"):
+                key_rate_vs_k(make_scenario(), bad)
 
     def test_scaled_grid_invariance(self):
         # evaluating on a rescaled grid shifts the argmax, not the maximum

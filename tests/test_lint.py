@@ -1,4 +1,5 @@
-"""Lint: every imported name is used, and the package keeps its layering.
+"""Lint: every imported name is used, the package keeps its layering, and
+each kernel formula has exactly its two forms.
 
 A module of `src/cvmdi` or of `tests/` that imports a name must reference it.
 The package's `__init__.py` is exempt: its imports are its exports.
@@ -174,3 +175,24 @@ def test_one_gain_rule():
     assert {f"{p.stem}.{f}" for p in modules for f in callers(p.read_text(), "optimal_gain")} == {
         "protocol.Scenario.resolved_gain"}
     assert {f"{p.stem}.{f}" for p in modules for f in none_defaults(p.read_text(), "g")} == set()
+
+
+def untwinned_kernels(source: str) -> set[str]:
+    """Public functions without their twin: a scalar `f` with no `f_grid`, or
+    an `f_grid` with no scalar `f`."""
+    public = {node.name for node in ast.parse(source).body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    scalar = {name for name in public if not name.endswith("_grid")}
+    grid = {name.removesuffix("_grid") for name in public - scalar}
+    return (scalar - grid) | {f"{name}_grid" for name in grid - scalar}
+
+
+def test_each_kernel_has_a_scalar_and_a_grid_form():
+    """`kernels` holds each formula as a scalar function and its `_grid` twin,
+    and no third public form; private helpers are exempt."""
+    assert untwinned_kernels("def f(a): pass\ndef f_grid(a): pass\ndef _h(a): pass\n"
+                             "def g_grid(a): pass\ndef f_fused(a): pass\n") == {"g_grid", "f_fused"}
+    source = (ROOT / "src" / "cvmdi" / "kernels.py").read_text()
+    assert untwinned_kernels(source) == set()
+    assert untwinned_kernels(source + "\ndef block_key_rate_fused(a, b, c, beta): pass\n") == {
+        "block_key_rate_fused"}

@@ -48,6 +48,31 @@ class TestScenario:
         assert s.channel_b.length_km == 6.0
         assert s.channel_a.excess_noise == 0.002  # other fields preserved
 
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, 1e5])
+    def test_derived_scenarios_keep_the_length_checks(self, bad):
+        # 1e5 km at 0.2 dB/km: the transmittance underflows to 0
+        s = make_scenario(1.0, 2.0, eps=0.004)
+        with pytest.raises(ValueError) as built:
+            make_scenario(bad, 2.0, eps=0.004)
+        for derive in (lambda: s.with_lengths(bad, 2.0), lambda: s.with_lengths(2.0, bad),
+                       lambda: s.with_channels(s.channel_a.with_length(bad), s.channel_b),
+                       lambda: s.with_channels(s.channel_a, s.channel_b.with_length(bad))):
+            with pytest.raises(ValueError) as derived:
+                derive()
+            assert str(derived.value) == str(built.value)
+
+    def test_derived_scenario_is_the_constructed_one(self):
+        built = make_scenario(5.0, 6.0, eta_d=0.9, gain_mode="fixed", gain=1.3)
+        base = make_scenario(1.0, 2.0, eta_d=0.9, gain_mode="fixed", gain=1.3)
+        for derived in (base.with_lengths(5.0, 6.0),
+                        base.with_channels(ChannelParams(5.0, 0.2, 0.002),
+                                           ChannelParams(6.0, 0.2, 0.002))):
+            assert derived == built and hash(derived) == hash(built)
+            assert repr(derived) == repr(built)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                derived.channel_a = base.channel_a
+        assert base.channel_a.length_km == 1.0  # the source is not changed
+
     def test_fixed_gain_requires_value(self):
         with pytest.raises(ValueError):
             make_scenario(gain_mode="fixed")
