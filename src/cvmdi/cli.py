@@ -3,6 +3,12 @@
 Exit codes: 0 success, 1 suite failure, 2 configuration error. Output CSVs
 carry the effective configuration in '#'-prefixed comment lines and use
 shortest round-trip decimal formatting.
+
+Each run is one cold process, so a command loads only the layers it uses:
+`keyrate`, `sweep` and `figure` load the analytic path (`protocol`,
+`kernels`, `keyrate`); `oracle` alone loads the Monte Carlo layer
+(`montecarlo`, `oracle`), inside `cmd_oracle`; and `configparser` is loaded
+only to read a `--config` file.
 """
 
 from __future__ import annotations
@@ -23,8 +29,6 @@ from .keyrate import (
     sweep_asymmetric,
     sweep_symmetric,
 )
-from .montecarlo import UnsupportedScenario
-from .oracle import run_oracle_suites
 
 IDEAL_V = 1e5  # modulation variance used for "ideal" comparison curves
 
@@ -133,8 +137,14 @@ def cmd_sweep(cfg: RunConfig, mode: str, out: str | None) -> int:
 
 
 def cmd_oracle(cfg: RunConfig, negative_control: bool, out: str | None) -> int:
+    from .montecarlo import UnsupportedScenario
+    from .oracle import run_oracle_suites
+
     n, seed = cfg["mc"]["n"], cfg["mc"]["seed"]
-    results = run_oracle_suites(cfg.scenario(), n, seed, wrong_sign=negative_control)
+    try:
+        results = run_oracle_suites(cfg.scenario(), n, seed, wrong_sign=negative_control)
+    except UnsupportedScenario as exc:
+        raise ConfigError(str(exc)) from exc
     rows = [(r.name, "PASS" if r.passed else "FAIL", r.detail, seed, n) for r in results]
     # the CSV first: an unwritable path exits 2 before anything is printed
     if out:
@@ -183,7 +193,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg, args.mode, out)
         return cmd_oracle(cfg, args.negative_control, out)
-    except (ConfigError, UnsupportedScenario) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

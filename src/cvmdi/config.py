@@ -6,13 +6,11 @@ environment variables < --set section.key=value overrides.
 
 from __future__ import annotations
 
-import configparser
 import math
 import os
 from dataclasses import dataclass, field
 
-from .montecarlo import MIN_ESTIMATION_SAMPLES
-from .protocol import ChannelParams, DetectorParams, Scenario
+from .protocol import MIN_ESTIMATION_SAMPLES, ChannelParams, DetectorParams, Scenario
 
 ENV_PREFIX = "CVMDI_"
 
@@ -113,6 +111,8 @@ def load_config(path: str | None = None, overrides: list[str] | None = None,
     values = {sec: dict(d) for sec, d in _DEFAULTS.items()}
 
     if path is not None:
+        import configparser  # only a --config file needs it
+
         # no interpolation: '%' is literal, as it is for --set and effective_lines()
         parser = configparser.ConfigParser(interpolation=None)
         try:
@@ -169,4 +169,7 @@ def load_config(path: str | None = None, overrides: list[str] | None = None,
     if values["mc"]["n"] < MIN_ESTIMATION_SAMPLES:
         raise ConfigError(f"mc.n must be >= {MIN_ESTIMATION_SAMPLES}, the smallest batch "
                           f"the oracle's parameter estimation accepts")
+    if values["mc"]["seed"] < 0:
+        raise ConfigError(f"mc.seed must be >= 0, got {values['mc']['seed']}: the oracle keys "
+                          f"its random streams with it, and the key is a non-negative integer")
     return cfg

@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .protocol import _SQRT2, Scenario, k_from_gain
+from .protocol import _SQRT2, MIN_ESTIMATION_SAMPLES, Scenario, k_from_gain
 
 # rows per chunk: a batch is drawn, and reduced to moments, this many rows at
 # a time
@@ -401,10 +401,6 @@ def equivalence_z_scores(eb: Moments, pm: Moments) -> np.ndarray:
     cov_eb = s @ eb.final_covariance() @ s
     cov_pm = pm.final_covariance()
     return (cov_pm - cov_eb) / _entry_se(0.5 * (cov_eb + cov_pm), pm.n / 2)
-
-
-# smallest batch `estimate_params` accepts; `load_config` holds mc.n to it
-MIN_ESTIMATION_SAMPLES = 1000
 
 
 @dataclass(frozen=True)

@@ -77,6 +77,10 @@ def run_oracle_suites(scenario: Scenario, n: int, seed: int,
         raise mc.UnsupportedScenario(
             f"scenario.eta_d = {det.efficiency!r}, scenario.v_el = {det.electronic_noise!r}: "
             "the oracle samples a perfect relay detector (eta_d = 1, v_el = 0)")
+    if scenario.v_a == 1.0:
+        raise mc.UnsupportedScenario(
+            f"scenario.v_a = {scenario.v_a!r}: the oracle needs a modulated source (v_a > 1); "
+            "at v_a = 1 Alice's modulation data are zero and (T, eps') cannot be estimated")
     g = scenario.resolved_gain()
     eb = mc.sample_moments(scenario, "EB", g, n, seed)
     pm = mc.sample_moments(scenario, "PM", k_from_gain(g, scenario.v_b), n, seed + 1)

@@ -20,6 +20,11 @@ from .gaussian import (
 
 DEFAULT_ATTENUATION_DB_PER_KM = 0.2
 
+# smallest batch `montecarlo.estimate_params` accepts; `load_config` holds mc.n
+# to it. It lives here, the one module both import, so that loading a config
+# does not load the Monte Carlo layer.
+MIN_ESTIMATION_SAMPLES = 1000
+
 
 def _non_finite(params) -> ValueError:
     """The error for a parameter set with a NaN or infinite number field."""

@@ -1,7 +1,14 @@
 """CLI and configuration layer: exit codes, determinism, strict validation."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import cvmdi
 from cvmdi.cli import main
 from cvmdi.config import _DEFAULTS, ConfigError, load_config
 
@@ -104,6 +111,11 @@ class TestConfig:
         again = load_config(str(path), environ={})
         assert again.values == cfg.values
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="mc.seed must be >= 0, got -1"):
+            load_config(overrides=["mc.seed=-1"], environ={})
+        assert load_config(overrides=["mc.seed=0"], environ={})["mc"]["seed"] == 0
+
     def test_l_bc_values(self):
         cfg = load_config(overrides=["sweep.l_bc_values_km=0, 2.5 ,7"], environ={})
         assert cfg.l_bc_values() == [0.0, 2.5, 7.0]
@@ -140,6 +152,14 @@ class TestExitCodes:
 
     def test_bad_value_is_2(self, capsys):
         assert main(["--set", "scenario.v_a=-5", "keyrate"]) == 2
+
+    # numpy's SeedSequence takes non-negative integers only
+    @pytest.mark.parametrize("args", [["--seed", "-1"], ["--set", "mc.seed=-5"]])
+    def test_negative_seed_is_2(self, capsys, args):
+        assert main([*args, "--set", "mc.n=1000", "oracle"]) == 2
+        captured = capsys.readouterr()
+        assert "config error: mc.seed" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
 
     # printed statistics are fixed by (config, seed); a change of the sampler
     # or of the estimators that moves them shows here
@@ -227,11 +247,13 @@ PASS measurement_rescaling_invariance (|dK_max|=2.33e-05) seed=12345 n=100000
         assert "mc.n" in err and "Traceback" not in err
 
     # the sampler draws a perfect relay detector, and factors each source's
-    # covariance, c = sqrt(V^2 - 1), which is singular once V^2 - 1 rounds to V^2
+    # covariance, c = sqrt(V^2 - 1), which is singular once V^2 - 1 rounds to
+    # V^2; at v_a = 1 Alice's modulation is zero and estimation divides by a^2 - 1
     @pytest.mark.parametrize("override, field", [
         ("scenario.eta_d=0.9", "scenario.eta_d"),
         ("scenario.v_el=0.01", "scenario.v_el"),
         ("scenario.v_a=1e8", "scenario.v_a"),
+        ("scenario.v_a=1", "scenario.v_a"),
     ])
     def test_oracle_scenario_outside_the_sampler_is_2(self, capsys, override, field):
         assert main(["--set", override, "--set", "mc.n=1000", "oracle"]) == 2
@@ -336,3 +358,41 @@ class TestCsvOutput:
         other = tmp_path / "flag.csv"
         assert main([*args[:-2], "--out", str(other), "sweep", "symmetric"]) == 0
         assert other.read_bytes() == path.read_bytes()
+
+
+# runs in a fresh interpreter: prints, after each step, which of the lazily
+# loaded modules are in sys.modules
+COLD_START = """
+import json, sys
+from cvmdi.cli import main
+
+def loaded(step):
+    names = ("cvmdi.montecarlo", "cvmdi.oracle", "configparser")
+    print(json.dumps([step, [m for m in names if m in sys.modules]]), file=sys.stderr)
+
+loaded("import")
+for argv in json.loads(sys.argv[1]):
+    main(argv)
+    loaded(argv[-1])
+"""
+
+
+def test_only_oracle_loads_the_monte_carlo_layer(tmp_path):
+    """Each command is one cold process, so it loads only what it uses: the
+    Monte Carlo layer for `oracle`, `configparser` for a `--config` file."""
+    config = tmp_path / "run.cfg"
+    config.write_text("[sweep]\npoints = 3\n")
+    out = ["--out", str(tmp_path / "x.csv")]
+    small = ["--set", "sweep.points=3", *out]
+    steps = [[*out, "keyrate"], [*small, "sweep", "symmetric"], [*small, "figure", "fig4"],
+             [*out, "--set", "mc.n=2000", "oracle"], ["--config", str(config), *out, "keyrate"]]
+    env = {k: v for k, v in os.environ.items() if not k.startswith("CVMDI_")}
+    src = str(Path(cvmdi.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(steps)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    records = [json.loads(ln) for ln in proc.stderr.splitlines() if ln.startswith("[")]
+    monte_carlo = ["cvmdi.montecarlo", "cvmdi.oracle"]
+    assert records == [["import", []], ["keyrate", []], ["symmetric", []], ["fig4", []],
+                       ["oracle", monte_carlo], ["keyrate", [*monte_carlo, "configparser"]]]

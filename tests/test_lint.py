@@ -54,7 +54,8 @@ def package_imports(source: str) -> set[str]:
 
 def test_layering():
     """The generic path (`gaussian`) sits behind `protocol` and `keyrate`; the
-    Monte Carlo layer works on (a, b, c) from `protocol` and `kernels` alone."""
+    Monte Carlo layer works on (a, b, c) from `protocol` and `kernels` alone;
+    `config` does not load the Monte Carlo layer, which only `oracle` runs use."""
     assert package_imports("from . import kernels as k\nfrom .protocol import x\n"
                            "from cvmdi.gaussian import y\nimport cvmdi.oracle\n"
                            "from cvmdi import keyrate\n") == {
@@ -64,6 +65,7 @@ def test_layering():
     assert {m for m, names in imports.items() if "gaussian" in names} == {
         "__init__", "keyrate", "protocol"}
     assert imports["montecarlo"] == {"kernels", "protocol"}
+    assert not imports["config"] & {"montecarlo", "oracle"}
 
 
 def _defined(node: ast.stmt) -> set[str]:
