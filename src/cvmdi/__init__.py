@@ -31,14 +31,13 @@ from .protocol import (
     ChannelParams,
     DetectorParams,
     Scenario,
-    compose_eb_analytic,
     compose_eb_simulated,
     effective_transmittance,
     equivalent_excess_noise,
     optimal_gain,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
     "CovarianceMatrix",
@@ -61,7 +60,6 @@ __all__ = [
     "ChannelParams",
     "DetectorParams",
     "Scenario",
-    "compose_eb_analytic",
     "compose_eb_simulated",
     "effective_transmittance",
     "equivalent_excess_noise",

@@ -10,7 +10,14 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .protocol import MIN_ESTIMATION_SAMPLES, ChannelParams, DetectorParams, Scenario
+from .protocol import (
+    MIN_ESTIMATION_SAMPLES,
+    ChannelParams,
+    DetectorParams,
+    Scenario,
+    effective_transmittance,
+    equivalent_excess_noise,
+)
 
 ENV_PREFIX = "CVMDI_"
 
@@ -150,7 +157,14 @@ def load_config(path: str | None = None, overrides: list[str] | None = None,
         values[section.strip()][key.strip()] = _convert(section.strip(), key.strip(), raw.strip(), "--set")
 
     cfg = RunConfig(values)
-    cfg.scenario()  # validate ranges now, before any computation
+    scenario = cfg.scenario()  # validate ranges now, before any computation
+    if scenario.gain_mode == "fixed":
+        t = effective_transmittance(scenario, scenario.gain)
+        eps = equivalent_excess_noise(scenario, scenario.gain)
+        if not (math.isfinite(t) and math.isfinite(eps)) or t == 0.0:
+            raise ConfigError(f"scenario.gain = {scenario.gain!r}: the equivalent channel at the "
+                              f"configured legs has T = {t!r} and eps' = {eps!r}; a fixed gain "
+                              f"must give a finite T > 0 and a finite eps'")
     if values["sweep"]["points"] < 1:
         raise ConfigError("sweep.points must be >= 1")
     if values["sweep"]["l_min_km"] < 0 or values["sweep"]["l_max_km"] < values["sweep"]["l_min_km"]:

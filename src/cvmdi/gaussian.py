@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import g_entropy
+
 PHYSICALITY_TOL = 1e-9
 
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -156,13 +158,11 @@ def symplectic_eigenvalues(cov: CovarianceMatrix) -> np.ndarray:
 
 
 def entropy_g(nu: float) -> float:
-    """Bosonic entropy function g(nu) in bits, g(1) = 0 by continuity."""
+    """Bosonic entropy function g(nu) in bits, g(1) = 0 by continuity: the
+    formula of `kernels.g_entropy`, after the physicality check."""
     if nu < 1.0 - PHYSICALITY_TOL:
         raise UnphysicalStateError(f"symplectic eigenvalue {nu} < 1")
-    if nu - 1.0 < 1e-12:
-        return 0.0
-    a, b = (nu + 1.0) / 2.0, (nu - 1.0) / 2.0
-    return a * np.log2(a) - b * np.log2(b)
+    return g_entropy(float(nu))
 
 
 def von_neumann_entropy(cov: CovarianceMatrix) -> float:

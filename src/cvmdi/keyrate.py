@@ -9,15 +9,7 @@ import numpy as np
 
 from . import kernels
 from .gaussian import CovarianceMatrix, heterodyne_condition, von_neumann_entropy
-from .protocol import (
-    DetectorParams,
-    Scenario,
-    block_params,
-    effective_transmittance,
-    gain_from_k,
-    imperfect_excess_noise,
-    k_from_gain,
-)
+from .protocol import DetectorParams, Scenario, gain_from_k, k_from_gain, scenario_block_params
 
 BISECT_TOL_KM = 0.01
 BISECT_MAX_ITER = 60
@@ -74,13 +66,6 @@ def holevo_bound_reverse_generic(cov2: CovarianceMatrix) -> float:
     """Holevo bound on Eve's information about mode-B heterodyne data, from
     full symplectic spectra and explicit conditioning."""
     return von_neumann_entropy(cov2) - von_neumann_entropy(heterodyne_condition(cov2, mode=1))
-
-
-def scenario_block_params(scenario: Scenario, g):
-    """(a, b, c) of the post-protocol covariance at gain g, detector penalty
-    included: g is a float or an array of gains."""
-    t = effective_transmittance(scenario, g)
-    return block_params(scenario.v_a, t, imperfect_excess_noise(scenario, g))
 
 
 def secret_key_rate(scenario: Scenario) -> KeyRatePoint:

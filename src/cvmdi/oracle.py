@@ -17,8 +17,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import montecarlo as mc
-from .keyrate import scenario_block_params
-from .protocol import Scenario, effective_transmittance, equivalent_excess_noise, k_from_gain
+from .protocol import (
+    Scenario,
+    effective_transmittance,
+    equivalent_excess_noise,
+    k_from_gain,
+    scenario_block_params,
+)
 
 
 # |z| at or above which a Monte Carlo comparison fails

@@ -1,6 +1,14 @@
-"""Relay-based protocol composition under two independent entangling-cloner
-attacks: analytic two-mode output covariance, explicit mode-by-mode Gaussian
-composition, gain optimization, and detector-imperfection noise.
+"""The relay-based protocol under two independent entangling-cloner attacks.
+
+This module holds the paper's reduction, once: at displacement gain g the
+scheme is one-way coherent-state CV QKD with heterodyne detection over an
+equivalent channel, of transmittance T (`effective_transmittance`) and
+input-referred excess noise eps' (`equivalent_excess_noise`, the relay
+detector's penalty included), and `scenario_block_params` turns a scenario
+at g into the block covariance (a, b, c) that the key rate and the oracle
+evaluate. Around it: the parameter types, the gain rule
+(`Scenario.resolved_gain`), and the explicit mode-by-mode Gaussian
+composition (`compose_eb_simulated`) that cross-checks the reduction.
 """
 
 from __future__ import annotations
@@ -10,13 +18,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .gaussian import (
-    CovarianceMatrix,
-    apply_beamsplitter,
-    block_cm,
-    tensor,
-    tms_state,
-)
+from .gaussian import CovarianceMatrix, apply_beamsplitter, tensor, tms_state
 
 DEFAULT_ATTENUATION_DB_PER_KM = 0.2
 
@@ -148,10 +150,11 @@ def optimal_gain(scenario: Scenario) -> float:
 # -- the reduction -------------------------------------------------------------
 # The relay scheme at displacement gain g is one-way coherent-state CV QKD with
 # heterodyne detection over a channel of transmittance T = eta_a g^2 / 2 and
-# input-referred excess noise eps'; (T, eps') give the block covariance
+# input-referred excess noise eps', to which a relay detector of input-referred
+# noise chi_det adds 2 chi_det / eta_a; (T, eps') give the block covariance
 # (a, b, c) that `kernels` evaluates. These functions are plain arithmetic
-# (`** 0.5`, not `math.sqrt`): on floats they return floats, and every
-# argument may instead be a numpy array, elementwise.
+# (`** 0.5`, not `math.sqrt`): on floats they return floats, and g, or any
+# argument that is not a scenario, may instead be a numpy array, elementwise.
 
 _SQRT2 = 2.0 ** 0.5
 
@@ -171,17 +174,6 @@ def k_from_gain(g, v_b):
     return g * _k_per_gain(v_b)
 
 
-def equivalent_noise(g, v_b, eta_a, eta_b, eps_a, eps_b):
-    """Input-referred excess noise eps' of the reduced one-way channel at gain g.
-
-    The mismatch term vanishes, and eps' is smallest, at `optimal_gain`.
-    """
-    chi_a = (1.0 - eta_a) / eta_a + eps_a
-    chi_b = (1.0 - eta_b) / eta_b + eps_b
-    mismatch = _SQRT2 / g * (v_b - 1.0) ** 0.5 - eta_b ** 0.5 * (v_b + 1.0) ** 0.5
-    return 1.0 + (eta_b * (chi_b - 1.0) + eta_a * chi_a) / eta_a + mismatch * mismatch / eta_a
-
-
 def block_params(v_a, t, eps):
     """(a, b, c) of [[a I2, c sigma_z], [c sigma_z, b I2]] for modulation v_a
     sent through transmittance t with input-referred excess noise eps."""
@@ -193,12 +185,36 @@ def effective_transmittance(scenario: Scenario, g):
     return scenario.channel_a.transmittance / 2.0 * g * g
 
 
+def detector_noise(eta_d: float, v_el: float) -> float:
+    """Input-referred homodyne detector noise (1 - eta_d)/eta_d + v_el/eta_d of
+    a `DetectorParams`' fields, whose construction checks their range."""
+    return (1.0 - eta_d) / eta_d + v_el / eta_d
+
+
 def equivalent_excess_noise(scenario: Scenario, g):
-    """Equivalent excess noise eps' at gain g (`equivalent_noise`): a float or
-    an array of gains."""
-    ch_a, ch_b = scenario.channel_a, scenario.channel_b
-    return equivalent_noise(g, scenario.v_b, ch_a.transmittance, ch_b.transmittance,
-                            ch_a.excess_noise, ch_b.excess_noise)
+    """Input-referred excess noise eps' of the reduced one-way channel at gain
+    g, relay detector penalty 2 chi_det / eta_a included: a float or an array
+    of gains.
+
+    The mismatch term vanishes, and eps' is smallest, at `optimal_gain`; a
+    perfect detector's penalty is exactly 0.0.
+    """
+    ch_a, ch_b, v_b = scenario.channel_a, scenario.channel_b, scenario.v_b
+    eta_a, eta_b = ch_a.transmittance, ch_b.transmittance
+    chi_a = (1.0 - eta_a) / eta_a + ch_a.excess_noise
+    chi_b = (1.0 - eta_b) / eta_b + ch_b.excess_noise
+    mismatch = _SQRT2 / g * (v_b - 1.0) ** 0.5 - eta_b ** 0.5 * (v_b + 1.0) ** 0.5
+    eps = 1.0 + (eta_b * (chi_b - 1.0) + eta_a * chi_a) / eta_a + mismatch * mismatch / eta_a
+    det = scenario.detector
+    return eps + 2.0 * detector_noise(det.efficiency, det.electronic_noise) / eta_a
+
+
+def scenario_block_params(scenario: Scenario, g):
+    """(a, b, c) of the post-protocol covariance at gain g, the one map from a
+    scenario to the block the key rate and the oracle use: a float or an
+    array of gains."""
+    t = effective_transmittance(scenario, g)
+    return block_params(scenario.v_a, t, equivalent_excess_noise(scenario, g))
 
 
 def entangling_cloner_variance(eta: float, eps: float) -> float:
@@ -206,33 +222,6 @@ def entangling_cloner_variance(eta: float, eps: float) -> float:
     if not 0.0 < eta < 1.0:
         raise ValueError(f"transmittance {eta} outside (0, 1)")
     return 1.0 + eta * eps / (1.0 - eta)
-
-
-def detector_noise(eta_d: float, v_el: float) -> float:
-    """Input-referred homodyne detector noise (1 - eta_d)/eta_d + v_el/eta_d."""
-    if eta_d <= 0 or eta_d > 1:
-        raise ValueError(f"detector efficiency {eta_d} outside (0, 1]")
-    if v_el < 0:
-        raise ValueError("electronic noise must be >= 0")
-    return (1.0 - eta_d) / eta_d + v_el / eta_d
-
-
-def imperfect_excess_noise(scenario: Scenario, g):
-    """Equivalent excess noise including the relay detector penalty."""
-    chi_det = detector_noise(scenario.detector.efficiency, scenario.detector.electronic_noise)
-    return equivalent_excess_noise(scenario, g) + 2.0 * chi_det / scenario.channel_a.transmittance
-
-
-def compose_eb_analytic(scenario: Scenario, g: float) -> CovarianceMatrix:
-    """Post-protocol covariance of (kept mode, displaced mode), closed form.
-
-    Detector imperfections are not included here; this is the ideal-relay
-    covariance that the explicit composition must reproduce.
-    """
-    if g <= 0:
-        raise ValueError("gain must be > 0")
-    t = effective_transmittance(scenario, g)
-    return block_cm(*block_params(scenario.v_a, t, equivalent_excess_noise(scenario, g)))
 
 
 def compose_eb_simulated(scenario: Scenario, g: float) -> CovarianceMatrix:

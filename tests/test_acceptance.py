@@ -12,7 +12,7 @@ import numpy as np
 
 from cvmdi import ChannelParams, DetectorParams
 from cvmdi import montecarlo as mc
-from cvmdi.gaussian import apply_beamsplitter, beamsplitter_matrix, entropy_g, \
+from cvmdi.gaussian import apply_beamsplitter, beamsplitter_matrix, block_cm, entropy_g, \
     symplectic_eigenvalues, tensor, tms_state, vacuum_state
 from cvmdi.keyrate import (
     analytic_k,
@@ -20,17 +20,16 @@ from cvmdi.keyrate import (
     max_distance_detection_scheme,
     max_total_distance_symmetric,
     min_detector_efficiency,
-    scenario_block_params,
     secret_key_rate,
 )
 from cvmdi.oracle import Z_LIMIT
 from cvmdi.protocol import (
-    compose_eb_analytic,
     compose_eb_simulated,
     effective_transmittance,
     equivalent_excess_noise,
     k_from_gain,
     optimal_gain,
+    scenario_block_params,
 )
 from conftest import lo_scaling_attack, make_scenario, random_scenario, \
     ref_asymmetric_range, ref_min_detector_efficiency, ref_symmetric_range
@@ -153,7 +152,7 @@ def test_criterion_06_dual_path_covariance_identity():
     for _ in range(1000):
         s = random_scenario(rng)
         g = optimal_gain(s) * rng.uniform(0.5, 2.0)
-        d = np.max(np.abs(compose_eb_analytic(s, g).entries
+        d = np.max(np.abs(block_cm(*scenario_block_params(s, g)).entries
                           - compose_eb_simulated(s, g).entries))
         worst = max(worst, float(d))
     ok = worst <= 1e-10

@@ -225,6 +225,17 @@ PASS measurement_rescaling_invariance (|dK_max|=2.33e-05) seed=12345 n=100000
         assert field in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
 
+    # T = eta_a g^2 / 2 underflows to 0 and eps' overflows at 1e-300; T
+    # overflows at 1e300: either would print a NaN key rate
+    @pytest.mark.parametrize("gain", ["1e-300", "1e300"])
+    @pytest.mark.parametrize("command", [["keyrate"], ["sweep", "symmetric"]])
+    def test_fixed_gain_outside_the_reduction_is_2(self, capsys, gain, command):
+        args = ["--set", "scenario.gain_mode=fixed", "--set", f"scenario.gain={gain}", *command]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert "config error: scenario.gain" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
     # the key rate is still positive at the 2000 km per-leg cap: one-sided at
     # 0.001 dB/km; symmetric (1411.5 km total at 0.001 dB/km) at 0.0001 dB/km
     @pytest.mark.parametrize("attenuation, command", [

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvmdi import kernels
@@ -195,6 +195,9 @@ def test_property_symplectic_spectrum_invariant(v, tau, seed):
 
 @settings(max_examples=100, deadline=None)
 @given(nu=st.floats(1.0, 1e6), dnu=st.floats(1e-6, 10.0))
+# np.log2 and math.log2 differ by an ulp at this nu, and the cancelling form
+# of g magnifies that to 9.3e-10: entropy_g must evaluate kernels.g_entropy
+@example(nu=841497.220055661, dnu=1.0)
 def test_property_entropy_g_monotone(nu, dnu):
     g0 = entropy_g(nu)
     assert entropy_g(nu + dnu) > g0 - 1e-9 * max(1.0, g0)

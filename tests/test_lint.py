@@ -54,7 +54,8 @@ def package_imports(source: str) -> set[str]:
 
 def test_layering():
     """The generic path (`gaussian`) sits behind `protocol` and `keyrate`; the
-    Monte Carlo layer works on (a, b, c) from `protocol` and `kernels` alone;
+    Monte Carlo layer works on (a, b, c) from `protocol` and `kernels` alone,
+    and `oracle` takes its predictions from `protocol`, not from `keyrate`;
     `config` does not load the Monte Carlo layer, which only `oracle` runs use."""
     assert package_imports("from . import kernels as k\nfrom .protocol import x\n"
                            "from cvmdi.gaussian import y\nimport cvmdi.oracle\n"
@@ -65,6 +66,7 @@ def test_layering():
     assert {m for m, names in imports.items() if "gaussian" in names} == {
         "__init__", "keyrate", "protocol"}
     assert imports["montecarlo"] == {"kernels", "protocol"}
+    assert imports["oracle"] == {"montecarlo", "protocol"}
     assert not imports["config"] & {"montecarlo", "oracle"}
 
 
@@ -177,6 +179,15 @@ def test_one_gain_rule():
     assert {f"{p.stem}.{f}" for p in modules for f in callers(p.read_text(), "optimal_gain")} == {
         "protocol.Scenario.resolved_gain"}
     assert {f"{p.stem}.{f}" for p in modules for f in none_defaults(p.read_text(), "g")} == set()
+
+
+def test_one_detector_rule():
+    """The relay detector enters the model in one place: only
+    `protocol.equivalent_excess_noise` calls `detector_noise`, so every eps'
+    carries its penalty."""
+    modules = sorted((ROOT / "src" / "cvmdi").glob("*.py"))
+    assert {f"{p.stem}.{f}" for p in modules for f in callers(p.read_text(), "detector_noise")} == {
+        "protocol.equivalent_excess_noise"}
 
 
 def untwinned_kernels(source: str) -> set[str]:

@@ -10,7 +10,7 @@ import pytest
 from cvmdi import ChannelParams, DetectorParams, Scenario, kernels
 from cvmdi import montecarlo as mc
 from cvmdi.config import load_config
-from cvmdi.keyrate import analytic_k, scenario_block_params, secret_key_rate
+from cvmdi.keyrate import analytic_k, secret_key_rate
 from cvmdi.oracle import Z_LIMIT, run_oracle_suites
 from cvmdi.protocol import (
     effective_transmittance,
@@ -18,6 +18,7 @@ from cvmdi.protocol import (
     gain_from_k,
     k_from_gain,
     optimal_gain,
+    scenario_block_params,
 )
 from conftest import lo_scaling_attack, make_scenario, sample_block_cm
 

@@ -6,18 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from cvmdi import ChannelParams, DetectorParams
+from cvmdi import ChannelParams, DetectorParams, Scenario
+from cvmdi.gaussian import block_cm
 from cvmdi.protocol import (
-    block_params,
-    compose_eb_analytic,
     compose_eb_simulated,
     detector_noise,
     effective_transmittance,
     entangling_cloner_variance,
     equivalent_excess_noise,
-    equivalent_noise,
-    imperfect_excess_noise,
     optimal_gain,
+    scenario_block_params,
 )
 from conftest import make_scenario, random_scenario, ref_reduction
 
@@ -112,19 +110,29 @@ class TestEquivalentChannel:
             assert effective_transmittance(s, s.resolved_gain()) == pytest.approx(t, rel=1e-12)
 
     def test_reduction_floats_and_arrays_agree(self, rng):
-        g, v_a, v_b = rng.uniform(0.1, 5.0, 500), *rng.uniform(1.5, 100.0, (2, 500))
-        eta_a, eta_b, t = rng.uniform(0.05, 1.0, (3, 500))
-        eps_a, eps_b = rng.uniform(0.0, 0.1, (2, 500))
-        eps = equivalent_noise(g, v_b, eta_a, eta_b, eps_a, eps_b)
-        abc = block_params(v_a, t, eps)
-        for i in range(500):
-            eps_i = equivalent_noise(*(float(x[i]) for x in (g, v_b, eta_a, eta_b, eps_a, eps_b)))
-            abc_i = block_params(float(v_a[i]), float(t[i]), eps_i)
-            assert all(type(x) is float for x in (eps_i, *abc_i))
-            # float ** 0.5 is libm pow, an ulp from the sqrt numpy takes at
-            # times; eps' cancels a few digits of it
-            assert eps_i == pytest.approx(eps[i], rel=1e-13)
-            assert abc_i == pytest.approx(tuple(x[i] for x in abc), rel=1e-15)
+        # 500 scenarios, an imperfect relay detector included, each at an array
+        # of gains and at each of its gains as a float
+        for _ in range(500):
+            v_a, v_b = rng.uniform(1.5, 100.0, 2)
+            # leg lengths for transmittances uniform in [0.05, 1] at 0.2 dB/km
+            l_ac, l_bc = -50.0 * np.log10(rng.uniform(0.05, 1.0, 2))
+            eps_a, eps_b = rng.uniform(0.0, 0.1, 2)
+            s = Scenario(v_a=float(v_a), v_b=float(v_b),
+                         channel_a=ChannelParams(float(l_ac), 0.2, float(eps_a)),
+                         channel_b=ChannelParams(float(l_bc), 0.2, float(eps_b)),
+                         detector=DetectorParams(rng.uniform(0.6, 1.0), rng.uniform(0.0, 0.05)))
+            g = rng.uniform(0.1, 5.0, 4)
+            eps = equivalent_excess_noise(s, g)
+            abc = scenario_block_params(s, g)
+            for i, g_i in enumerate(g.tolist()):
+                eps_i = equivalent_excess_noise(s, g_i)
+                abc_i = scenario_block_params(s, g_i)
+                assert all(type(x) is float for x in (eps_i, *abc_i))
+                assert eps_i == pytest.approx(eps[i], rel=1e-13)
+                # c's float ** 0.5 is libm pow, an ulp from the sqrt numpy
+                # takes at times
+                assert abc_i == pytest.approx(tuple(np.broadcast_to(x, g.shape)[i] for x in abc),
+                                              rel=1e-15)
 
     def test_optimal_gain_minimizes_noise(self, rng):
         for _ in range(30):
@@ -176,10 +184,11 @@ class TestDetectorNoise:
 
     def test_penalty_is_additive(self):
         s = make_scenario(5.0, 5.0, eta_d=0.9, v_el=0.05)
-        base = equivalent_excess_noise(s, s.resolved_gain())
+        perfect = dataclasses.replace(s, detector=DetectorParams())
+        g = s.resolved_gain()
         chi_det = detector_noise(0.9, 0.05)
-        assert imperfect_excess_noise(s, s.resolved_gain()) == pytest.approx(
-            base + 2.0 * chi_det / s.channel_a.transmittance)
+        assert equivalent_excess_noise(s, g) == pytest.approx(
+            equivalent_excess_noise(perfect, g) + 2.0 * chi_det / s.channel_a.transmittance)
 
 
 class TestDualPathComposition:
@@ -197,19 +206,34 @@ class TestDualPathComposition:
     def test_identity_at_optimal_gain(self, rng):
         for s in self.draws(rng):
             g = s.resolved_gain()
-            d = np.abs(compose_eb_analytic(s, g).entries - compose_eb_simulated(s, g).entries)
+            d = np.abs(block_cm(*scenario_block_params(s, g)).entries - compose_eb_simulated(s, g).entries)
             assert np.max(d) <= 1e-10
 
     def test_identity_at_random_gain(self, rng):
         for s in self.draws(rng):
             g = optimal_gain(s) * rng.uniform(0.3, 3.0)
-            d = np.abs(compose_eb_analytic(s, g).entries - compose_eb_simulated(s, g).entries)
+            d = np.abs(block_cm(*scenario_block_params(s, g)).entries - compose_eb_simulated(s, g).entries)
             assert np.max(d) <= 1e-10
+
+    def test_identity_with_imperfect_detector(self, rng):
+        # the detector penalty 2 chi_det / eta_a on eps' is 2 chi_det / eta_a
+        # more excess noise on the first leg before a perfect detector
+        for _ in range(300):
+            s = dataclasses.replace(random_scenario(rng), detector=DetectorParams(
+                rng.uniform(0.6, 1.0), rng.uniform(0.0, 0.05)))
+            chi_det = detector_noise(s.detector.efficiency, s.detector.electronic_noise)
+            noisier_a = dataclasses.replace(s.channel_a, excess_noise=s.channel_a.excess_noise
+                                            + 2.0 * chi_det / s.channel_a.transmittance)
+            perfect = dataclasses.replace(s, channel_a=noisier_a, detector=DetectorParams())
+            for g in (s.resolved_gain(), optimal_gain(s) * rng.uniform(0.3, 3.0)):
+                d = np.abs(block_cm(*scenario_block_params(s, g)).entries
+                           - compose_eb_simulated(perfect, g).entries)
+                assert np.max(d) <= 1e-10
 
     def test_identity_with_lossless_noiseless_legs(self):
         s = make_scenario(0.0, 0.0, eps=0.0)
         g = s.resolved_gain()
-        d = np.abs(compose_eb_analytic(s, g).entries - compose_eb_simulated(s, g).entries)
+        d = np.abs(block_cm(*scenario_block_params(s, g)).entries - compose_eb_simulated(s, g).entries)
         assert np.max(d) <= 1e-10
 
     def test_lossless_noisy_legs_keep_their_noise(self):
@@ -218,12 +242,12 @@ class TestDualPathComposition:
         for l_ac, l_bc in ((0.0, 0.0), (88.82, 0.0), (0.0, 5.0)):
             s = make_scenario(l_ac, l_bc, eps=0.002)
             g = s.resolved_gain()
-            d = np.abs(compose_eb_analytic(s, g).entries - compose_eb_simulated(s, g).entries)
+            d = np.abs(block_cm(*scenario_block_params(s, g)).entries - compose_eb_simulated(s, g).entries)
             assert np.max(d) <= 1e-10
 
     def test_output_block_structure(self, rng):
         s = random_scenario(rng)
-        m = compose_eb_analytic(s, s.resolved_gain()).entries
+        m = block_cm(*scenario_block_params(s, s.resolved_gain())).entries
         assert m[0, 0] == pytest.approx(m[1, 1])
         assert m[2, 2] == pytest.approx(m[3, 3])
         assert m[0, 2] == pytest.approx(-m[1, 3])
