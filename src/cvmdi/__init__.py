@@ -1,21 +1,14 @@
 """Security analysis of continuous-variable QKD with an untrusted relay.
 
-Gaussian-state toolkit, protocol composition under independent
-entangling-cloner attacks, asymptotic reverse-reconciliation key rates,
-distance sweeps, and a quadrature-level Monte Carlo verification layer.
+Protocol composition under independent entangling-cloner attacks,
+asymptotic reverse-reconciliation key rates, distance sweeps, and a
+quadrature-level Monte Carlo verification layer. The package root loads
+only the analytic path, which needs `math` alone; the Gaussian-state toolkit
+of the generic cross-check is `cvmdi.gaussian`, and it, `cvmdi.montecarlo`
+and `cvmdi.oracle` load numpy.
 """
 
 from . import kernels
-from .gaussian import (
-    CovarianceMatrix,
-    UnphysicalStateError,
-    entropy_g,
-    heterodyne_condition,
-    symplectic_eigenvalues,
-    tms_state,
-    vacuum_state,
-    von_neumann_entropy,
-)
 from .keyrate import (
     KeyRatePoint,
     key_rate_vs_k,
@@ -37,17 +30,9 @@ from .protocol import (
     optimal_gain,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
-    "CovarianceMatrix",
-    "UnphysicalStateError",
-    "entropy_g",
-    "heterodyne_condition",
-    "symplectic_eigenvalues",
-    "tms_state",
-    "vacuum_state",
-    "von_neumann_entropy",
     "KeyRatePoint",
     "key_rate_vs_k",
     "max_distance_asymmetric",

@@ -6,9 +6,11 @@ shortest round-trip decimal formatting.
 
 Each run is one cold process, so a command loads only the layers it uses:
 `keyrate`, `sweep` and `figure` load the analytic path (`protocol`,
-`kernels`, `keyrate`); `oracle` alone loads the Monte Carlo layer
-(`montecarlo`, `oracle`), inside `cmd_oracle`; and `configparser` is loaded
-only to read a `--config` file.
+`kernels`, `keyrate`), which evaluates one point at a time with `math`;
+numpy is loaded only by the commands that evaluate arrays, `figure fig6`
+(the k scan's grid kernel) and `oracle`; `oracle` alone loads the Monte
+Carlo layer (`montecarlo`, `oracle`), inside `cmd_oracle`; and
+`configparser` is loaded only to read a `--config` file.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ import argparse
 import math
 import sys
 from dataclasses import replace
-
-import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
 from .keyrate import (
@@ -54,9 +54,21 @@ def _write_csv(path, cfg: RunConfig, header: list[str], rows: list[tuple]) -> No
         sys.stdout.write(text)
 
 
-def _grid(cfg: RunConfig) -> np.ndarray:
+def _grid(cfg: RunConfig) -> list[float]:
+    """The sweep grid in plain floats, bit for bit `np.linspace(l_min_km,
+    l_max_km, points)`: i*step + start, and stop as the last point."""
     sw = cfg["sweep"]
-    return np.linspace(sw["l_min_km"], sw["l_max_km"], sw["points"])
+    start, stop, num = sw["l_min_km"], sw["l_max_km"], sw["points"]
+    delta, div = stop - start, num - 1
+    if div == 0:
+        return [0.0 * delta + start]  # not `start`: -0.0 becomes 0.0, as in numpy
+    step = delta / div
+    if step == 0.0:  # a subnormal delta: numpy scales i/div by delta instead
+        grid = [i / div * delta + start for i in range(num)]
+    else:
+        grid = [i * step + start for i in range(num)]
+    grid[-1] = stop
+    return grid
 
 
 def cmd_keyrate(cfg: RunConfig, out: str | None) -> int:
@@ -82,7 +94,7 @@ def _endpoint(km: float, label: str) -> float:
 
 def _curve_rows(curve, label: str, end: str, bounded: bool = True) -> list[tuple]:
     """The curve's grid rows under `label`, then its endpoint row `label:end`."""
-    rows = [(float(axis), point.k, label) for axis, point in zip(curve.axis_km, curve.points)]
+    rows = [(axis, point.k, label) for axis, point in zip(curve.axis_km, curve.points)]
     km = _endpoint(curve.max_distance_km, label) if bounded else curve.max_distance_km
     return rows + [(km, "", f"{label}:{end}")]
 
@@ -99,7 +111,7 @@ def cmd_figure(cfg: RunConfig, figure: str, out: str | None) -> int:
             for l_ab in _grid(cfg):
                 s = scn.with_lengths(l_ab, 0.0)
                 k_opt, k_max = optimize_k_detection_scheme(s)
-                rows.append((float(l_ab), k_max, label, k_opt))
+                rows.append((l_ab, k_max, label, k_opt))
             endpoint = max_distance_detection_scheme(scn.with_lengths(0.0, 0.0))
             rows.append((_endpoint(endpoint, label), "", f"{label}:max_distance", ""))
     else:
@@ -107,7 +119,7 @@ def cmd_figure(cfg: RunConfig, figure: str, out: str | None) -> int:
         for label, scn in (("practical", scenario), ("ideal", _idealized(scenario))):
             bounded = scn is scenario
             if figure == "fig4":
-                (curve,) = sweep_symmetric(scn, _grid(cfg) / 2.0).curves
+                (curve,) = sweep_symmetric(scn, [l / 2.0 for l in _grid(cfg)]).curves
                 rows += _curve_rows(curve, label, "max_total_distance", bounded)
             else:
                 for curve in sweep_asymmetric(scn, _grid(cfg), cfg.l_bc_values()).curves:
@@ -128,7 +140,7 @@ def _idealized(scenario):
 def cmd_sweep(cfg: RunConfig, mode: str, out: str | None) -> int:
     scenario = cfg.scenario()
     if mode == "symmetric":
-        result = sweep_symmetric(scenario, _grid(cfg) / 2.0)
+        result = sweep_symmetric(scenario, [l / 2.0 for l in _grid(cfg)])
     else:
         result = sweep_asymmetric(scenario, _grid(cfg), cfg.l_bc_values())
     rows = [row for c in result.curves for row in _curve_rows(c, c.label, "max_distance")]

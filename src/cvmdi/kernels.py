@@ -2,8 +2,9 @@
 
 (a, b, c) means [[a*I2, c*sigma_z], [c*sigma_z, b*I2]] in shot-noise units.
 `protocol` owns the reduction that produces it (gain -> (T, eps') ->
-(a, b, c)); this module only evaluates it, and imports nothing but `math`
-and numpy.
+(a, b, c)); this module only evaluates it. It imports only `math`, so a
+process that evaluates one point at a time never loads numpy: each `*_grid`
+function imports numpy when it is called.
 
 Each formula exists twice, and the call site picks the form:
 
@@ -24,8 +25,6 @@ The test suite checks the two forms against each other elementwise.
 """
 
 from math import log2, sqrt
-
-import numpy as np
 
 
 # -- scalar functions (math) ---------------------------------------------------
@@ -66,6 +65,8 @@ def block_key_rate(a: float, b: float, c: float, beta: float) -> float:
 # -- grid functions (numpy) ----------------------------------------------------
 def g_entropy_grid(nu):
     """g(nu) elementwise; log2 only ever sees positive arguments."""
+    import numpy as np
+
     nu = np.maximum(nu, 1.0)
     ap = (nu + 1.0) / 2.0
     am = (nu - 1.0) / 2.0
@@ -73,6 +74,8 @@ def g_entropy_grid(nu):
 
 
 def block_symplectic_eigenvalues_grid(a, b, c):
+    import numpy as np
+
     delta = a * a + b * b - 2.0 * c * c
     det = (a * b - c * c) ** 2
     disc = np.sqrt(np.maximum(delta * delta - 4.0 * det, 0.0))
@@ -80,12 +83,16 @@ def block_symplectic_eigenvalues_grid(a, b, c):
 
 
 def block_mutual_information_grid(a, b, c):
+    import numpy as np
+
     return np.log2((a + 1.0) / (a + 1.0 - c * c / (b + 1.0)))
 
 
 def _holevo_grid(a, b, c, nu3):
     """chi from the block and nu3 = a - c^2/(b+1), in one entropy pass over the
     stacked (nu1, nu2, nu3)."""
+    import numpy as np
+
     nu1, nu2 = block_symplectic_eigenvalues_grid(a, b, c)
     g = g_entropy_grid(np.array((nu1, nu2, nu3)))
     return g[0] + g[1] - g[2]
@@ -96,6 +103,8 @@ def block_holevo_reverse_grid(a, b, c):
 
 
 def block_key_rate_grid(a, b, c, beta):
+    import numpy as np
+
     # c^2/(b+1) and a+1 are shared by the mutual information and nu3
     a1 = a + 1.0
     c2b = c * c / (b + 1.0)

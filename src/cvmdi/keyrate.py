@@ -1,14 +1,17 @@
-"""Asymptotic reverse-reconciliation secret key rate and sweep drivers."""
+"""Asymptotic reverse-reconciliation secret key rate, sweeps and range searches.
+
+Points, sweeps and range searches run on the scalar `math` kernels; only the
+detection scheme's k scan and the generic cross-check load numpy, when they
+are called.
+"""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import kernels
-from .gaussian import CovarianceMatrix, heterodyne_condition, von_neumann_entropy
 from .protocol import DetectorParams, Scenario, gain_from_k, k_from_gain, scenario_block_params
 
 BISECT_TOL_KM = 0.01
@@ -18,9 +21,6 @@ MAX_DISTANCE_CAP_KM = 2000.0
 # over k0 * K_GRID_SPAN, k0 the k of the optimal gain
 K_GRID_POINTS = 400
 K_GRID_SPAN = (0.1, 10.0)
-# the grid over k0 = 1, built once; K_GRID_POINTS and K_GRID_SPAN still define it
-_K_UNIT_GRID = np.logspace(np.log10(K_GRID_SPAN[0]), np.log10(K_GRID_SPAN[1]), K_GRID_POINTS)
-_K_UNIT_GRID.flags.writeable = False
 DETECTOR_EFFICIENCY_TOL = 1e-6
 
 
@@ -40,7 +40,7 @@ class KeyRatePoint:
 @dataclass(frozen=True)
 class SweepCurve:
     label: str
-    axis_km: np.ndarray
+    axis_km: tuple  # the axis value of each point, as floats
     points: tuple
     # axis value where K falls to 0 (`_max_distance`): 0.0 if K(0) <= 0, inf
     # if K is still positive where the search stops, at a leg of
@@ -54,24 +54,28 @@ class SweepResult:
     curves: tuple
 
 
-def mutual_information_generic(cov2: CovarianceMatrix) -> float:
+# -- the generic path: a cross-check that loads numpy and `gaussian` when called
+def mutual_information_generic(cov2: "CovarianceMatrix") -> float:
     """Determinant-based Gaussian MI of the joint heterodyne outcomes."""
+    import numpy as np
+
     sigma = (cov2.entries + np.eye(4)) / 2.0
     det_a = np.linalg.det(sigma[:2, :2])
     det_b = np.linalg.det(sigma[2:, 2:])
     return float(0.5 * np.log2(det_a * det_b / np.linalg.det(sigma)))
 
 
-def holevo_bound_reverse_generic(cov2: CovarianceMatrix) -> float:
+def holevo_bound_reverse_generic(cov2: "CovarianceMatrix") -> float:
     """Holevo bound on Eve's information about mode-B heterodyne data, from
     full symplectic spectra and explicit conditioning."""
+    from .gaussian import heterodyne_condition, von_neumann_entropy
+
     return von_neumann_entropy(cov2) - von_neumann_entropy(heterodyne_condition(cov2, mode=1))
 
 
 def secret_key_rate(scenario: Scenario) -> KeyRatePoint:
     g = scenario.resolved_gain()
-    # the optimal gain is a numpy scalar; keep the arithmetic on floats
-    a, b, c = scenario_block_params(scenario, float(g))
+    a, b, c = scenario_block_params(scenario, g)
     i_ab = kernels.block_mutual_information(a, b, c)
     chi = kernels.block_holevo_reverse(a, b, c)
     return KeyRatePoint(
@@ -128,15 +132,20 @@ def max_distance_asymmetric(scenario: Scenario, l_bc_km: float) -> float:
     return _max_distance(lambda l: key_rate_at(scenario, l, l_bc_km))
 
 
+def _lengths(values) -> tuple:
+    """A sequence of lengths (a list, a tuple, an array) as a tuple of floats."""
+    return tuple(float(l) for l in values)
+
+
 def sweep_symmetric(scenario: Scenario, l_grid) -> SweepResult:
     """Key rate vs total distance with both legs equal (grid of leg lengths)."""
-    l_grid = np.asarray(l_grid, dtype=float)
-    if l_grid.size == 0 or np.any(l_grid < 0):
+    l_grid = _lengths(l_grid)
+    if not l_grid or any(l < 0 for l in l_grid):
         raise ValueError("grid must be nonempty and nonnegative")
-    points = tuple(secret_key_rate(scenario.with_lengths(l, l)) for l in l_grid.tolist())
+    points = tuple(secret_key_rate(scenario.with_lengths(l, l)) for l in l_grid)
     curve = SweepCurve(
         label="symmetric",
-        axis_km=2.0 * l_grid,
+        axis_km=tuple(2.0 * l for l in l_grid),
         points=points,
         max_distance_km=max_total_distance_symmetric(scenario),
     )
@@ -144,21 +153,24 @@ def sweep_symmetric(scenario: Scenario, l_grid) -> SweepResult:
 
 
 def sweep_asymmetric(scenario: Scenario, l_ac_grid, l_bc_values) -> SweepResult:
-    """Key rate vs first-leg length, one curve per second-leg length."""
-    l_ac_grid = np.asarray(l_ac_grid, dtype=float)
-    l_bc_values = np.atleast_1d(np.asarray(l_bc_values, dtype=float))
-    if (l_ac_grid.size == 0 or l_bc_values.size == 0
-            or np.any(l_ac_grid < 0) or np.any(l_bc_values < 0)):
+    """Key rate vs first-leg length, one curve per second-leg length; a single
+    second-leg length may be given as a number."""
+    l_ac_grid = _lengths(l_ac_grid)
+    try:
+        l_bc_values = _lengths(l_bc_values)
+    except TypeError:  # not iterable: one length
+        l_bc_values = (float(l_bc_values),)
+    if not (l_ac_grid and l_bc_values) or any(l < 0 for l in l_ac_grid + l_bc_values):
         raise ValueError("grids must be nonempty and nonnegative")
     # each channel is built once: a first leg per grid length, a second leg per curve
-    legs_a = [scenario.channel_a.with_length(l) for l in l_ac_grid.tolist()]
+    legs_a = [scenario.channel_a.with_length(l) for l in l_ac_grid]
     curves = []
-    for l_bc in l_bc_values.tolist():
+    for l_bc in l_bc_values:
         leg_b = scenario.channel_b.with_length(l_bc)
         points = tuple(secret_key_rate(scenario.with_channels(leg_a, leg_b)) for leg_a in legs_a)
         curves.append(SweepCurve(
             label=f"l_bc={l_bc:g}km",
-            axis_km=l_ac_grid.copy(),
+            axis_km=l_ac_grid,
             points=points,
             max_distance_km=max_distance_asymmetric(scenario, l_bc),
         ))
@@ -170,12 +182,25 @@ def analytic_k(scenario: Scenario) -> float:
     return k_from_gain(scenario.resolved_gain(), scenario.v_b)
 
 
-def default_k_grid(scenario: Scenario) -> np.ndarray:
-    return analytic_k(scenario) * _K_UNIT_GRID
+@functools.cache
+def _k_unit_grid():
+    """The k grid over k0 = 1, built on first use and read-only."""
+    import numpy as np
+
+    grid = np.logspace(np.log10(K_GRID_SPAN[0]), np.log10(K_GRID_SPAN[1]), K_GRID_POINTS)
+    grid.flags.writeable = False
+    return grid
 
 
-def key_rate_vs_k(scenario: Scenario, k_grid) -> np.ndarray:
-    """Key rate at each amplification coefficient of the data processing."""
+def default_k_grid(scenario: Scenario):
+    return analytic_k(scenario) * _k_unit_grid()
+
+
+def key_rate_vs_k(scenario: Scenario, k_grid):
+    """Key rate at each amplification coefficient of the data processing, as
+    a numpy array."""
+    import numpy as np
+
     k_grid = np.asarray(k_grid, dtype=float)
     # a NaN makes min and max NaN, which fails both comparisons
     if k_grid.size == 0 or not (k_grid.min() > 0.0 and k_grid.max() < math.inf):
@@ -188,7 +213,7 @@ def optimize_k_detection_scheme(scenario: Scenario) -> tuple[float, float]:
     """Best (k, K) over `default_k_grid`; first index wins on ties."""
     k_grid = default_k_grid(scenario)
     rates = key_rate_vs_k(scenario, k_grid)
-    i = int(np.argmax(rates))
+    i = int(rates.argmax())
     return float(k_grid[i]), float(rates[i])
 
 

@@ -8,17 +8,15 @@ detector's penalty included), and `scenario_block_params` turns a scenario
 at g into the block covariance (a, b, c) that the key rate and the oracle
 evaluate. Around it: the parameter types, the gain rule
 (`Scenario.resolved_gain`), and the explicit mode-by-mode Gaussian
-composition (`compose_eb_simulated`) that cross-checks the reduction.
+composition (`compose_eb_simulated`) that cross-checks the reduction. The
+module itself needs only `math`; `compose_eb_simulated` loads numpy and
+`gaussian` when it is called.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-
-import numpy as np
-
-from .gaussian import CovarianceMatrix, apply_beamsplitter, tensor, tms_state
 
 DEFAULT_ATTENUATION_DB_PER_KM = 0.2
 
@@ -142,9 +140,13 @@ class Scenario:
 
 
 def optimal_gain(scenario: Scenario) -> float:
-    """Displacement gain minimizing the equivalent excess noise."""
+    """Displacement gain minimizing the equivalent excess noise, a float.
+
+    `math.sqrt`, not `** 0.5`: CPython's float power is libm `pow`, which is
+    not always correctly rounded at 0.5, and `sqrt` is.
+    """
     eta_b = scenario.channel_b.transmittance
-    return np.sqrt(2.0 / eta_b) * _k_per_gain(scenario.v_b)
+    return math.sqrt(2.0 / eta_b) * _k_per_gain(scenario.v_b)
 
 
 # -- the reduction -------------------------------------------------------------
@@ -224,7 +226,7 @@ def entangling_cloner_variance(eta: float, eps: float) -> float:
     return 1.0 + eta * eps / (1.0 - eta)
 
 
-def compose_eb_simulated(scenario: Scenario, g: float) -> CovarianceMatrix:
+def compose_eb_simulated(scenario: Scenario, g: float) -> "CovarianceMatrix":
     """Post-protocol covariance by explicit Gaussian composition.
 
     Chain: two EPR sources, entangling-cloner channels, the 50:50 relay
@@ -234,6 +236,10 @@ def compose_eb_simulated(scenario: Scenario, g: float) -> CovarianceMatrix:
     linear quadrature combinations. A lossless leg adds its excess noise eps
     to both quadrature variances of its mode, the cloner's eta -> 1 limit.
     """
+    import numpy as np
+
+    from .gaussian import CovarianceMatrix, apply_beamsplitter, tensor, tms_state
+
     if g <= 0:
         raise ValueError("gain must be > 0")
 

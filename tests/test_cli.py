@@ -1,16 +1,19 @@
 """CLI and configuration layer: exit codes, determinism, strict validation."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cvmdi
-from cvmdi.cli import main
-from cvmdi.config import _DEFAULTS, ConfigError, load_config
+from cvmdi.cli import _grid, main
+from cvmdi.config import _DEFAULTS, ConfigError, RunConfig, load_config
+from cvmdi.protocol import optimal_gain
 
 # two valid values for every key of the config table, as text. A gain is
 # valid only under gain_mode = fixed, and fixed needs a gain, so the file that
@@ -333,12 +336,18 @@ class TestCsvOutput:
             if not r[2].endswith(":max_distance"):
                 assert float(r[3]) > 0.0
 
-    def test_keyrate_csv(self, tmp_path):
+    def test_keyrate_csv(self, tmp_path, capsys):
         path = tmp_path / "point.csv"
         assert main(["--out", str(path), "keyrate"]) == 0
         body = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
         assert body[0].startswith("K_bits_per_use")
         assert body[1].endswith("positive")
+        # the optimal gain is a float: its cell and its printed token are its repr
+        g = optimal_gain(load_config(environ={}).scenario())
+        cell = dict(zip(body[0].split(","), body[1].split(",")))["g"]
+        token = dict(tok.split("=", 1) for tok in capsys.readouterr().out.split())["g"]
+        assert cell == token == repr(g)
+        assert float(cell) == g
 
     def test_oracle_csv(self, tmp_path, capsys):
         path = tmp_path / "oracle.csv"
@@ -371,6 +380,23 @@ class TestCsvOutput:
         assert other.read_bytes() == path.read_bytes()
 
 
+def test_grid_is_np_linspace_bit_for_bit():
+    """The sweep grid is built without numpy, value and sign of zero included."""
+    rng = np.random.default_rng(2)
+    cases = [(0.0, 10.0, num) for num in (1, 2, 3, 51, 1000)]
+    cases += [(4.0, 4.0, 5), (-0.0, -0.0, 3), (-0.0, 3.0, 1), (-0.0, 3.0, 4), (0.0, 7.3, 9)]
+    # delta / (num - 1) underflows to 0: numpy scales i / (num - 1) instead
+    cases += [(0.0, 5e-324, 3), (1e-310, 1e-310 + 5e-324, 4), (2.5e-323, 0.0, 12)]
+    cases += zip(rng.uniform(-50.0, 100.0, 40).tolist(), rng.uniform(-50.0, 100.0, 40).tolist(),
+                 rng.integers(1, 400, 40).tolist())
+    for start, stop, num in cases:
+        grid = _grid(RunConfig({"sweep": {"l_min_km": start, "l_max_km": stop, "points": num}}))
+        expected = np.linspace(start, stop, num).tolist()
+        assert all(type(x) is float for x in grid)
+        assert grid == expected, (start, stop, num)
+        assert [math.copysign(1.0, x) for x in grid] == [math.copysign(1.0, x) for x in expected]
+
+
 # runs in a fresh interpreter: prints, after each step, which of the lazily
 # loaded modules are in sys.modules
 COLD_START = """
@@ -378,7 +404,7 @@ import json, sys
 from cvmdi.cli import main
 
 def loaded(step):
-    names = ("cvmdi.montecarlo", "cvmdi.oracle", "configparser")
+    names = ("numpy", "cvmdi.montecarlo", "cvmdi.oracle", "configparser")
     print(json.dumps([step, [m for m in names if m in sys.modules]]), file=sys.stderr)
 
 loaded("import")
@@ -389,14 +415,19 @@ for argv in json.loads(sys.argv[1]):
 
 
 def test_only_oracle_loads_the_monte_carlo_layer(tmp_path):
-    """Each command is one cold process, so it loads only what it uses: the
+    """Each command is one cold process, so it loads only what it uses: numpy
+    for the commands that evaluate arrays, `figure fig6` and `oracle`, the
     Monte Carlo layer for `oracle`, `configparser` for a `--config` file."""
     config = tmp_path / "run.cfg"
     config.write_text("[sweep]\npoints = 3\n")
     out = ["--out", str(tmp_path / "x.csv")]
     small = ["--set", "sweep.points=3", *out]
-    steps = [[*out, "keyrate"], [*small, "sweep", "symmetric"], [*small, "figure", "fig4"],
-             [*out, "--set", "mc.n=2000", "oracle"], ["--config", str(config), *out, "keyrate"]]
+    fixed = ["--set", "scenario.gain_mode=fixed", "--set", "scenario.gain=1.2"]
+    steps = [[*out, "keyrate"], [*fixed, *out, "keyrate"], [*small, "sweep", "symmetric"],
+             [*small, "sweep", "asymmetric"], [*small, "figure", "fig4"],
+             [*small, "figure", "fig5b"], ["--set", "scenario.bogus=1", *out, "keyrate"],
+             [*small, "figure", "fig6"], [*out, "--set", "mc.n=2000", "oracle"],
+             ["--config", str(config), *out, "keyrate"]]
     env = {k: v for k, v in os.environ.items() if not k.startswith("CVMDI_")}
     src = str(Path(cvmdi.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
@@ -404,6 +435,9 @@ def test_only_oracle_loads_the_monte_carlo_layer(tmp_path):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     records = [json.loads(ln) for ln in proc.stderr.splitlines() if ln.startswith("[")]
-    monte_carlo = ["cvmdi.montecarlo", "cvmdi.oracle"]
-    assert records == [["import", []], ["keyrate", []], ["symmetric", []], ["fig4", []],
-                       ["oracle", monte_carlo], ["keyrate", [*monte_carlo, "configparser"]]]
+    monte_carlo = ["numpy", "cvmdi.montecarlo", "cvmdi.oracle"]
+    assert records == [["import", []], ["keyrate", []], ["keyrate", []], ["symmetric", []],
+                       ["asymmetric", []], ["fig4", []], ["fig5b", []], ["keyrate", []],
+                       ["fig6", ["numpy"]], ["oracle", monte_carlo],
+                       ["keyrate", [*monte_carlo, "configparser"]]]
+    assert proc.stderr.count("config error: unknown key scenario.bogus") == 1

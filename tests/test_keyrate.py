@@ -157,12 +157,40 @@ class TestSweeps:
                     assert getattr(point, f.name) == getattr(expected, f.name), f.name
 
     def test_rejects_bad_grid(self):
-        with pytest.raises(ValueError):
-            sweep_symmetric(make_scenario(), [])
-        with pytest.raises(ValueError):
-            sweep_symmetric(make_scenario(), [-1.0])
-        with pytest.raises(ValueError):
-            sweep_asymmetric(make_scenario(), [0.0, 1.0], [])
+        s = make_scenario()
+        for grid in ([], [-1.0], (0.0, -0.5), np.array([])):
+            with pytest.raises(ValueError) as exc:
+                sweep_symmetric(s, grid)
+            assert str(exc.value) == "grid must be nonempty and nonnegative"
+        for l_ac, l_bc in (([0.0, 1.0], []), ([], [0.0]), ([-1.0], [0.0]), ([0.0], -1.0),
+                           (np.array([0.0]), np.array([0.0, -2.0]))):
+            with pytest.raises(ValueError) as exc:
+                sweep_asymmetric(s, l_ac, l_bc)
+            assert str(exc.value) == "grids must be nonempty and nonnegative"
+        # a NaN length passes the sign check, and its leg rejects it
+        for call in (lambda: sweep_symmetric(s, [0.0, math.nan]),
+                     lambda: sweep_asymmetric(s, [math.nan], [0.0]),
+                     lambda: sweep_asymmetric(s, [0.0], math.nan)):
+            with pytest.raises(ValueError, match="must be finite"):
+                call()
+
+    def test_any_float_sequence(self):
+        """A list, a tuple or an array grid, and one or several second legs,
+        give the same curves; the axis is a tuple of floats."""
+        s = make_scenario(eps=0.01)
+        grid = [0.0, 0.25, 1.5, 3.0, 7.75]
+        (ref_sym,) = sweep_symmetric(s, grid).curves
+        (ref_asym,) = sweep_asymmetric(s, grid, [1.0]).curves
+        assert ref_sym.axis_km == tuple(2.0 * l for l in grid) and ref_asym.axis_km == tuple(grid)
+        for curve in (ref_sym, ref_asym):
+            assert all(type(x) is float for x in curve.axis_km)
+        for make in (list, tuple, np.array):
+            (sym,) = sweep_symmetric(s, make(grid)).curves
+            assert (sym.axis_km, sym.points) == (ref_sym.axis_km, ref_sym.points)
+            for l_bc in (1.0, 1, [1.0], (1,), np.float64(1.0), np.array(1.0), np.array([1.0])):
+                (asym,) = sweep_asymmetric(s, make(grid), l_bc).curves
+                assert (asym.axis_km, asym.points, asym.label) == (
+                    ref_asym.axis_km, ref_asym.points, ref_asym.label)
 
 
 class TestDetectionSchemeOptimizer:

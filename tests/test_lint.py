@@ -1,5 +1,6 @@
-"""Lint: every imported name is used, the package keeps its layering, and
-each kernel formula has exactly its two forms.
+"""Lint: every imported name is used, the package keeps its layering (numpy
+loaded at import only where arrays are the work), and each kernel formula
+has exactly its two forms.
 
 A module of `src/cvmdi` or of `tests/` that imports a name must reference it.
 The package's `__init__.py` is exempt: its imports are its exports.
@@ -53,21 +54,60 @@ def package_imports(source: str) -> set[str]:
 
 
 def test_layering():
-    """The generic path (`gaussian`) sits behind `protocol` and `keyrate`; the
-    Monte Carlo layer works on (a, b, c) from `protocol` and `kernels` alone,
-    and `oracle` takes its predictions from `protocol`, not from `keyrate`;
-    `config` does not load the Monte Carlo layer, which only `oracle` runs use."""
+    """The generic path (`gaussian`) sits behind `protocol` and `keyrate`, not
+    the package root; the Monte Carlo layer works on (a, b, c) from
+    `protocol` and `kernels` alone, and `oracle` takes its predictions from
+    `protocol`, not from `keyrate`; `config` does not load the Monte Carlo
+    layer, which only `oracle` runs use."""
     assert package_imports("from . import kernels as k\nfrom .protocol import x\n"
                            "from cvmdi.gaussian import y\nimport cvmdi.oracle\n"
                            "from cvmdi import keyrate\n") == {
         "kernels", "protocol", "gaussian", "oracle", "keyrate"}
     imports = {p.stem: package_imports(p.read_text())
                for p in (ROOT / "src" / "cvmdi").glob("*.py")}
-    assert {m for m, names in imports.items() if "gaussian" in names} == {
-        "__init__", "keyrate", "protocol"}
+    assert {m for m, names in imports.items() if "gaussian" in names} == {"keyrate", "protocol"}
     assert imports["montecarlo"] == {"kernels", "protocol"}
     assert imports["oracle"] == {"montecarlo", "protocol"}
     assert not imports["config"] & {"montecarlo", "oracle"}
+
+
+def import_time_modules(source: str) -> set[str]:
+    """Top-level names of the absolute imports a module runs when it is
+    imported: every import outside a function body."""
+    found = set()
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                found.add(child.module.split(".")[0])
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def numpy_at_import(sources: dict[str, str]) -> set[str]:
+    """The modules, of name -> source, that import numpy when imported."""
+    return {name for name, source in sources.items() if "numpy" in import_time_modules(source)}
+
+
+def test_numpy_only_where_arrays_are_the_work():
+    """The analytic path (`protocol`, `kernels`, `keyrate`, `config`, `cli`
+    and the package root) runs on `math`, so only `gaussian`, `montecarlo`
+    and `oracle` import numpy at module level; a grid or generic function
+    imports it when it is called."""
+    assert import_time_modules("import os.path\nfrom numpy import linalg\nfrom . import x\n"
+                               "class C:\n    import re\ndef f():\n    import json\n") == {
+        "os", "numpy", "re"}
+    sources = {p.stem: p.read_text() for p in (ROOT / "src" / "cvmdi").glob("*.py")}
+    assert numpy_at_import(sources) == {"gaussian", "montecarlo", "oracle"}
+    stray = dict(sources, keyrate="import numpy as np\n" + sources["keyrate"])
+    assert numpy_at_import(stray) == {"gaussian", "montecarlo", "oracle", "keyrate"}
+    assert "gaussian" not in package_imports(sources["__init__"])
 
 
 def _defined(node: ast.stmt) -> set[str]:
