@@ -152,6 +152,13 @@ def sweep_symmetric(scenario: Scenario, l_grid) -> SweepResult:
     return SweepResult(axis_name="L_total_km", curves=(curve,))
 
 
+def _length_label(length: float) -> str:
+    """`:g` of a length where it reads back as the same float, else repr, so
+    distinct lengths get distinct labels."""
+    short = f"{length:g}"
+    return short if float(short) == length else repr(length)
+
+
 def sweep_asymmetric(scenario: Scenario, l_ac_grid, l_bc_values) -> SweepResult:
     """Key rate vs first-leg length, one curve per second-leg length; a single
     second-leg length may be given as a number."""
@@ -169,7 +176,7 @@ def sweep_asymmetric(scenario: Scenario, l_ac_grid, l_bc_values) -> SweepResult:
         leg_b = scenario.channel_b.with_length(l_bc)
         points = tuple(secret_key_rate(scenario.with_channels(leg_a, leg_b)) for leg_a in legs_a)
         curves.append(SweepCurve(
-            label=f"l_bc={l_bc:g}km",
+            label=f"l_bc={_length_label(l_bc)}km",
             axis_km=l_ac_grid,
             points=points,
             max_distance_km=max_distance_asymmetric(scenario, l_bc),

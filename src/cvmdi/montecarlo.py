@@ -10,13 +10,22 @@ Sampling conventions (shot-noise units, vacuum variance 1):
     with v a fresh vacuum, so the outcome variance is (V + 1)/2 per
     quadrature, matching `heterodyne_image`.
 
-Randomness: a batch is a run of chunks of CHUNK_ROWS rows. Chunk j of each
-noise source is drawn by its own counter-based Philox generator, keyed by
+Physics: `_eb_rows` and `_pm_rows` state each picture once, as a function
+of the standard normals they take from a draw(stream, width) callable. Every
+step is linear, so a row of base columns is L z, z the row's p normals
+(p = 16 for EB, 12 for PM). Two kinds of draw run the same code:
+  * `_chunk_draw` passes Philox draws, giving sample rows;
+  * `linear_map` passes the unit rows of I_p (`_ColumnDraw`), giving L
+    itself.
+
+Rows: a batch is a run of chunks of CHUNK_ROWS rows. Chunk j of each noise
+source is drawn by its own counter-based Philox generator, keyed by
 (seed, source id, j), and every draw within a chunk is row-interleaved (one
 (m, 4) normal draw per EPR source, one (m, 2) draw per cloner or vacuum),
 so the rows of a chunk depend only on (seed, source, j): rows
 [j CHUNK_ROWS, (j + 1) CHUNK_ROWS) of an n-sample batch equal chunk j drawn
-alone, whatever n is.
+alone, whatever n is. Rows serve the CSV export and tests; the oracle draws
+none (`sample_moments`).
 
 Batches: a `SampleBatch` holds only the drawn columns x_a, p_a, x_b, p_b,
 x_c, p_d; Bob's final data X_B = x_b + w_x x_c, P_B = p_b + w_p p_d
@@ -25,9 +34,13 @@ x_c, p_d; Bob's final data X_B = x_b + w_x x_c, P_B = p_b + w_p p_d
 Moments: every estimator here reads second moments only. `Moments` holds
 them for the whole batch (row count n, column sums and the Gram matrix of
 the drawn columns), so every covariance is a linear image of one covariance
-C of those columns (ddof 1). `_reading` states once how data are read as the
-block covariance (a, b, c): fixed weights R on the covariance F = L C L^T of
-the final columns. Estimation, its errors and the k-scan all use it.
+C of those columns (ddof 1). `Moments.of` reduces drawn rows;
+`sample_moments` draws the moments of n rows exactly from their law, from L
+and a Bartlett-decomposed Wishart draw, in time and memory independent of
+n. `_reading` states once how data are read as the block covariance
+(a, b, c): fixed weights R on the covariance F of the final columns
+(`Moments.final_covariance`). Estimation, its errors and the k-scan all use
+it.
 
 Standard errors: one rule, the normal-theory (Isserlis) covariance of the
 sample covariance of n Gaussian rows, Cov(F_ij, F_kl) = (F_ik F_jl +
@@ -60,6 +73,7 @@ _STREAMS = {
     "cloner_b": 3,
     "alice_detection": 4,
     "bob_detection": 5,
+    "moments": 6,  # the exact draw of `sample_moments`
 }
 
 # drawn columns of a batch; the final columns are linear in these
@@ -91,10 +105,9 @@ class UnsupportedScenario(ValueError):
     """A scenario outside what the sampler draws; the message names the field."""
 
 
-def _correlated_pair(lx, lp, m: int, rng: np.random.Generator):
-    """m samples (x1, p1, x2, p2) of a two-mode Gaussian state from one (m, 4)
-    normal draw; lx, lp are Cholesky factors of its x- and p-covariances."""
-    z = rng.standard_normal((m, 4))
+def _correlated_pair(lx, lp, z: np.ndarray):
+    """Samples (x1, p1, x2, p2) of a two-mode Gaussian state from one (m, 4)
+    normal draw z; lx, lp are Cholesky factors of its x- and p-covariances."""
     x = z[:, :2] @ lx.T
     p = z[:, 2:] @ lp.T
     return x[:, 0], p[:, 0], x[:, 1], p[:, 1]
@@ -115,7 +128,7 @@ def _epr_factors(scenario: Scenario) -> list:
     return factors
 
 
-def _through_channel(qx, qp, channel, rng: np.random.Generator):
+def _through_channel(qx, qp, channel, z: np.ndarray):
     """Entangling-cloner channel output sqrt(eta) q + sqrt(1 - eta + eta eps) z.
 
     Only the injected cloner mode reaches the output, and its variance
@@ -125,7 +138,6 @@ def _through_channel(qx, qp, channel, rng: np.random.Generator):
     """
     eta = channel.transmittance
     t, r = math.sqrt(eta), math.sqrt(1.0 - eta + eta * channel.excess_noise)
-    z = rng.standard_normal((len(qx), 2))
     return t * qx + r * z[:, 0], t * qp + r * z[:, 1]
 
 
@@ -191,14 +203,16 @@ def bridge_matrix(v_a: float, v_b: float) -> np.ndarray:
     return np.diag([s_a, -s_a, s_b, -s_b, 1.0, 1.0])
 
 
-def _eb_rows(scenario: Scenario, epr: list, seed: int, j: int, m: int):
-    """Base columns of the first m rows of EB chunk j; epr is `_epr_factors`."""
-    a1x, a1p, a2x, a2p = _correlated_pair(*epr[0], m, _rng(seed, "alice_source", j))
-    b1x, b1p, b2x, b2p = _correlated_pair(*epr[1], m, _rng(seed, "bob_source", j))
-    apx, app = _through_channel(a2x, a2p, scenario.channel_a, _rng(seed, "cloner_a", j))
-    bpx, bpp = _through_channel(b2x, b2p, scenario.channel_b, _rng(seed, "cloner_b", j))
-    va = _rng(seed, "alice_detection", j).standard_normal((m, 2))
-    vb = _rng(seed, "bob_detection", j).standard_normal((m, 2))
+def _eb_rows(scenario: Scenario, draw):
+    """Base columns of EB rows, each drawn normal block taken from
+    draw(stream, width); both sources are factored before the first draw."""
+    epr = _epr_factors(scenario)
+    a1x, a1p, a2x, a2p = _correlated_pair(*epr[0], draw("alice_source", 4))
+    b1x, b1p, b2x, b2p = _correlated_pair(*epr[1], draw("bob_source", 4))
+    apx, app = _through_channel(a2x, a2p, scenario.channel_a, draw("cloner_a", 2))
+    bpx, bpp = _through_channel(b2x, b2p, scenario.channel_b, draw("cloner_b", 2))
+    va = draw("alice_detection", 2)
+    vb = draw("bob_detection", 2)
     return (
         (a1x + va[:, 0]) / _SQRT2, (a1p - va[:, 1]) / _SQRT2,
         # Bob's pre-displacement heterodyne outcome; the displacement adds
@@ -209,17 +223,59 @@ def _eb_rows(scenario: Scenario, epr: list, seed: int, j: int, m: int):
     )
 
 
-def _pm_rows(scenario: Scenario, seed: int, j: int, m: int):
-    """Base columns of the first m rows of PM chunk j."""
-    mod_a = _rng(seed, "alice_source", j).standard_normal((m, 2)) * math.sqrt(scenario.v_a - 1.0)
-    mod_b = _rng(seed, "bob_source", j).standard_normal((m, 2)) * math.sqrt(scenario.v_b - 1.0)
+def _pm_rows(scenario: Scenario, draw):
+    """Base columns of PM rows, each drawn normal block taken from
+    draw(stream, width)."""
+    mod_a = draw("alice_source", 2) * math.sqrt(scenario.v_a - 1.0)
+    mod_b = draw("bob_source", 2) * math.sqrt(scenario.v_b - 1.0)
     # coherent states: modulation plus vacuum
-    qa = mod_a + _rng(seed, "alice_detection", j).standard_normal((m, 2))
-    qb = mod_b + _rng(seed, "bob_detection", j).standard_normal((m, 2))
-    apx, app = _through_channel(qa[:, 0], qa[:, 1], scenario.channel_a, _rng(seed, "cloner_a", j))
-    bpx, bpp = _through_channel(qb[:, 0], qb[:, 1], scenario.channel_b, _rng(seed, "cloner_b", j))
+    qa = mod_a + draw("alice_detection", 2)
+    qb = mod_b + draw("bob_detection", 2)
+    apx, app = _through_channel(qa[:, 0], qa[:, 1], scenario.channel_a, draw("cloner_a", 2))
+    bpx, bpp = _through_channel(qb[:, 0], qb[:, 1], scenario.channel_b, draw("cloner_b", 2))
     return (mod_a[:, 0], mod_a[:, 1], mod_b[:, 0], mod_b[:, 1],
             (apx - bpx) / _SQRT2, (app + bpp) / _SQRT2)
+
+
+# the physics of each picture, and how many standard normals one row draws
+_ROWS = {"EB": _eb_rows, "PM": _pm_rows}
+_NORMALS = {"EB": 16, "PM": 12}
+
+
+def _chunk_draw(seed: int, j: int, m: int):
+    """The draw of sample rows: draw(stream, width) is the first m rows of
+    the stream's chunk j, one (m, width) standard normal draw."""
+    def draw(stream: str, width: int) -> np.ndarray:
+        return _rng(seed, stream, j).standard_normal((m, width))
+    return draw
+
+
+class _ColumnDraw:
+    """draw(stream, width) handing out the columns of z in draw order, the
+    next width of them to each stream; a stream is drawn once."""
+
+    def __init__(self, z: np.ndarray):
+        self.z = z
+        self.widths: dict[str, int] = {}
+
+    def __call__(self, stream: str, width: int) -> np.ndarray:
+        lo = sum(self.widths.values())
+        if stream in self.widths or lo + width > self.z.shape[1]:
+            raise ValueError(f"stream {stream!r} drawn twice or past the {self.z.shape[1]} columns")
+        self.widths[stream] = width
+        return self.z[:, lo:lo + width]
+
+
+def linear_map(scenario: Scenario, scheme: str) -> np.ndarray:
+    """L, shape (6, p): one row of base columns of scheme "EB" or "PM" is
+    L z, z the row's p standard normals in draw order. Read off the
+    sampler's own physics by drawing the unit rows of I_p."""
+    p = _NORMALS[scheme]
+    draw = _ColumnDraw(np.eye(p))
+    cols = _ROWS[scheme](scenario, draw)
+    if sum(draw.widths.values()) != p:
+        raise ValueError(f"{scheme} rows drew {draw.widths}, not {p} normals")
+    return np.stack(cols)
 
 
 def simulate_eb(scenario: Scenario, g: float, n: int = 100_000, seed: int = 0,
@@ -228,10 +284,8 @@ def simulate_eb(scenario: Scenario, g: float, n: int = 100_000, seed: int = 0,
     beamsplitter, dual homodyne, displacement, heterodyne detections.
 
     Returns rows [chunk C, chunk C + n) of the seed's stream, C = CHUNK_ROWS.
-    Both sources are factored before the first draw.
     """
-    epr = _epr_factors(scenario)
-    cols = _fill(n, chunk, lambda j, m: _eb_rows(scenario, epr, seed, j, m))
+    cols = _fill(n, chunk, lambda j, m: _eb_rows(scenario, _chunk_draw(seed, j, m)))
     return SampleBatch("EB", seed, n, scenario.v_a, scenario.v_b, g, *cols)
 
 
@@ -243,7 +297,7 @@ def simulate_pm(scenario: Scenario, k: float, n: int = 100_000, seed: int = 0,
 
     Returns rows [chunk C, chunk C + n) of the seed's stream, C = CHUNK_ROWS.
     """
-    cols = _fill(n, chunk, lambda j, m: _pm_rows(scenario, seed, j, m))
+    cols = _fill(n, chunk, lambda j, m: _pm_rows(scenario, _chunk_draw(seed, j, m)))
     return SampleBatch("PM", seed, n, scenario.v_a, scenario.v_b, k, *cols)
 
 
@@ -301,16 +355,28 @@ class Moments:
 
 def sample_moments(scenario: Scenario, scheme: str, coeff: float, n: int,
                    seed: int = 0) -> Moments:
-    """Moments of `simulate_eb` (scheme "EB", coeff the gain g) or
-    `simulate_pm` ("PM", coeff the amplification k) at (n, seed), drawn one
-    chunk at a time: no more than CHUNK_ROWS samples are held at once, and
-    the result equals `Moments.of` the full batch."""
-    simulate = {"EB": simulate_eb, "PM": simulate_pm}[scheme]
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    parts = [Moments.of(simulate(scenario, coeff, min(CHUNK_ROWS, n - lo), seed, lo // CHUNK_ROWS))
-             for lo in range(0, n, CHUNK_ROWS)]
-    return replace(parts[0], n=n, sums=sum(p.sums for p in parts), gram=sum(p.gram for p in parts))
+    """Moments of n rows of `simulate_eb` (scheme "EB", coeff the gain g) or
+    `simulate_pm` ("PM", coeff the amplification k), drawn exactly from their
+    law in one draw keyed by seed, not row by row.
+
+    A row is L z with z ~ N(0, I_p) (`linear_map`), so the n rows have sums
+    sqrt(n) L u and Gram matrix L (A A^T + u u^T) L^T, with u ~ N(0, I_p) and
+    A A^T ~ Wishart(n - 1, I_p) independent of u. A is the Bartlett factor
+    (Anderson, An Introduction to Multivariate Statistical Analysis, ch. 7):
+    lower triangular, A_ii^2 ~ chi^2(n - 1 - i), standard normals below the
+    diagonal. Time and memory do not depend on n. The result has the law of
+    `Moments.of` the rows, not their values.
+    """
+    lmap = linear_map(scenario, scheme)
+    p = lmap.shape[1]
+    if n <= p:
+        raise ValueError(f"n must exceed the {p} normals of a {scheme} row")
+    rng = _rng(seed, "moments", 0)
+    a = np.diag(np.sqrt(rng.chisquare(n - 1 - np.arange(p))))
+    a[np.tril_indices(p, -1)] = rng.standard_normal(p * (p - 1) // 2)
+    la, lu = lmap @ a, lmap @ rng.standard_normal(p)
+    return Moments(scheme, scenario.v_a, scenario.v_b, coeff, n,
+                   math.sqrt(n) * lu, la @ la.T + np.outer(lu, lu))
 
 
 def _reading(m: Moments) -> np.ndarray:

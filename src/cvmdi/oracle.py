@@ -5,9 +5,11 @@ One run draws two n-sample batches at the scenario's gain g
 equivalent to it (`protocol.k_from_gain`), from its batch's second moments
 (`montecarlo.Moments`): one source-based (EB) batch at `seed`, read by the
 covariance, estimation and equivalence suites, then one modulation-based
-(PM) batch at `seed + 1`, read by the equivalence and rescaling suites. Each
-batch is drawn and reduced one chunk at a time (`montecarlo.sample_moments`),
-so a run holds O(`montecarlo.CHUNK_ROWS`) samples whatever n is.
+(PM) batch at `seed + 1`, read by the equivalence and rescaling suites. The
+moments of each batch are drawn exactly from their law
+(`montecarlo.sample_moments`): the sampler's linear map L and a Bartlett
+draw of the Wishart Gram matrix, no rows, so time and memory do not depend
+on n.
 """
 
 from __future__ import annotations

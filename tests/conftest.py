@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cvmdi import ChannelParams, DetectorParams, Scenario
-from cvmdi.montecarlo import SampleBatch, _correlated_pair, _fill, _rng
+from cvmdi.montecarlo import SampleBatch, _chunk_draw, _correlated_pair, _fill
 from cvmdi.protocol import block_params
 
 
@@ -157,9 +157,10 @@ def sample_block_cm(v_a: float, t: float, eps: float, n: int, seed: int = 0) -> 
     r2 = math.sqrt(2.0)
 
     def rows(j, m):
-        qxa, qpa, qxb, qpb = _correlated_pair(lx, lp, m, _rng(seed, "alice_source", j))
-        va = _rng(seed, "alice_detection", j).standard_normal((m, 2))
-        vb = _rng(seed, "bob_detection", j).standard_normal((m, 2))
+        draw = _chunk_draw(seed, j, m)
+        qxa, qpa, qxb, qpb = _correlated_pair(lx, lp, draw("alice_source", 4))
+        va = draw("alice_detection", 2)
+        vb = draw("bob_detection", 2)
         return ((qxa + va[:, 0]) / r2, (qpa - va[:, 1]) / r2,
                 (qxb + vb[:, 0]) / r2, (qpb - vb[:, 1]) / r2)
 

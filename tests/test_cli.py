@@ -167,16 +167,16 @@ class TestExitCodes:
     # printed statistics are fixed by (config, seed); a change of the sampler
     # or of the estimators that moves them shows here
     ORACLE_7 = """\
-PASS covariance_vs_analytic (max|z|=1.96) seed=7 n=30000
-PASS parameter_estimation_roundtrip (z(T)=0.67 z(eps')=0.43) seed=7 n=30000
-PASS pm_eb_equivalence (max|z|=1.85 k=1.3766) seed=7 n=30000
-PASS measurement_rescaling_invariance (|dK_max|=3.51e-05) seed=7 n=30000
+PASS covariance_vs_analytic (max|z|=0.39) seed=7 n=30000
+PASS parameter_estimation_roundtrip (z(T)=1.35 z(eps')=0.12) seed=7 n=30000
+PASS pm_eb_equivalence (max|z|=1.39 k=1.3766) seed=7 n=30000
+PASS measurement_rescaling_invariance (|dK_max|=6.75e-06) seed=7 n=30000
 """
     ORACLE_DEFAULT = """\
-PASS covariance_vs_analytic (max|z|=1.25) seed=12345 n=100000
-PASS parameter_estimation_roundtrip (z(T)=1.85 z(eps')=0.35) seed=12345 n=100000
-PASS pm_eb_equivalence (max|z|=2.13 k=1.3452) seed=12345 n=100000
-PASS measurement_rescaling_invariance (|dK_max|=5.03e-05) seed=12345 n=100000
+PASS covariance_vs_analytic (max|z|=2.06) seed=12345 n=100000
+PASS parameter_estimation_roundtrip (z(T)=0.32 z(eps')=1.31) seed=12345 n=100000
+PASS pm_eb_equivalence (max|z|=2.11 k=1.3452) seed=12345 n=100000
+PASS measurement_rescaling_invariance (|dK_max|=8.66e-05) seed=12345 n=100000
 """
 
     def test_oracle_pass_is_0(self, capsys):
@@ -192,10 +192,10 @@ PASS measurement_rescaling_invariance (|dK_max|=5.03e-05) seed=12345 n=100000
 
     # drawn and predicted at the fixed gain 1.0, not at the optimal gain 1.41
     ORACLE_FIXED_GAIN = """\
-PASS covariance_vs_analytic (max|z|=1.43) seed=12345 n=100000
-PASS parameter_estimation_roundtrip (z(T)=0.35 z(eps')=0.00) seed=12345 n=100000
-PASS pm_eb_equivalence (max|z|=2.03 k=0.9753) seed=12345 n=100000
-PASS measurement_rescaling_invariance (|dK_max|=2.33e-05) seed=12345 n=100000
+PASS covariance_vs_analytic (max|z|=2.06) seed=12345 n=100000
+PASS parameter_estimation_roundtrip (z(T)=1.05 z(eps')=1.30) seed=12345 n=100000
+PASS pm_eb_equivalence (max|z|=2.11 k=0.9753) seed=12345 n=100000
+PASS measurement_rescaling_invariance (|dK_max|=1.81e-05) seed=12345 n=100000
 """
 
     def test_oracle_fixed_gain_output(self, capsys):

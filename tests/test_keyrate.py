@@ -6,6 +6,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvmdi import kernels
 from cvmdi.gaussian import block_cm
@@ -141,6 +143,16 @@ class TestSweeps:
         assert res.curves[0].label == "l_bc=0km"
         assert res.curves[1].points[0].k < res.curves[0].points[0].k
 
+    def test_curve_labels_tell_lengths_apart(self):
+        # `:g` where it reads back as the same length, repr where it does not
+        s = make_scenario()
+        labels = [c.label for c in sweep_asymmetric(s, [0.0], [0.0, 1.0, 3.0, 2.5e-3]).curves]
+        assert labels == ["l_bc=0km", "l_bc=1km", "l_bc=3km", "l_bc=0.0025km"]
+        lengths = [1.0, 1.0000001, 1.0000002, 1234.567, 1234.568]
+        labels = [c.label for c in sweep_asymmetric(s, [0.0], lengths).curves]
+        assert labels[:3] == ["l_bc=1km", "l_bc=1.0000001km", "l_bc=1.0000002km"]
+        assert len(set(labels)) == len(lengths)
+
     def test_points_are_the_secret_key_rates(self, rng):
         # each point is, field by field, the key rate of the scenario at its lengths
         axis = np.linspace(0.0, 10.0, 11)
@@ -267,3 +279,10 @@ class TestDetectorThreshold:
         below = replace(s, detector=DetectorParams(eta - 1e-4, 0.0))
         assert key_rate_at(above, 0.0, 0.0) > 0.0
         assert key_rate_at(below, 0.0, 0.0) <= 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(lengths=st.lists(st.floats(0.0, 100.0), min_size=2, max_size=2, unique=True))
+def test_property_curve_labels_read_back_as_their_lengths(lengths):
+    curves = sweep_asymmetric(make_scenario(), [0.0], lengths).curves
+    assert [float(c.label.removeprefix("l_bc=").removesuffix("km")) for c in curves] == lengths

@@ -1,6 +1,6 @@
 """Lint: every imported name is used, the package keeps its layering (numpy
-loaded at import only where arrays are the work), and each kernel formula
-has exactly its two forms.
+loaded at import only where arrays are the work), each kernel formula has
+exactly its two forms, and the sampler's physics exists once.
 
 A module of `src/cvmdi` or of `tests/` that imports a name must reference it.
 The package's `__init__.py` is exempt: its imports are its exports.
@@ -249,3 +249,45 @@ def test_each_kernel_has_a_scalar_and_a_grid_form():
     assert untwinned_kernels(source) == set()
     assert untwinned_kernels(source + "\ndef block_key_rate_fused(a, b, c, beta): pass\n") == {
         "block_key_rate_fused"}
+
+
+# what makes a generator, and what draws from one
+GENERATORS = ("Philox", "Generator", "default_rng", "SeedSequence", "RandomState")
+DRAWS = ("standard_normal", "normal", "chisquare", "multivariate_normal")
+
+
+def sampling_sites(sources: dict[str, str]) -> dict[str, set[str]]:
+    """Per role, the `module.function`s of sources (name -> text) that call
+    it: generator construction, `_rng`, drawing, the physics' `draw`
+    argument, the two kinds of draw and the linear map."""
+    def sites(*names):
+        return {f"{m}.{f}" for m, text in sources.items() for name in names
+                for f in callers(text, name)}
+    return {"generators": sites(*GENERATORS), "_rng": sites("_rng"), "draws": sites(*DRAWS),
+            "draw": sites("draw"), "_chunk_draw": sites("_chunk_draw"),
+            "_ColumnDraw": sites("_ColumnDraw"), "linear_map": sites("linear_map")}
+
+
+def test_the_sampler_physics_exists_once():
+    """`_eb_rows` and `_pm_rows` take every normal from their `draw`
+    argument; only `_rng` makes a generator, and only the draw of sample
+    rows (`_chunk_draw`) and the moment draw call it. `_chunk_draw` feeds the
+    simulators, and the moment draw reads L off `linear_map` alone, so a
+    second physics path or a hand-written L fails here."""
+    sources = {p.stem: p.read_text() for p in sorted((ROOT / "src" / "cvmdi").glob("*.py"))}
+    drawing = {"montecarlo._chunk_draw.draw", "montecarlo.sample_moments"}
+    expected = {
+        "generators": {"montecarlo._rng"},
+        "_rng": drawing,
+        "draws": drawing,
+        "draw": {"montecarlo._eb_rows", "montecarlo._pm_rows"},
+        "_chunk_draw": {"montecarlo.simulate_eb", "montecarlo.simulate_pm"},
+        "_ColumnDraw": {"montecarlo.linear_map"},
+        "linear_map": {"montecarlo.sample_moments"},
+    }
+    assert sampling_sites(sources) == expected
+    stray = dict(sources, oracle=sources["oracle"] + (
+        "\ndef _eb_rows_fast(s, seed):\n"
+        "    return _rng(seed, 'alice_source', 0).standard_normal((4, 4))\n"))
+    found = sampling_sites(stray)
+    assert found["_rng"] - drawing == found["draws"] - drawing == {"oracle._eb_rows_fast"}

@@ -222,8 +222,8 @@ class TestEstimationErrors:
 
     def test_negative_control_at_default_config(self):
         # T predicted 1% high must fail at the default n: se(T) is 1.0e-3 there
-        # (0.11% of T), so the shift alone is 9.5 standard errors; measured
-        # z(T) is 1.85 at the true T and 11.36 at 1.01 T
+        # (0.10% of T), so the shift alone is 9.5 standard errors; measured
+        # z(T) is 0.32 at the true T and 9.23 at 1.01 T
         cfg = load_config(environ={})
         s = cfg.scenario()
         g = s.resolved_gain()
@@ -380,6 +380,19 @@ class TestOracleSuites:
         assert [r.passed for r in results] == [True] * 4
         assert run_oracle_suites(scenario, N_FAST, SEED) == results
 
+    def test_oracle_memory_is_independent_of_n(self, scenario):
+        # a float64 column of 1e6 rows alone is 8 MB
+        import tracemalloc
+
+        for n in (1_000_000, 1_000_000_000):
+            tracemalloc.start()
+            try:
+                run_oracle_suites(scenario, n, SEED)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4e6, f"n={n}: peak {peak / 1e6:.1f} MB"
+
     def test_wrong_sign_fails_only_the_covariance_suite(self, scenario, results):
         bad = run_oracle_suites(scenario, N_FAST, SEED, wrong_sign=True)
         assert bad[0].name == "covariance_vs_analytic" and not bad[0].passed
@@ -418,15 +431,6 @@ class TestChunkedSampling:
         first = sample(scenario, self.C).data_matrix()
         assert np.array_equal(whole[:self.C], first)
 
-    def test_chunk_accumulated_moments_equal_batch_moments(self, scenario):
-        n = 5 * self.C // 2 + 7  # the last chunk is partial
-        g = optimal_gain(scenario)
-        streamed = mc.sample_moments(scenario, "EB", g, n, SEED)
-        whole = mc.Moments.of(mc.simulate_eb(scenario, g, n, SEED))
-        assert streamed.n == whole.n == n
-        for a, b in ((streamed.sums, whole.sums), (streamed.gram, whole.gram)):
-            assert np.allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
-
     def test_moment_covariance_matches_np_cov(self, eb_batch):
         base = np.column_stack([eb_batch.x_a, eb_batch.p_a, eb_batch.x_b,
                                 eb_batch.p_b, eb_batch.x_c, eb_batch.p_d])
@@ -464,13 +468,122 @@ class TestChunkedSampling:
         assert abs(est.t_hat - t_in) < 4.0 * est.t_se
         assert abs(est.eps_hat - eps_in) < 4.0 * est.eps_se
 
-    def test_oracle_memory_is_one_chunk(self, scenario):
-        import tracemalloc
 
-        tracemalloc.start()
-        try:
-            run_oracle_suites(scenario, 1_000_000, SEED)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32e6, f"peak {peak / 1e6:.1f} MB"
+SCENARIOS = {
+    "V1.5": make_scenario(3.0, 2.0, v=1.5),
+    "V40": make_scenario(3.0, 2.0),
+    "V1e5-eps0.01": make_scenario(2.0, 1.0, v=1e5, eps=0.01),
+    "V1e7": make_scenario(5.0, 2.0, v=1e7),
+    "0km-noisy-leg": Scenario(v_a=5.0, v_b=5.0, channel_a=ChannelParams(5.0, 0.2, 0.01),
+                              channel_b=ChannelParams(0.0, 0.2, 0.2)),
+    "eps0.05": make_scenario(4.0, 1.0, eps=0.05),
+}
+
+
+def map_covariance(s, scheme, coeff):
+    """Final 6x6 covariance of one row of the sampler, L L^T carried through
+    Bob's data processing at coeff."""
+    lmap = mc.linear_map(s, scheme)
+    return mc.Moments(scheme, s.v_a, s.v_b, coeff, 2, np.zeros(6), lmap @ lmap.T).final_covariance()
+
+
+def assert_close(actual, expected):
+    assert np.allclose(actual, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
+class TestLinearMap:
+    """The sampler's linear map L, read off its own physics, has exactly the
+    analytic covariance."""
+
+    @pytest.mark.parametrize("s", SCENARIOS.values(), ids=SCENARIOS.keys())
+    def test_map_covariance_is_the_analytic_image(self, s):
+        g = s.resolved_gain()
+        predicted = mc.heterodyne_image(*scenario_block_params(s, g))
+        assert_close(map_covariance(s, "EB", g)[:4, :4], predicted)
+
+    @pytest.mark.parametrize("s", SCENARIOS.values(), ids=SCENARIOS.keys())
+    def test_bridged_eb_covariance_is_the_pm_covariance(self, s):
+        g = s.resolved_gain()
+        bridge = mc.bridge_matrix(s.v_a, s.v_b)
+        assert_close(bridge @ map_covariance(s, "EB", g) @ bridge,
+                     map_covariance(s, "PM", k_from_gain(g, s.v_b)))
+
+    @pytest.mark.parametrize("s", SCENARIOS.values(), ids=SCENARIOS.keys())
+    def test_wrong_sign_map_misses(self, s):
+        g = s.resolved_gain()
+        predicted = mc.heterodyne_image(*scenario_block_params(s, g))
+        miss = np.abs(map_covariance(s, "EB", -g)[:4, :4] - predicted).max()
+        assert miss > 0.5 * np.abs(predicted).max()
+
+    @pytest.mark.parametrize("scheme", ["EB", "PM"])
+    def test_rows_are_linear_in_their_draws(self, scheme, rng):
+        s = SCENARIOS["V40"]
+        lmap = mc.linear_map(s, scheme)
+        p = lmap.shape[1]
+
+        def rows(z):
+            draw = mc._ColumnDraw(z)
+            cols = mc._ROWS[scheme](s, draw)
+            assert set(draw.widths) == set(mc._STREAMS) - {"moments"}
+            assert sum(draw.widths.values()) == p
+            return np.column_stack(cols)
+
+        z1, z2 = rng.standard_normal((50, p)), rng.standard_normal((50, p))
+        assert np.allclose(rows(z1 + z2), rows(z1) + rows(z2), rtol=1e-12, atol=1e-12)
+        assert np.allclose(rows(z1), z1 @ lmap.T, rtol=1e-12, atol=1e-12)
+
+    def test_a_stream_is_drawn_once(self):
+        draw = mc._ColumnDraw(np.eye(4))
+        draw("cloner_a", 2)
+        with pytest.raises(ValueError, match="cloner_a"):
+            draw("cloner_a", 2)
+        with pytest.raises(ValueError, match="cloner_b"):
+            draw("cloner_b", 3)
+
+
+class TestExactMoments:
+    """`sample_moments` draws the moments of n rows from their law: over many
+    seeds they agree in distribution with the moments of drawn rows."""
+
+    SEEDS = range(200)
+    N = 2_000
+    Z_MEAN = 3.5  # per-entry |mean difference| / its standard error
+    SD_RATIO = (0.75, 1.33)  # about 4 standard errors of a ratio of 200-seed sds
+
+    @staticmethod
+    def entries(m):
+        return np.concatenate([m.sums, m.gram[np.triu_indices(6)]])
+
+    @pytest.mark.parametrize("scheme, simulate", [("EB", mc.simulate_eb), ("PM", mc.simulate_pm)])
+    def test_moments_have_the_rows_law(self, scheme, simulate):
+        s = make_scenario(3.0, 2.0)
+        g = s.resolved_gain()
+        coeff = g if scheme == "EB" else k_from_gain(g, s.v_b)
+        rows = np.array([self.entries(mc.Moments.of(simulate(s, coeff, self.N, seed)))
+                         for seed in self.SEEDS])
+        exact = np.array([self.entries(mc.sample_moments(s, scheme, coeff, self.N, seed))
+                          for seed in self.SEEDS])
+        count = len(self.SEEDS)
+        se = np.sqrt((rows.var(axis=0, ddof=1) + exact.var(axis=0, ddof=1)) / count)
+        z = (exact.mean(axis=0) - rows.mean(axis=0)) / se
+        assert np.abs(z).max() <= self.Z_MEAN, z
+        ratio = exact.std(axis=0, ddof=1) / rows.std(axis=0, ddof=1)
+        assert self.SD_RATIO[0] <= ratio.min() and ratio.max() <= self.SD_RATIO[1], ratio
+
+    def test_estimation_z_is_calibrated(self):
+        # 1000 seeds at n = 2e4: each z has mean 0 and sd 1 within about 4.5
+        # standard errors of 1000-seed statistics
+        s = make_scenario(3.0, 2.0)
+        g = s.resolved_gain()
+        truth = np.array([effective_transmittance(s, g), equivalent_excess_noise(s, g)])
+        z = []
+        for seed in range(1000):
+            est = mc.estimate_params(mc.sample_moments(s, "EB", g, 20_000, seed))
+            z.append((np.array([est.t_hat, est.eps_hat]) - truth) / [est.t_se, est.eps_se])
+        assert np.all(np.abs(np.mean(z, axis=0)) < 0.15)
+        assert np.all(np.abs(np.std(z, axis=0, ddof=1) - 1.0) < 0.1)
+
+    def test_needs_more_rows_than_normals(self, scenario):
+        with pytest.raises(ValueError):
+            mc.sample_moments(scenario, "EB", 1.3, 16, SEED)
+        assert mc.sample_moments(scenario, "EB", 1.3, 17, SEED).n == 17
