@@ -10,22 +10,15 @@ Sampling conventions (shot-noise units, vacuum variance 1):
     with v a fresh vacuum, so the outcome variance is (V + 1)/2 per
     quadrature, matching `heterodyne_image`.
 
-Physics: `_eb_rows` and `_pm_rows` state each picture once, as a function
-of the standard normals they take from a draw(stream, width) callable. Every
-step is linear, so a row of base columns is L z, z the row's p normals
-(p = 16 for EB, 12 for PM). Two kinds of draw run the same code:
-  * `_chunk_draw` passes Philox draws, giving sample rows;
-  * `linear_map` passes the unit rows of I_p (`_ColumnDraw`), giving L
-    itself.
+Physics: every step is linear, so a row of base columns is L z, z the row's
+p standard normals (p = 16 for EB, 12 for PM). `_eb_rows` and `_pm_rows`
+state each picture once, as the map L (`linear_map`), and the sampler has no
+other statement of it: rows and moments are both drawn from L.
 
-Rows: a batch is a run of chunks of CHUNK_ROWS rows. Chunk j of each noise
-source is drawn by its own counter-based Philox generator, keyed by
-(seed, source id, j), and every draw within a chunk is row-interleaved (one
-(m, 4) normal draw per EPR source, one (m, 2) draw per cloner or vacuum),
-so the rows of a chunk depend only on (seed, source, j): rows
-[j CHUNK_ROWS, (j + 1) CHUNK_ROWS) of an n-sample batch equal chunk j drawn
-alone, whatever n is. Rows serve the CSV export and tests; the oracle draws
-none (`sample_moments`).
+Rows: `_simulate` draws z from one Philox generator keyed by (seed, "rows"),
+CHUNK_ROWS rows of p normals at a time, and writes L z for each block, so
+row j is L times the stream's j-th run of p normals whatever n is. Rows
+serve the CSV export and tests; the oracle draws none (`sample_moments`).
 
 Batches: a `SampleBatch` holds only the drawn columns x_a, p_a, x_b, p_b,
 x_c, p_d; Bob's final data X_B = x_b + w_x x_c, P_B = p_b + w_p p_d
@@ -61,18 +54,12 @@ import numpy as np
 from . import kernels
 from .protocol import _SQRT2, MIN_ESTIMATION_SAMPLES, Scenario, k_from_gain
 
-# rows per chunk: a batch is drawn, and reduced to moments, this many rows at
-# a time
+# rows per block of the row draw: bounds its transient to p CHUNK_ROWS normals
 CHUNK_ROWS = 1 << 15
 
-# stable noise-source ids for substream derivation
+# spawn-key ids of the generators (id, 0)
 _STREAMS = {
-    "alice_source": 0,
-    "bob_source": 1,
-    "cloner_a": 2,
-    "cloner_b": 3,
-    "alice_detection": 4,
-    "bob_detection": 5,
+    "rows": 0,  # the rows of `simulate_eb` and `simulate_pm`
     "moments": 6,  # the exact draw of `sample_moments`
 }
 
@@ -80,25 +67,9 @@ _STREAMS = {
 _BASE = ("x_a", "p_a", "x_b", "p_b", "x_c", "p_d")
 
 
-def _rng(seed: int, stream: str, chunk: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(_STREAMS[stream], chunk))
+def _rng(seed: int, stream: str) -> np.random.Generator:
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(_STREAMS[stream], 0))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def _fill(n: int, chunk: int, rows) -> list[np.ndarray]:
-    """Columns holding rows [chunk C, chunk C + n) of a chunked stream, C =
-    CHUNK_ROWS; rows(j, m) gives the first m rows of chunk j as columns."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    cols: list[np.ndarray] = []
-    for lo in range(0, n, CHUNK_ROWS):
-        m = min(CHUNK_ROWS, n - lo)
-        part = rows(chunk + lo // CHUNK_ROWS, m)
-        if not cols:
-            cols = [np.empty(n) for _ in part]
-        for col, values in zip(cols, part):
-            col[lo:lo + m] = values
-    return cols
 
 
 class UnsupportedScenario(ValueError):
@@ -106,8 +77,9 @@ class UnsupportedScenario(ValueError):
 
 
 def _correlated_pair(lx, lp, z: np.ndarray):
-    """Samples (x1, p1, x2, p2) of a two-mode Gaussian state from one (m, 4)
-    normal draw z; lx, lp are Cholesky factors of its x- and p-covariances."""
+    """(x1, p1, x2, p2) of a two-mode Gaussian state from its (m, 4) normals z
+    (sample rows, or unit columns for L); lx, lp are Cholesky factors of its
+    x- and p-covariances."""
     x = z[:, :2] @ lx.T
     p = z[:, 2:] @ lp.T
     return x[:, 0], p[:, 0], x[:, 1], p[:, 1]
@@ -132,8 +104,8 @@ def _through_channel(qx, qp, channel, z: np.ndarray):
     """Entangling-cloner channel output sqrt(eta) q + sqrt(1 - eta + eta eps) z.
 
     Only the injected cloner mode reaches the output, and its variance
-    (1 - eta) W = 1 - eta + eta eps, so z is one (m, 2) standard normal draw
-    instead of a full EPR pair. At eta = 1 the noise eps is kept: the
+    (1 - eta) W = 1 - eta + eta eps, so z is (m, 2) standard normals instead
+    of a full EPR pair. At eta = 1 the noise eps is kept: the
     L -> 0+ limit of the analytic composition.
     """
     eta = channel.transmittance
@@ -203,102 +175,75 @@ def bridge_matrix(v_a: float, v_b: float) -> np.ndarray:
     return np.diag([s_a, -s_a, s_b, -s_b, 1.0, 1.0])
 
 
-def _eb_rows(scenario: Scenario, draw):
-    """Base columns of EB rows, each drawn normal block taken from
-    draw(stream, width); both sources are factored before the first draw."""
+def _eb_rows(scenario: Scenario) -> np.ndarray:
+    """L of the EB picture, (6, 16). z holds, in order, Alice's and Bob's EPR
+    blocks (4 each), cloner A, cloner B, Alice's and Bob's detection vacua
+    (2 each)."""
     epr = _epr_factors(scenario)
-    a1x, a1p, a2x, a2p = _correlated_pair(*epr[0], draw("alice_source", 4))
-    b1x, b1p, b2x, b2p = _correlated_pair(*epr[1], draw("bob_source", 4))
-    apx, app = _through_channel(a2x, a2p, scenario.channel_a, draw("cloner_a", 2))
-    bpx, bpp = _through_channel(b2x, b2p, scenario.channel_b, draw("cloner_b", 2))
-    va = draw("alice_detection", 2)
-    vb = draw("bob_detection", 2)
-    return (
+    z_a, z_b, z_ca, z_cb, va, vb = np.split(np.eye(16), [4, 8, 10, 12, 14], axis=1)
+    a1x, a1p, a2x, a2p = _correlated_pair(*epr[0], z_a)
+    b1x, b1p, b2x, b2p = _correlated_pair(*epr[1], z_b)
+    apx, app = _through_channel(a2x, a2p, scenario.channel_a, z_ca)
+    bpx, bpp = _through_channel(b2x, b2p, scenario.channel_b, z_cb)
+    return np.stack((
         (a1x + va[:, 0]) / _SQRT2, (a1p - va[:, 1]) / _SQRT2,
         # Bob's pre-displacement heterodyne outcome; the displacement adds
         # g/sqrt(2) times the announced relay data
         (b1x + vb[:, 0]) / _SQRT2, (b1p - vb[:, 1]) / _SQRT2,
         (apx - bpx) / _SQRT2,  # homodyne x of C
         (app + bpp) / _SQRT2,  # homodyne p of D
-    )
+    ))
 
 
-def _pm_rows(scenario: Scenario, draw):
-    """Base columns of PM rows, each drawn normal block taken from
-    draw(stream, width)."""
-    mod_a = draw("alice_source", 2) * math.sqrt(scenario.v_a - 1.0)
-    mod_b = draw("bob_source", 2) * math.sqrt(scenario.v_b - 1.0)
+def _pm_rows(scenario: Scenario) -> np.ndarray:
+    """L of the PM picture, (6, 12). z holds, in order, Alice's and Bob's
+    modulations, their coherent states' vacua, cloner A and cloner B (2 each)."""
+    z_a, z_b, va, vb, z_ca, z_cb = np.split(np.eye(12), [2, 4, 6, 8, 10], axis=1)
+    mod_a = z_a * math.sqrt(scenario.v_a - 1.0)
+    mod_b = z_b * math.sqrt(scenario.v_b - 1.0)
     # coherent states: modulation plus vacuum
-    qa = mod_a + draw("alice_detection", 2)
-    qb = mod_b + draw("bob_detection", 2)
-    apx, app = _through_channel(qa[:, 0], qa[:, 1], scenario.channel_a, draw("cloner_a", 2))
-    bpx, bpp = _through_channel(qb[:, 0], qb[:, 1], scenario.channel_b, draw("cloner_b", 2))
-    return (mod_a[:, 0], mod_a[:, 1], mod_b[:, 0], mod_b[:, 1],
-            (apx - bpx) / _SQRT2, (app + bpp) / _SQRT2)
-
-
-# the physics of each picture, and how many standard normals one row draws
-_ROWS = {"EB": _eb_rows, "PM": _pm_rows}
-_NORMALS = {"EB": 16, "PM": 12}
-
-
-def _chunk_draw(seed: int, j: int, m: int):
-    """The draw of sample rows: draw(stream, width) is the first m rows of
-    the stream's chunk j, one (m, width) standard normal draw."""
-    def draw(stream: str, width: int) -> np.ndarray:
-        return _rng(seed, stream, j).standard_normal((m, width))
-    return draw
-
-
-class _ColumnDraw:
-    """draw(stream, width) handing out the columns of z in draw order, the
-    next width of them to each stream; a stream is drawn once."""
-
-    def __init__(self, z: np.ndarray):
-        self.z = z
-        self.widths: dict[str, int] = {}
-
-    def __call__(self, stream: str, width: int) -> np.ndarray:
-        lo = sum(self.widths.values())
-        if stream in self.widths or lo + width > self.z.shape[1]:
-            raise ValueError(f"stream {stream!r} drawn twice or past the {self.z.shape[1]} columns")
-        self.widths[stream] = width
-        return self.z[:, lo:lo + width]
+    qa = mod_a + va
+    qb = mod_b + vb
+    apx, app = _through_channel(qa[:, 0], qa[:, 1], scenario.channel_a, z_ca)
+    bpx, bpp = _through_channel(qb[:, 0], qb[:, 1], scenario.channel_b, z_cb)
+    return np.stack((mod_a[:, 0], mod_a[:, 1], mod_b[:, 0], mod_b[:, 1],
+                     (apx - bpx) / _SQRT2, (app + bpp) / _SQRT2))
 
 
 def linear_map(scenario: Scenario, scheme: str) -> np.ndarray:
     """L, shape (6, p): one row of base columns of scheme "EB" or "PM" is
-    L z, z the row's p standard normals in draw order. Read off the
-    sampler's own physics by drawing the unit rows of I_p."""
-    p = _NORMALS[scheme]
-    draw = _ColumnDraw(np.eye(p))
-    cols = _ROWS[scheme](scenario, draw)
-    if sum(draw.widths.values()) != p:
-        raise ValueError(f"{scheme} rows drew {draw.widths}, not {p} normals")
-    return np.stack(cols)
+    L z, z the row's p standard normals in the order its builder states."""
+    if scheme == "EB":
+        return _eb_rows(scenario)
+    if scheme == "PM":
+        return _pm_rows(scenario)
+    raise ValueError(f"scheme must be 'EB' or 'PM', not {scheme!r}")
 
 
-def simulate_eb(scenario: Scenario, g: float, n: int = 100_000, seed: int = 0,
-                chunk: int = 0) -> SampleBatch:
+def _simulate(scenario: Scenario, scheme: str, coeff: float, n: int, seed: int) -> SampleBatch:
+    """n rows L z of scheme's picture; z is drawn CHUNK_ROWS rows at a time."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    lmap = linear_map(scenario, scheme)
+    rng = _rng(seed, "rows")
+    rows = np.empty((6, n))
+    for lo in range(0, n, CHUNK_ROWS):
+        hi = min(lo + CHUNK_ROWS, n)
+        rows[:, lo:hi] = lmap @ rng.standard_normal((hi - lo, lmap.shape[1])).T
+    return SampleBatch(scheme, seed, n, scenario.v_a, scenario.v_b, coeff, *rows)
+
+
+def simulate_eb(scenario: Scenario, g: float, n: int = 100_000, seed: int = 0) -> SampleBatch:
     """Sample the source-based picture: EPR pairs, cloner channels, relay
-    beamsplitter, dual homodyne, displacement, heterodyne detections.
-
-    Returns rows [chunk C, chunk C + n) of the seed's stream, C = CHUNK_ROWS.
-    """
-    cols = _fill(n, chunk, lambda j, m: _eb_rows(scenario, _chunk_draw(seed, j, m)))
-    return SampleBatch("EB", seed, n, scenario.v_a, scenario.v_b, g, *cols)
+    beamsplitter, dual homodyne, displacement, heterodyne detections."""
+    return _simulate(scenario, "EB", g, n, seed)
 
 
-def simulate_pm(scenario: Scenario, k: float, n: int = 100_000, seed: int = 0,
-                chunk: int = 0) -> SampleBatch:
+def simulate_pm(scenario: Scenario, k: float, n: int = 100_000, seed: int = 0) -> SampleBatch:
     """Sample the modulation-based picture: Gaussian-modulated coherent
     states through the cloner channels, relay measurement, data processing
-    X_B = x_b + k X_C, P_B = p_b - k P_D.
-
-    Returns rows [chunk C, chunk C + n) of the seed's stream, C = CHUNK_ROWS.
-    """
-    cols = _fill(n, chunk, lambda j, m: _pm_rows(scenario, _chunk_draw(seed, j, m)))
-    return SampleBatch("PM", seed, n, scenario.v_a, scenario.v_b, k, *cols)
+    X_B = x_b + k X_C, P_B = p_b - k P_D."""
+    return _simulate(scenario, "PM", k, n, seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,13 +265,10 @@ class Moments:
 
     @classmethod
     def of(cls, batch: SampleBatch) -> Moments:
-        """Moments of a whole batch, reduced CHUNK_ROWS rows at a time."""
-        sums, gram = np.zeros(6), np.zeros((6, 6))
-        for lo in range(0, batch.n, CHUNK_ROWS):
-            rows = np.stack([getattr(batch, c)[lo:lo + CHUNK_ROWS] for c in _BASE])
-            sums += rows.sum(axis=1)
-            gram += rows @ rows.T
-        return cls(batch.scheme, batch.v_a, batch.v_b, batch.coeff, batch.n, sums, gram)
+        """Moments of a whole batch: the six columns reduced in one product."""
+        rows = np.stack([getattr(batch, c) for c in _BASE])
+        return cls(batch.scheme, batch.v_a, batch.v_b, batch.coeff, batch.n,
+                   rows.sum(axis=1), rows @ rows.T)
 
     def covariance(self) -> np.ndarray:
         """Sample covariance (ddof 1) of the drawn columns."""
@@ -371,7 +313,7 @@ def sample_moments(scenario: Scenario, scheme: str, coeff: float, n: int,
     p = lmap.shape[1]
     if n <= p:
         raise ValueError(f"n must exceed the {p} normals of a {scheme} row")
-    rng = _rng(seed, "moments", 0)
+    rng = _rng(seed, "moments")
     a = np.diag(np.sqrt(rng.chisquare(n - 1 - np.arange(p))))
     a[np.tril_indices(p, -1)] = rng.standard_normal(p * (p - 1) // 2)
     la, lu = lmap @ a, lmap @ rng.standard_normal(p)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cvmdi import ChannelParams, DetectorParams, Scenario
-from cvmdi.montecarlo import SampleBatch, _chunk_draw, _correlated_pair, _fill
+from cvmdi.montecarlo import SampleBatch, _correlated_pair, _rng
 from cvmdi.protocol import block_params
 
 
@@ -144,7 +144,7 @@ def random_scenario(rng: np.random.Generator) -> Scenario:
     )
 
 
-# Test-only Monte Carlo generators, drawn with the sampler's own substreams.
+# Test-only Monte Carlo generators, drawn from the sampler's own row stream.
 
 def sample_block_cm(v_a: float, t: float, eps: float, n: int, seed: int = 0) -> SampleBatch:
     """Heterodyne-outcome samples drawn directly from a block covariance.
@@ -155,17 +155,12 @@ def sample_block_cm(v_a: float, t: float, eps: float, n: int, seed: int = 0) -> 
     _, b, c = block_params(v_a, t, eps)
     lx, lp = (np.linalg.cholesky(np.array([[v_a, s], [s, b]])) for s in (c, -c))
     r2 = math.sqrt(2.0)
-
-    def rows(j, m):
-        draw = _chunk_draw(seed, j, m)
-        qxa, qpa, qxb, qpb = _correlated_pair(lx, lp, draw("alice_source", 4))
-        va = draw("alice_detection", 2)
-        vb = draw("bob_detection", 2)
-        return ((qxa + va[:, 0]) / r2, (qpa - va[:, 1]) / r2,
-                (qxb + vb[:, 0]) / r2, (qpb - vb[:, 1]) / r2)
-
-    x_a, p_a, x_b, p_b = _fill(n, 0, rows)
-    return SampleBatch("EB", seed, n, v_a, b, 0.0, x_a, p_a, x_b, p_b, np.zeros(n), np.zeros(n))
+    z = _rng(seed, "rows").standard_normal((n, 8))
+    qxa, qpa, qxb, qpb = _correlated_pair(lx, lp, z[:, :4])
+    va, vb = z[:, 4:6], z[:, 6:]
+    return SampleBatch("EB", seed, n, v_a, b, 0.0,
+                       (qxa + va[:, 0]) / r2, (qpa - va[:, 1]) / r2,
+                       (qxb + vb[:, 0]) / r2, (qpb - vb[:, 1]) / r2, np.zeros(n), np.zeros(n))
 
 
 def lo_scaling_attack(batch: SampleBatch, eta_scale: float) -> SampleBatch:

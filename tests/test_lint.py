@@ -258,36 +258,34 @@ DRAWS = ("standard_normal", "normal", "chisquare", "multivariate_normal")
 
 def sampling_sites(sources: dict[str, str]) -> dict[str, set[str]]:
     """Per role, the `module.function`s of sources (name -> text) that call
-    it: generator construction, `_rng`, drawing, the physics' `draw`
-    argument, the two kinds of draw and the linear map."""
+    it: generator construction, `_rng`, drawing, the two builders of L and
+    `linear_map`."""
     def sites(*names):
         return {f"{m}.{f}" for m, text in sources.items() for name in names
                 for f in callers(text, name)}
     return {"generators": sites(*GENERATORS), "_rng": sites("_rng"), "draws": sites(*DRAWS),
-            "draw": sites("draw"), "_chunk_draw": sites("_chunk_draw"),
-            "_ColumnDraw": sites("_ColumnDraw"), "linear_map": sites("linear_map")}
+            "builders": sites("_eb_rows", "_pm_rows"), "linear_map": sites("linear_map")}
 
 
 def test_the_sampler_physics_exists_once():
-    """`_eb_rows` and `_pm_rows` take every normal from their `draw`
-    argument; only `_rng` makes a generator, and only the draw of sample
-    rows (`_chunk_draw`) and the moment draw call it. `_chunk_draw` feeds the
-    simulators, and the moment draw reads L off `linear_map` alone, so a
-    second physics path or a hand-written L fails here."""
+    """The sampler's physics is L alone: `_eb_rows` and `_pm_rows` build it
+    and only `linear_map` calls them; only the row draw (`_simulate`) and the
+    moment draw (`sample_moments`) take L from `linear_map`, call `_rng`,
+    the one maker of a generator, and draw. So a second physics path or a
+    hand-written L fails here."""
     sources = {p.stem: p.read_text() for p in sorted((ROOT / "src" / "cvmdi").glob("*.py"))}
-    drawing = {"montecarlo._chunk_draw.draw", "montecarlo.sample_moments"}
+    drawing = {"montecarlo._simulate", "montecarlo.sample_moments"}
     expected = {
         "generators": {"montecarlo._rng"},
         "_rng": drawing,
         "draws": drawing,
-        "draw": {"montecarlo._eb_rows", "montecarlo._pm_rows"},
-        "_chunk_draw": {"montecarlo.simulate_eb", "montecarlo.simulate_pm"},
-        "_ColumnDraw": {"montecarlo.linear_map"},
-        "linear_map": {"montecarlo.sample_moments"},
+        "builders": {"montecarlo.linear_map"},
+        "linear_map": drawing,
     }
     assert sampling_sites(sources) == expected
     stray = dict(sources, oracle=sources["oracle"] + (
         "\ndef _eb_rows_fast(s, seed):\n"
-        "    return _rng(seed, 'alice_source', 0).standard_normal((4, 4))\n"))
+        "    return _eb_rows(s) @ _rng(seed, 'rows').standard_normal((16, 4))\n"))
     found = sampling_sites(stray)
-    assert found["_rng"] - drawing == found["draws"] - drawing == {"oracle._eb_rows_fast"}
+    assert (found["_rng"] - drawing == found["draws"] - drawing
+            == found["builders"] - expected["builders"] == {"oracle._eb_rows_fast"})

@@ -418,18 +418,21 @@ class TestOracleSuites:
 
 
 class TestChunkedSampling:
-    C = mc.CHUNK_ROWS
+    def test_row_draw_memory_is_blocked(self, scenario):
+        # past the 6 n output floats (9.6 MB at n = 2e5), the draw holds one
+        # block of normals at a time: 5.8 MB for EB, 4.7 MB for PM; drawing
+        # all 16 n EB normals at once adds 25.6 MB more
+        import tracemalloc
 
-    @pytest.mark.parametrize("sample", [
-        lambda s, n, chunk=0: mc.simulate_eb(s, s.resolved_gain(), n, SEED, chunk=chunk),
-        lambda s, n, chunk=0: mc.simulate_pm(s, 1.3, n, SEED, chunk=chunk),
-    ], ids=["EB", "PM"])
-    def test_chunk_rows_depend_only_on_seed_stream_and_chunk(self, scenario, sample):
-        whole = sample(scenario, 5 * self.C // 2).data_matrix()
-        alone = sample(scenario, self.C, chunk=1).data_matrix()
-        assert np.array_equal(whole[self.C:2 * self.C], alone)
-        first = sample(scenario, self.C).data_matrix()
-        assert np.array_equal(whole[:self.C], first)
+        n = 200_000
+        for simulate in (mc.simulate_eb, mc.simulate_pm):
+            tracemalloc.start()
+            try:
+                simulate(scenario, 1.3, n, SEED)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - 48 * n < 8e6, f"{simulate.__name__}: peak {peak / 1e6:.1f} MB"
 
     def test_moment_covariance_matches_np_cov(self, eb_batch):
         base = np.column_stack([eb_batch.x_a, eb_batch.p_a, eb_batch.x_b,
@@ -515,30 +518,21 @@ class TestLinearMap:
         miss = np.abs(map_covariance(s, "EB", -g)[:4, :4] - predicted).max()
         assert miss > 0.5 * np.abs(predicted).max()
 
-    @pytest.mark.parametrize("scheme", ["EB", "PM"])
-    def test_rows_are_linear_in_their_draws(self, scheme, rng):
+    @pytest.mark.parametrize("scheme, simulate", [("EB", mc.simulate_eb), ("PM", mc.simulate_pm)])
+    def test_rows_are_the_map_of_the_row_stream(self, scheme, simulate):
+        # row j is L z_j, z_j the stream's j-th p normals, across the block
+        # boundary of the draw; so a batch is the first rows of a longer one
         s = SCENARIOS["V40"]
         lmap = mc.linear_map(s, scheme)
-        p = lmap.shape[1]
+        n = mc.CHUNK_ROWS + 100
+        z = mc._rng(SEED, "rows").standard_normal((n, lmap.shape[1]))
+        batch = simulate(s, 1.3, n, SEED)
+        rows = np.stack([getattr(batch, c) for c in mc._BASE])
+        assert_close(rows, lmap @ z.T)
 
-        def rows(z):
-            draw = mc._ColumnDraw(z)
-            cols = mc._ROWS[scheme](s, draw)
-            assert set(draw.widths) == set(mc._STREAMS) - {"moments"}
-            assert sum(draw.widths.values()) == p
-            return np.column_stack(cols)
-
-        z1, z2 = rng.standard_normal((50, p)), rng.standard_normal((50, p))
-        assert np.allclose(rows(z1 + z2), rows(z1) + rows(z2), rtol=1e-12, atol=1e-12)
-        assert np.allclose(rows(z1), z1 @ lmap.T, rtol=1e-12, atol=1e-12)
-
-    def test_a_stream_is_drawn_once(self):
-        draw = mc._ColumnDraw(np.eye(4))
-        draw("cloner_a", 2)
-        with pytest.raises(ValueError, match="cloner_a"):
-            draw("cloner_a", 2)
-        with pytest.raises(ValueError, match="cloner_b"):
-            draw("cloner_b", 3)
+    def test_rejects_unknown_scheme(self):
+        with pytest.raises(ValueError, match="scheme"):
+            mc.linear_map(SCENARIOS["V40"], "XX")
 
 
 class TestExactMoments:
