@@ -11,7 +11,7 @@ from cvmdi import ChannelParams, DetectorParams, Scenario, kernels
 from cvmdi import montecarlo as mc
 from cvmdi.config import load_config
 from cvmdi.keyrate import analytic_k, secret_key_rate
-from cvmdi.oracle import Z_LIMIT, run_oracle_suites
+from cvmdi.oracle import Z_LIMIT, _attack_suite, run_oracle_suites
 from cvmdi.protocol import (
     effective_transmittance,
     equivalent_excess_noise,
@@ -361,14 +361,46 @@ class TestExport:
         data = np.loadtxt(lines[2:], delimiter=",")
         assert np.array_equal(data, batch.data_matrix())
 
-    def test_csv_rows_are_per_cell_reprs(self, scenario, tmp_path):
-        batch = mc.simulate_pm(scenario, 1.3, 500, SEED)
+    def test_awkward_values_round_trip(self, tmp_path):
+        # signed zeros, the smallest subnormal and normal, the largest finite
+        # floats, integers past 2^53, integral floats and 2.0 +- one ulp
+        values = np.array([0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+                           1.7976931348623157e308, -1.7976931348623157e308, 1e16, 1e17,
+                           2.0, -3.0, 1e6, np.nextafter(2.0, 0.0), np.nextafter(2.0, 3.0)])
+        cols = [np.roll(values, j) for j in range(6)]
+        batch = mc.SampleBatch("PM", 0, len(values), 5.0, 5.0, 0.0, *cols)
+        path = tmp_path / "samples.csv"
+        mc.export_csv(batch, path)
+        data = np.loadtxt(path, delimiter=",", skiprows=2)
+        expected = batch.data_matrix()
+        assert np.signbit(expected).any()
+        assert np.array_equal(data, expected)
+        assert np.array_equal(np.signbit(data), np.signbit(expected))
+
+    def test_csv_rows_are_17_digit_cells(self, scenario, tmp_path):
+        # one block boundary is crossed
+        batch = mc.simulate_pm(scenario, 1.3, mc.CHUNK_ROWS + 3, SEED)
         path = tmp_path / "samples.csv"
         mc.export_csv(batch, path)
         body = path.read_bytes().split(b"\n", 2)[2]
-        expected = "".join(",".join(repr(float(v)) for v in row) + "\n"
-                           for row in batch.data_matrix())
+        expected = "".join(",".join("%.17g" % v for v in row) + "\n"
+                           for row in batch.data_matrix().tolist())
         assert body == expected.encode()
+
+    def test_export_memory_is_blocked(self, scenario, tmp_path):
+        # one block of rows and its text at a time: 16.8 MB at n = 2e5;
+        # stacking the whole batch first peaks at 24.8 MB, one repr per
+        # cell over its row list at 64 MB
+        import tracemalloc
+
+        batch = mc.simulate_pm(scenario, 1.3, 200_000, SEED)
+        tracemalloc.start()
+        try:
+            mc.export_csv(batch, tmp_path / "samples.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestOracleSuites:
@@ -392,6 +424,26 @@ class TestOracleSuites:
             finally:
                 tracemalloc.stop()
             assert peak < 4e6, f"n={n}: peak {peak / 1e6:.1f} MB"
+
+    @pytest.mark.filterwarnings("error")
+    def test_small_batch_rescaling_skips_unphysical_k(self):
+        # at n = 1000 the PM sample block is unphysical on part of the k grid
+        # at seeds 11, 16, 18, 24, 37, 38 and 39, where np.max of the scan was
+        # NaN; each scan's maximum is now over its finite points
+        s = load_config(environ={}).scenario()
+        results = {seed: run_oracle_suites(s, 1000, seed)[3] for seed in range(40)}
+        for seed, r in results.items():
+            assert math.isfinite(float(r.detail.partition("=")[2])), (seed, r)
+        assert all(results[seed].passed for seed in (11, 16, 18, 24, 37, 38, 39))
+
+    def test_rescaling_without_a_finite_key_rate_fails(self, scenario):
+        # x_a, x_b correlated beyond what a physical block allows, x_c = p_d = 0:
+        # the key rate is NaN at every k
+        cov = np.zeros((6, 6))
+        cov[:4, :4] = [[1, 0, 0.9, 0], [0, 1, 0, -0.9], [0.9, 0, 1, 0], [0, -0.9, 0, 1]]
+        m = mc.Moments("PM", scenario.v_a, scenario.v_b, 1.3, 10_000, np.zeros(6), 1e4 * cov)
+        r = _attack_suite(scenario, m)
+        assert not r.passed and r.detail == "no finite key rate on the k grid"
 
     def test_wrong_sign_fails_only_the_covariance_suite(self, scenario, results):
         bad = run_oracle_suites(scenario, N_FAST, SEED, wrong_sign=True)
