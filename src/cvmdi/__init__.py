@@ -30,7 +30,7 @@ from .protocol import (
     optimal_gain,
 )
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 __all__ = [
     "KeyRatePoint",

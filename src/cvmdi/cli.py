@@ -20,7 +20,7 @@ import math
 import sys
 from dataclasses import replace
 
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, check_fixed_gain, load_config
 from .keyrate import (
     MAX_DISTANCE_CAP_KM,
     max_distance_detection_scheme,
@@ -31,6 +31,7 @@ from .keyrate import (
 )
 
 IDEAL_V = 1e5  # modulation variance used for "ideal" comparison curves
+_IDEAL_LABEL = f" of the ideal reference (V = {IDEAL_V:g}, no excess noise)"
 
 
 def _fmt(x) -> str:
@@ -99,24 +100,59 @@ def _curve_rows(curve, label: str, end: str, bounded: bool = True) -> list[tuple
     return rows + [(km, "", f"{label}:{end}")]
 
 
+def _check_grid_legs(cfg: RunConfig, scenarios, mode: str) -> None:
+    """`check_fixed_gain` at the grid's extreme legs, for each (label,
+    scenario): (l/2, l/2) of the grid's ends for mode "symmetric", (l, 0) for
+    "fig6", and each end against the shortest and longest second leg for
+    "asymmetric". T falls as the first leg grows, and eps' can overflow only
+    through terms that grow with it and are largest at an end of the second
+    leg's range, so a fixed gain that passes at these legs passes on the
+    whole grid."""
+    grid = _grid(cfg)
+    ends = (grid[0], grid[-1])
+    if mode == "symmetric":
+        legs = [(l / 2.0, l / 2.0) for l in ends]
+    elif mode == "fig6":
+        legs = [(l, 0.0) for l in ends]
+    else:
+        l_bc = cfg.l_bc_values()
+        legs = [(l, m) for l in ends for m in (min(l_bc), max(l_bc))]
+    for label, scenario in scenarios:
+        for l_ac, l_bc in legs:
+            check_fixed_gain(scenario.with_lengths(l_ac, l_bc),
+                             f"legs of {l_ac!r} and {l_bc!r} km{label}")
+
+
 def cmd_figure(cfg: RunConfig, figure: str, out: str | None) -> int:
     scenario = cfg.scenario()
     header = ["axis_km", "K_bits_per_use", "curve_label"]
     rows = []
     if figure == "fig6":
+        _check_grid_legs(cfg, [("", scenario)], "fig6")
         header.append("k_opt")
-        for beta in (1.0, 0.95):
-            scn = replace(scenario, beta_r=beta)
-            label = f"beta={beta:g}"
-            for l_ab in _grid(cfg):
-                s = scn.with_lengths(l_ab, 0.0)
-                k_opt, k_max = optimize_k_detection_scheme(s)
-                rows.append((l_ab, k_max, label, k_opt))
-            endpoint = max_distance_detection_scheme(scn.with_lengths(0.0, 0.0))
-            rows.append((_endpoint(endpoint, label), "", f"{label}:max_distance", ""))
+        try:
+            for beta in (1.0, 0.95):
+                scn = replace(scenario, beta_r=beta)
+                label = f"beta={beta:g}"
+                for l_ab in _grid(cfg):
+                    s = scn.with_lengths(l_ab, 0.0)
+                    k_opt, k_max = optimize_k_detection_scheme(s)
+                    rows.append((l_ab, k_max, label, k_opt))
+                endpoint = max_distance_detection_scheme(scn.with_lengths(0.0, 0.0))
+                rows.append((_endpoint(endpoint, label), "", f"{label}:max_distance", ""))
+        except ValueError as exc:  # a k scan whose key rate is not finite
+            if isinstance(exc, ConfigError):
+                raise
+            # a fixed gain sets the k the scan is centred on
+            field = (f"scenario.gain = {scenario.gain!r}" if scenario.gain_mode == "fixed"
+                     else "figure fig6")
+            raise ConfigError(f"{field}: the detection scheme's k scan fails: {exc}") from exc
     else:
         # the ideal reference's range can be unbounded (ideal:l_bc=0km): it keeps inf
-        for label, scn in (("practical", scenario), ("ideal", _idealized(scenario))):
+        ideal = _idealized(scenario)
+        _check_grid_legs(cfg, [("", scenario), (_IDEAL_LABEL, ideal)],
+                         "symmetric" if figure == "fig4" else "asymmetric")
+        for label, scn in (("practical", scenario), ("ideal", ideal)):
             bounded = scn is scenario
             if figure == "fig4":
                 (curve,) = sweep_symmetric(scn, [l / 2.0 for l in _grid(cfg)]).curves
@@ -139,6 +175,7 @@ def _idealized(scenario):
 
 def cmd_sweep(cfg: RunConfig, mode: str, out: str | None) -> int:
     scenario = cfg.scenario()
+    _check_grid_legs(cfg, [("", scenario)], mode)
     if mode == "symmetric":
         result = sweep_symmetric(scenario, [l / 2.0 for l in _grid(cfg)])
     else:

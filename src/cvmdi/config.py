@@ -95,6 +95,20 @@ def _build(cls, scenario: dict, *keys: str):
         raise ConfigError(f"{', '.join('scenario.' + k for k in keys)}: {exc}") from exc
 
 
+def check_fixed_gain(scenario: Scenario, legs: str) -> None:
+    """A fixed gain must give the scenario's equivalent channel a finite T > 0
+    and a finite eps'; else a ConfigError that names scenario.gain and legs,
+    the legs the scenario stands for."""
+    if scenario.gain_mode != "fixed":
+        return
+    t = effective_transmittance(scenario, scenario.gain)
+    eps = equivalent_excess_noise(scenario, scenario.gain)
+    if not (math.isfinite(t) and math.isfinite(eps)) or t == 0.0:
+        raise ConfigError(f"scenario.gain = {scenario.gain!r}: the equivalent channel at {legs} "
+                          f"has T = {t!r} and eps' = {eps!r}; a fixed gain must give a finite "
+                          f"T > 0 and a finite eps'")
+
+
 def _convert(section: str, key: str, raw, where: str):
     if section not in _DEFAULTS:
         raise ConfigError(f"unknown section [{section}] ({where})")
@@ -157,14 +171,8 @@ def load_config(path: str | None = None, overrides: list[str] | None = None,
         values[section.strip()][key.strip()] = _convert(section.strip(), key.strip(), raw.strip(), "--set")
 
     cfg = RunConfig(values)
-    scenario = cfg.scenario()  # validate ranges now, before any computation
-    if scenario.gain_mode == "fixed":
-        t = effective_transmittance(scenario, scenario.gain)
-        eps = equivalent_excess_noise(scenario, scenario.gain)
-        if not (math.isfinite(t) and math.isfinite(eps)) or t == 0.0:
-            raise ConfigError(f"scenario.gain = {scenario.gain!r}: the equivalent channel at the "
-                              f"configured legs has T = {t!r} and eps' = {eps!r}; a fixed gain "
-                              f"must give a finite T > 0 and a finite eps'")
+    # validate ranges now, before any computation
+    check_fixed_gain(cfg.scenario(), "the configured legs")
     if values["sweep"]["points"] < 1:
         raise ConfigError("sweep.points must be >= 1")
     if values["sweep"]["l_min_km"] < 0 or values["sweep"]["l_max_km"] < values["sweep"]["l_min_km"]:

@@ -205,15 +205,27 @@ def default_k_grid(scenario: Scenario):
 
 def key_rate_vs_k(scenario: Scenario, k_grid):
     """Key rate at each amplification coefficient of the data processing, as
-    a numpy array."""
+    a numpy array.
+
+    A k far from the scenario's own (k = 1e100 at 1 km legs) overflows the
+    equivalent channel, its block or the kernels: a ValueError names the
+    first such k, and no numpy warning escapes.
+    """
     import numpy as np
 
     k_grid = np.asarray(k_grid, dtype=float)
     # a NaN makes min and max NaN, which fails both comparisons
     if k_grid.size == 0 or not (k_grid.min() > 0.0 and k_grid.max() < math.inf):
         raise ValueError("k grid must be nonempty, finite and positive")
-    a, b, c = scenario_block_params(scenario, gain_from_k(k_grid, scenario.v_b))
-    return kernels.block_key_rate_grid(a, b, c, scenario.beta_r)
+    with np.errstate(all="ignore"):
+        a, b, c = scenario_block_params(scenario, gain_from_k(k_grid, scenario.v_b))
+        rates = kernels.block_key_rate_grid(a, b, c, scenario.beta_r)
+    # key rates are bounded, so their sum is finite exactly when each is
+    if not math.isfinite(rates.sum()):
+        k = float(k_grid[~np.isfinite(rates)][0])
+        raise ValueError(f"the key rate at k = {k!r} is not finite: the equivalent channel, "
+                         f"its block or the key-rate kernels overflow there")
+    return rates
 
 
 def optimize_k_detection_scheme(scenario: Scenario) -> tuple[float, float]:

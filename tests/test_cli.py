@@ -239,6 +239,39 @@ PASS measurement_rescaling_invariance (|dK_max|=1.81e-05) seed=12345 n=100000
         assert "config error: scenario.gain" in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
 
+    # finite at the configured 0 km legs, so `keyrate` runs, but not on the
+    # grid: at 1e-150 T = 5e-309 and eps' = inf at 400 km; at 1e-153 the
+    # ideal reference's eps' (V = 1e5) is inf at 0 km; at 1e100 the channel is
+    # finite and the fig6 k scan overflows. Each printed NaN rows with exit 0.
+    @pytest.mark.parametrize("gain, command", [
+        ("1e-150", ["sweep", "asymmetric"]),
+        ("1e-150", ["figure", "fig5b"]),
+        ("1e-150", ["figure", "fig6"]),
+        ("1e-153", ["figure", "fig4"]),
+        ("1e-153", ["figure", "fig6"]),
+        ("1e100", ["figure", "fig6"]),
+    ])
+    def test_fixed_gain_outside_the_reduction_on_the_grid_is_2(self, capsys, tmp_path, gain,
+                                                               command):
+        fixed = ["--set", "scenario.gain_mode=fixed", "--set", f"scenario.gain={gain}",
+                 "--set", "sweep.l_max_km=400"]
+        path = tmp_path / "x.csv"
+        assert main([*fixed, "--out", str(path), *command]) == 2
+        captured = capsys.readouterr()
+        assert "config error: scenario.gain" in captured.err and "Traceback" not in captured.err
+        assert captured.out == "" and not path.exists()
+        if gain == "1e-150":
+            assert main([*fixed, "keyrate"]) == 0
+            assert "K=-5.764472826856874 " in capsys.readouterr().out
+
+    def test_fig6_k_scan_without_a_finite_key_rate_is_2(self, capsys):
+        # V_A = 1e200 overflows the block at every k: once NaN rows, exit 0
+        assert main(["--set", "scenario.v_a=1e200", "--set", "sweep.points=3",
+                     "figure", "fig6"]) == 2
+        captured = capsys.readouterr()
+        assert "config error: figure fig6: the detection scheme's k scan fails" in captured.err
+        assert captured.out == ""
+
     # the key rate is still positive at the 2000 km per-leg cap: one-sided at
     # 0.001 dB/km; symmetric (1411.5 km total at 0.001 dB/km) at 0.0001 dB/km
     @pytest.mark.parametrize("attenuation, command", [

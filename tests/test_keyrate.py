@@ -29,7 +29,14 @@ from cvmdi.keyrate import (
     sweep_asymmetric,
     sweep_symmetric,
 )
-from cvmdi.protocol import compose_eb_simulated, gain_from_k, optimal_gain, scenario_block_params
+from cvmdi.protocol import (
+    ChannelParams,
+    Scenario,
+    compose_eb_simulated,
+    gain_from_k,
+    optimal_gain,
+    scenario_block_params,
+)
 from conftest import make_scenario, random_scenario
 
 
@@ -260,6 +267,16 @@ class TestDetectionSchemeOptimizer:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="finite and positive"):
                 key_rate_vs_k(make_scenario(), bad)
+
+    @pytest.mark.filterwarnings("error")
+    def test_k_whose_key_rate_overflows_is_named(self):
+        # k = 1e100 overflows the kernels and k = 1e300 the equivalent
+        # channel: once [nan, nan] and seven RuntimeWarnings
+        s = Scenario(10.0, 10.0, ChannelParams(1.0), ChannelParams(1.0))
+        with pytest.raises(ValueError, match=r"k = 1e\+100 is not finite"):
+            key_rate_vs_k(s, [1e100, 1e300])
+        with pytest.raises(ValueError, match=r"k = 1e\+300 is not finite"):
+            key_rate_vs_k(s, [1.0, 1e300])
 
     def test_scaled_grid_invariance(self):
         # evaluating on a rescaled grid shifts the argmax, not the maximum

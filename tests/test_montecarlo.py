@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvmdi import ChannelParams, DetectorParams, Scenario, kernels
 from cvmdi import montecarlo as mc
@@ -350,6 +352,29 @@ class TestRescalingAnalysis:
             pm_moments.rescaled(-0.64)
 
 
+# bit patterns of the positive doubles 1e-7 and 1e18
+_BULK_BITS = tuple(int(np.float64(x).view(np.uint64)) for x in (1e-7, 1e18))
+
+
+def _cell_text(rows: np.ndarray) -> bytes:
+    """The export's body by its rule: '%.16e' of each cell, one at a time."""
+    return "".join(",".join("%.16e" % v for v in row) + "\n" for row in rows.tolist()).encode()
+
+
+def _export_round_trip(values: np.ndarray, tmp_path) -> tuple[np.ndarray, np.ndarray]:
+    """Exports values as X_A, P_A, X_B and P_B, rolled (X_C = P_D = 1 and
+    coeff 0, so X_B = x_b + 0.0), checks the body against `_cell_text` and
+    returns what np.loadtxt reads back and the batch's data matrix."""
+    ones = np.ones_like(values)
+    batch = mc.SampleBatch("PM", 0, len(values), 5.0, 5.0, 0.0,
+                           *(np.roll(values, j) for j in range(4)), ones, ones)
+    path = tmp_path / "samples.csv"
+    mc.export_csv(batch, path)
+    expected = batch.data_matrix()
+    assert path.read_bytes().split(b"\n", 2)[2] == _cell_text(expected)
+    return np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2), expected
+
+
 class TestExport:
     def test_csv_round_trip(self, scenario, tmp_path):
         batch = mc.simulate_pm(scenario, 1.3, 500, SEED)
@@ -377,20 +402,50 @@ class TestExport:
         assert np.array_equal(data, expected)
         assert np.array_equal(np.signbit(data), np.signbit(expected))
 
-    def test_csv_rows_are_17_digit_cells(self, scenario, tmp_path):
-        # one block boundary is crossed
+    def test_csv_rows_are_16e_cells(self, scenario, tmp_path):
+        # block boundaries are crossed; the reference is the per-cell '%.16e'
         batch = mc.simulate_pm(scenario, 1.3, mc.CHUNK_ROWS + 3, SEED)
         path = tmp_path / "samples.csv"
         mc.export_csv(batch, path)
         body = path.read_bytes().split(b"\n", 2)[2]
-        expected = "".join(",".join("%.17g" % v for v in row) + "\n"
-                           for row in batch.data_matrix().tolist())
-        assert body == expected.encode()
+        assert body == _cell_text(batch.data_matrix())
+
+    @pytest.mark.filterwarnings("error")
+    def test_cells_at_powers_of_ten_ties_and_non_finite(self, tmp_path):
+        # each power of ten and its neighbours, where log10 can miss the
+        # exponent; two half-way significands, rounded half to even
+        # (…0.2 and …0.8); a shortest repr that needs 17 digits; inf and NaN
+        values = [0.30000000000000004, 1000000000000000.25, 1000000000000000.75,
+                  math.inf, -math.inf, math.nan]
+        for e in range(-8, 19):
+            x = float(f"1e{e}")
+            values += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+        values = np.array(values + [-x for x in values])
+        data, expected = _export_round_trip(values, tmp_path)
+        text = (tmp_path / "samples.csv").read_bytes()
+        assert b",1.0000000000000002e+15," in text and b",1.0000000000000008e+15," in text
+        assert b",9.9999999999999995e-07," in text  # the double nearest 1e-6
+        assert np.array_equal(data, expected, equal_nan=True)
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=40, deadline=None)
+    @given(bits=st.lists(st.integers(0, 2**64 - 1) | st.integers(*_BULK_BITS), min_size=1,
+                         max_size=60))
+    def test_any_finite_double_exports_as_16e_and_back(self, bits, tmp_path_factory):
+        # every exponent, both signs, subnormals and signed zeros; half the
+        # draws from the bit patterns of [1e-7, 1e18], where most cells are
+        # formatted in bulk
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        values = values[np.isfinite(values)]
+        if values.size:
+            data, expected = _export_round_trip(values, tmp_path_factory.mktemp("bits"))
+            assert np.array_equal(data.view(np.uint64), expected.view(np.uint64))
 
     def test_export_memory_is_blocked(self, scenario, tmp_path):
-        # one block of rows and its text at a time: 16.8 MB at n = 2e5;
-        # stacking the whole batch first peaks at 24.8 MB, one repr per
-        # cell over its row list at 64 MB
+        # one block of rows and its text at a time: 9.0 MB at n = 2e5, of
+        # which 3.2 MB are the final columns X_B and P_B; one '%' operation
+        # per 32768-row block peaked at 16.8 MB, stacking the whole batch
+        # first at 24.8 MB, one repr per cell over its row list at 64 MB
         import tracemalloc
 
         batch = mc.simulate_pm(scenario, 1.3, 200_000, SEED)
