@@ -106,8 +106,8 @@ def _check_grid_legs(cfg: RunConfig, scenarios, mode: str) -> None:
     "fig6", and each end against the shortest and longest second leg for
     "asymmetric". T falls as the first leg grows, and eps' can overflow only
     through terms that grow with it and are largest at an end of the second
-    leg's range, so a fixed gain that passes at these legs passes on the
-    whole grid."""
+    leg's range; the block whose key rate is checked grows with T and eps'.
+    So a fixed gain that passes at these legs passes on the whole grid."""
     grid = _grid(cfg)
     ends = (grid[0], grid[-1])
     if mode == "symmetric":
@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("mode", choices=["symmetric", "asymmetric"])
     orc = sub.add_parser("oracle", help="run the Monte Carlo verification suites")
     orc.add_argument("--negative-control", action="store_true",
-                     help="test hook: inject a wrong-sign displacement (suite must fail)")
+                     help="test hook: wrong-sign displacement (the covariance identity fails)")
     return parser
 
 

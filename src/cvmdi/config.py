@@ -10,6 +10,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
+from .kernels import block_key_rate
 from .protocol import (
     MIN_ESTIMATION_SAMPLES,
     ChannelParams,
@@ -17,6 +18,7 @@ from .protocol import (
     Scenario,
     effective_transmittance,
     equivalent_excess_noise,
+    scenario_block_params,
 )
 
 ENV_PREFIX = "CVMDI_"
@@ -97,16 +99,25 @@ def _build(cls, scenario: dict, *keys: str):
 
 def check_fixed_gain(scenario: Scenario, legs: str) -> None:
     """A fixed gain must give the scenario's equivalent channel a finite T > 0
-    and a finite eps'; else a ConfigError that names scenario.gain and legs,
-    the legs the scenario stands for."""
+    and a finite eps', and its block a finite key rate; else a ConfigError
+    that names scenario.gain and legs, the legs the scenario stands for."""
     if scenario.gain_mode != "fixed":
         return
-    t = effective_transmittance(scenario, scenario.gain)
-    eps = equivalent_excess_noise(scenario, scenario.gain)
+    g = scenario.gain
+    t = effective_transmittance(scenario, g)
+    eps = equivalent_excess_noise(scenario, g)
     if not (math.isfinite(t) and math.isfinite(eps)) or t == 0.0:
-        raise ConfigError(f"scenario.gain = {scenario.gain!r}: the equivalent channel at {legs} "
+        raise ConfigError(f"scenario.gain = {g!r}: the equivalent channel at {legs} "
                           f"has T = {t!r} and eps' = {eps!r}; a fixed gain must give a finite "
                           f"T > 0 and a finite eps'")
+    try:
+        rate = block_key_rate(*scenario_block_params(scenario, g), scenario.beta_r)
+    except (OverflowError, ValueError):  # a float power or log past its range
+        rate = math.nan
+    if not math.isfinite(rate):
+        raise ConfigError(f"scenario.gain = {g!r}: the key-rate kernels give no finite key rate "
+                          f"at {legs} (T = {t!r}, eps' = {eps!r}); a fixed gain must give a "
+                          f"finite key rate")
 
 
 def _convert(section: str, key: str, raw, where: str):

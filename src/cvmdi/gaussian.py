@@ -84,7 +84,7 @@ def tms_state(v: float) -> CovarianceMatrix:
     """Two-mode squeezed vacuum with quadrature variance v per mode."""
     if v < 1.0:
         raise ValueError(f"unphysical squeezing variance {v} (must be >= 1)")
-    return block_cm(v, v, np.sqrt(v * v - 1.0))
+    return block_cm(v, v, np.sqrt((v - 1.0) * (v + 1.0)))
 
 
 def tensor(*states: CovarianceMatrix) -> CovarianceMatrix:

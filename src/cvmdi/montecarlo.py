@@ -1,8 +1,7 @@
 """Quadrature-level Monte Carlo sampler for both protocol pictures.
 
-Serves as the brute-force oracle for the analytic covariance matrix, the
-equivalence of the source-based and modulation-based pictures, parameter
-estimation, and the measurement-rescaling attack analysis.
+States each picture once, as a linear map L: the oracle checks identities
+of its law L L^T exactly, and draws from it for parameter estimation.
 
 Sampling conventions (shot-noise units, vacuum variance 1):
   * homodyne reads the quadrature value exactly;
@@ -13,7 +12,7 @@ Sampling conventions (shot-noise units, vacuum variance 1):
 Physics: every step is linear, so a row of base columns is L z, z the row's
 p standard normals (p = 16 for EB, 12 for PM). `_eb_rows` and `_pm_rows`
 state each picture once, as the map L (`linear_map`), and the sampler has no
-other statement of it: rows and moments are both drawn from L.
+other statement of it: rows, moments and their law all come from L.
 
 Rows: `_simulate` draws z from one Philox generator keyed by (seed, "rows"),
 CHUNK_ROWS rows of p normals at a time, and writes L z for each block, so
@@ -35,15 +34,12 @@ the drawn columns), so every covariance is a linear image of one covariance
 C of those columns (ddof 1). `Moments.of` reduces drawn rows;
 `sample_moments` draws the moments of n rows exactly from their law, from L
 and a Bartlett-decomposed Wishart draw, in time and memory independent of
-n. `_reading` states once how data are read as the block covariance
-(a, b, c): fixed weights R on the covariance F of the final columns
-(`Moments.final_covariance`). Estimation, its errors and the k-scan all use
-it.
-
-Standard errors: one rule, the normal-theory (Isserlis) covariance of the
-sample covariance of n Gaussian rows, Cov(F_ij, F_kl) = (F_ik F_jl +
-F_il F_jk)/n, with n the row count. `_entry_se` applies it to one entry,
-`_reading_covariance` to linear readings tr(R F).
+n; `row_law` is the law itself, C = L L^T. `_reading` states once how data
+are read as the block covariance (a, b, c): fixed weights R on the
+covariance F of the final columns (`Moments.final_covariance`). Estimation,
+its errors and the k-scan all use it. Standard errors are the Isserlis
+covariance of a sample covariance of n Gaussian rows carried to those
+readings (`_reading_covariance`).
 
 Channels: each leg is an entangling cloner. Eve's kept arm never reaches the
 data, so the sampler draws only the mode she injects into the channel.
@@ -103,7 +99,7 @@ def _epr_factors(scenario: Scenario) -> list:
     factors = []
     for name in ("v_a", "v_b"):
         v = getattr(scenario, name)
-        c = math.sqrt(v * v - 1.0)
+        c = math.sqrt((v - 1.0) * (v + 1.0))
         try:
             factors.append([np.linalg.cholesky(np.array([[v, s], [s, v]])) for s in (c, -c)])
         except np.linalg.LinAlgError:  # V^2 - 1 rounds to V^2
@@ -333,6 +329,18 @@ def sample_moments(scenario: Scenario, scheme: str, coeff: float, n: int,
                    math.sqrt(n) * lu, la @ la.T + np.outer(lu, lu))
 
 
+def row_law(scenario: Scenario, scheme: str, coeff: float) -> tuple[Moments, np.ndarray]:
+    """The exact law of a row of `simulate_eb` ("EB", coeff g) or `simulate_pm`
+    ("PM", coeff k), drawn from nothing: `Moments` whose covariance is L L^T,
+    and the rounding scale (|M||L|)(|M||L|)^T of its final covariance, M the
+    final map. It bounds the summed products entry by entry, so a computed
+    entry is within a few ulps of its scale however much the sum cancels."""
+    lmap = linear_map(scenario, scheme)
+    law = Moments(scheme, scenario.v_a, scenario.v_b, coeff, 2, np.zeros(6), lmap @ lmap.T)
+    bound = np.abs(law.final_map()) @ np.abs(lmap)
+    return law, bound @ bound.T
+
+
 def _reading(m: Moments) -> np.ndarray:
     """The one reading of data as the block covariance [[a I2, c sigma_z],
     [c sigma_z, b I2]]: symmetric weights R, shape (3, 6, 6), with
@@ -378,17 +386,11 @@ def heterodyne_image(a: float, b: float, c: float) -> np.ndarray:
     ])
 
 
-def _entry_se(cov: np.ndarray, n) -> np.ndarray:
-    """Standard error of each entry of the sample covariance of n Gaussian
-    samples whose true covariance is cov: sqrt((C_ii C_jj + C_ij^2) / n)."""
-    var = np.outer(np.diag(cov), np.diag(cov)) + cov**2
-    return np.sqrt(var / n)
-
-
 def _reading_covariance(weights: np.ndarray, cov: np.ndarray, n) -> np.ndarray:
     """Covariance of the readings tr(R_i F) of the sample covariance F of n
     Gaussian samples whose true covariance is cov, for symmetric weights R_i:
-    2 tr(R_i cov R_j cov) / n, the rule of `_entry_se` summed over entries."""
+    2 tr(R_i cov R_j cov) / n, from Cov(F_ab, F_cd) = (cov_ac cov_bd +
+    cov_ad cov_bc) / n summed over entries."""
     rc = weights @ cov
     return 2.0 * np.einsum("iab,jba->ij", rc, rc) / n
 
@@ -402,25 +404,6 @@ def _param_gradient(a: float, b: float, c: float) -> np.ndarray:
         [-2.0 * a * t / q, 0.0, 2.0 * c / q],
         [2.0 * a * (b - 1.0) / (c * c) - 1.0, 1.0 / t, -2.0 * (b - 1.0) / (t * c)],
     ])
-
-
-def covariance_z_scores(emp_cov: np.ndarray, predicted: np.ndarray, n: int) -> np.ndarray:
-    """Entrywise z-scores of an empirical covariance against a prediction,
-    with the standard error evaluated at the prediction."""
-    return (emp_cov - predicted) / _entry_se(predicted, n)
-
-
-def equivalence_z_scores(eb: Moments, pm: Moments) -> np.ndarray:
-    """Entrywise z-scores of a PM batch's 6x6 final covariance against that of
-    an independent, equally large EB batch mapped by `bridge_matrix`. Two
-    independent n-sample estimates differ with the standard error of one
-    n/2-sample estimate, evaluated at their mean."""
-    if (eb.scheme, pm.scheme) != ("EB", "PM"):
-        raise ValueError("equivalence compares an EB batch with a PM batch")
-    s = bridge_matrix(eb.v_a, eb.v_b)
-    cov_eb = s @ eb.final_covariance() @ s
-    cov_pm = pm.final_covariance()
-    return (cov_pm - cov_eb) / _entry_se(0.5 * (cov_eb + cov_pm), pm.n / 2)
 
 
 @dataclass(frozen=True)

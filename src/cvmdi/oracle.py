@@ -1,15 +1,13 @@
 """Monte Carlo verification suites driven by the `oracle` CLI subcommand.
 
-One run draws two n-sample batches at the scenario's gain g
-(`Scenario.resolved_gain`), and each suite reads g, or the amplification k
-equivalent to it (`protocol.k_from_gain`), from its batch's second moments
-(`montecarlo.Moments`): one source-based (EB) batch at `seed`, read by the
-covariance, estimation and equivalence suites, then one modulation-based
-(PM) batch at `seed + 1`, read by the equivalence and rescaling suites. The
-moments of each batch are drawn exactly from their law
-(`montecarlo.sample_moments`): the sampler's linear map L and a Bartlett
-draw of the Wishart Gram matrix, no rows, so time and memory do not depend
-on n.
+The sampler's rows are L z, so their covariance is exactly L L^T
+(`montecarlo.row_law`). Three suites check identities of that law at the
+scenario's gain g (`Scenario.resolved_gain`) or the k equivalent to it, each
+within IDENTITY_TOL of its rounding scale, so no seed or n moves them: the
+source-based (EB) law against the analytic prediction, the EB law bridged
+against the modulation-based (PM) law, and the PM law against its rescaled
+relay data. Parameter estimation alone reads a sample: the moments of n EB
+rows at `seed`, drawn from their law (`montecarlo.sample_moments`).
 """
 
 from __future__ import annotations
@@ -28,8 +26,10 @@ from .protocol import (
 )
 
 
-# |z| at or above which a Monte Carlo comparison fails
+# |z| at or above which parameter estimation fails
 Z_LIMIT = 4.0
+# deviation/scale at or above which an identity fails (a correct model: 1.2e-15)
+IDENTITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -39,16 +39,22 @@ class SuiteResult:
     detail: str
 
 
-def _cov_suite(scenario: Scenario, moments: mc.Moments, wrong_sign: bool) -> SuiteResult:
-    """Empirical covariance of the final data vs the analytic prediction."""
-    g = moments.coeff
-    if wrong_sign:
-        # test hook: displacement applied with inverted sign
-        moments = replace(moments, coeff=-g)
+def _identity(name: str, actual, expected, scale, note: str = "") -> SuiteResult:
+    """max |actual - expected| / scale below IDENTITY_TOL; an entry of scale 0 is exact."""
+    dev = np.abs(actual - expected)
+    miss = float(np.max(np.divide(dev, scale, out=np.where(dev == 0.0, 0.0, np.inf),
+                                  where=scale > 0.0)))
+    return SuiteResult(name, miss < IDENTITY_TOL, f"max|dev|/scale={miss:.2e}{note}")
+
+
+def _cov_suite(scenario: Scenario, eb: mc.Moments, scale, wrong_sign: bool) -> SuiteResult:
+    """The EB law's final covariance against the heterodyne image of the block at g."""
+    g = eb.coeff
     predicted = mc.heterodyne_image(*scenario_block_params(scenario, g))
-    z = mc.covariance_z_scores(moments.final_covariance()[:4, :4], predicted, moments.n)
-    zmax = float(np.max(np.abs(z)))
-    return SuiteResult("covariance_vs_analytic", zmax < Z_LIMIT, f"max|z|={zmax:.2f}")
+    if wrong_sign:  # test hook: displacement with inverted sign; the scale is the same
+        eb = replace(eb, coeff=-g)
+    return _identity("covariance_vs_analytic", eb.final_covariance()[:4, :4], predicted,
+                     scale[:4, :4])
 
 
 def _estimation_suite(scenario: Scenario, moments: mc.Moments) -> SuiteResult:
@@ -61,27 +67,24 @@ def _estimation_suite(scenario: Scenario, moments: mc.Moments) -> SuiteResult:
                        f"z(T)={zt:.2f} z(eps')={ze:.2f}")
 
 
-def _equivalence_suite(eb: mc.Moments, pm: mc.Moments) -> SuiteResult:
-    zmax = float(np.max(np.abs(mc.equivalence_z_scores(eb, pm))))
-    return SuiteResult("pm_eb_equivalence", zmax < Z_LIMIT, f"max|z|={zmax:.2f} k={pm.coeff:.4f}")
+def _equivalence_suite(eb: mc.Moments, eb_scale, pm: mc.Moments, pm_scale) -> SuiteResult:
+    """S F_EB S, S = `bridge_matrix`, against F_PM at k; the scales add."""
+    s = mc.bridge_matrix(eb.v_a, eb.v_b)
+    return _identity("pm_eb_equivalence", pm.final_covariance(), s @ eb.final_covariance() @ s,
+                     abs(s) @ eb_scale @ abs(s) + pm_scale, f" k={pm.coeff:.4f}")
 
 
-def _attack_suite(scenario: Scenario, pm: mc.Moments) -> SuiteResult:
-    """Maximum key rate over k of the batch and of its relay data rescaled by
-    0.8. Each scan's maximum is over its finite points: at small n the
-    batch's sample block is unphysical at some k, where the key rate is NaN.
-    A scan with no finite point fails the suite."""
-    name = "measurement_rescaling_invariance"
-    # dense grid around the batch's k so quantization of the max is << tolerance
-    grid = pm.coeff * np.logspace(np.log10(0.3), np.log10(3.0), 2001)
-    with np.errstate(invalid="ignore"):
-        scans = [mc.key_rates_vs_k_from_batch(m, grid, scenario.beta_r)
-                 for m in (pm, pm.rescaled(0.64))]
-    finite = [k[np.isfinite(k)] for k in scans]
-    if not all(k.size for k in finite):
-        return SuiteResult(name, False, "no finite key rate on the k grid")
-    dmax = abs(float(np.max(finite[0])) - float(np.max(finite[1])))
-    return SuiteResult(name, dmax < 1e-3, f"|dK_max|={dmax:.2e}")
+def _attack_suite(pm: mc.Moments, scale) -> SuiteResult:
+    """The block (a, b, c) the PM law reads at k = k0 (0.3, 1, 3) against that
+    of its relay data rescaled by 0.8 and read at k/0.8: each reading is
+    quadratic in k, so three k cover every k. As |M_k| <= max(1, k/k0) |M_k0|,
+    a reading's scale is |R| on the law's scale, times that squared."""
+    ratio = np.array([0.3, 1.0, 3.0])
+    read = np.array(mc._read_block_params(pm, pm.coeff * ratio))
+    rescaled = np.array(mc._read_block_params(pm.rescaled(0.64), pm.coeff * ratio / 0.8))
+    bound = np.einsum("rij,ij->r", np.abs(mc._reading(pm)), scale)
+    return _identity("measurement_rescaling_invariance", read, rescaled,
+                     np.outer(bound, np.maximum(ratio, 1.0) ** 2))
 
 
 def run_oracle_suites(scenario: Scenario, n: int, seed: int,
@@ -97,11 +100,11 @@ def run_oracle_suites(scenario: Scenario, n: int, seed: int,
             f"scenario.v_a = {scenario.v_a!r}: the oracle needs a modulated source (v_a > 1); "
             "at v_a = 1 Alice's modulation data are zero and (T, eps') cannot be estimated")
     g = scenario.resolved_gain()
-    eb = mc.sample_moments(scenario, "EB", g, n, seed)
-    pm = mc.sample_moments(scenario, "PM", k_from_gain(g, scenario.v_b), n, seed + 1)
+    eb = mc.row_law(scenario, "EB", g)
+    pm = mc.row_law(scenario, "PM", k_from_gain(g, scenario.v_b))
     return [
-        _cov_suite(scenario, eb, wrong_sign),
-        _estimation_suite(scenario, eb),
-        _equivalence_suite(eb, pm),
-        _attack_suite(scenario, pm),
+        _cov_suite(scenario, *eb, wrong_sign),
+        _estimation_suite(scenario, mc.sample_moments(scenario, "EB", g, n, seed)),
+        _equivalence_suite(*eb, *pm),
+        _attack_suite(*pm),
     ]

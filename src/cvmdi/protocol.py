@@ -178,8 +178,9 @@ def k_from_gain(g, v_b):
 
 def block_params(v_a, t, eps):
     """(a, b, c) of [[a I2, c sigma_z], [c sigma_z, b I2]] for modulation v_a
-    sent through transmittance t with input-referred excess noise eps."""
-    return v_a, t * (v_a - 1.0) + 1.0 + t * eps, (t * (v_a * v_a - 1.0)) ** 0.5
+    sent through transmittance t with input-referred excess noise eps; c reads
+    v_a^2 - 1 as (v_a - 1)(v_a + 1), which does not cancel near v_a = 1."""
+    return v_a, t * (v_a - 1.0) + 1.0 + t * eps, (t * ((v_a - 1.0) * (v_a + 1.0))) ** 0.5
 
 
 def effective_transmittance(scenario: Scenario, g):

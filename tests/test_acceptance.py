@@ -22,7 +22,7 @@ from cvmdi.keyrate import (
     min_detector_efficiency,
     secret_key_rate,
 )
-from cvmdi.oracle import Z_LIMIT
+from cvmdi.oracle import IDENTITY_TOL, _cov_suite, _equivalence_suite
 from cvmdi.protocol import (
     compose_eb_simulated,
     effective_transmittance,
@@ -162,38 +162,34 @@ def test_criterion_06_dual_path_covariance_identity():
 
 
 def test_criterion_07_monte_carlo_oracle():
+    # the law of the sampled rows against the analytic covariance, exactly;
+    # the rows themselves against the analytic (T, eps') by estimation
     s = make_scenario(5.0, 2.0)
-    moments = mc.Moments.of(mc.simulate_eb(s, s.resolved_gain(), N_MC, SEED))
-    predicted = mc.heterodyne_image(*scenario_block_params(s, s.resolved_gain()))
-    z = mc.covariance_z_scores(moments.final_covariance()[:4, :4], predicted, N_MC)
-    zmax = float(np.max(np.abs(z)))
-    est = mc.estimate_params(moments)
-    zt = abs(est.t_hat - effective_transmittance(s, s.resolved_gain())) / est.t_se
-    ze = abs(est.eps_hat - equivalent_excess_noise(s, s.resolved_gain())) / est.eps_se
-    ok = zmax < 4.0 and zt < 3.0 and ze < 3.0
-    report(7, ok, f"N=1e6 covariance max|z|={zmax:.2f} (expected < 4); "
-                  f"round trip z(T)={zt:.2f}, z(eps')={ze:.2f} (expected < 3)")
-    assert zmax < 4.0
+    g = s.resolved_gain()
+    law = mc.row_law(s, "EB", g)
+    exact, wrong = _cov_suite(s, *law, False), _cov_suite(s, *law, True)
+    est = mc.estimate_params(mc.Moments.of(mc.simulate_eb(s, g, N_MC, SEED)))
+    zt = abs(est.t_hat - effective_transmittance(s, g)) / est.t_se
+    ze = abs(est.eps_hat - equivalent_excess_noise(s, g)) / est.eps_se
+    ok = exact.passed and not wrong.passed and zt < 3.0 and ze < 3.0
+    report(7, ok, f"covariance identity {exact.detail} (expected < {IDENTITY_TOL:g}); "
+                  f"wrong-sign control {wrong.detail} (expected >= {IDENTITY_TOL:g}); "
+                  f"N=1e6 round trip z(T)={zt:.2f}, z(eps')={ze:.2f} (expected < 3)")
+    assert exact.passed and not wrong.passed
     assert zt < 3.0 and ze < 3.0
 
 
 def test_criterion_08_pm_eb_equivalence():
     s = make_scenario(5.0, 2.0)
     g = optimal_gain(s)
-    eb = mc.sample_moments(s, "EB", g, N_MC, SEED)
+    eb = mc.row_law(s, "EB", g)
     k = k_from_gain(g, s.v_b)
-
-    def max_abs_z(k_pm):
-        pm = mc.sample_moments(s, "PM", k_pm, N_MC, SEED + 1)
-        return float(np.max(np.abs(mc.equivalence_z_scores(eb, pm))))
-
-    z_ok, z_bad = max_abs_z(k), max_abs_z(2.0 * k)
-    ok = z_ok < Z_LIMIT <= z_bad
-    report(8, ok, f"picture equivalence at N=1e6: max|z|={z_ok:.2f} "
-                  f"(expected < 4); 2x-k negative control max|z|={z_bad:.1f} "
-                  f"(expected >= 4)")
-    assert z_ok < Z_LIMIT
-    assert z_bad >= Z_LIMIT
+    same, double = (_equivalence_suite(*eb, *mc.row_law(s, "PM", k_pm)) for k_pm in (k, 2.0 * k))
+    ok = same.passed and not double.passed
+    report(8, ok, f"picture equivalence identity {same.detail} (expected < {IDENTITY_TOL:g}); "
+                  f"2x-k negative control {double.detail} (expected >= {IDENTITY_TOL:g})")
+    assert same.passed
+    assert not double.passed
 
 
 def test_criterion_09_measurement_rescaling_invariance():

@@ -1,6 +1,7 @@
 """Lint: every imported name is used, the package keeps its layering (numpy
 loaded at import only where arrays are the work), each kernel formula has
-exactly its two forms, and the sampler's physics exists once.
+exactly its two forms, the sampler's physics exists once, and each of the
+oracle's pass limits has one reader.
 
 A module of `src/cvmdi` or of `tests/` that imports a name must reference it.
 The package's `__init__.py` is exempt: its imports are its exports.
@@ -269,10 +270,11 @@ def sampling_sites(sources: dict[str, str]) -> dict[str, set[str]]:
 
 def test_the_sampler_physics_exists_once():
     """The sampler's physics is L alone: `_eb_rows` and `_pm_rows` build it
-    and only `linear_map` calls them; only the row draw (`_simulate`) and the
-    moment draw (`sample_moments`) take L from `linear_map`, call `_rng`,
-    the one maker of a generator, and draw. So a second physics path or a
-    hand-written L fails here."""
+    and only `linear_map` calls them; the row draw (`_simulate`), the moment
+    draw (`sample_moments`) and the exact law (`row_law`) take L from
+    `linear_map`; only the two draws call `_rng`, the one maker of a
+    generator, and draw, so the law draws nothing. So a second physics path
+    or a hand-written L fails here."""
     sources = {p.stem: p.read_text() for p in sorted((ROOT / "src" / "cvmdi").glob("*.py"))}
     drawing = {"montecarlo._simulate", "montecarlo.sample_moments"}
     expected = {
@@ -280,7 +282,7 @@ def test_the_sampler_physics_exists_once():
         "_rng": drawing,
         "draws": drawing,
         "builders": {"montecarlo.linear_map"},
-        "linear_map": drawing,
+        "linear_map": drawing | {"montecarlo.row_law"},
     }
     assert sampling_sites(sources) == expected
     stray = dict(sources, oracle=sources["oracle"] + (
@@ -289,3 +291,35 @@ def test_the_sampler_physics_exists_once():
     found = sampling_sites(stray)
     assert (found["_rng"] - drawing == found["draws"] - drawing
             == found["builders"] - expected["builders"] == {"oracle._eb_rows_fast"})
+
+
+def readers(source: str, name: str) -> set[str]:
+    """Qualified names of the functions whose bodies read `name`, as `name`
+    or `x.name`; a read at module level is reported as '<module>'."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if (isinstance(child, (ast.Name, ast.Attribute)) and isinstance(child.ctx, ast.Load)
+                    and name in (getattr(child, "id", None), getattr(child, "attr", None))):
+                found.add(scope or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_each_pass_limit_has_one_reader():
+    """The oracle's two pass limits are each read once: `Z_LIMIT` by the
+    estimation suite, the one check of a sample, and `IDENTITY_TOL` by
+    `_identity`, the one check of an exact identity."""
+    assert readers("L = 1\ndef f():\n    return L\nclass C:\n    def g(self):\n"
+                   "        return m.L < 2\nM = L\n", "L") == {"f", "C.g", "<module>"}
+    sources = {p.stem: p.read_text() for p in sorted((ROOT / "src" / "cvmdi").glob("*.py"))}
+    found = {name: {f"{m}.{f}" for m, text in sources.items() for f in readers(text, name)}
+             for name in ("Z_LIMIT", "IDENTITY_TOL")}
+    assert found == {"Z_LIMIT": {"oracle._estimation_suite"},
+                     "IDENTITY_TOL": {"oracle._identity"}}
