@@ -6,10 +6,9 @@ shortest round-trip decimal formatting.
 
 Each run is one cold process, so a command loads only the layers it uses:
 `keyrate`, `sweep` and `figure` load the analytic path (`protocol`,
-`kernels`, `keyrate`), which evaluates one point at a time with `math`;
-numpy is loaded only by the commands that evaluate arrays, `figure fig6`
-(the k scan's grid kernel) and `oracle`; `oracle` alone loads the Monte
-Carlo layer (`montecarlo`, `oracle`), inside `cmd_oracle`; and
+`kernels`, `keyrate`), which evaluates one point at a time with `math`, the
+k maximum of `figure fig6` included; `oracle` alone loads numpy and the
+Monte Carlo layer (`montecarlo`, `oracle`), inside `cmd_oracle`; and
 `configparser` is loaded only to read a `--config` file.
 """
 
@@ -140,10 +139,10 @@ def cmd_figure(cfg: RunConfig, figure: str, out: str | None) -> int:
                     rows.append((l_ab, k_max, label, k_opt))
                 endpoint = max_distance_detection_scheme(scn.with_lengths(0.0, 0.0))
                 rows.append((_endpoint(endpoint, label), "", f"{label}:max_distance", ""))
-        except ValueError as exc:  # a k scan whose key rate is not finite
+        except ValueError as exc:  # a k whose key rate is not finite
             if isinstance(exc, ConfigError):
                 raise
-            # a fixed gain sets the k the scan is centred on
+            # a fixed gain sets the k the search starts from
             field = (f"scenario.gain = {scenario.gain!r}" if scenario.gain_mode == "fixed"
                      else "figure fig6")
             raise ConfigError(f"{field}: the detection scheme's k scan fails: {exc}") from exc

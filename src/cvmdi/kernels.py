@@ -11,10 +11,11 @@ Each formula exists twice, and the call site picks the form:
 * the scalar functions take and return floats and use plain `math`. They
   serve one evaluation at a time: `keyrate.secret_key_rate` (one
   `block_mutual_information` and one `block_holevo_reverse` call per point,
-  and so every sweep and range search);
+  and so every sweep and range search) and the detection scheme's k maximum
+  (one `block_key_rate` call per k);
 * the `*_grid` functions take numpy arrays (scalars broadcast) and evaluate
   a whole grid in one call: `block_key_rate_grid` for `keyrate.key_rate_vs_k`
-  (the detection scheme's k scan) and `montecarlo.key_rates_vs_k_from_batch`.
+  (a key rate per k of an array) and `montecarlo.key_rates_vs_k_from_batch`.
   The grid Holevo bound makes one entropy pass, over the stacked symplectic
   eigenvalues (nu1, nu2, nu3), and `block_key_rate_grid` computes what the
   mutual information and nu3 share once. Both equal, bit for bit, the

@@ -1,13 +1,12 @@
 """Asymptotic reverse-reconciliation secret key rate, sweeps and range searches.
 
-Points, sweeps and range searches run on the scalar `math` kernels; only the
-detection scheme's k scan and the generic cross-check load numpy, when they
-are called.
+Points, sweeps, range searches and the detection scheme's k maximum run on
+the scalar `math` kernels; only `key_rate_vs_k` (a key rate per k of an
+array) and the generic cross-check load numpy, when they are called.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -17,10 +16,12 @@ from .protocol import DetectorParams, Scenario, gain_from_k, k_from_gain, scenar
 BISECT_TOL_KM = 0.01
 BISECT_MAX_ITER = 60
 MAX_DISTANCE_CAP_KM = 2000.0
-# amplification grid of the detection scheme: K_GRID_POINTS log-spaced points
-# over k0 * K_GRID_SPAN, k0 the k of the optimal gain
-K_GRID_POINTS = 400
+# the detection scheme maximises K over k0 * K_GRID_SPAN, k0 = `analytic_k`:
+# it steps out from k0 by K_FIRST_STEP in ln k, doubling each step, until the
+# peak is bracketed, then refines it to K_XTOL in ln k
 K_GRID_SPAN = (0.1, 10.0)
+K_FIRST_STEP = 0.01
+K_XTOL = 1e-8
 DETECTOR_EFFICIENCY_TOL = 1e-6
 
 
@@ -189,20 +190,6 @@ def analytic_k(scenario: Scenario) -> float:
     return k_from_gain(scenario.resolved_gain(), scenario.v_b)
 
 
-@functools.cache
-def _k_unit_grid():
-    """The k grid over k0 = 1, built on first use and read-only."""
-    import numpy as np
-
-    grid = np.logspace(np.log10(K_GRID_SPAN[0]), np.log10(K_GRID_SPAN[1]), K_GRID_POINTS)
-    grid.flags.writeable = False
-    return grid
-
-
-def default_k_grid(scenario: Scenario):
-    return analytic_k(scenario) * _k_unit_grid()
-
-
 def key_rate_vs_k(scenario: Scenario, k_grid):
     """Key rate at each amplification coefficient of the data processing, as
     a numpy array.
@@ -222,18 +209,116 @@ def key_rate_vs_k(scenario: Scenario, k_grid):
         rates = kernels.block_key_rate_grid(a, b, c, scenario.beta_r)
     # key rates are bounded, so their sum is finite exactly when each is
     if not math.isfinite(rates.sum()):
-        k = float(k_grid[~np.isfinite(rates)][0])
-        raise ValueError(f"the key rate at k = {k!r} is not finite: the equivalent channel, "
-                         f"its block or the key-rate kernels overflow there")
+        raise _k_not_finite(float(k_grid[~np.isfinite(rates)][0]))
     return rates
 
 
+def _k_not_finite(k: float) -> ValueError:
+    return ValueError(f"the key rate at k = {k!r} is not finite: the equivalent channel, "
+                      f"its block or the key-rate kernels overflow there")
+
+
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # Brent's golden-section fraction
+
+
+def _maximize(f, lo: float, hi: float) -> tuple[float, float]:
+    """The best (x, f(x)) that f evaluates on [lo, hi], lo < 0 < hi.
+
+    f is evaluated at both ends and at 0. Steps out from 0, of K_FIRST_STEP
+    and doubling while f rises, bracket a peak; the walk stops at an end of
+    the span. Brent's method (R. P. Brent, Algorithms for Minimization
+    without Derivatives, 1973, ch. 5) refines the peak to K_XTOL. The result
+    is never below f at 0 or at either end.
+    """
+    ends = [(lo, f(lo)), (hi, f(hi))]
+    x, fx = 0.0, f(0.0)
+    step = K_FIRST_STEP
+    v, fv = -step, f(-step)
+    w, fw = (step, f(step)) if fv <= fx else (v, fv)
+    if max(fv, fw) > fx:  # f rises on one side: walk that way
+        sign, (end, f_end) = (-1.0, ends[0]) if fv > fx else (1.0, ends[1])
+        v, fv, x, fx = x, fx, w, fw
+        while x != end:
+            step *= 2.0
+            w = x + sign * step
+            w, fw = (end, f_end) if sign * (w - end) >= 0.0 else (w, f(w))
+            if fw <= fx:
+                break
+            v, fv, x, fx = x, fx, w, fw
+    if fv > fw:
+        v, fv, w, fw = w, fw, v, fv
+    # x is the best point evaluated so far and v, w bracket it, fw >= fv; a
+    # walk that rose up to the end of the span leaves w = x there
+    a, b = min(v, w), max(v, w)
+    # d: the last step, e: the one before; both span the bracket, so that the
+    # first two steps may be parabolic
+    d = e = b - a
+    while True:
+        m = 0.5 * (a + b)
+        if abs(x - m) <= 2.0 * K_XTOL - 0.5 * (b - a):
+            break
+        parabolic = False
+        if abs(e) > K_XTOL:  # the parabola through x, v and w
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            e_prev, e = e, d
+            if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
+                d = p / q
+                u = x + d
+                if u - a < 2.0 * K_XTOL or b - u < 2.0 * K_XTOL:
+                    d = math.copysign(K_XTOL, m - x)
+                parabolic = True
+        if not parabolic:
+            e = (a - x) if x >= m else (b - x)
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= K_XTOL else math.copysign(K_XTOL, d))
+        fu = f(u)
+        if fu > fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+    return max([(x, fx)] + ends, key=lambda point: point[1])
+
+
 def optimize_k_detection_scheme(scenario: Scenario) -> tuple[float, float]:
-    """Best (k, K) over `default_k_grid`; first index wins on ties."""
-    k_grid = default_k_grid(scenario)
-    rates = key_rate_vs_k(scenario, k_grid)
-    i = int(rates.argmax())
-    return float(k_grid[i]), float(rates[i])
+    """The maximum (k, K) of the key rate over k in k0 * K_GRID_SPAN, k0 =
+    `analytic_k`, by `_maximize` in ln(k / k0): about a dozen scalar
+    evaluations. The search starts at the scenario's own gain, so K is never
+    below `secret_key_rate(scenario).k`, nor below K at either end of the span.
+
+    A k whose key rate is not finite (the equivalent channel, its block or the
+    kernels overflow there) raises a ValueError that names it.
+    """
+    g0, v_b, beta = scenario.resolved_gain(), scenario.v_b, scenario.beta_r
+
+    def rate(u: float) -> float:
+        g = g0 * math.exp(u)
+        try:
+            r = kernels.block_key_rate(*scenario_block_params(scenario, g), beta)
+        except (OverflowError, ValueError):  # a float power or log past its range
+            r = math.nan
+        if not math.isfinite(r):
+            raise _k_not_finite(k_from_gain(g, v_b))
+        return r
+
+    u, best = _maximize(rate, math.log(K_GRID_SPAN[0]), math.log(K_GRID_SPAN[1]))
+    return k_from_gain(g0 * math.exp(u), v_b), float(best)
 
 
 def max_distance_detection_scheme(scenario: Scenario) -> float:

@@ -73,10 +73,11 @@ def ref_key_rate(t: float, eps: float, v: float, beta: float) -> float:
     return beta * i_ab - (_ref_g(lam1) + _ref_g(lam2) - _ref_g(lam3))
 
 
-def ref_key_rate_at(l_ac: float, l_bc: float, v: float = 40.0, eps: float = 0.002) -> float:
-    """Key rate at leg lengths (l_ac, l_bc), with make_scenario's defaults (beta = 1)."""
+def ref_key_rate_at(l_ac: float, l_bc: float, v: float = 40.0, eps: float = 0.002,
+                    beta: float = 1.0) -> float:
+    """Key rate at leg lengths (l_ac, l_bc), with make_scenario's defaults."""
     t, eps_eq = ref_reduction(ref_transmittance(l_ac), ref_transmittance(l_bc), eps, eps, v)
-    return ref_key_rate(t, eps_eq, v, 1.0)
+    return ref_key_rate(t, eps_eq, v, beta)
 
 
 def ref_last_positive(f, tol: float = REF_TOL_KM) -> float:

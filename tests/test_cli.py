@@ -289,6 +289,18 @@ PASS measurement_rescaling_invariance (max|dev|/scale=4.83e-17) seed=12345 n=100
         assert "config error: figure fig6: the detection scheme's k scan fails" in captured.err
         assert captured.out == ""
 
+    # finite extreme inputs: the equivalent channel, its block or the kernels
+    # overflow at some k of the span; at V_A = 1e20 only the span's ends do,
+    # and K near k0 is finite but impossible (the kernels cancel to chi_BE < 0)
+    @pytest.mark.parametrize("override", ["scenario.v_a=1e200", "scenario.v_b=1e200",
+                                          "scenario.eps_a=1e300", "scenario.v_el=1e300",
+                                          "scenario.eta_d=1e-300", "scenario.v_a=1e20"])
+    def test_fig6_extreme_input_is_2(self, capsys, override):
+        assert main(["--set", "sweep.points=3", "--set", override, "figure", "fig6"]) == 2
+        captured = capsys.readouterr()
+        assert "config error: figure fig6: the detection scheme's k scan fails" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
     # the key rate is still positive at the 2000 km per-leg cap: one-sided at
     # 0.001 dB/km; symmetric (1411.5 km total at 0.001 dB/km) at 0.0001 dB/km
     @pytest.mark.parametrize("attenuation, command", [
@@ -466,8 +478,8 @@ for argv in json.loads(sys.argv[1]):
 
 def test_only_oracle_loads_the_monte_carlo_layer(tmp_path):
     """Each command is one cold process, so it loads only what it uses: numpy
-    for the commands that evaluate arrays, `figure fig6` and `oracle`, the
-    Monte Carlo layer for `oracle`, `configparser` for a `--config` file."""
+    and the Monte Carlo layer for `oracle` alone, `configparser` for a
+    `--config` file."""
     config = tmp_path / "run.cfg"
     config.write_text("[sweep]\npoints = 3\n")
     out = ["--out", str(tmp_path / "x.csv")]
@@ -488,6 +500,6 @@ def test_only_oracle_loads_the_monte_carlo_layer(tmp_path):
     monte_carlo = ["numpy", "cvmdi.montecarlo", "cvmdi.oracle"]
     assert records == [["import", []], ["keyrate", []], ["keyrate", []], ["symmetric", []],
                        ["asymmetric", []], ["fig4", []], ["fig5b", []], ["keyrate", []],
-                       ["fig6", ["numpy"]], ["oracle", monte_carlo],
+                       ["fig6", []], ["oracle", monte_carlo],
                        ["keyrate", [*monte_carlo, "configparser"]]]
     assert proc.stderr.count("config error: unknown key scenario.bogus") == 1

@@ -1,26 +1,29 @@
-"""Key-rate formulas, distance sweeps, and the k-grid detection optimizer."""
+"""Key-rate formulas, distance sweeps, and the detection scheme's k maximum."""
 
 import math
+import statistics
 import warnings
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvmdi import kernels
 from cvmdi.gaussian import block_cm
 from cvmdi.keyrate import (
-    K_GRID_POINTS,
+    BISECT_TOL_KM,
     K_GRID_SPAN,
+    K_XTOL,
     KeyRatePoint,
     analytic_k,
-    default_k_grid,
     holevo_bound_reverse_generic,
     key_rate_at,
+    _maximize,
     key_rate_vs_k,
     max_distance_asymmetric,
+    max_distance_detection_scheme,
     max_total_distance_symmetric,
     min_detector_efficiency,
     mutual_information_generic,
@@ -213,13 +216,12 @@ class TestSweeps:
 
 
 class TestDetectionSchemeOptimizer:
-    def test_analytic_k_is_near_grid_optimum(self):
+    def test_maximum_is_near_analytic_k(self):
         s = make_scenario(10.0, 0.0, beta=0.95)
         k_star, rate_star = optimize_k_detection_scheme(s)
         assert k_star == pytest.approx(analytic_k(s), rel=0.02)
-        # the grid optimum dominates the analytic point up to grid resolution
-        rate_analytic = float(key_rate_vs_k(s, [analytic_k(s)])[0])
-        assert rate_star >= rate_analytic - 1e-9
+        # the search starts at k0: no slack for a grid's resolution
+        assert rate_star >= secret_key_rate(s).k
 
     def test_scan_matches_secret_key_rate(self, rng):
         # the grid kernel over the k array and the scalar kernel at each
@@ -239,22 +241,34 @@ class TestDetectionSchemeOptimizer:
         rate = float(key_rate_vs_k(s, [k0])[0])
         assert rate == pytest.approx(secret_key_rate(s).k, abs=1e-10)
 
-    def test_default_grid_spans_the_optimum(self):
+    @pytest.mark.parametrize("factor, end", [(1.0, None), (20.0, 0), (0.05, 1)],
+                             ids=["optimal_gain", "peak_below_span", "peak_above_span"])
+    def test_maximum_stays_in_k0_times_the_span(self, factor, end):
+        # a fixed gain far from the optimal one puts the peak of K beyond an
+        # end of the span: the maximum is then that end (within K_XTOL)
         s = make_scenario(10.0, 0.0)
-        grid = default_k_grid(s)
-        assert grid[0] < analytic_k(s) < grid[-1]
+        s = replace(s, gain_mode="fixed", gain=factor * optimal_gain(s))
+        k, rate = optimize_k_detection_scheme(s)
+        lo, hi = (analytic_k(s) * f for f in K_GRID_SPAN)
+        assert lo * (1.0 - 1e-12) <= k <= hi * (1.0 + 1e-12)
+        if end is not None:
+            assert k == pytest.approx((lo, hi)[end], rel=1e-7)
+        assert rate >= secret_key_rate(s).k
 
-    def test_default_grid_is_k0_times_the_span(self, rng):
-        for s in (make_scenario(10.0, 0.0), random_scenario(rng)):
-            unit = np.logspace(np.log10(K_GRID_SPAN[0]), np.log10(K_GRID_SPAN[1]), K_GRID_POINTS)
-            assert np.array_equal(default_k_grid(s), analytic_k(s) * unit)
-
-    def test_optimum_is_the_argmax_of_the_default_scan(self, rng):
+    def test_maximum_is_the_key_rate_at_its_k(self, rng):
+        # the returned K is the scalar key rate at the returned k, and no
+        # neighbour of k is higher beyond rounding
         for s in (make_scenario(10.0, 0.0, beta=0.95), random_scenario(rng)):
-            grid = default_k_grid(s)
-            rates = key_rate_vs_k(s, grid)
-            i = int(np.argmax(rates))
-            assert optimize_k_detection_scheme(s) == (float(grid[i]), float(rates[i]))
+            k, rate = optimize_k_detection_scheme(s)
+
+            def at(kk):
+                return secret_key_rate(replace(s, gain_mode="fixed",
+                                               gain=gain_from_k(kk, s.v_b))).k
+
+            assert rate == pytest.approx(at(k), abs=1e-12)
+            for step in (1e-6, 1e-3):
+                assert at(k * (1.0 - step)) <= rate + 1e-12
+                assert at(k * (1.0 + step)) <= rate + 1e-12
 
     def test_rejects_nonpositive_k(self):
         with pytest.raises(ValueError):
@@ -285,6 +299,61 @@ class TestDetectionSchemeOptimizer:
         r1 = key_rate_vs_k(s, grid)
         r2 = key_rate_vs_k(s, grid * 1.25)
         assert abs(float(np.max(r1)) - float(np.max(r2))) < 1e-4
+
+    @pytest.mark.parametrize("f, peak", [
+        (lambda u: -(u - 0.3) ** 2, 0.3),
+        (lambda u: -(u + 1.7) ** 2, -1.7),
+        (lambda u: -((u - 1e-3) / 1e-4) ** 2, 1e-3),  # narrower than the first step
+        (lambda u: -u * u, 0.0),
+        (lambda u: -(u - 2.2) ** 2, 2.2),
+        (lambda u: u, math.log(10.0)),  # monotone: the maximum is an end
+        (lambda u: -(u + 3.0) ** 2, math.log(0.1)),  # the peak lies beyond an end
+    ], ids=["interior", "interior_below", "narrow", "at_zero", "near_end", "monotone",
+            "beyond_end"])
+    def test_maximize_finds_known_peaks(self, f, peak):
+        calls = []
+        x, fx = _maximize(lambda u: calls.append(u) or f(u), math.log(0.1), math.log(10.0))
+        assert abs(x - peak) <= 2.0 * K_XTOL and fx == f(x)
+        assert len(calls) <= 30
+
+    def test_about_a_dozen_evaluations_per_maximum(self, rng, monkeypatch):
+        calls = []
+        kernel = kernels.block_key_rate
+        monkeypatch.setattr(kernels, "block_key_rate", lambda *args: calls.append(1) or kernel(*args))
+        counts = []
+        for _ in range(200):
+            calls.clear()
+            optimize_k_detection_scheme(random_scenario(rng))
+            counts.append(len(calls))
+        # both ends, k0 and at least two more points go through the kernel
+        assert min(counts) >= 5
+        assert statistics.median(counts) <= 14 and max(counts) <= 30
+
+    @pytest.mark.parametrize("beta", [1.0, 0.95])
+    def test_detection_scheme_reaches_the_one_sided_range(self, beta):
+        # K maximised over k is at least K at k0 point by point, so its
+        # endpoint is at least the one-sided range at L_BC = 0
+        s = make_scenario(beta=beta)
+        assert max_distance_detection_scheme(s) >= max_distance_asymmetric(s, 0.0) - BISECT_TOL_KM
+
+
+# At V = 6.1e4, 0.5 km and beta = 0.95 the 400-point grid's maximum was
+# K = -2.658, while K at k0 is +0.514: the peak is narrower than the grid step
+@settings(max_examples=150, deadline=None)
+@given(v_exp=st.floats(0.7, 5.0), l_ac=st.floats(0.0, 50.0), l_bc=st.floats(0.0, 10.0),
+       eps=st.floats(0.0, 0.05), beta=st.floats(0.9, 1.0), eta_d=st.floats(0.5, 1.0),
+       v_el=st.floats(0.0, 0.1), gain_factor=st.none() | st.floats(0.2, 5.0))
+@example(v_exp=math.log10(6.1e4), l_ac=0.5, l_bc=0.0, eps=0.002, beta=0.95, eta_d=0.9458,
+         v_el=0.0, gain_factor=None)
+def test_property_k_maximum_dominates_k0_and_the_grid(v_exp, l_ac, l_bc, eps, beta, eta_d,
+                                                       v_el, gain_factor):
+    s = make_scenario(l_ac, l_bc, v=10.0 ** v_exp, eps=eps, beta=beta, eta_d=eta_d, v_el=v_el)
+    if gain_factor is not None:
+        s = replace(s, gain_mode="fixed", gain=gain_factor * optimal_gain(s))
+    _, rate = optimize_k_detection_scheme(s)
+    assert rate >= secret_key_rate(s).k
+    grid = analytic_k(s) * np.logspace(np.log10(K_GRID_SPAN[0]), np.log10(K_GRID_SPAN[1]), 400)
+    assert rate >= float(key_rate_vs_k(s, grid).max()) - 1e-12 * max(1.0, abs(rate))
 
 
 class TestDetectorThreshold:
