@@ -6,10 +6,13 @@ shortest round-trip decimal formatting.
 
 Each run is one cold process, so a command loads only the layers it uses:
 `keyrate`, `sweep` and `figure` load the analytic path (`protocol`,
-`kernels`, `keyrate`), which evaluates one point at a time with `math`, the
-k maximum of `figure fig6` included; `oracle` alone loads numpy and the
-Monte Carlo layer (`montecarlo`, `oracle`), inside `cmd_oracle`; and
-`configparser` is loaded only to read a `--config` file.
+`kernels`, `keyrate`), which has one form of each formula, the scalar `math`
+kernels, and evaluates one point at a time with it, the k maximum of
+`figure fig6` included. A key rate that is not finite at a fixed gain
+(`check_fixed_gain`) or at a k of fig6's maximum comes from one guard in
+`keyrate`, and exits 2. `oracle` alone loads numpy and the Monte Carlo
+layer (`montecarlo`, `oracle`), inside `cmd_oracle`; and `configparser` is
+loaded only to read a `--config` file.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .kernels import block_key_rate
+from .keyrate import _finite_key_rate
 from .protocol import (
     MIN_ESTIMATION_SAMPLES,
     ChannelParams,
@@ -18,7 +18,6 @@ from .protocol import (
     Scenario,
     effective_transmittance,
     equivalent_excess_noise,
-    scenario_block_params,
 )
 
 ENV_PREFIX = "CVMDI_"
@@ -111,13 +110,11 @@ def check_fixed_gain(scenario: Scenario, legs: str) -> None:
                           f"has T = {t!r} and eps' = {eps!r}; a fixed gain must give a finite "
                           f"T > 0 and a finite eps'")
     try:
-        rate = block_key_rate(*scenario_block_params(scenario, g), scenario.beta_r)
-    except (OverflowError, ValueError):  # a float power or log past its range
-        rate = math.nan
-    if not math.isfinite(rate):
+        _finite_key_rate(scenario, g)
+    except ValueError as exc:
         raise ConfigError(f"scenario.gain = {g!r}: the key-rate kernels give no finite key rate "
                           f"at {legs} (T = {t!r}, eps' = {eps!r}); a fixed gain must give a "
-                          f"finite key rate")
+                          f"finite key rate") from exc
 
 
 def _convert(section: str, key: str, raw, where: str):

@@ -1,8 +1,8 @@
 """Asymptotic reverse-reconciliation secret key rate, sweeps and range searches.
 
-Points, sweeps, range searches and the detection scheme's k maximum run on
-the scalar `math` kernels; only `key_rate_vs_k` (a key rate per k of an
-array) and the generic cross-check load numpy, when they are called.
+Points, sweeps, range searches, the detection scheme's k maximum and
+`key_rate_vs_k` run on the scalar `math` kernels; only the generic
+cross-check loads numpy, when it is called.
 """
 
 from __future__ import annotations
@@ -133,14 +133,14 @@ def max_distance_asymmetric(scenario: Scenario, l_bc_km: float) -> float:
     return _max_distance(lambda l: key_rate_at(scenario, l, l_bc_km))
 
 
-def _lengths(values) -> tuple:
-    """A sequence of lengths (a list, a tuple, an array) as a tuple of floats."""
+def _floats(values) -> tuple:
+    """A sequence of numbers (a list, a tuple, an array) as a tuple of floats."""
     return tuple(float(l) for l in values)
 
 
 def sweep_symmetric(scenario: Scenario, l_grid) -> SweepResult:
     """Key rate vs total distance with both legs equal (grid of leg lengths)."""
-    l_grid = _lengths(l_grid)
+    l_grid = _floats(l_grid)
     if not l_grid or any(l < 0 for l in l_grid):
         raise ValueError("grid must be nonempty and nonnegative")
     points = tuple(secret_key_rate(scenario.with_lengths(l, l)) for l in l_grid)
@@ -163,9 +163,9 @@ def _length_label(length: float) -> str:
 def sweep_asymmetric(scenario: Scenario, l_ac_grid, l_bc_values) -> SweepResult:
     """Key rate vs first-leg length, one curve per second-leg length; a single
     second-leg length may be given as a number."""
-    l_ac_grid = _lengths(l_ac_grid)
+    l_ac_grid = _floats(l_ac_grid)
     try:
-        l_bc_values = _lengths(l_bc_values)
+        l_bc_values = _floats(l_bc_values)
     except TypeError:  # not iterable: one length
         l_bc_values = (float(l_bc_values),)
     if not (l_ac_grid and l_bc_values) or any(l < 0 for l in l_ac_grid + l_bc_values):
@@ -190,32 +190,38 @@ def analytic_k(scenario: Scenario) -> float:
     return k_from_gain(scenario.resolved_gain(), scenario.v_b)
 
 
-def key_rate_vs_k(scenario: Scenario, k_grid):
-    """Key rate at each amplification coefficient of the data processing, as
-    a numpy array.
-
-    A k far from the scenario's own (k = 1e100 at 1 km legs) overflows the
-    equivalent channel, its block or the kernels: a ValueError names the
-    first such k, and no numpy warning escapes.
-    """
-    import numpy as np
-
-    k_grid = np.asarray(k_grid, dtype=float)
-    # a NaN makes min and max NaN, which fails both comparisons
-    if k_grid.size == 0 or not (k_grid.min() > 0.0 and k_grid.max() < math.inf):
-        raise ValueError("k grid must be nonempty, finite and positive")
-    with np.errstate(all="ignore"):
-        a, b, c = scenario_block_params(scenario, gain_from_k(k_grid, scenario.v_b))
-        rates = kernels.block_key_rate_grid(a, b, c, scenario.beta_r)
-    # key rates are bounded, so their sum is finite exactly when each is
-    if not math.isfinite(rates.sum()):
-        raise _k_not_finite(float(k_grid[~np.isfinite(rates)][0]))
-    return rates
-
-
 def _k_not_finite(k: float) -> ValueError:
     return ValueError(f"the key rate at k = {k!r} is not finite: the equivalent channel, "
                       f"its block or the key-rate kernels overflow there")
+
+
+def _finite_key_rate(scenario: Scenario, g: float, k: float | None = None) -> float:
+    """K at gain g, or a ValueError from `_k_not_finite` naming k (by default
+    the k of g) where the equivalent channel, its block or the kernels
+    overflow. The one finiteness guard of a key rate: `key_rate_vs_k`, the k
+    maximum and `config.check_fixed_gain` call it."""
+    try:
+        rate = kernels.block_key_rate(*scenario_block_params(scenario, g), scenario.beta_r)
+    except (OverflowError, ValueError):  # a float power or log past its range
+        rate = math.nan
+    if not math.isfinite(rate):
+        raise _k_not_finite(k_from_gain(g, scenario.v_b) if k is None else k)
+    return rate
+
+
+def key_rate_vs_k(scenario: Scenario, k_grid) -> tuple:
+    """Key rate at each amplification coefficient of the data processing (a
+    sequence: a list, a tuple, an array), as a tuple of floats.
+
+    A k far from the scenario's own (k = 1e100 at 1 km legs) overflows the
+    equivalent channel, its block or the kernels: a ValueError names the
+    first such k.
+    """
+    ks = _floats(k_grid)
+    # a NaN fails both comparisons
+    if not ks or not all(0.0 < k < math.inf for k in ks):
+        raise ValueError("k grid must be nonempty, finite and positive")
+    return tuple(_finite_key_rate(scenario, gain_from_k(k, scenario.v_b), k) for k in ks)
 
 
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # Brent's golden-section fraction
@@ -305,20 +311,10 @@ def optimize_k_detection_scheme(scenario: Scenario) -> tuple[float, float]:
     A k whose key rate is not finite (the equivalent channel, its block or the
     kernels overflow there) raises a ValueError that names it.
     """
-    g0, v_b, beta = scenario.resolved_gain(), scenario.v_b, scenario.beta_r
-
-    def rate(u: float) -> float:
-        g = g0 * math.exp(u)
-        try:
-            r = kernels.block_key_rate(*scenario_block_params(scenario, g), beta)
-        except (OverflowError, ValueError):  # a float power or log past its range
-            r = math.nan
-        if not math.isfinite(r):
-            raise _k_not_finite(k_from_gain(g, v_b))
-        return r
-
-    u, best = _maximize(rate, math.log(K_GRID_SPAN[0]), math.log(K_GRID_SPAN[1]))
-    return k_from_gain(g0 * math.exp(u), v_b), float(best)
+    g0 = scenario.resolved_gain()
+    u, best = _maximize(lambda u: _finite_key_rate(scenario, g0 * math.exp(u)),
+                        math.log(K_GRID_SPAN[0]), math.log(K_GRID_SPAN[1]))
+    return k_from_gain(g0 * math.exp(u), scenario.v_b), best
 
 
 def max_distance_detection_scheme(scenario: Scenario) -> float:

@@ -449,12 +449,16 @@ def key_rates_vs_k_from_batch(m: Moments, k_grid, beta: float = 1.0) -> np.ndarr
     """Data-driven key rate for each k, from one PM batch's second moments.
 
     Reads only the drawn columns x_a ... p_d, so the batch's own k does not
-    enter. The whole grid goes to the grid kernel in one call.
+    enter. `_read_block_params` reads the block of every k at once, and the
+    scalar kernel evaluates each. A k at which the sampled block is
+    unphysical (a log or square root of a negative number) raises the
+    kernel's ValueError; it does not give NaN.
     """
     if m.scheme != "PM":
         raise ValueError("k sweep over data requires a PM batch")
-    a, b, c = _read_block_params(m, coeff=np.asarray(k_grid, dtype=float))
-    return kernels.block_key_rate_grid(a, b, c, beta)
+    blocks = _read_block_params(m, coeff=np.asarray(k_grid, dtype=float))
+    return np.array([kernels.block_key_rate(a, b, c, beta)
+                     for a, b, c in zip(*(x.tolist() for x in blocks))])
 
 
 def _ascii_words(texts) -> np.ndarray:

