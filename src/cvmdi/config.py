@@ -16,8 +16,8 @@ from .protocol import (
     ChannelParams,
     DetectorParams,
     Scenario,
-    effective_transmittance,
-    equivalent_excess_noise,
+    channel_at,
+    gain_free_terms,
 )
 
 ENV_PREFIX = "CVMDI_"
@@ -103,14 +103,14 @@ def check_fixed_gain(scenario: Scenario, legs: str) -> None:
     if scenario.gain_mode != "fixed":
         return
     g = scenario.gain
-    t = effective_transmittance(scenario, g)
-    eps = equivalent_excess_noise(scenario, g)
+    terms = gain_free_terms(scenario)
+    t, eps = channel_at(terms, g)
     if not (math.isfinite(t) and math.isfinite(eps)) or t == 0.0:
         raise ConfigError(f"scenario.gain = {g!r}: the equivalent channel at {legs} "
                           f"has T = {t!r} and eps' = {eps!r}; a fixed gain must give a finite "
                           f"T > 0 and a finite eps'")
     try:
-        _finite_key_rate(scenario, g)
+        _finite_key_rate(scenario, terms, g)
     except ValueError as exc:
         raise ConfigError(f"scenario.gain = {g!r}: the key-rate kernels give no finite key rate "
                           f"at {legs} (T = {t!r}, eps' = {eps!r}); a fixed gain must give a "

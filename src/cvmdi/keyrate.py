@@ -2,16 +2,33 @@
 
 Points, sweeps, range searches, the detection scheme's k maximum and
 `key_rate_vs_k` run on the scalar `math` kernels; only the generic
-cross-check loads numpy, when it is called.
+cross-check loads numpy, when it is called. A point or a search's probe is
+one `kernels.block_information` pass (`_rates`); only `secret_key_rate`
+builds a `KeyRatePoint`, so a range search's probe (`key_rate_at`) and the
+detector-efficiency search evaluate K alone. The k maximum and
+`key_rate_vs_k` compute the scenario's `gain_free_terms` once and one
+`kernels.block_key_rate` per k, through the one finiteness guard
+`_finite_key_rate`. Where the equivalent channel, its block or the kernels
+overflow, a point or a probe raises a ValueError that names the legs, and
+the k maximum one that names the k.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import kernels
-from .protocol import DetectorParams, Scenario, gain_from_k, k_from_gain, scenario_block_params
+from .protocol import (
+    DetectorParams,
+    Scenario,
+    block_params,
+    channel_at,
+    gain_free_terms,
+    gain_from_k,
+    k_from_gain,
+    scenario_block_params,
+)
 
 BISECT_TOL_KM = 0.01
 BISECT_MAX_ITER = 60
@@ -74,22 +91,48 @@ def holevo_bound_reverse_generic(cov2: "CovarianceMatrix") -> float:
     return von_neumann_entropy(cov2) - von_neumann_entropy(heterodyne_condition(cov2, mode=1))
 
 
+def _legs_overflow(scenario: Scenario) -> ValueError:
+    return ValueError(f"the key rate at legs of {scenario.channel_a.length_km!r} and "
+                      f"{scenario.channel_b.length_km!r} km is not finite: the equivalent "
+                      f"channel, its block or the key-rate kernels overflow there")
+
+
+def _rates(scenario: Scenario, g: float) -> tuple[float, float, float]:
+    """(I_AB, chi_BE, K) of the scenario at gain g, from one kernel pass;
+    where the equivalent channel, its block or the kernels overflow, a
+    ValueError from `_legs_overflow` that names the legs."""
+    try:
+        a, b, c = scenario_block_params(scenario, g)
+        i_ab, chi = kernels.block_information(a, b, c)
+    except (OverflowError, ValueError) as exc:  # a float power or log past its range
+        raise _legs_overflow(scenario) from exc
+    return i_ab, chi, scenario.beta_r * i_ab - chi
+
+
 def secret_key_rate(scenario: Scenario) -> KeyRatePoint:
+    """The key rate of the scenario at its resolved gain, with I_AB and chi_BE.
+
+    Where the equivalent channel, its block or the kernels overflow (finite
+    but extreme inputs), a ValueError names the scenario's legs.
+    """
     g = scenario.resolved_gain()
-    a, b, c = scenario_block_params(scenario, g)
-    i_ab = kernels.block_mutual_information(a, b, c)
-    chi = kernels.block_holevo_reverse(a, b, c)
-    return KeyRatePoint(
-        scenario=scenario,
-        g_used=g,
-        i_ab=i_ab,
-        chi_be=chi,
-        k=scenario.beta_r * i_ab - chi,
-    )
+    i_ab, chi, k = _rates(scenario, g)
+    # the fields as the generated __init__ sets them, without its
+    # object.__setattr__ call per field: a sweep builds one point per cell
+    point = object.__new__(KeyRatePoint)
+    fields = point.__dict__
+    fields["scenario"], fields["g_used"], fields["i_ab"], fields["chi_be"], fields["k"] = (
+        scenario, g, i_ab, chi, k)
+    return point
+
+
+def _key_rate(scenario: Scenario) -> float:
+    """`secret_key_rate(scenario).k`, without the point: a search's probe."""
+    return _rates(scenario, scenario.resolved_gain())[2]
 
 
 def key_rate_at(scenario: Scenario, l_ac_km: float, l_bc_km: float) -> float:
-    return secret_key_rate(scenario.with_lengths(l_ac_km, l_bc_km)).k
+    return _key_rate(scenario.with_lengths(l_ac_km, l_bc_km))
 
 
 def _bisect_zero(f, lo: float, hi: float, tol: float = BISECT_TOL_KM) -> float:
@@ -195,13 +238,16 @@ def _k_not_finite(k: float) -> ValueError:
                       f"its block or the key-rate kernels overflow there")
 
 
-def _finite_key_rate(scenario: Scenario, g: float, k: float | None = None) -> float:
-    """K at gain g, or a ValueError from `_k_not_finite` naming k (by default
-    the k of g) where the equivalent channel, its block or the kernels
-    overflow. The one finiteness guard of a key rate: `key_rate_vs_k`, the k
-    maximum and `config.check_fixed_gain` call it."""
+def _finite_key_rate(scenario: Scenario, terms: tuple, g: float, k: float | None = None) -> float:
+    """K at gain g, from the scenario's `gain_free_terms`, or a ValueError
+    from `_k_not_finite` naming k (by default the k of g) where the
+    equivalent channel, its block or the kernels overflow. The one finiteness
+    guard of a key rate: `key_rate_vs_k`, the k maximum and
+    `config.check_fixed_gain` call it."""
     try:
-        rate = kernels.block_key_rate(*scenario_block_params(scenario, g), scenario.beta_r)
+        t, eps = channel_at(terms, g)
+        a, b, c = block_params(scenario.v_a, t, eps)
+        rate = kernels.block_key_rate(a, b, c, scenario.beta_r)
     except (OverflowError, ValueError):  # a float power or log past its range
         rate = math.nan
     if not math.isfinite(rate):
@@ -221,7 +267,8 @@ def key_rate_vs_k(scenario: Scenario, k_grid) -> tuple:
     # a NaN fails both comparisons
     if not ks or not all(0.0 < k < math.inf for k in ks):
         raise ValueError("k grid must be nonempty, finite and positive")
-    return tuple(_finite_key_rate(scenario, gain_from_k(k, scenario.v_b), k) for k in ks)
+    terms = gain_free_terms(scenario)
+    return tuple(_finite_key_rate(scenario, terms, gain_from_k(k, scenario.v_b), k) for k in ks)
 
 
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # Brent's golden-section fraction
@@ -312,7 +359,8 @@ def optimize_k_detection_scheme(scenario: Scenario) -> tuple[float, float]:
     kernels overflow there) raises a ValueError that names it.
     """
     g0 = scenario.resolved_gain()
-    u, best = _maximize(lambda u: _finite_key_rate(scenario, g0 * math.exp(u)),
+    terms = gain_free_terms(scenario)  # once per maximum: only g changes
+    u, best = _maximize(lambda u: _finite_key_rate(scenario, terms, g0 * math.exp(u)),
                         math.log(K_GRID_SPAN[0]), math.log(K_GRID_SPAN[1]))
     return k_from_gain(g0 * math.exp(u), scenario.v_b), best
 
@@ -329,10 +377,10 @@ def min_detector_efficiency(scenario: Scenario) -> float:
     """Smallest relay detector efficiency with K > 0 at vanishing distance,
     to within DETECTOR_EFFICIENCY_TOL."""
     at_zero = scenario.with_lengths(0.0, 0.0)
+    v_el = scenario.detector.electronic_noise
 
     def rate(eta_d: float) -> float:
-        d = DetectorParams(eta_d, scenario.detector.electronic_noise)
-        return secret_key_rate(replace(at_zero, detector=d)).k
+        return _key_rate(at_zero.with_detector(DetectorParams(eta_d, v_el)))
 
     lo, hi = 0.999999, 0.2
     if rate(lo) <= 0.0:

@@ -6,7 +6,9 @@ equivalent channel, of transmittance T (`effective_transmittance`) and
 input-referred excess noise eps' (`equivalent_excess_noise`, the relay
 detector's penalty included), and `scenario_block_params` turns a scenario
 at g into the block covariance (a, b, c) that the key rate and the oracle
-evaluate. Around it: the parameter types, the gain rule
+evaluate; all three derive from the split `gain_free_terms` / `channel_at`
+(see the reduction's comment). Around it: the parameter types, which sweeps
+and searches copy rather than construct again, the gain rule
 (`Scenario.resolved_gain`), and the explicit mode-by-mode Gaussian
 composition (`compose_eb_simulated`) that cross-checks the reduction. The
 module itself needs only `math`; `compose_eb_simulated` loads numpy and
@@ -57,16 +59,32 @@ class ChannelParams:
             raise ValueError("attenuation must be > 0 dB/km")
         if self.excess_noise < 0:
             raise ValueError("excess noise must be >= 0")
+        self._set_transmittance()
+
+    def _set_transmittance(self):
         # stored, not a property: it is read several times per key-rate point
-        object.__setattr__(self, "transmittance",
-                           10.0 ** (-self.attenuation_db_per_km * self.length_km / 10.0))
-        if self.transmittance == 0.0:
+        t = self.__dict__["transmittance"] = 10.0 ** (-self.attenuation_db_per_km
+                                                       * self.length_km / 10.0)
+        if t == 0.0:
             raise ValueError(f"channel length {self.length_km} km at {self.attenuation_db_per_km} "
                              f"dB/km: transmittance underflows to 0")
 
     def with_length(self, length_km: float) -> "ChannelParams":
-        """The same fiber at another length."""
-        return ChannelParams(length_km, self.attenuation_db_per_km, self.excess_noise)
+        """The same fiber at another length.
+
+        A copy, as `Scenario.with_channels` makes: the attenuation and the
+        excess noise are this fiber's, checked when it was built, so only the
+        new length is checked. A length that is negative, NaN or infinite is
+        passed to the constructor, which raises its error.
+        """
+        if not 0.0 <= length_km < math.inf:
+            return ChannelParams(length_km, self.attenuation_db_per_km, self.excess_noise)
+        new = object.__new__(ChannelParams)
+        state = new.__dict__
+        state.update(self.__dict__)
+        state["length_km"] = length_km
+        new._set_transmittance()
+        return new
 
 
 @dataclass(frozen=True)
@@ -134,6 +152,14 @@ class Scenario:
         state["channel_a"], state["channel_b"] = channel_a, channel_b
         return new
 
+    def with_detector(self, detector: DetectorParams) -> "Scenario":
+        """This scenario with another relay detector, a copy as `with_channels` makes."""
+        new = object.__new__(Scenario)
+        state = new.__dict__
+        state.update(self.__dict__)
+        state["detector"] = detector
+        return new
+
     def resolved_gain(self) -> float:
         """The one gain rule: `gain` when fixed, else `optimal_gain`; callers pass it on."""
         return self.gain if self.gain_mode == "fixed" else optimal_gain(self)
@@ -154,11 +180,15 @@ def optimal_gain(scenario: Scenario) -> float:
 # heterodyne detection over a channel of transmittance T = eta_a g^2 / 2 and
 # input-referred excess noise eps', to which a relay detector of input-referred
 # noise chi_det adds 2 chi_det / eta_a; (T, eps') give the block covariance
-# (a, b, c) that `kernels` evaluates. These functions take and return floats.
-# Their square roots are `** 0.5`, not `math.sqrt`, because that keeps every
-# published cell unchanged: CPython's float power is libm `pow`, which is not
-# always correctly rounded at 0.5, so `math.sqrt` would move some cells by an
-# ulp.
+# (a, b, c) that `kernels` evaluates. Each step is written once:
+# `gain_free_terms` computes the terms of (T, eps') that do not depend on g,
+# `channel_at` gives (T, eps') at one g from them, and `block_params` gives
+# (a, b, c) from (T, eps'). A search over g at one scenario (the detection
+# scheme's k maximum) computes the gain-free terms once. These functions take
+# and return floats. Their square roots are `** 0.5`, not `math.sqrt`, because
+# that keeps every published cell unchanged: CPython's float power is libm
+# `pow`, which is not always correctly rounded at 0.5, so `math.sqrt` would
+# move some cells by an ulp.
 
 _SQRT2 = 2.0 ** 0.5
 
@@ -185,39 +215,54 @@ def block_params(v_a, t, eps):
     return v_a, t * (v_a - 1.0) + 1.0 + t * eps, (t * ((v_a - 1.0) * (v_a + 1.0))) ** 0.5
 
 
-def effective_transmittance(scenario: Scenario, g):
-    """T = eta_a g^2 / 2 at gain g."""
-    return scenario.channel_a.transmittance / 2.0 * g * g
-
-
 def detector_noise(eta_d: float, v_el: float) -> float:
     """Input-referred homodyne detector noise (1 - eta_d)/eta_d + v_el/eta_d of
     a `DetectorParams`' fields, whose construction checks their range."""
     return (1.0 - eta_d) / eta_d + v_el / eta_d
 
 
-def equivalent_excess_noise(scenario: Scenario, g):
-    """Input-referred excess noise eps' of the reduced one-way channel at gain
-    g, relay detector penalty 2 chi_det / eta_a included.
-
-    The mismatch term vanishes, and eps' is smallest, at `optimal_gain`; a
-    perfect detector's penalty is exactly 0.0.
-    """
+def gain_free_terms(scenario: Scenario) -> tuple:
+    """The terms of the equivalent channel that do not depend on the gain, a
+    tuple of floats for `channel_at`: eta_a; eps' less its mismatch term and
+    the detector penalty; sqrt(v_b - 1); sqrt(eta_b) sqrt(v_b + 1); and the
+    relay detector penalty 2 chi_det / eta_a."""
     ch_a, ch_b, v_b = scenario.channel_a, scenario.channel_b, scenario.v_b
     eta_a, eta_b = ch_a.transmittance, ch_b.transmittance
     chi_a = (1.0 - eta_a) / eta_a + ch_a.excess_noise
     chi_b = (1.0 - eta_b) / eta_b + ch_b.excess_noise
-    mismatch = _SQRT2 / g * (v_b - 1.0) ** 0.5 - eta_b ** 0.5 * (v_b + 1.0) ** 0.5
-    eps = 1.0 + (eta_b * (chi_b - 1.0) + eta_a * chi_a) / eta_a + mismatch * mismatch / eta_a
     det = scenario.detector
-    return eps + 2.0 * detector_noise(det.efficiency, det.electronic_noise) / eta_a
+    return (eta_a, 1.0 + (eta_b * (chi_b - 1.0) + eta_a * chi_a) / eta_a,
+            (v_b - 1.0) ** 0.5, eta_b ** 0.5 * (v_b + 1.0) ** 0.5,
+            2.0 * detector_noise(det.efficiency, det.electronic_noise) / eta_a)
+
+
+def channel_at(terms: tuple, g):
+    """(T, eps') of the equivalent channel at gain g, from `gain_free_terms`.
+
+    The mismatch term of eps' vanishes, and eps' is smallest, at
+    `optimal_gain`; a perfect detector's penalty is exactly 0.0.
+    """
+    eta_a, eps_matched, root_minus, root_plus, penalty = terms
+    mismatch = _SQRT2 / g * root_minus - root_plus
+    return eta_a / 2.0 * g * g, eps_matched + mismatch * mismatch / eta_a + penalty
+
+
+def effective_transmittance(scenario: Scenario, g):
+    """T = eta_a g^2 / 2 at gain g."""
+    return channel_at(gain_free_terms(scenario), g)[0]
+
+
+def equivalent_excess_noise(scenario: Scenario, g):
+    """Input-referred excess noise eps' of the reduced one-way channel at gain
+    g, relay detector penalty 2 chi_det / eta_a included."""
+    return channel_at(gain_free_terms(scenario), g)[1]
 
 
 def scenario_block_params(scenario: Scenario, g):
     """(a, b, c) of the post-protocol covariance at gain g, the one map from a
     scenario to the block the key rate and the oracle use."""
-    t = effective_transmittance(scenario, g)
-    return block_params(scenario.v_a, t, equivalent_excess_noise(scenario, g))
+    t, eps = channel_at(gain_free_terms(scenario), g)
+    return block_params(scenario.v_a, t, eps)
 
 
 def entangling_cloner_variance(eta: float, eps: float) -> float:

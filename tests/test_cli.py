@@ -301,6 +301,31 @@ PASS measurement_rescaling_invariance (max|dev|/scale=4.83e-17) seed=12345 n=100
         assert "config error: figure fig6: the detection scheme's k scan fails" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
 
+    # finite extreme inputs overflow the equivalent channel, its block or the
+    # kernels at a point or a range-search probe: each form ended in a
+    # ValueError (math domain error) or OverflowError traceback, exit 1
+    @pytest.mark.parametrize("override, command", [
+        ("scenario.v_a=1e200", ["keyrate"]),
+        ("scenario.v_a=1e200", ["sweep", "symmetric"]),
+        ("scenario.eps_a=1e300", ["keyrate"]),
+        ("scenario.eps_a=1e300", ["sweep", "symmetric"]),
+        ("scenario.v_el=1e300", ["keyrate"]),
+        ("scenario.v_el=1e300", ["sweep", "symmetric"]),
+        ("scenario.eta_d=1e-300", ["keyrate"]),
+        ("scenario.eta_d=1e-300", ["sweep", "symmetric"]),
+        ("scenario.v_b=1e200", ["sweep", "symmetric"]),
+        ("scenario.v_b=1e200", ["figure", "fig5b"]),
+        ("scenario.v_a=1e20", ["sweep", "asymmetric"]),
+    ])
+    def test_key_rate_overflow_at_extreme_input_is_2(self, capsys, tmp_path, override, command):
+        path = tmp_path / "x.csv"
+        assert main(["--set", "sweep.points=3", "--set", override, "--out", str(path),
+                     *command]) == 2
+        captured = capsys.readouterr()
+        assert f"config error: {' '.join(command)}: the key rate at legs of " in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not path.exists()
+
     # the key rate is still positive at the 2000 km per-leg cap: one-sided at
     # 0.001 dB/km; symmetric (1411.5 km total at 0.001 dB/km) at 0.0001 dB/km
     @pytest.mark.parametrize("attenuation, command", [

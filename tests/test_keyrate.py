@@ -3,7 +3,7 @@
 import math
 import statistics
 import warnings
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from cvmdi import kernels
 from cvmdi.gaussian import block_cm
 from cvmdi.keyrate import (
     BISECT_TOL_KM,
+    _finite_key_rate,
     K_GRID_SPAN,
     K_XTOL,
     KeyRatePoint,
@@ -34,8 +35,13 @@ from cvmdi.keyrate import (
 )
 from cvmdi.protocol import (
     ChannelParams,
+    DetectorParams,
     Scenario,
+    block_params,
     compose_eb_simulated,
+    effective_transmittance,
+    equivalent_excess_noise,
+    gain_free_terms,
     gain_from_k,
     optimal_gain,
     scenario_block_params,
@@ -85,6 +91,11 @@ class TestSecretKeyRate:
         assert pt.k == pytest.approx(s.beta_r * pt.i_ab - pt.chi_be)
         assert pt.scenario.gain_mode == "optimal"
         assert pt.positive
+        # the point is the one its constructor builds from the same fields
+        built = KeyRatePoint(*(getattr(pt, f.name) for f in fields(KeyRatePoint)))
+        assert pt == built and hash(pt) == hash(built) and repr(pt) == repr(built)
+        with pytest.raises(FrozenInstanceError):
+            pt.k = 0.0
 
     def test_fixed_gain_at_optimal_value_matches(self, rng):
         for _ in range(30):
@@ -363,7 +374,6 @@ class TestDetectorThreshold:
     def test_threshold_is_sharp(self):
         s = make_scenario()
         eta = min_detector_efficiency(s)
-        from cvmdi.protocol import DetectorParams
         above = replace(s, detector=DetectorParams(eta + 1e-4, 0.0))
         below = replace(s, detector=DetectorParams(eta - 1e-4, 0.0))
         assert key_rate_at(above, 0.0, 0.0) > 0.0
@@ -375,3 +385,92 @@ class TestDetectorThreshold:
 def test_property_curve_labels_read_back_as_their_lengths(lengths):
     curves = sweep_asymmetric(make_scenario(), [0.0], lengths).curves
     assert [float(c.label.removeprefix("l_bc=").removesuffix("km")) for c in curves] == lengths
+
+
+# A search's probe and the k maximum's evaluation build no point and reuse the
+# gain-free terms; each must give the float of the full point path.
+@settings(max_examples=200, deadline=None)
+@given(v_exp=st.floats(0.1, 5.0), l_ac=st.floats(0.0, 300.0), l_bc=st.floats(0.0, 300.0),
+       eps=st.floats(0.0, 0.05), beta=st.floats(0.9, 1.0), eta_d=st.floats(0.5, 1.0),
+       v_el=st.floats(0.0, 0.1), gain_factor=st.none() | st.floats(0.2, 5.0),
+       k_factor=st.floats(0.1, 10.0))
+def test_property_lean_probes_are_the_point_path_bit_for_bit(v_exp, l_ac, l_bc, eps, beta, eta_d,
+                                                             v_el, gain_factor, k_factor):
+    s = make_scenario(1.0, 2.0, v=10.0 ** v_exp, eps=eps, beta=beta, eta_d=eta_d, v_el=v_el)
+    if gain_factor is not None:
+        s = replace(s, gain_mode="fixed", gain=gain_factor * optimal_gain(s))
+    assert key_rate_at(s, l_ac, l_bc) == secret_key_rate(s.with_lengths(l_ac, l_bc)).k
+    at = s.with_lengths(l_ac, l_bc)
+    g = k_factor * at.resolved_gain()
+    fixed = replace(at, gain_mode="fixed", gain=g)
+    assert _finite_key_rate(at, gain_free_terms(at), g) == secret_key_rate(fixed).k
+    assert scenario_block_params(at, g) == block_params(
+        at.v_a, effective_transmittance(at, g), equivalent_excess_noise(at, g))
+
+
+def _count_kernel_evaluations(monkeypatch) -> dict:
+    """Replace each function of `kernels` with one that counts its calls from
+    outside the module, by name; calls a kernel makes to another are not
+    counted."""
+    counts, depth = {}, [0]
+
+    def counting(name, fn):
+        def counted(*args):
+            if not depth[0]:
+                counts[name] = counts.get(name, 0) + 1
+            depth[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                depth[0] -= 1
+        return counted
+
+    for name in ("g_entropy", "block_symplectic_eigenvalues", "block_information",
+                 "block_mutual_information", "block_holevo_reverse", "block_key_rate"):
+        monkeypatch.setattr(kernels, name, counting(name, getattr(kernels, name)))
+    return counts
+
+
+SEARCH_SCENARIOS = {
+    "default": {},
+    "detector": dict(beta=0.95, eta_d=0.97, v_el=0.001),
+    "fixed_gain": dict(v=1000.0, eps=0.005, beta=0.98, eta_d=0.95, gain_mode="fixed", gain=1.41),
+}
+# (result, kernel evaluations) of each search at 0.15.0, where a point made one
+# block_mutual_information and one block_holevo_reverse call and the k maximum
+# one block_key_rate call per evaluation
+SEARCH_EVALUATIONS = {
+    "default": {"symmetric": (7.0546875, 12), "asymmetric_0": (88.82421875, 22),
+                "asymmetric_1": (20.16796875, 18), "asymmetric_3": (5.25390625, 14),
+                "detection_scheme": (88.82421875, 266), "detector": (0.8500110130467413, 22)},
+    "detector": {"symmetric": (4.4453125, 12), "asymmetric_0": (15.62890625, 16),
+                 "asymmetric_1": (6.94140625, 14), "asymmetric_3": (0.51171875, 9),
+                 "detection_scheme": (15.65234375, 187), "detector": (0.875746454510212, 22)},
+    "fixed_gain": {"symmetric": (0.9140625, 9), "asymmetric_0": (11.18359375, 16),
+                   "asymmetric_1": (0.0, 1), "asymmetric_3": (0.0, 1),
+                   "detection_scheme": (11.60546875, 203), "detector": (0.8641116423935891, 22)},
+}
+
+
+@pytest.mark.parametrize("name", SEARCH_SCENARIOS)
+def test_searches_make_the_pinned_kernel_evaluations(name, monkeypatch):
+    # equal evaluation counts and equal results: the searches probe the same
+    # points as before; each probe is one block_information call and each k
+    # evaluation one block_key_rate call, and nothing else calls a kernel
+    s = make_scenario(**SEARCH_SCENARIOS[name])
+    counts = _count_kernel_evaluations(monkeypatch)
+    searches = {
+        "symmetric": (lambda: max_total_distance_symmetric(s), "block_information"),
+        "asymmetric_0": (lambda: max_distance_asymmetric(s, 0.0), "block_information"),
+        "asymmetric_1": (lambda: max_distance_asymmetric(s, 1.0), "block_information"),
+        "asymmetric_3": (lambda: max_distance_asymmetric(s, 3.0), "block_information"),
+        "detection_scheme": (lambda: max_distance_detection_scheme(s), "block_key_rate"),
+        "detector": (lambda: min_detector_efficiency(s), "block_information"),
+    }
+    found = {}
+    for search, (run, kernel) in searches.items():
+        counts.clear()
+        result = run()
+        assert set(counts) == {kernel}, search
+        found[search] = (result, counts[kernel])
+    assert found == SEARCH_EVALUATIONS[name]

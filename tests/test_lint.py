@@ -1,7 +1,8 @@
 """Lint: every imported name is used, the package keeps its layering (numpy
 loaded at import only where arrays are the work, and inside the analytic
-path only by the generic cross-check), the sampler's physics exists once,
-and each of the oracle's pass limits has one reader.
+path only by the generic cross-check), every kernel evaluation is a call of
+`kernels.<name>`, the sampler's physics exists once, and each of the
+oracle's pass limits has one reader.
 
 A module of `src/cvmdi` or of `tests/` that imports a name must reference it.
 The package's `__init__.py` is exempt: its imports are its exports.
@@ -273,11 +274,67 @@ def test_one_gain_rule():
 
 def test_one_detector_rule():
     """The relay detector enters the model in one place: only
-    `protocol.equivalent_excess_noise` calls `detector_noise`, so every eps'
-    carries its penalty."""
+    `protocol.gain_free_terms` calls `detector_noise`, so every eps' carries
+    its penalty."""
     modules = sorted((ROOT / "src" / "cvmdi").glob("*.py"))
     assert {f"{p.stem}.{f}" for p in modules for f in callers(p.read_text(), "detector_noise")} == {
-        "protocol.equivalent_excess_noise"}
+        "protocol.gain_free_terms"}
+
+
+def hidden_kernel_calls(source: str) -> set[str]:
+    """The ways a module reaches a `kernels` function other than by calling
+    it as `kernels.<name>(...)`: a name imported from the module, the module
+    bound under another name, or a `kernels.<name>` read that is not the
+    function of a call (a local alias, or a function passed on)."""
+    tree = ast.parse(source)
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.rsplit(".", 1)[-1] == "kernels":
+                found.update(f"from {'.' * node.level}{module} import {alias.name}"
+                             for alias in node.names)
+            else:
+                found.update(f"import kernels as {alias.asname}" for alias in node.names
+                             if alias.name == "kernels" and alias.asname)
+        elif isinstance(node, ast.Import):
+            found.update(f"import {alias.name} as {alias.asname}" for alias in node.names
+                         if alias.name.rsplit(".", 1)[-1] == "kernels" and alias.asname)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "kernels" and id(node) not in called):
+            found.add(f"kernels.{node.attr} not called")
+    return found
+
+
+# the one exception: `gaussian.entropy_g` evaluates the kernels' g(nu) on a
+# symplectic eigenvalue of the generic path, not on a block
+KERNEL_IMPORTS = {"gaussian": {"from .kernels import g_entropy"}}
+
+
+def test_every_kernel_evaluation_is_visible():
+    """Outside `kernels`, the package calls a kernel function only as
+    `kernels.<name>(...)`, so that replacing the module's attribute (the
+    evaluation-count tests, the benchmark's tracer) sees every evaluation; a
+    local alias, cheaper by one attribute lookup, would hide them."""
+    assert hidden_kernel_calls(
+        "from . import kernels\nfrom .kernels import block_key_rate\n"
+        "from . import kernels as k\nimport cvmdi.kernels as kk\nrate = kernels.block_key_rate\n"
+        "f(kernels.g_entropy)\nkernels.block_information(1.0, 2.0, 3.0)\n") == {
+        "from .kernels import block_key_rate", "import kernels as k",
+        "import cvmdi.kernels as kk", "kernels.block_key_rate not called",
+        "kernels.g_entropy not called"}
+    sources = {p.stem: p.read_text() for p in sorted((ROOT / "src" / "cvmdi").glob("*.py"))
+               if p.stem != "kernels"}
+
+    def hidden(sources):
+        return {m: found for m, text in sources.items() if (found := hidden_kernel_calls(text))}
+
+    assert hidden(sources) == KERNEL_IMPORTS
+    alias = dict(sources, keyrate=sources["keyrate"].replace(
+        "def _finite_key_rate(", "_block_key_rate = kernels.block_key_rate\n\n\n"
+        "def _finite_key_rate(", 1))
+    assert hidden(alias) == {**KERNEL_IMPORTS, "keyrate": {"kernels.block_key_rate not called"}}
 
 
 # what makes a generator, and what draws from one

@@ -53,6 +53,7 @@ class TestScenario:
         with pytest.raises(ValueError) as built:
             make_scenario(bad, 2.0, eps=0.004)
         for derive in (lambda: s.with_lengths(bad, 2.0), lambda: s.with_lengths(2.0, bad),
+                       lambda: s.channel_a.with_length(bad), lambda: s.channel_b.with_length(bad),
                        lambda: s.with_channels(s.channel_a.with_length(bad), s.channel_b),
                        lambda: s.with_channels(s.channel_a, s.channel_b.with_length(bad))):
             with pytest.raises(ValueError) as derived:
@@ -69,7 +70,23 @@ class TestScenario:
             assert repr(derived) == repr(built)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 derived.channel_a = base.channel_a
+        detector = DetectorParams(0.8, 0.01)
+        derived = base.with_detector(detector)
+        replaced = dataclasses.replace(base, detector=detector)
+        assert derived == replaced and hash(derived) == hash(replaced)
+        assert repr(derived) == repr(replaced)
+        # a channel at another length is the one built at that length, its
+        # transmittance the same float
+        for length in (0.0, 5.0, 6.0, 123.456, 1e4):
+            channel = ChannelParams(length, 0.2, 0.002)
+            derived = base.channel_a.with_length(length)
+            assert derived == channel and hash(derived) == hash(channel)
+            assert repr(derived) == repr(channel)
+            assert derived.transmittance.hex() == channel.transmittance.hex()
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                derived.length_km = 1.0
         assert base.channel_a.length_km == 1.0  # the source is not changed
+        assert base.detector.efficiency == 0.9
 
     def test_fixed_gain_requires_value(self):
         with pytest.raises(ValueError):
