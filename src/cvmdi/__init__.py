@@ -10,6 +10,7 @@ and `cvmdi.oracle` load numpy.
 
 from . import kernels
 from .keyrate import (
+    KeyRateNotFinite,
     KeyRatePoint,
     key_rate_vs_k,
     max_distance_asymmetric,
@@ -33,6 +34,7 @@ from .protocol import (
 __version__ = "0.16.0"
 
 __all__ = [
+    "KeyRateNotFinite",
     "KeyRatePoint",
     "key_rate_vs_k",
     "max_distance_asymmetric",

@@ -12,9 +12,10 @@ kernels, and evaluates one point at a time with it, the k maximum of
 (`check_fixed_gain`) or at a k of fig6's maximum comes from one guard in
 `keyrate`, and exits 2; so does a key rate that overflows at a point or a
 range-search probe of `keyrate`, `sweep` or `figure` (finite but extreme
-inputs), with the command and the legs named. `oracle` alone loads numpy
-and the Monte Carlo layer (`montecarlo`, `oracle`), inside `cmd_oracle`;
-and `configparser` is loaded only to read a `--config` file.
+inputs): `main` catches that `keyrate.KeyRateNotFinite` alone and names the
+command and the legs. `oracle` alone loads numpy and the Monte Carlo layer
+(`montecarlo`, `oracle`), inside `cmd_oracle`; and `configparser` is loaded
+only to read a `--config` file.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from dataclasses import replace
 from .config import ConfigError, RunConfig, check_fixed_gain, load_config
 from .keyrate import (
     MAX_DISTANCE_CAP_KM,
+    KeyRateNotFinite,
     max_distance_detection_scheme,
     optimize_k_detection_scheme,
     secret_key_rate,
@@ -207,18 +209,6 @@ def cmd_oracle(cfg: RunConfig, negative_control: bool, out: str | None) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _analytic(command: str, cmd, *args) -> int:
-    """Run a command of the analytic path. A key rate that overflows at
-    finite extreme inputs raises a ValueError in `keyrate` that names the
-    legs; it exits 2, as a ConfigError that names the command too."""
-    try:
-        return cmd(*args)
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{command}: {exc}") from exc
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cvmdi",
@@ -252,14 +242,19 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config, overrides)
         out = args.out or cfg["output"]["path"] or None
         if args.command == "keyrate":
-            return _analytic("keyrate", cmd_keyrate, cfg, out)
+            return cmd_keyrate(cfg, out)
         if args.command == "figure":
-            return _analytic(f"figure {args.figure_id}", cmd_figure, cfg, args.figure_id, out)
+            return cmd_figure(cfg, args.figure_id, out)
         if args.command == "sweep":
-            return _analytic(f"sweep {args.mode}", cmd_sweep, cfg, args.mode, out)
+            return cmd_sweep(cfg, args.mode, out)
         return cmd_oracle(cfg, args.negative_control, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except KeyRateNotFinite as exc:  # a point or a probe at finite but extreme inputs
+        command = " ".join([args.command] + [getattr(args, name) for name in ("figure_id", "mode")
+                                             if hasattr(args, name)])
+        print(f"config error: {command}: {exc}", file=sys.stderr)
         return 2
 
 

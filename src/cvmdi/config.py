@@ -10,7 +10,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .keyrate import _finite_key_rate
+from .keyrate import KeyRateNotFinite, _finite_key_rate
 from .protocol import (
     MIN_ESTIMATION_SAMPLES,
     ChannelParams,
@@ -111,7 +111,7 @@ def check_fixed_gain(scenario: Scenario, legs: str) -> None:
                           f"T > 0 and a finite eps'")
     try:
         _finite_key_rate(scenario, terms, g)
-    except ValueError as exc:
+    except KeyRateNotFinite as exc:
         raise ConfigError(f"scenario.gain = {g!r}: the key-rate kernels give no finite key rate "
                           f"at {legs} (T = {t!r}, eps' = {eps!r}); a fixed gain must give a "
                           f"finite key rate") from exc

@@ -3,16 +3,15 @@
 (a, b, c) means [[a*I2, c*sigma_z], [c*sigma_z, b*I2]] in shot-noise units.
 `protocol` owns the reduction that produces it (gain -> (T, eps') ->
 (a, b, c)); this module only evaluates it, one block at a time, with plain
-`math`: each function takes and returns floats. `block_information` is the
-one pass over a block that gives both I_AB and chi_BE; the other block
-functions read it. Every key rate of the package goes through them:
-`keyrate.secret_key_rate` and the range and threshold searches (one
-`block_information` call per point or probe, and so every sweep), the
-detection scheme's k maximum and `keyrate.key_rate_vs_k` (one
-`block_key_rate` call per k), and `montecarlo.key_rates_vs_k_from_batch`
-(one per k of a sampled batch). Callers outside this module call them as
-`kernels.<name>`, so that a test or a tracer that replaces the module's
-attribute sees every evaluation.
+`math`: each function takes and returns floats. Every key rate of the
+package goes through them: `keyrate.secret_key_rate` (one
+`block_mutual_information` and one `block_holevo_reverse` call per point,
+and so every sweep, range search and threshold search), the detection
+scheme's k maximum and `keyrate.key_rate_vs_k` (one `block_key_rate` call
+per k), and `montecarlo.key_rates_vs_k_from_batch` (one per k of a sampled
+batch). Callers outside this module call them as `kernels.<name>`, so that
+a test or a tracer that replaces the module's attribute sees every
+evaluation.
 """
 
 from math import log2, sqrt
@@ -41,28 +40,18 @@ def block_symplectic_eigenvalues(a: float, b: float, c: float) -> tuple[float, f
     return sqrt((delta + disc) / 2.0), sqrt(0.0 if 0.0 > nu2_sq else nu2_sq)
 
 
-def block_information(a: float, b: float, c: float) -> tuple[float, float]:
-    """(I_AB, chi_BE) in bits, in one pass: the two-quadrature Gaussian mutual
-    information for dual heterodyne, and the Holevo bound on Eve's
-    information about mode-B heterodyne data. Both read the conditional
-    variance a - c^2/(b + 1) of mode A given B's outcome."""
-    conditioned = c * c / (b + 1.0)
-    i_ab = log2((a + 1.0) / (a + 1.0 - conditioned))
-    nu1, nu2 = block_symplectic_eigenvalues(a, b, c)
-    return i_ab, g_entropy(nu1) + g_entropy(nu2) - g_entropy(a - conditioned)
-
-
 def block_mutual_information(a: float, b: float, c: float) -> float:
     """Two-quadrature Gaussian mutual information for dual heterodyne, bits."""
-    return block_information(a, b, c)[0]
+    return log2((a + 1.0) / (a + 1.0 - c * c / (b + 1.0)))
 
 
 def block_holevo_reverse(a: float, b: float, c: float) -> float:
     """Holevo bound on Eve's information about mode-B heterodyne data, bits."""
-    return block_information(a, b, c)[1]
+    nu1, nu2 = block_symplectic_eigenvalues(a, b, c)
+    nu3 = a - c * c / (b + 1.0)
+    return g_entropy(nu1) + g_entropy(nu2) - g_entropy(nu3)
 
 
 def block_key_rate(a: float, b: float, c: float, beta: float) -> float:
     """Reverse-reconciliation key rate beta*I - chi in bits per use."""
-    i_ab, chi = block_information(a, b, c)
-    return beta * i_ab - chi
+    return beta * block_mutual_information(a, b, c) - block_holevo_reverse(a, b, c)

@@ -2,15 +2,16 @@
 
 Points, sweeps, range searches, the detection scheme's k maximum and
 `key_rate_vs_k` run on the scalar `math` kernels; only the generic
-cross-check loads numpy, when it is called. A point or a search's probe is
-one `kernels.block_information` pass (`_rates`); only `secret_key_rate`
-builds a `KeyRatePoint`, so a range search's probe (`key_rate_at`) and the
-detector-efficiency search evaluate K alone. The k maximum and
-`key_rate_vs_k` compute the scenario's `gain_free_terms` once and one
-`kernels.block_key_rate` per k, through the one finiteness guard
-`_finite_key_rate`. Where the equivalent channel, its block or the kernels
-overflow, a point or a probe raises a ValueError that names the legs, and
-the k maximum one that names the k.
+cross-check loads numpy, when it is called. Every point, and every probe of
+a range or threshold search (`key_rate_at`, the detector-efficiency
+search), is one `secret_key_rate`: one `kernels.block_mutual_information`
+and one `kernels.block_holevo_reverse` call, and a `KeyRatePoint` built
+without the generated `__init__`. The k maximum and `key_rate_vs_k` compute
+the scenario's `gain_free_terms` once and one `kernels.block_key_rate` per
+k, through the one finiteness guard `_finite_key_rate`. Where the
+equivalent channel, its block or the kernels overflow, a point or a probe
+raises a `KeyRateNotFinite` that names the legs, and the k maximum one that
+names the k.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from . import kernels
 from .protocol import (
     DetectorParams,
     Scenario,
-    block_params,
-    channel_at,
+    _frozen,
+    block_at,
     gain_free_terms,
     gain_from_k,
     k_from_gain,
@@ -91,48 +92,39 @@ def holevo_bound_reverse_generic(cov2: "CovarianceMatrix") -> float:
     return von_neumann_entropy(cov2) - von_neumann_entropy(heterodyne_condition(cov2, mode=1))
 
 
-def _legs_overflow(scenario: Scenario) -> ValueError:
-    return ValueError(f"the key rate at legs of {scenario.channel_a.length_km!r} and "
-                      f"{scenario.channel_b.length_km!r} km is not finite: the equivalent "
-                      f"channel, its block or the key-rate kernels overflow there")
+class KeyRateNotFinite(ValueError):
+    """The key rate of a point or of a k is not finite: the equivalent
+    channel, its block or the kernels overflow there (finite but extreme
+    inputs). The message names the legs or the k."""
 
 
-def _rates(scenario: Scenario, g: float) -> tuple[float, float, float]:
-    """(I_AB, chi_BE, K) of the scenario at gain g, from one kernel pass;
-    where the equivalent channel, its block or the kernels overflow, a
-    ValueError from `_legs_overflow` that names the legs."""
-    try:
-        a, b, c = scenario_block_params(scenario, g)
-        i_ab, chi = kernels.block_information(a, b, c)
-    except (OverflowError, ValueError) as exc:  # a float power or log past its range
-        raise _legs_overflow(scenario) from exc
-    return i_ab, chi, scenario.beta_r * i_ab - chi
+def _legs_overflow(scenario: Scenario) -> KeyRateNotFinite:
+    return KeyRateNotFinite(f"the key rate at legs of {scenario.channel_a.length_km!r} and "
+                            f"{scenario.channel_b.length_km!r} km is not finite: the equivalent "
+                            f"channel, its block or the key-rate kernels overflow there")
 
 
 def secret_key_rate(scenario: Scenario) -> KeyRatePoint:
     """The key rate of the scenario at its resolved gain, with I_AB and chi_BE.
 
     Where the equivalent channel, its block or the kernels overflow (finite
-    but extreme inputs), a ValueError names the scenario's legs.
+    but extreme inputs), a `KeyRateNotFinite` names the scenario's legs.
     """
     g = scenario.resolved_gain()
-    i_ab, chi, k = _rates(scenario, g)
-    # the fields as the generated __init__ sets them, without its
-    # object.__setattr__ call per field: a sweep builds one point per cell
-    point = object.__new__(KeyRatePoint)
-    fields = point.__dict__
-    fields["scenario"], fields["g_used"], fields["i_ab"], fields["chi_be"], fields["k"] = (
-        scenario, g, i_ab, chi, k)
-    return point
-
-
-def _key_rate(scenario: Scenario) -> float:
-    """`secret_key_rate(scenario).k`, without the point: a search's probe."""
-    return _rates(scenario, scenario.resolved_gain())[2]
+    try:
+        a, b, c = scenario_block_params(scenario, g)
+        i_ab = kernels.block_mutual_information(a, b, c)
+        chi = kernels.block_holevo_reverse(a, b, c)
+    except (OverflowError, ValueError) as exc:  # a float power or log past its range
+        raise _legs_overflow(scenario) from exc
+    # a sweep or a search builds one point per cell or probe: `_frozen`
+    # skips the generated __init__
+    return _frozen(KeyRatePoint, {"scenario": scenario, "g_used": g, "i_ab": i_ab,
+                                  "chi_be": chi, "k": scenario.beta_r * i_ab - chi})
 
 
 def key_rate_at(scenario: Scenario, l_ac_km: float, l_bc_km: float) -> float:
-    return _key_rate(scenario.with_lengths(l_ac_km, l_bc_km))
+    return secret_key_rate(scenario.with_lengths(l_ac_km, l_bc_km)).k
 
 
 def _bisect_zero(f, lo: float, hi: float, tol: float = BISECT_TOL_KM) -> float:
@@ -233,21 +225,19 @@ def analytic_k(scenario: Scenario) -> float:
     return k_from_gain(scenario.resolved_gain(), scenario.v_b)
 
 
-def _k_not_finite(k: float) -> ValueError:
-    return ValueError(f"the key rate at k = {k!r} is not finite: the equivalent channel, "
-                      f"its block or the key-rate kernels overflow there")
+def _k_not_finite(k: float) -> KeyRateNotFinite:
+    return KeyRateNotFinite(f"the key rate at k = {k!r} is not finite: the equivalent channel, "
+                            f"its block or the key-rate kernels overflow there")
 
 
 def _finite_key_rate(scenario: Scenario, terms: tuple, g: float, k: float | None = None) -> float:
-    """K at gain g, from the scenario's `gain_free_terms`, or a ValueError
-    from `_k_not_finite` naming k (by default the k of g) where the
-    equivalent channel, its block or the kernels overflow. The one finiteness
-    guard of a key rate: `key_rate_vs_k`, the k maximum and
+    """K at gain g, from the scenario's `gain_free_terms`, or a
+    `KeyRateNotFinite` from `_k_not_finite` naming k (by default the k of g)
+    where the equivalent channel, its block or the kernels overflow. The one
+    finiteness guard of a key rate: `key_rate_vs_k`, the k maximum and
     `config.check_fixed_gain` call it."""
     try:
-        t, eps = channel_at(terms, g)
-        a, b, c = block_params(scenario.v_a, t, eps)
-        rate = kernels.block_key_rate(a, b, c, scenario.beta_r)
+        rate = kernels.block_key_rate(*block_at(terms, scenario.v_a, g), scenario.beta_r)
     except (OverflowError, ValueError):  # a float power or log past its range
         rate = math.nan
     if not math.isfinite(rate):
@@ -260,8 +250,8 @@ def key_rate_vs_k(scenario: Scenario, k_grid) -> tuple:
     sequence: a list, a tuple, an array), as a tuple of floats.
 
     A k far from the scenario's own (k = 1e100 at 1 km legs) overflows the
-    equivalent channel, its block or the kernels: a ValueError names the
-    first such k.
+    equivalent channel, its block or the kernels: a `KeyRateNotFinite` names
+    the first such k.
     """
     ks = _floats(k_grid)
     # a NaN fails both comparisons
@@ -356,7 +346,7 @@ def optimize_k_detection_scheme(scenario: Scenario) -> tuple[float, float]:
     below `secret_key_rate(scenario).k`, nor below K at either end of the span.
 
     A k whose key rate is not finite (the equivalent channel, its block or the
-    kernels overflow there) raises a ValueError that names it.
+    kernels overflow there) raises a `KeyRateNotFinite` that names it.
     """
     g0 = scenario.resolved_gain()
     terms = gain_free_terms(scenario)  # once per maximum: only g changes
@@ -380,7 +370,7 @@ def min_detector_efficiency(scenario: Scenario) -> float:
     v_el = scenario.detector.electronic_noise
 
     def rate(eta_d: float) -> float:
-        return _key_rate(at_zero.with_detector(DetectorParams(eta_d, v_el)))
+        return secret_key_rate(at_zero.with_detector(DetectorParams(eta_d, v_el))).k
 
     lo, hi = 0.999999, 0.2
     if rate(lo) <= 0.0:

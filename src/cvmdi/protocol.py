@@ -36,6 +36,21 @@ def _non_finite(params) -> ValueError:
     return ValueError(f"{', '.join(bad)} must be finite")
 
 
+def _frozen(cls, values: dict, base=None):
+    """An instance of the frozen dataclass cls with these field values, set over
+    those of base (an instance of cls that it copies) when given. It is made
+    without the generated `__init__`, which calls `object.__setattr__` once
+    per field, and without `__post_init__`: the caller has checked what it
+    sets. Equality, hash, repr and `FrozenInstanceError` are those of the
+    constructed instance."""
+    new = object.__new__(cls)
+    state = new.__dict__
+    if base is not None:
+        state.update(base.__dict__)
+    state.update(values)
+    return new
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """One fiber link: length, attenuation, and input-referred excess noise.
@@ -50,16 +65,20 @@ class ChannelParams:
     excess_noise: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.length_km) and math.isfinite(self.attenuation_db_per_km)
-                and math.isfinite(self.excess_noise)):
+        if not (math.isfinite(self.attenuation_db_per_km) and math.isfinite(self.excess_noise)):
             raise _non_finite(self)
-        if self.length_km < 0:
-            raise ValueError(f"channel length {self.length_km} km must be >= 0")
+        self._check_length()
         if self.attenuation_db_per_km <= 0:
             raise ValueError("attenuation must be > 0 dB/km")
         if self.excess_noise < 0:
             raise ValueError("excess noise must be >= 0")
         self._set_transmittance()
+
+    def _check_length(self):
+        if not math.isfinite(self.length_km):
+            raise _non_finite(self)
+        if self.length_km < 0:
+            raise ValueError(f"channel length {self.length_km} km must be >= 0")
 
     def _set_transmittance(self):
         # stored, not a property: it is read several times per key-rate point
@@ -70,19 +89,11 @@ class ChannelParams:
                              f"dB/km: transmittance underflows to 0")
 
     def with_length(self, length_km: float) -> "ChannelParams":
-        """The same fiber at another length.
-
-        A copy, as `Scenario.with_channels` makes: the attenuation and the
-        excess noise are this fiber's, checked when it was built, so only the
-        new length is checked. A length that is negative, NaN or infinite is
-        passed to the constructor, which raises its error.
-        """
-        if not 0.0 <= length_km < math.inf:
-            return ChannelParams(length_km, self.attenuation_db_per_km, self.excess_noise)
-        new = object.__new__(ChannelParams)
-        state = new.__dict__
-        state.update(self.__dict__)
-        state["length_km"] = length_km
+        """The same fiber at another length: a copy, whose attenuation and
+        excess noise were checked when this fiber was built, so only the new
+        length is checked, with the constructor's checks and error texts."""
+        new = _frozen(ChannelParams, {"length_km": length_km}, self)
+        new._check_length()
         new._set_transmittance()
         return new
 
@@ -146,19 +157,11 @@ class Scenario:
         A copy, not a new construction: every field `__post_init__` checks is
         this scenario's, and each `ChannelParams` checked itself when built.
         """
-        new = object.__new__(Scenario)
-        state = new.__dict__
-        state.update(self.__dict__)
-        state["channel_a"], state["channel_b"] = channel_a, channel_b
-        return new
+        return _frozen(Scenario, {"channel_a": channel_a, "channel_b": channel_b}, self)
 
     def with_detector(self, detector: DetectorParams) -> "Scenario":
         """This scenario with another relay detector, a copy as `with_channels` makes."""
-        new = object.__new__(Scenario)
-        state = new.__dict__
-        state.update(self.__dict__)
-        state["detector"] = detector
-        return new
+        return _frozen(Scenario, {"detector": detector}, self)
 
     def resolved_gain(self) -> float:
         """The one gain rule: `gain` when fixed, else `optimal_gain`; callers pass it on."""
@@ -182,9 +185,10 @@ def optimal_gain(scenario: Scenario) -> float:
 # noise chi_det adds 2 chi_det / eta_a; (T, eps') give the block covariance
 # (a, b, c) that `kernels` evaluates. Each step is written once:
 # `gain_free_terms` computes the terms of (T, eps') that do not depend on g,
-# `channel_at` gives (T, eps') at one g from them, and `block_params` gives
-# (a, b, c) from (T, eps'). A search over g at one scenario (the detection
-# scheme's k maximum) computes the gain-free terms once. These functions take
+# `channel_at` gives (T, eps') at one g from them, `block_params` gives
+# (a, b, c) from (T, eps'), and `block_at` composes the two. A search over g
+# at one scenario (the detection scheme's k maximum) computes the gain-free
+# terms once. These functions take
 # and return floats. Their square roots are `** 0.5`, not `math.sqrt`, because
 # that keeps every published cell unchanged: CPython's float power is libm
 # `pow`, which is not always correctly rounded at 0.5, so `math.sqrt` would
@@ -258,11 +262,16 @@ def equivalent_excess_noise(scenario: Scenario, g):
     return channel_at(gain_free_terms(scenario), g)[1]
 
 
+def block_at(terms: tuple, v_a, g):
+    """(a, b, c) at gain g, from the scenario's `gain_free_terms` and v_a."""
+    t, eps = channel_at(terms, g)
+    return block_params(v_a, t, eps)
+
+
 def scenario_block_params(scenario: Scenario, g):
     """(a, b, c) of the post-protocol covariance at gain g, the one map from a
     scenario to the block the key rate and the oracle use."""
-    t, eps = channel_at(gain_free_terms(scenario), g)
-    return block_params(scenario.v_a, t, eps)
+    return block_at(gain_free_terms(scenario), scenario.v_a, g)
 
 
 def entangling_cloner_variance(eta: float, eps: float) -> float:

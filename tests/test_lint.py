@@ -320,7 +320,7 @@ def test_every_kernel_evaluation_is_visible():
     assert hidden_kernel_calls(
         "from . import kernels\nfrom .kernels import block_key_rate\n"
         "from . import kernels as k\nimport cvmdi.kernels as kk\nrate = kernels.block_key_rate\n"
-        "f(kernels.g_entropy)\nkernels.block_information(1.0, 2.0, 3.0)\n") == {
+        "f(kernels.g_entropy)\nkernels.block_key_rate(1.0, 2.0, 3.0, 1.0)\n") == {
         "from .kernels import block_key_rate", "import kernels as k",
         "import cvmdi.kernels as kk", "kernels.block_key_rate not called",
         "kernels.g_entropy not called"}
