@@ -3,9 +3,11 @@
 Protocol composition under independent entangling-cloner attacks,
 asymptotic reverse-reconciliation key rates, distance sweeps, and a
 quadrature-level Monte Carlo verification layer. The package root loads
-only the analytic path, which needs `math` alone; the Gaussian-state toolkit
-of the generic cross-check is `cvmdi.gaussian`, and it, `cvmdi.montecarlo`
-and `cvmdi.oracle` load numpy.
+only the analytic path, which needs `math` alone. The Gaussian-state toolkit
+of the generic cross-check is `cvmdi.gaussian`, which loads numpy. The
+oracle (`cvmdi.oracle`, `cvmdi.montecarlo`) computes its law, draw and
+estimates in `math` as well; only the row sampler and its CSV export load
+numpy, when they are called, and no `cvmdi` command calls them.
 """
 
 from . import kernels
@@ -31,7 +33,7 @@ from .protocol import (
     optimal_gain,
 )
 
-__version__ = "0.16.0"
+__version__ = "0.17.0"
 
 __all__ = [
     "KeyRateNotFinite",

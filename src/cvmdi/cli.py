@@ -13,9 +13,10 @@ kernels, and evaluates one point at a time with it, the k maximum of
 `keyrate`, and exits 2; so does a key rate that overflows at a point or a
 range-search probe of `keyrate`, `sweep` or `figure` (finite but extreme
 inputs): `main` catches that `keyrate.KeyRateNotFinite` alone and names the
-command and the legs. `oracle` alone loads numpy and the Monte Carlo layer
-(`montecarlo`, `oracle`), inside `cmd_oracle`; and `configparser` is loaded
-only to read a `--config` file.
+command and the legs. `oracle` alone loads the Monte Carlo layer
+(`montecarlo`, `oracle`), inside `cmd_oracle`; it computes in `math` too, so
+no command loads numpy. `configparser` is loaded only to read a `--config`
+file.
 """
 
 from __future__ import annotations

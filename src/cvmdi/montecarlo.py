@@ -14,15 +14,24 @@ p standard normals (p = 16 for EB, 12 for PM). `_eb_rows` and `_pm_rows`
 state each picture once, as the map L (`linear_map`), and the sampler has no
 other statement of it: rows, moments and their law all come from L.
 
-Rows: `_simulate` draws z from one Philox generator keyed by (seed, "rows"),
-CHUNK_ROWS rows of p normals at a time, and writes L z for each block, so
-row j is L times the stream's j-th run of p normals whatever n is. Rows
-serve the CSV export and tests; the oracle draws none (`sample_moments`).
-`export_csv` writes the final columns, every cell `'%.16e' % v`: 17
-correctly rounded significant digits, which round-trip, in a layout that
-does not depend on the value. A block of rows is formatted by exact integer
-arithmetic on whole arrays, for every cell with 1e-6 <= |v| < 1e17 but a
-few next to a power of ten; only the other cells go through `%` one by one.
+Floats: L, the law, the moments, the readings and the estimates are plain
+floats, matrices are lists of rows, and every sum of products is one
+`math.fsum` (`_dot`, `_mul`), so each entry is correctly rounded whatever
+the platform (Shewchuk, Discrete Comput. Geom. 18, 305 (1997)). Only the
+rows and their CSV export, which no `cvmdi` command calls, are numpy
+arrays; those functions import numpy when they run, so importing this
+module, or running the oracle, does not load it.
+
+Rows: `_simulate` draws z from one Philox generator keyed by the seed
+(`_row_rng`), CHUNK_ROWS rows of p normals at a time, and writes L z for
+each block, so row j is L times the stream's j-th run of p normals whatever
+n is. Rows serve the CSV export and tests; the oracle draws none
+(`sample_moments`). `export_csv` writes the final columns, every cell
+`'%.16e' % v`: 17 correctly rounded significant digits, which round-trip,
+in a layout that does not depend on the value. A block of rows is formatted
+by exact integer arithmetic on whole arrays, for every cell with
+1e-6 <= |v| < 1e17 but a few next to a power of ten; only the other cells go
+through `%` one by one.
 
 Batches: a `SampleBatch` holds only the drawn columns x_a, p_a, x_b, p_b,
 x_c, p_d; Bob's final data X_B = x_b + w_x x_c, P_B = p_b + w_p p_d
@@ -33,13 +42,14 @@ them for the whole batch (row count n, column sums and the Gram matrix of
 the drawn columns), so every covariance is a linear image of one covariance
 C of those columns (ddof 1). `Moments.of` reduces drawn rows;
 `sample_moments` draws the moments of n rows exactly from their law, from L
-and a Bartlett-decomposed Wishart draw, in time and memory independent of
-n; `row_law` is the law itself, C = L L^T. `_reading` states once how data
-are read as the block covariance (a, b, c): fixed weights R on the
-covariance F of the final columns (`Moments.final_covariance`). Estimation,
-its errors and the k-scan all use it. Standard errors are the Isserlis
-covariance of a sample covariance of n Gaussian rows carried to those
-readings (`_reading_covariance`).
+and a Bartlett-decomposed Wishart draw from Python's `random`
+(`_moment_rng`), in time and memory independent of n; `row_law` is the law
+itself, C = L L^T. `_reading` states once how data are read as the block
+covariance (a, b, c): fixed weights R on the covariance F of the final
+columns (`Moments.final_covariance`). Estimation, its errors and the k-scan
+all use it. Standard errors are the Isserlis covariance of a sample
+covariance of n Gaussian rows carried to those readings
+(`_reading_covariance`).
 
 Channels: each leg is an entangling cloner. Eve's kept arm never reaches the
 data, so the sampler draws only the mode she injects into the channel.
@@ -49,9 +59,10 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 from dataclasses import dataclass, replace
-
-import numpy as np
+from operator import mul
+from typing import Any
 
 from . import kernels
 from .protocol import _SQRT2, MIN_ESTIMATION_SAMPLES, Scenario, k_from_gain
@@ -62,63 +73,97 @@ CHUNK_ROWS = 1 << 15
 # at 8192 rows (384 KiB each) a 1e5-row export took twice as long (2-CPU
 # x86-64 Linux, numpy 2.4)
 _EXPORT_ROWS = 1 << 11
-# the export's text words: 8 bytes each, in memory order on any host
-_WORD = np.dtype("<u8")
-
-# spawn-key ids of the generators (id, 0)
-_STREAMS = {
-    "rows": 0,  # the rows of `simulate_eb` and `simulate_pm`
-    "moments": 6,  # the exact draw of `sample_moments`
-}
+# the export's text words, as a numpy dtype: 8 bytes each, in memory order on any host
+_WORD = "<u8"
 
 # drawn columns of a batch; the final columns are linear in these
 _BASE = ("x_a", "p_a", "x_b", "p_b", "x_c", "p_d")
 
 
-def _rng(seed: int, stream: str) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(_STREAMS[stream], 0))
+def _row_rng(seed: int):
+    """The Philox generator of the row draw, keyed by the seed."""
+    import numpy as np
+
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(0, 0))
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _moment_rng(seed: int) -> random.Random:
+    """The generator of the moment draw, keyed by a str of the seed: `random`
+    seeds from its SHA-512, never from `hash()`, so every process draws the
+    same values."""
+    return random.Random(f"moments:{int(seed)}")
+
+
 class UnsupportedScenario(ValueError):
-    """A scenario outside what the sampler draws; the message names the field."""
+    """A scenario outside what the oracle checks; the message names the field."""
 
 
-def _correlated_pair(lx, lp, z: np.ndarray):
-    """(x1, p1, x2, p2) of a two-mode Gaussian state from its (m, 4) normals z
-    (sample rows, or unit columns for L); lx, lp are Cholesky factors of its
-    x- and p-covariances."""
-    x = z[:, :2] @ lx.T
-    p = z[:, 2:] @ lp.T
-    return x[:, 0], p[:, 0], x[:, 1], p[:, 1]
+def _dot(u, v) -> float:
+    """sum u_i v_i, correctly rounded: one `math.fsum` of the products."""
+    return math.fsum(map(mul, u, v))
 
 
-def _epr_factors(scenario: Scenario) -> list:
-    """[lx, lp] of Alice's and of Bob's two-mode squeezed source: the Cholesky
-    factors of [[V, c], [c, V]] and [[V, -c], [-c, V]], c = sqrt(V^2 - 1)."""
-    factors = []
-    for name in ("v_a", "v_b"):
-        v = getattr(scenario, name)
-        c = math.sqrt((v - 1.0) * (v + 1.0))
-        try:
-            factors.append([np.linalg.cholesky(np.array([[v, s], [s, v]])) for s in (c, -c)])
-        except np.linalg.LinAlgError:  # V^2 - 1 rounds to V^2
-            raise UnsupportedScenario(f"scenario.{name} = {v!r}: the sampler cannot factor the "
-                                      "two-mode squeezed covariance of this V") from None
-    return factors
+def _t(a) -> list:
+    """The transpose of a matrix given as a sequence of rows."""
+    return [list(col) for col in zip(*a)]
 
 
-def _through_channel(qx, qp, channel, z: np.ndarray):
+def _mul(a, b) -> list:
+    """The product a b of matrices given as sequences of rows, each entry a `_dot`."""
+    cols = list(zip(*b))
+    return [[_dot(row, col) for col in cols] for row in a]
+
+
+def _sandwich(m, c) -> list:
+    """m c m^T."""
+    return _mul(_mul(m, c), _t(m))
+
+
+def _abs(a) -> list:
+    return [[abs(x) for x in row] for row in a]
+
+
+def _flat(a) -> list:
+    return [x for row in a for x in row]
+
+
+def _combine(*terms) -> list:
+    """The linear form sum c f over (c, f) pairs of a coefficient and a form
+    (a list of p coefficients of z), each entry a `_dot`."""
+    coeffs, forms = zip(*terms)
+    return _mul([coeffs], forms)[0]
+
+
+def _units(p: int) -> list:
+    """The forms of z_0 ... z_{p-1}: the rows of the p x p identity."""
+    return [[float(i == j) for j in range(p)] for i in range(p)]
+
+
+def _epr_pair(v: float, z) -> tuple:
+    """(x1, p1, x2, p2) of a two-mode squeezed source of variance v, from the
+    forms z of its 4 normals. The covariances [[v, +-c], [+-c, v]] of x and
+    of p, c = sqrt(v^2 - 1), have the exact Cholesky factors
+    [[sqrt(v), 0], [+-c/sqrt(v), 1/sqrt(v)]], as c^2 + 1 = v^2: no
+    factorisation runs, and none can fail at any v."""
+    r = math.sqrt(v)
+    s = math.sqrt((v - 1.0) * (v + 1.0)) / r
+    zx1, zx2, zp1, zp2 = z
+    return (_combine((r, zx1)), _combine((r, zp1)),
+            _combine((s, zx1), (1.0 / r, zx2)), _combine((-s, zp1), (1.0 / r, zp2)))
+
+
+def _through_channel(qx, qp, channel, z) -> tuple:
     """Entangling-cloner channel output sqrt(eta) q + sqrt(1 - eta + eta eps) z.
 
     Only the injected cloner mode reaches the output, and its variance
-    (1 - eta) W = 1 - eta + eta eps, so z is (m, 2) standard normals instead
-    of a full EPR pair. At eta = 1 the noise eps is kept: the
-    L -> 0+ limit of the analytic composition.
+    (1 - eta) W = 1 - eta + eta eps, so z is the forms of 2 normals instead
+    of a full EPR pair. At eta = 1 the noise eps is kept: the L -> 0+ limit
+    of the analytic composition.
     """
     eta = channel.transmittance
     t, r = math.sqrt(eta), math.sqrt(1.0 - eta + eta * channel.excess_noise)
-    return t * qx + r * z[:, 0], t * qp + r * z[:, 1]
+    return _combine((t, qx), (r, z[0])), _combine((t, qp), (r, z[1]))
 
 
 def _final_weights(scheme: str, coeff: float) -> tuple[float, float]:
@@ -131,7 +176,8 @@ def _final_weights(scheme: str, coeff: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Drawn per-sample protocol data; all columns length n, shot-noise units.
+    """Drawn per-sample protocol data; all columns are float64 numpy arrays of
+    length n, in shot-noise units.
 
     For scheme "PM", (x_b, p_b) are Bob's modulation values and coeff is the
     amplification k. For scheme "EB", (x_b, p_b) are Bob's pre-displacement
@@ -144,12 +190,12 @@ class SampleBatch:
     v_a: float
     v_b: float
     coeff: float
-    x_a: np.ndarray
-    p_a: np.ndarray
-    x_b: np.ndarray
-    p_b: np.ndarray
-    x_c: np.ndarray
-    p_d: np.ndarray
+    x_a: Any
+    p_a: Any
+    x_b: Any
+    p_b: Any
+    x_c: Any
+    p_d: Any
 
     def columns(self) -> dict:
         """Final 6-variable data, ordered X_A, P_A, X_B, P_B, X_C, P_D; X_B
@@ -161,7 +207,10 @@ class SampleBatch:
             "X_C": self.x_c, "P_D": self.p_d,
         }
 
-    def data_matrix(self) -> np.ndarray:
+    def data_matrix(self):
+        """The final columns as one (n, 6) numpy array."""
+        import numpy as np
+
         return np.column_stack(list(self.columns().values()))
 
 
@@ -172,7 +221,7 @@ def modulation_scale(v: float) -> float:
     return k_from_gain(_SQRT2, v)
 
 
-def bridge_matrix(v_a: float, v_b: float) -> np.ndarray:
+def bridge_matrix(v_a: float, v_b: float) -> list:
     """Diagonal map from EB outcome columns to PM modulation columns.
 
     PM data = diag(s_a, -s_a, s_b, -s_b, 1, 1) * EB data, with
@@ -180,47 +229,50 @@ def bridge_matrix(v_a: float, v_b: float) -> np.ndarray:
     structure of the sources.
     """
     s_a, s_b = modulation_scale(v_a), modulation_scale(v_b)
-    return np.diag([s_a, -s_a, s_b, -s_b, 1.0, 1.0])
+    diag = (s_a, -s_a, s_b, -s_b, 1.0, 1.0)
+    return [[d if i == j else 0.0 for j in range(6)] for i, d in enumerate(diag)]
 
 
-def _eb_rows(scenario: Scenario) -> np.ndarray:
-    """L of the EB picture, (6, 16). z holds, in order, Alice's and Bob's EPR
-    blocks (4 each), cloner A, cloner B, Alice's and Bob's detection vacua
-    (2 each)."""
-    epr = _epr_factors(scenario)
-    z_a, z_b, z_ca, z_cb, va, vb = np.split(np.eye(16), [4, 8, 10, 12, 14], axis=1)
-    a1x, a1p, a2x, a2p = _correlated_pair(*epr[0], z_a)
-    b1x, b1p, b2x, b2p = _correlated_pair(*epr[1], z_b)
-    apx, app = _through_channel(a2x, a2p, scenario.channel_a, z_ca)
-    bpx, bpp = _through_channel(b2x, b2p, scenario.channel_b, z_cb)
-    return np.stack((
-        (a1x + va[:, 0]) / _SQRT2, (a1p - va[:, 1]) / _SQRT2,
+def _eb_rows(scenario: Scenario) -> list:
+    """L of the EB picture, 6 rows of 16. z holds, in order, Alice's and
+    Bob's EPR blocks (4 each), cloner A, cloner B, Alice's and Bob's
+    detection vacua (2 each)."""
+    z = _units(16)
+    a1x, a1p, a2x, a2p = _epr_pair(scenario.v_a, z[0:4])
+    b1x, b1p, b2x, b2p = _epr_pair(scenario.v_b, z[4:8])
+    apx, app = _through_channel(a2x, a2p, scenario.channel_a, z[8:10])
+    bpx, bpp = _through_channel(b2x, b2p, scenario.channel_b, z[10:12])
+    (vax, vap), (vbx, vbp) = z[12:14], z[14:16]
+    h = 1.0 / _SQRT2
+    return [
+        _combine((h, a1x), (h, vax)), _combine((h, a1p), (-h, vap)),
         # Bob's pre-displacement heterodyne outcome; the displacement adds
         # g/sqrt(2) times the announced relay data
-        (b1x + vb[:, 0]) / _SQRT2, (b1p - vb[:, 1]) / _SQRT2,
-        (apx - bpx) / _SQRT2,  # homodyne x of C
-        (app + bpp) / _SQRT2,  # homodyne p of D
-    ))
+        _combine((h, b1x), (h, vbx)), _combine((h, b1p), (-h, vbp)),
+        _combine((h, apx), (-h, bpx)),  # homodyne x of C
+        _combine((h, app), (h, bpp)),  # homodyne p of D
+    ]
 
 
-def _pm_rows(scenario: Scenario) -> np.ndarray:
-    """L of the PM picture, (6, 12). z holds, in order, Alice's and Bob's
-    modulations, their coherent states' vacua, cloner A and cloner B (2 each)."""
-    z_a, z_b, va, vb, z_ca, z_cb = np.split(np.eye(12), [2, 4, 6, 8, 10], axis=1)
-    mod_a = z_a * math.sqrt(scenario.v_a - 1.0)
-    mod_b = z_b * math.sqrt(scenario.v_b - 1.0)
+def _pm_rows(scenario: Scenario) -> list:
+    """L of the PM picture, 6 rows of 12. z holds, in order, Alice's and
+    Bob's modulations, their coherent states' vacua, cloner A and cloner B
+    (2 each)."""
+    z = _units(12)
+    mod_a = [_combine((math.sqrt(scenario.v_a - 1.0), f)) for f in z[0:2]]
+    mod_b = [_combine((math.sqrt(scenario.v_b - 1.0), f)) for f in z[2:4]]
     # coherent states: modulation plus vacuum
-    qa = mod_a + va
-    qb = mod_b + vb
-    apx, app = _through_channel(qa[:, 0], qa[:, 1], scenario.channel_a, z_ca)
-    bpx, bpp = _through_channel(qb[:, 0], qb[:, 1], scenario.channel_b, z_cb)
-    return np.stack((mod_a[:, 0], mod_a[:, 1], mod_b[:, 0], mod_b[:, 1],
-                     (apx - bpx) / _SQRT2, (app + bpp) / _SQRT2))
+    qa = [_combine((1.0, m), (1.0, v)) for m, v in zip(mod_a, z[4:6])]
+    qb = [_combine((1.0, m), (1.0, v)) for m, v in zip(mod_b, z[6:8])]
+    apx, app = _through_channel(*qa, scenario.channel_a, z[8:10])
+    bpx, bpp = _through_channel(*qb, scenario.channel_b, z[10:12])
+    h = 1.0 / _SQRT2
+    return [*mod_a, *mod_b, _combine((h, apx), (-h, bpx)), _combine((h, app), (h, bpp))]
 
 
-def linear_map(scenario: Scenario, scheme: str) -> np.ndarray:
-    """L, shape (6, p): one row of base columns of scheme "EB" or "PM" is
-    L z, z the row's p standard normals in the order its builder states."""
+def linear_map(scenario: Scenario, scheme: str) -> list:
+    """L, 6 rows of p floats: one row of base columns of scheme "EB" or "PM"
+    is L z, z the row's p standard normals in the order its builder states."""
     if scheme == "EB":
         return _eb_rows(scenario)
     if scheme == "PM":
@@ -230,10 +282,12 @@ def linear_map(scenario: Scenario, scheme: str) -> np.ndarray:
 
 def _simulate(scenario: Scenario, scheme: str, coeff: float, n: int, seed: int) -> SampleBatch:
     """n rows L z of scheme's picture; z is drawn CHUNK_ROWS rows at a time."""
+    import numpy as np
+
     if n < 1:
         raise ValueError("n must be >= 1")
-    lmap = linear_map(scenario, scheme)
-    rng = _rng(seed, "rows")
+    lmap = np.array(linear_map(scenario, scheme))
+    rng = _row_rng(seed)
     rows = np.empty((6, n))
     for lo in range(0, n, CHUNK_ROWS):
         hi = min(lo + CHUNK_ROWS, n)
@@ -257,7 +311,7 @@ def simulate_pm(scenario: Scenario, k: float, n: int = 100_000, seed: int = 0) -
 @dataclass(frozen=True, eq=False)
 class Moments:
     """Second moments of a batch's base columns x_a, p_a, x_b, p_b, x_c, p_d:
-    row count n, column sums and Gram matrix sum(v v^T).
+    row count n, column sums and Gram matrix sum(v v^T), as floats.
 
     scheme, v_a, v_b and coeff are those of the batch; coeff sets the linear
     map from base to final columns.
@@ -268,30 +322,32 @@ class Moments:
     v_b: float
     coeff: float
     n: int
-    sums: np.ndarray  # (6,)
-    gram: np.ndarray  # (6, 6)
+    sums: list  # 6 floats
+    gram: list  # 6 rows of 6 floats
 
     @classmethod
     def of(cls, batch: SampleBatch) -> Moments:
-        """Moments of a whole batch: the six columns reduced in one product."""
-        rows = np.stack([getattr(batch, c) for c in _BASE])
+        """Moments of a whole batch: each column's sum and each pair's dot
+        product, converted to floats."""
+        cols = [getattr(batch, c) for c in _BASE]
         return cls(batch.scheme, batch.v_a, batch.v_b, batch.coeff, batch.n,
-                   rows.sum(axis=1), rows @ rows.T)
+                   [float(u.sum()) for u in cols], [[float(u @ v) for v in cols] for u in cols])
 
-    def covariance(self) -> np.ndarray:
+    def covariance(self) -> list:
         """Sample covariance (ddof 1) of the drawn columns."""
-        return (self.gram - np.outer(self.sums, self.sums) / self.n) / (self.n - 1)
+        n = self.n
+        return [[(g - s * t / n) / (n - 1) for g, t in zip(row, self.sums)]
+                for row, s in zip(self.gram, self.sums)]
 
-    def final_map(self) -> np.ndarray:
+    def final_map(self) -> list:
         """L with (X_A, P_A, X_B, P_B, X_C, P_D) = L (x_a, p_a, x_b, p_b, x_c, p_d)."""
-        lmap = np.eye(6)
-        lmap[2, 4], lmap[3, 5] = _final_weights(self.scheme, self.coeff)
+        lmap = _units(6)
+        lmap[2][4], lmap[3][5] = _final_weights(self.scheme, self.coeff)
         return lmap
 
-    def final_covariance(self) -> np.ndarray:
+    def final_covariance(self) -> list:
         """Covariance of the final columns over the batch, L C L^T."""
-        lmap = self.final_map()
-        return lmap @ self.covariance() @ lmap.T
+        return _sandwich(self.final_map(), self.covariance())
 
     def rescaled(self, eta_scale: float) -> Moments:
         """Moments after scaling the relay data x_c, p_d by sqrt(eta_scale):
@@ -299,51 +355,60 @@ class Moments:
         if eta_scale <= 0:
             raise ValueError("eta_scale must be > 0")
         r = math.sqrt(eta_scale)
-        d = np.array([1.0, 1.0, 1.0, 1.0, r, r])
-        return replace(self, sums=self.sums * d, gram=self.gram * np.outer(d, d))
+        d = (1.0, 1.0, 1.0, 1.0, r, r)
+        return replace(self, sums=[s * x for s, x in zip(self.sums, d)],
+                       gram=[[g * (x * y) for g, y in zip(row, d)]
+                             for row, x in zip(self.gram, d)])
 
 
 def sample_moments(scenario: Scenario, scheme: str, coeff: float, n: int,
                    seed: int = 0) -> Moments:
     """Moments of n rows of `simulate_eb` (scheme "EB", coeff the gain g) or
     `simulate_pm` ("PM", coeff the amplification k), drawn exactly from their
-    law in one draw keyed by seed, not row by row.
+    law in one draw keyed by seed (`_moment_rng`), not row by row.
 
     A row is L z with z ~ N(0, I_p) (`linear_map`), so the n rows have sums
     sqrt(n) L u and Gram matrix L (A A^T + u u^T) L^T, with u ~ N(0, I_p) and
     A A^T ~ Wishart(n - 1, I_p) independent of u. A is the Bartlett factor
     (Anderson, An Introduction to Multivariate Statistical Analysis, ch. 7):
-    lower triangular, A_ii^2 ~ chi^2(n - 1 - i), standard normals below the
-    diagonal. Time and memory do not depend on n. The result has the law of
-    `Moments.of` the rows, not their values.
+    lower triangular, A_ii^2 ~ chi^2(n - 1 - i), a gamma variate of shape
+    (n - 1 - i)/2 and scale 2, and standard normals below the diagonal, drawn
+    row by row; then u. Time and memory do not depend on n. The result has
+    the law of `Moments.of` the rows, not their values.
     """
     lmap = linear_map(scenario, scheme)
-    p = lmap.shape[1]
+    p = len(lmap[0])
     if n <= p:
         raise ValueError(f"n must exceed the {p} normals of a {scheme} row")
-    rng = _rng(seed, "moments")
-    a = np.diag(np.sqrt(rng.chisquare(n - 1 - np.arange(p))))
-    a[np.tril_indices(p, -1)] = rng.standard_normal(p * (p - 1) // 2)
-    la, lu = lmap @ a, lmap @ rng.standard_normal(p)
+    rng = _moment_rng(seed)
+    diag = [math.sqrt(rng.gammavariate((n - 1 - i) / 2.0, 2.0)) for i in range(p)]
+    a = [[rng.gauss(0.0, 1.0) for _ in range(i)] + [diag[i]] + [0.0] * (p - 1 - i)
+         for i in range(p)]
+    u = [rng.gauss(0.0, 1.0) for _ in range(p)]
+    la, lu = _mul(lmap, a), [_dot(row, u) for row in lmap]
+    # each Gram entry is one correctly rounded sum: the row of L A A^T L^T and u's term
+    gram = [[math.fsum([*map(mul, ra, rb), ua * ub]) for rb, ub in zip(la, lu)]
+            for ra, ua in zip(la, lu)]
     return Moments(scheme, scenario.v_a, scenario.v_b, coeff, n,
-                   math.sqrt(n) * lu, la @ la.T + np.outer(lu, lu))
+                   [math.sqrt(n) * x for x in lu], gram)
 
 
-def row_law(scenario: Scenario, scheme: str, coeff: float) -> tuple[Moments, np.ndarray]:
+def row_law(scenario: Scenario, scheme: str, coeff: float) -> tuple[Moments, list]:
     """The exact law of a row of `simulate_eb` ("EB", coeff g) or `simulate_pm`
     ("PM", coeff k), drawn from nothing: `Moments` whose covariance is L L^T,
     and the rounding scale (|M||L|)(|M||L|)^T of its final covariance, M the
     final map. It bounds the summed products entry by entry, so a computed
     entry is within a few ulps of its scale however much the sum cancels."""
     lmap = linear_map(scenario, scheme)
-    law = Moments(scheme, scenario.v_a, scenario.v_b, coeff, 2, np.zeros(6), lmap @ lmap.T)
-    bound = np.abs(law.final_map()) @ np.abs(lmap)
-    return law, bound @ bound.T
+    law = Moments(scheme, scenario.v_a, scenario.v_b, coeff, 2, [0.0] * 6,
+                  _mul(lmap, _t(lmap)))
+    bound = _mul(_abs(law.final_map()), _abs(lmap))
+    return law, _mul(bound, _t(bound))
 
 
-def _reading(m: Moments) -> np.ndarray:
+def _reading(m: Moments) -> list:
     """The one reading of data as the block covariance [[a I2, c sigma_z],
-    [c sigma_z, b I2]]: symmetric weights R, shape (3, 6, 6), with
+    [c sigma_z, b I2]]: three symmetric 6 x 6 weights R_i, with
     (a + 1, b + 1, c) = tr(R_i F) on the covariance F of the final columns.
 
     Heterodyne outcomes scaled by sqrt(2) have variances V + 1 and
@@ -352,58 +417,64 @@ def _reading(m: Moments) -> np.ndarray:
     """
     pm = m.scheme == "PM"
     s_a, s_b = (modulation_scale(m.v_a), modulation_scale(m.v_b)) if pm else (1.0, 1.0)
-    r = np.zeros((3, 6, 6))
-    r[0, 0, 0] = r[0, 1, 1] = 1.0 / (s_a * s_a)
-    r[1, 2, 2] = r[1, 3, 3] = 1.0 / (s_b * s_b)
-    r[2, 0, 2] = r[2, 2, 0] = 0.5 / (s_a * s_b)
-    r[2, 1, 3] = r[2, 3, 1] = -0.5 / (s_a * s_b)
+    r = [[[0.0] * 6 for _ in range(6)] for _ in range(3)]
+    r[0][0][0] = r[0][1][1] = 1.0 / (s_a * s_a)
+    r[1][2][2] = r[1][3][3] = 1.0 / (s_b * s_b)
+    r[2][0][2] = r[2][2][0] = 0.5 / (s_a * s_b)
+    r[2][1][3] = r[2][3][1] = -0.5 / (s_a * s_b)
     return r
 
 
-def _read_block_params(m: Moments, coeff=None):
-    """(a, b, c) of `_reading` with Bob's final data formed at the batch's
-    coeff or at coeff (a float or an array, elementwise): L = I + coeff D, so
-    tr(R L C L^T) = tr(R C) + coeff tr(R (D C + C D^T)) + coeff^2 tr(R D C D^T).
+def _read_block_params(m: Moments, coeffs=None) -> list[tuple[float, float, float]]:
+    """(a, b, c) of `_reading` with Bob's final data formed at each k of
+    coeffs, or at the batch's coeff alone: L = I + k D, so
+    tr(R L C L^T) = tr(R C) + k tr(R (D C + C D^T)) + k^2 tr(R D C D^T),
+    whose three traces are read once for every k.
     """
-    d = np.zeros((6, 6))
-    d[2, 4], d[3, 5] = _final_weights(m.scheme, 1.0)
+    d = [[0.0] * 6 for _ in range(6)]
+    d[2][4], d[3][5] = _final_weights(m.scheme, 1.0)
     cov = m.covariance()
-    dc = d @ cov
-    poly = np.einsum("rij,pij->rp", _reading(m), np.stack([cov, dc + dc.T, dc @ d.T]))
-    k = np.asarray(m.coeff if coeff is None else coeff, dtype=float)
-    a1, b1, c = (p0 + k * (p1 + k * p2) for p0, p1, p2 in poly)
-    return a1 - 1.0, b1 - 1.0, c
+    dc = _mul(d, cov)
+    terms = [_flat(cov), [x + y for x, y in zip(_flat(dc), _flat(_t(dc)))],
+             _flat(_mul(dc, _t(d)))]
+    poly = [[_dot(_flat(r), t) for t in terms] for r in _reading(m)]
+    blocks = []
+    for k in [m.coeff] if coeffs is None else coeffs:
+        a1, b1, c = (p0 + k * (p1 + k * p2) for p0, p1, p2 in poly)
+        blocks.append((a1 - 1.0, b1 - 1.0, c))
+    return blocks
 
 
-def heterodyne_image(a: float, b: float, c: float) -> np.ndarray:
+def heterodyne_image(a: float, b: float, c: float) -> list:
     """Predicted covariance of dual-heterodyne outcomes of the two-mode state
     with block covariance (a, b, c)."""
-    return np.array([
-        [(a + 1) / 2, 0, c / 2, 0],
-        [0, (a + 1) / 2, 0, -c / 2],
-        [c / 2, 0, (b + 1) / 2, 0],
-        [0, -c / 2, 0, (b + 1) / 2],
-    ])
+    return [
+        [(a + 1) / 2, 0.0, c / 2, 0.0],
+        [0.0, (a + 1) / 2, 0.0, -c / 2],
+        [c / 2, 0.0, (b + 1) / 2, 0.0],
+        [0.0, -c / 2, 0.0, (b + 1) / 2],
+    ]
 
 
-def _reading_covariance(weights: np.ndarray, cov: np.ndarray, n) -> np.ndarray:
+def _reading_covariance(weights, cov, n) -> list:
     """Covariance of the readings tr(R_i F) of the sample covariance F of n
     Gaussian samples whose true covariance is cov, for symmetric weights R_i:
     2 tr(R_i cov R_j cov) / n, from Cov(F_ab, F_cd) = (cov_ac cov_bd +
     cov_ad cov_bc) / n summed over entries."""
-    rc = weights @ cov
-    return 2.0 * np.einsum("iab,jba->ij", rc, rc) / n
+    rc = [_mul(w, cov) for w in weights]
+    rows, cols = [_flat(x) for x in rc], [_flat(_t(x)) for x in rc]
+    return [[2.0 * _dot(ri, cj) / n for cj in cols] for ri in rows]
 
 
-def _param_gradient(a: float, b: float, c: float) -> np.ndarray:
+def _param_gradient(a: float, b: float, c: float) -> list:
     """Jacobian d(t, eps')/d(a, b, c) of t = c^2/(a^2 - 1) and
     eps' = (b - 1)/t - (a - 1)."""
     q = a * a - 1.0
     t = c * c / q
-    return np.array([
+    return [
         [-2.0 * a * t / q, 0.0, 2.0 * c / q],
         [2.0 * a * (b - 1.0) / (c * c) - 1.0, 1.0 / t, -2.0 * (b - 1.0) / (t * c)],
-    ])
+    ]
 
 
 @dataclass(frozen=True)
@@ -431,21 +502,21 @@ def estimate_params(m: Moments) -> EstimatedParams:
         raise ValueError(f"need at least {MIN_ESTIMATION_SAMPLES} samples for estimation")
     # G/n - mean^2 of a constant column is rounding noise of its raw second
     # moment G/n, so the variance is judged relative to that
-    lmap = m.final_map()
-    raw = np.diag(lmap @ m.gram @ lmap.T)[:4] / m.n
+    raw = _sandwich(m.final_map(), m.gram)
     final = m.final_covariance()
-    if np.any(np.diag(final)[:4] <= 1e-12 * raw):
+    if any(final[i][i] <= 1e-12 * (raw[i][i] / m.n) for i in range(4)):
         raise ValueError("degenerate (zero-variance) data column")
-    a, b, c = (float(v) for v in _read_block_params(m))
+    a, b, c = _read_block_params(m)[0]
     t = c * c / (a * a - 1.0)
     eps = (b - 1.0 - t * (a - 1.0)) / t
     grad = _param_gradient(a, b, c)
-    var = np.diag(grad @ _reading_covariance(_reading(m), final, m.n) @ grad.T)
+    spread = _mul(grad, _reading_covariance(_reading(m), final, m.n))
+    t_var, eps_var = (_dot(row, g) for row, g in zip(spread, grad))
     return EstimatedParams(a=a, b=b, c=c, t_hat=t, eps_hat=eps,
-                           t_se=math.sqrt(var[0]), eps_se=math.sqrt(var[1]))
+                           t_se=math.sqrt(t_var), eps_se=math.sqrt(eps_var))
 
 
-def key_rates_vs_k_from_batch(m: Moments, k_grid, beta: float = 1.0) -> np.ndarray:
+def key_rates_vs_k_from_batch(m: Moments, k_grid, beta: float = 1.0) -> list:
     """Data-driven key rate for each k, from one PM batch's second moments.
 
     Reads only the drawn columns x_a ... p_d, so the batch's own k does not
@@ -456,17 +527,18 @@ def key_rates_vs_k_from_batch(m: Moments, k_grid, beta: float = 1.0) -> np.ndarr
     """
     if m.scheme != "PM":
         raise ValueError("k sweep over data requires a PM batch")
-    blocks = _read_block_params(m, coeff=np.asarray(k_grid, dtype=float))
-    return np.array([kernels.block_key_rate(a, b, c, beta)
-                     for a, b, c in zip(*(x.tolist() for x in blocks))])
+    blocks = _read_block_params(m, [float(k) for k in k_grid])
+    return [kernels.block_key_rate(a, b, c, beta) for a, b, c in blocks]
 
 
-def _ascii_words(texts) -> np.ndarray:
+def _ascii_words(texts):
     """Words whose bytes, in memory order, are the texts (8 bytes at most)."""
+    import numpy as np
+
     return np.array([int.from_bytes(t.encode(), "little") for t in texts], _WORD)
 
 
-def _veltkamp(x: np.ndarray):
+def _veltkamp(x):
     """(hi, lo) with x = hi + lo exactly, each half of at most 26 bits."""
     t = x * 134217729.0  # 2^27 + 1
     hi = t - (t - x)
@@ -481,6 +553,8 @@ def _cell_tables():
     "[-]d.d" heads of a significand's first two digits (index + 100 if
     negative); the three digits of 0..999; the exponent fields "e+XX" in bytes
     3..6."""
+    import numpy as np
+
     pow10 = np.array([float(10**k) for k in range(23)])
     hi, lo = _veltkamp(pow10)
     heads = _ascii_words(f"{sign}{q // 10}.{q % 10}" for sign in "\0-" for q in range(100))
@@ -492,7 +566,7 @@ def _cell_tables():
     return tables
 
 
-def _format_block(block: np.ndarray) -> bytes:
+def _format_block(block) -> bytes:
     """block's rows as CSV text, each cell `'%.16e' % v`.
 
     Cell by cell, e = floor(log10|v|) and k = 16 - e give P = |v| 10^k, whose
@@ -508,6 +582,8 @@ def _format_block(block: np.ndarray) -> bytes:
     `'%.16e' % v`, at most 24 bytes, in the first three words. The NUL bytes
     that pad the words are dropped.
     """
+    import numpy as np
+
     pow10, pow10_hi, pow10_lo, heads, groups, exps = _cell_tables()
     v = block.ravel()
     a = np.abs(v)
@@ -552,6 +628,8 @@ def export_csv(batch: SampleBatch, path) -> None:
     ten; only the cells it does not certify are formatted one by one. Each
     block is one `write`.
     """
+    import numpy as np
+
     cols = batch.columns()
     with open(path, "wb") as fh:
         fh.write(f"# scheme={batch.scheme} seed={batch.seed} n={batch.n} "

@@ -8,13 +8,16 @@ source-based (EB) law against the analytic prediction, the EB law bridged
 against the modulation-based (PM) law, and the PM law against its rescaled
 relay data. Parameter estimation alone reads a sample: the moments of n EB
 rows at `seed`, drawn from their law (`montecarlo.sample_moments`).
+
+Everything here is float arithmetic in `math`, every sum of products one
+correctly rounded `math.fsum`, so the printed lines are the same in every
+process and on every platform, and the oracle does not load numpy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from . import montecarlo as mc
 from .protocol import (
@@ -28,8 +31,13 @@ from .protocol import (
 
 # |z| at or above which parameter estimation fails
 Z_LIMIT = 4.0
-# deviation/scale at or above which an identity fails (a correct model: 1.2e-15)
+# deviation/scale at or above which an identity fails (a correct model: 1.4e-15)
 IDENTITY_TOL = 1e-12
+# V_A or V_B at or above which the oracle refuses a scenario. The identities
+# hold at any V; the bound keeps the oracle to the V its estimation suite has
+# been run at: below it, every V was also one whose two-mode squeezed
+# covariance LAPACK's Cholesky factorisation could factor
+V_LIMIT = 3e7
 
 
 @dataclass(frozen=True)
@@ -40,11 +48,16 @@ class SuiteResult:
 
 
 def _identity(name: str, actual, expected, scale, note: str = "") -> SuiteResult:
-    """max |actual - expected| / scale below IDENTITY_TOL; an entry of scale 0 is exact."""
-    dev = np.abs(actual - expected)
-    miss = float(np.max(np.divide(dev, scale, out=np.where(dev == 0.0, 0.0, np.inf),
-                                  where=scale > 0.0)))
+    """max |actual - expected| / scale over the entries of matrices of one
+    shape, below IDENTITY_TOL; an entry of scale 0 is exact."""
+    miss = max(abs(x - y) / s if s > 0.0 else 0.0 if x == y else math.inf
+               for rx, ry, rs in zip(actual, expected, scale) for x, y, s in zip(rx, ry, rs))
     return SuiteResult(name, miss < IDENTITY_TOL, f"max|dev|/scale={miss:.2e}{note}")
+
+
+def _upper_left(m) -> list:
+    """The 4 x 4 block of Alice's and Bob's final data."""
+    return [row[:4] for row in m[:4]]
 
 
 def _cov_suite(scenario: Scenario, eb: mc.Moments, scale, wrong_sign: bool) -> SuiteResult:
@@ -53,8 +66,8 @@ def _cov_suite(scenario: Scenario, eb: mc.Moments, scale, wrong_sign: bool) -> S
     predicted = mc.heterodyne_image(*scenario_block_params(scenario, g))
     if wrong_sign:  # test hook: displacement with inverted sign; the scale is the same
         eb = replace(eb, coeff=-g)
-    return _identity("covariance_vs_analytic", eb.final_covariance()[:4, :4], predicted,
-                     scale[:4, :4])
+    return _identity("covariance_vs_analytic", _upper_left(eb.final_covariance()), predicted,
+                     _upper_left(scale))
 
 
 def _estimation_suite(scenario: Scenario, moments: mc.Moments) -> SuiteResult:
@@ -70,8 +83,10 @@ def _estimation_suite(scenario: Scenario, moments: mc.Moments) -> SuiteResult:
 def _equivalence_suite(eb: mc.Moments, eb_scale, pm: mc.Moments, pm_scale) -> SuiteResult:
     """S F_EB S, S = `bridge_matrix`, against F_PM at k; the scales add."""
     s = mc.bridge_matrix(eb.v_a, eb.v_b)
-    return _identity("pm_eb_equivalence", pm.final_covariance(), s @ eb.final_covariance() @ s,
-                     abs(s) @ eb_scale @ abs(s) + pm_scale, f" k={pm.coeff:.4f}")
+    scale = [[x + y for x, y in zip(rx, ry)]
+             for rx, ry in zip(mc._sandwich(mc._abs(s), eb_scale), pm_scale)]
+    return _identity("pm_eb_equivalence", pm.final_covariance(),
+                     mc._sandwich(s, eb.final_covariance()), scale, f" k={pm.coeff:.4f}")
 
 
 def _attack_suite(pm: mc.Moments, scale) -> SuiteResult:
@@ -79,12 +94,12 @@ def _attack_suite(pm: mc.Moments, scale) -> SuiteResult:
     of its relay data rescaled by 0.8 and read at k/0.8: each reading is
     quadratic in k, so three k cover every k. As |M_k| <= max(1, k/k0) |M_k0|,
     a reading's scale is |R| on the law's scale, times that squared."""
-    ratio = np.array([0.3, 1.0, 3.0])
-    read = np.array(mc._read_block_params(pm, pm.coeff * ratio))
-    rescaled = np.array(mc._read_block_params(pm.rescaled(0.64), pm.coeff * ratio / 0.8))
-    bound = np.einsum("rij,ij->r", np.abs(mc._reading(pm)), scale)
+    ratios = (0.3, 1.0, 3.0)
+    read = mc._read_block_params(pm, [pm.coeff * r for r in ratios])
+    rescaled = mc._read_block_params(pm.rescaled(0.64), [pm.coeff * r / 0.8 for r in ratios])
+    bound = [mc._dot(mc._flat(mc._abs(r)), mc._flat(scale)) for r in mc._reading(pm)]
     return _identity("measurement_rescaling_invariance", read, rescaled,
-                     np.outer(bound, np.maximum(ratio, 1.0) ** 2))
+                     [[b * max(r, 1.0) ** 2 for b in bound] for r in ratios])
 
 
 def run_oracle_suites(scenario: Scenario, n: int, seed: int,
@@ -99,6 +114,11 @@ def run_oracle_suites(scenario: Scenario, n: int, seed: int,
         raise mc.UnsupportedScenario(
             f"scenario.v_a = {scenario.v_a!r}: the oracle needs a modulated source (v_a > 1); "
             "at v_a = 1 Alice's modulation data are zero and (T, eps') cannot be estimated")
+    for name in ("v_a", "v_b"):
+        v = getattr(scenario, name)
+        if v >= V_LIMIT:
+            raise mc.UnsupportedScenario(
+                f"scenario.{name} = {v!r}: the oracle checks sources with V below {V_LIMIT:g}")
     g = scenario.resolved_gain()
     eb = mc.row_law(scenario, "EB", g)
     pm = mc.row_law(scenario, "PM", k_from_gain(g, scenario.v_b))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cvmdi import ChannelParams, DetectorParams, Scenario
-from cvmdi.montecarlo import SampleBatch, _correlated_pair, _rng
+from cvmdi.montecarlo import SampleBatch, _row_rng
 from cvmdi.protocol import block_params
 
 
@@ -156,8 +156,9 @@ def sample_block_cm(v_a: float, t: float, eps: float, n: int, seed: int = 0) -> 
     _, b, c = block_params(v_a, t, eps)
     lx, lp = (np.linalg.cholesky(np.array([[v_a, s], [s, b]])) for s in (c, -c))
     r2 = math.sqrt(2.0)
-    z = _rng(seed, "rows").standard_normal((n, 8))
-    qxa, qpa, qxb, qpb = _correlated_pair(lx, lp, z[:, :4])
+    z = _row_rng(seed).standard_normal((n, 8))
+    x, p = z[:, :2] @ lx.T, z[:, 2:4] @ lp.T
+    qxa, qpa, qxb, qpb = x[:, 0], p[:, 0], x[:, 1], p[:, 1]
     va, vb = z[:, 4:6], z[:, 6:]
     return SampleBatch("EB", seed, n, v_a, b, 0.0,
                        (qxa + va[:, 0]) / r2, (qpa - va[:, 1]) / r2,

@@ -156,7 +156,7 @@ class TestExitCodes:
     def test_bad_value_is_2(self, capsys):
         assert main(["--set", "scenario.v_a=-5", "keyrate"]) == 2
 
-    # numpy's SeedSequence takes non-negative integers only
+    # the seed keys the random streams, and the config takes non-negative integers only
     @pytest.mark.parametrize("args", [["--seed", "-1"], ["--set", "mc.seed=-5"]])
     def test_negative_seed_is_2(self, capsys, args):
         assert main([*args, "--set", "mc.n=1000", "oracle"]) == 2
@@ -169,15 +169,15 @@ class TestExitCodes:
     # deviations are rounding: a few ulps of their scale
     ORACLE_7 = """\
 PASS covariance_vs_analytic (max|dev|/scale=1.73e-16) seed=7 n=30000
-PASS parameter_estimation_roundtrip (z(T)=1.35 z(eps')=0.12) seed=7 n=30000
+PASS parameter_estimation_roundtrip (z(T)=0.26 z(eps')=0.20) seed=7 n=30000
 PASS pm_eb_equivalence (max|dev|/scale=9.11e-17 k=1.3766) seed=7 n=30000
 PASS measurement_rescaling_invariance (max|dev|/scale=7.40e-17) seed=7 n=30000
 """
     ORACLE_DEFAULT = """\
 PASS covariance_vs_analytic (max|dev|/scale=1.82e-16) seed=12345 n=100000
-PASS parameter_estimation_roundtrip (z(T)=0.32 z(eps')=1.31) seed=12345 n=100000
-PASS pm_eb_equivalence (max|dev|/scale=1.92e-16 k=1.3452) seed=12345 n=100000
-PASS measurement_rescaling_invariance (max|dev|/scale=7.28e-17) seed=12345 n=100000
+PASS parameter_estimation_roundtrip (z(T)=0.49 z(eps')=0.68) seed=12345 n=100000
+PASS pm_eb_equivalence (max|dev|/scale=9.11e-17 k=1.3452) seed=12345 n=100000
+PASS measurement_rescaling_invariance (max|dev|/scale=3.64e-17) seed=12345 n=100000
 """
 
     def test_oracle_pass_is_0(self, capsys):
@@ -194,8 +194,8 @@ PASS measurement_rescaling_invariance (max|dev|/scale=7.28e-17) seed=12345 n=100
     # drawn and predicted at the fixed gain 1.0, not at the optimal gain 1.41
     ORACLE_FIXED_GAIN = """\
 PASS covariance_vs_analytic (max|dev|/scale=1.73e-16) seed=12345 n=100000
-PASS parameter_estimation_roundtrip (z(T)=1.05 z(eps')=1.30) seed=12345 n=100000
-PASS pm_eb_equivalence (max|dev|/scale=1.31e-16 k=0.9753) seed=12345 n=100000
+PASS parameter_estimation_roundtrip (z(T)=0.83 z(eps')=0.50) seed=12345 n=100000
+PASS pm_eb_equivalence (max|dev|/scale=9.93e-17 k=0.9753) seed=12345 n=100000
 PASS measurement_rescaling_invariance (max|dev|/scale=4.83e-17) seed=12345 n=100000
 """
 
@@ -347,9 +347,9 @@ PASS measurement_rescaling_invariance (max|dev|/scale=4.83e-17) seed=12345 n=100
         err = capsys.readouterr().err
         assert "mc.n" in err and "Traceback" not in err
 
-    # the sampler draws a perfect relay detector, and factors each source's
-    # covariance, c = sqrt(V^2 - 1), which is singular once V^2 - 1 rounds to
-    # V^2; at v_a = 1 Alice's modulation is zero and estimation divides by a^2 - 1
+    # the sampler draws a perfect relay detector, and the oracle checks
+    # sources with V below oracle.V_LIMIT; at v_a = 1 Alice's modulation is
+    # zero and estimation divides by a^2 - 1
     @pytest.mark.parametrize("override, field", [
         ("scenario.eta_d=0.9", "scenario.eta_d"),
         ("scenario.v_el=0.01", "scenario.v_el"),
@@ -501,10 +501,19 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
+def child_env(**extra) -> dict:
+    """The test process's environment for a cold `cvmdi` child: no CVMDI_
+    variables, the package's source on PYTHONPATH, then extra."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("CVMDI_")}
+    src = str(Path(cvmdi.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return {**env, **extra}
+
+
 def test_only_oracle_loads_the_monte_carlo_layer(tmp_path):
-    """Each command is one cold process, so it loads only what it uses: numpy
-    and the Monte Carlo layer for `oracle` alone, `configparser` for a
-    `--config` file."""
+    """Each command is one cold process, so it loads only what it uses: the
+    Monte Carlo layer for `oracle` alone, `configparser` for a `--config`
+    file, and numpy for none of them."""
     config = tmp_path / "run.cfg"
     config.write_text("[sweep]\npoints = 3\n")
     out = ["--out", str(tmp_path / "x.csv")]
@@ -515,16 +524,34 @@ def test_only_oracle_loads_the_monte_carlo_layer(tmp_path):
              [*small, "figure", "fig5b"], ["--set", "scenario.bogus=1", *out, "keyrate"],
              [*small, "figure", "fig6"], [*out, "--set", "mc.n=2000", "oracle"],
              ["--config", str(config), *out, "keyrate"]]
-    env = {k: v for k, v in os.environ.items() if not k.startswith("CVMDI_")}
-    src = str(Path(cvmdi.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(steps)],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     records = [json.loads(ln) for ln in proc.stderr.splitlines() if ln.startswith("[")]
-    monte_carlo = ["numpy", "cvmdi.montecarlo", "cvmdi.oracle"]
+    monte_carlo = ["cvmdi.montecarlo", "cvmdi.oracle"]
     assert records == [["import", []], ["keyrate", []], ["keyrate", []], ["symmetric", []],
                        ["asymmetric", []], ["fig4", []], ["fig5b", []], ["keyrate", []],
                        ["fig6", []], ["oracle", monte_carlo],
                        ["keyrate", [*monte_carlo, "configparser"]]]
     assert proc.stderr.count("config error: unknown key scenario.bogus") == 1
+
+
+def test_oracle_prints_the_same_lines_in_every_process_and_blas_kernel():
+    """`oracle` prints, byte for byte, the lines of `run_oracle_suites` in this
+    process: in children with other hash seeds, and in one that runs
+    OpenBLAS's generic kernel. Its sums are `math.fsum`, not BLAS products,
+    and its draw is keyed by the seed alone. Computed with BLAS, the default
+    rescaling line printed 7.28e-17 on one x86-64 kernel and 3.64e-17 on the
+    generic one."""
+    from cvmdi.oracle import run_oracle_suites
+
+    n = 2000
+    cfg = load_config(None, [f"mc.n={n}"], environ={})
+    seed = cfg["mc"]["seed"]
+    expected = "".join(f"{'PASS' if r.passed else 'FAIL'} {r.name} ({r.detail}) seed={seed} n={n}\n"
+                       for r in run_oracle_suites(cfg.scenario(), n, seed))
+    envs = [{"PYTHONHASHSEED": "1"}, {"PYTHONHASHSEED": "2"}, {"OPENBLAS_CORETYPE": "Prescott"}]
+    printed = [subprocess.run([sys.executable, "-m", "cvmdi.cli", "--set", f"mc.n={n}", "oracle"],
+                              capture_output=True, text=True, env=child_env(**extra),
+                              timeout=120).stdout for extra in envs]
+    assert printed == [expected] * len(envs)

@@ -126,7 +126,8 @@ class TestConditioning:
         kept = np.column_stack([x[:, 0], p[:, 0]])
 
         # the outcome covariance (V + 1)/2 per quadrature
-        assert np.allclose(np.cov(y, rowvar=False), heterodyne_image(v, v, c)[2:, 2:], atol=0.05)
+        image = np.array(heterodyne_image(v, v, c))
+        assert np.allclose(np.cov(y, rowvar=False), image[2:, 2:], atol=0.05)
         remaining = heterodyne_condition(tms_state(v), 1)
         slope = np.linalg.lstsq(y, kept, rcond=None)[0].T
         resid = kept - y @ slope.T

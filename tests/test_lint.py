@@ -1,6 +1,7 @@
 """Lint: every imported name is used, the package keeps its layering (numpy
-loaded at import only where arrays are the work, and inside the analytic
-path only by the generic cross-check), every kernel evaluation is a call of
+loaded at import only by the generic toolkit, inside the Monte Carlo layer
+only by the row sampler and its export, and inside the analytic path only
+by the generic cross-check), every kernel evaluation is a call of
 `kernels.<name>`, the sampler's physics exists once, and each of the
 oracle's pass limits has one reader.
 
@@ -97,19 +98,29 @@ def numpy_at_import(sources: dict[str, str]) -> set[str]:
     return {name for name, source in sources.items() if "numpy" in import_time_modules(source)}
 
 
+# where in the Monte Carlo layer numpy may be imported: the rows and their export
+ROW_FUNCTIONS = {"_row_rng", "_simulate", "SampleBatch.data_matrix", "_ascii_words",
+                 "_cell_tables", "_format_block", "export_csv"}
+
+
 def test_numpy_only_where_arrays_are_the_work():
     """The analytic path (`protocol`, `kernels`, `keyrate`, `config`, `cli`
-    and the package root) runs on `math`, so only `gaussian`, `montecarlo`
-    and `oracle` import numpy at module level; a generic function imports it
-    when it is called."""
+    and the package root) and the oracle's law, draw and estimation run on
+    `math`, so only `gaussian` imports numpy at module level. In `montecarlo`
+    only the row sampler and the CSV export, in ROW_FUNCTIONS, import it when
+    they are called, and `oracle` imports it nowhere: no command loads it."""
     assert import_time_modules("import os.path\nfrom numpy import linalg\nfrom . import x\n"
                                "class C:\n    import re\ndef f():\n    import json\n") == {
         "os", "numpy", "re"}
     sources = {p.stem: p.read_text() for p in (ROOT / "src" / "cvmdi").glob("*.py")}
-    assert numpy_at_import(sources) == {"gaussian", "montecarlo", "oracle"}
+    assert numpy_at_import(sources) == {"gaussian"}
     stray = dict(sources, keyrate="import numpy as np\n" + sources["keyrate"])
-    assert numpy_at_import(stray) == {"gaussian", "montecarlo", "oracle", "keyrate"}
+    assert numpy_at_import(stray) == {"gaussian", "keyrate"}
     assert "gaussian" not in package_imports(sources["__init__"])
+    assert local_imports(sources["montecarlo"], "numpy") == ROW_FUNCTIONS
+    assert local_imports(sources["oracle"], "numpy") == set()
+    twin = sources["montecarlo"] + "\ndef _row_law_np(lmap):\n    import numpy as np\n"
+    assert local_imports(twin, "numpy") == ROW_FUNCTIONS | {"_row_law_np"}
 
 
 def local_imports(source: str, module: str) -> set[str]:
@@ -337,19 +348,21 @@ def test_every_kernel_evaluation_is_visible():
     assert hidden(alias) == {**KERNEL_IMPORTS, "keyrate": {"kernels.block_key_rate not called"}}
 
 
-# what makes a generator, and what draws from one
-GENERATORS = ("Philox", "Generator", "default_rng", "SeedSequence", "RandomState")
-DRAWS = ("standard_normal", "normal", "chisquare", "multivariate_normal")
+# what makes a generator, and what draws from one, in numpy and in `random`
+GENERATORS = ("Philox", "Generator", "default_rng", "SeedSequence", "RandomState", "Random")
+DRAWS = ("standard_normal", "normal", "chisquare", "multivariate_normal", "gauss",
+         "normalvariate", "gammavariate")
 
 
 def sampling_sites(sources: dict[str, str]) -> dict[str, set[str]]:
     """Per role, the `module.function`s of sources (name -> text) that call
-    it: generator construction, `_rng`, drawing, the two builders of L and
-    `linear_map`."""
+    it: generator construction, each generator maker, drawing, the two
+    builders of L and `linear_map`."""
     def sites(*names):
         return {f"{m}.{f}" for m, text in sources.items() for name in names
                 for f in callers(text, name)}
-    return {"generators": sites(*GENERATORS), "_rng": sites("_rng"), "draws": sites(*DRAWS),
+    return {"generators": sites(*GENERATORS), "_row_rng": sites("_row_rng"),
+            "_moment_rng": sites("_moment_rng"), "draws": sites(*DRAWS),
             "builders": sites("_eb_rows", "_pm_rows"), "linear_map": sites("linear_map")}
 
 
@@ -357,14 +370,16 @@ def test_the_sampler_physics_exists_once():
     """The sampler's physics is L alone: `_eb_rows` and `_pm_rows` build it
     and only `linear_map` calls them; the row draw (`_simulate`), the moment
     draw (`sample_moments`) and the exact law (`row_law`) take L from
-    `linear_map`; only the two draws call `_rng`, the one maker of a
-    generator, and draw, so the law draws nothing. So a second physics path
-    or a hand-written L fails here."""
+    `linear_map`; the two makers of a generator are `_row_rng` (numpy's
+    Philox), called only by the row draw, and `_moment_rng` (`random`),
+    called only by the moment draw, and only the two draws draw, so the law
+    draws nothing. So a second physics path or a hand-written L fails here."""
     sources = {p.stem: p.read_text() for p in sorted((ROOT / "src" / "cvmdi").glob("*.py"))}
     drawing = {"montecarlo._simulate", "montecarlo.sample_moments"}
     expected = {
-        "generators": {"montecarlo._rng"},
-        "_rng": drawing,
+        "generators": {"montecarlo._row_rng", "montecarlo._moment_rng"},
+        "_row_rng": {"montecarlo._simulate"},
+        "_moment_rng": {"montecarlo.sample_moments"},
         "draws": drawing,
         "builders": {"montecarlo.linear_map"},
         "linear_map": drawing | {"montecarlo.row_law"},
@@ -372,10 +387,11 @@ def test_the_sampler_physics_exists_once():
     assert sampling_sites(sources) == expected
     stray = dict(sources, oracle=sources["oracle"] + (
         "\ndef _eb_rows_fast(s, seed):\n"
-        "    return _eb_rows(s) @ _rng(seed, 'rows').standard_normal((16, 4))\n"))
+        "    u = _moment_rng(seed).gauss(0.0, 1.0)\n"
+        "    return u * _eb_rows(s) @ _row_rng(seed).standard_normal((16, 4))\n"))
     found = sampling_sites(stray)
-    assert (found["_rng"] - drawing == found["draws"] - drawing
-            == found["builders"] - expected["builders"] == {"oracle._eb_rows_fast"})
+    strays = [found[role] - expected[role] for role in ("_row_rng", "_moment_rng", "builders")]
+    assert strays + [found["draws"] - drawing] == [{"oracle._eb_rows_fast"}] * 4
 
 
 def readers(source: str, name: str) -> set[str]:
