@@ -33,7 +33,7 @@ from .protocol import (
     optimal_gain,
 )
 
-__version__ = "0.17.0"
+__version__ = "0.18.0"
 
 __all__ = [
     "KeyRateNotFinite",

@@ -8,15 +8,16 @@ Each run is one cold process, so a command loads only the layers it uses:
 `keyrate`, `sweep` and `figure` load the analytic path (`protocol`,
 `kernels`, `keyrate`), which has one form of each formula, the scalar `math`
 kernels, and evaluates one point at a time with it, the k maximum of
-`figure fig6` included. A key rate that is not finite at a fixed gain
-(`check_fixed_gain`) or at a k of fig6's maximum comes from one guard in
-`keyrate`, and exits 2; so does a key rate that overflows at a point or a
-range-search probe of `keyrate`, `sweep` or `figure` (finite but extreme
-inputs): `main` catches that `keyrate.KeyRateNotFinite` alone and names the
-command and the legs. `oracle` alone loads the Monte Carlo layer
-(`montecarlo`, `oracle`), inside `cmd_oracle`; it computes in `math` too, so
-no command loads numpy. `configparser` is loaded only to read a `--config`
-file.
+`figure fig6` included. Every key rate a command computes, at a point, a
+range-search probe or a k, passes one guard in `keyrate`: unless T > 0 and
+K is finite (finite but extreme inputs, or a fixed gain outside the
+reduction), it raises `keyrate.KeyRateNotFinite`. `main` alone turns that
+error into exit 2, naming the command; the message names the fixed gain,
+the legs and the k. A fixed gain that fails at the configured legs is a
+`ConfigError` already (`config.check_fixed_gain`). `oracle` alone loads the
+Monte Carlo layer (`montecarlo`, `oracle`), inside `cmd_oracle`; it computes
+in `math` too, so no command loads numpy. `configparser` is loaded only to
+read a `--config` file.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import math
 import sys
 from dataclasses import replace
 
-from .config import ConfigError, RunConfig, check_fixed_gain, load_config
+from .config import ConfigError, RunConfig, load_config
 from .keyrate import (
     MAX_DISTANCE_CAP_KM,
     KeyRateNotFinite,
@@ -38,7 +39,6 @@ from .keyrate import (
 )
 
 IDEAL_V = 1e5  # modulation variance used for "ideal" comparison curves
-_IDEAL_LABEL = f" of the ideal reference (V = {IDEAL_V:g}, no excess noise)"
 
 
 def _fmt(x) -> str:
@@ -92,11 +92,13 @@ def cmd_keyrate(cfg: RunConfig, out: str | None) -> int:
 
 
 def _endpoint(km: float, label: str) -> float:
-    """A range endpoint of the configured scenario: `inf`, beyond the search cap, exits 2."""
+    """A range endpoint of the configured scenario: `inf`, beyond the search, exits 2."""
     if math.isinf(km):
-        raise ConfigError(f"{label}: the key rate is still positive at the "
-                          f"{MAX_DISTANCE_CAP_KM:g} km per-leg search cap, so the range endpoint "
-                          f"lies beyond it; a larger scenario.attenuation_db_per_km shortens it")
+        raise ConfigError(f"{label}: the key rate is still positive where the range search "
+                          f"stops, at the {MAX_DISTANCE_CAP_KM:g} km per-leg search cap or before "
+                          f"a leg whose transmittance underflows to 0, so the range endpoint "
+                          f"lies beyond the search; a larger scenario.attenuation_db_per_km "
+                          f"shortens the range")
     return km
 
 
@@ -107,58 +109,24 @@ def _curve_rows(curve, label: str, end: str, bounded: bool = True) -> list[tuple
     return rows + [(km, "", f"{label}:{end}")]
 
 
-def _check_grid_legs(cfg: RunConfig, scenarios, mode: str) -> None:
-    """`check_fixed_gain` at the grid's extreme legs, for each (label,
-    scenario): (l/2, l/2) of the grid's ends for mode "symmetric", (l, 0) for
-    "fig6", and each end against the shortest and longest second leg for
-    "asymmetric". T falls as the first leg grows, and eps' can overflow only
-    through terms that grow with it and are largest at an end of the second
-    leg's range; the block whose key rate is checked grows with T and eps'.
-    So a fixed gain that passes at these legs passes on the whole grid."""
-    grid = _grid(cfg)
-    ends = (grid[0], grid[-1])
-    if mode == "symmetric":
-        legs = [(l / 2.0, l / 2.0) for l in ends]
-    elif mode == "fig6":
-        legs = [(l, 0.0) for l in ends]
-    else:
-        l_bc = cfg.l_bc_values()
-        legs = [(l, m) for l in ends for m in (min(l_bc), max(l_bc))]
-    for label, scenario in scenarios:
-        for l_ac, l_bc in legs:
-            check_fixed_gain(scenario.with_lengths(l_ac, l_bc),
-                             f"legs of {l_ac!r} and {l_bc!r} km{label}")
-
-
 def cmd_figure(cfg: RunConfig, figure: str, out: str | None) -> int:
     scenario = cfg.scenario()
     header = ["axis_km", "K_bits_per_use", "curve_label"]
     rows = []
     if figure == "fig6":
-        _check_grid_legs(cfg, [("", scenario)], "fig6")
         header.append("k_opt")
-        try:
-            for beta in (1.0, 0.95):
-                scn = replace(scenario, beta_r=beta)
-                label = f"beta={beta:g}"
-                for l_ab in _grid(cfg):
-                    s = scn.with_lengths(l_ab, 0.0)
-                    k_opt, k_max = optimize_k_detection_scheme(s)
-                    rows.append((l_ab, k_max, label, k_opt))
-                endpoint = max_distance_detection_scheme(scn.with_lengths(0.0, 0.0))
-                rows.append((_endpoint(endpoint, label), "", f"{label}:max_distance", ""))
-        except ValueError as exc:  # a k whose key rate is not finite
-            if isinstance(exc, ConfigError):
-                raise
-            # a fixed gain sets the k the search starts from
-            field = (f"scenario.gain = {scenario.gain!r}" if scenario.gain_mode == "fixed"
-                     else "figure fig6")
-            raise ConfigError(f"{field}: the detection scheme's k scan fails: {exc}") from exc
+        for beta in (1.0, 0.95):
+            scn = replace(scenario, beta_r=beta)
+            label = f"beta={beta:g}"
+            for l_ab in _grid(cfg):
+                s = scn.with_lengths(l_ab, 0.0)
+                k_opt, k_max = optimize_k_detection_scheme(s)
+                rows.append((l_ab, k_max, label, k_opt))
+            endpoint = max_distance_detection_scheme(scn.with_lengths(0.0, 0.0))
+            rows.append((_endpoint(endpoint, label), "", f"{label}:max_distance", ""))
     else:
         # the ideal reference's range can be unbounded (ideal:l_bc=0km): it keeps inf
         ideal = _idealized(scenario)
-        _check_grid_legs(cfg, [("", scenario), (_IDEAL_LABEL, ideal)],
-                         "symmetric" if figure == "fig4" else "asymmetric")
         for label, scn in (("practical", scenario), ("ideal", ideal)):
             bounded = scn is scenario
             if figure == "fig4":
@@ -182,7 +150,6 @@ def _idealized(scenario):
 
 def cmd_sweep(cfg: RunConfig, mode: str, out: str | None) -> int:
     scenario = cfg.scenario()
-    _check_grid_legs(cfg, [("", scenario)], mode)
     if mode == "symmetric":
         result = sweep_symmetric(scenario, [l / 2.0 for l in _grid(cfg)])
     else:
@@ -252,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except KeyRateNotFinite as exc:  # a point or a probe at finite but extreme inputs
+    except KeyRateNotFinite as exc:  # a point, a probe or a k at finite but extreme inputs
         command = " ".join([args.command] + [getattr(args, name) for name in ("figure_id", "mode")
                                              if hasattr(args, name)])
         print(f"config error: {command}: {exc}", file=sys.stderr)

@@ -2,16 +2,17 @@
 
 Points, sweeps, range searches, the detection scheme's k maximum and
 `key_rate_vs_k` run on the scalar `math` kernels; only the generic
-cross-check loads numpy, when it is called. Every point, and every probe of
-a range or threshold search (`key_rate_at`, the detector-efficiency
-search), is one `secret_key_rate`: one `kernels.block_mutual_information`
-and one `kernels.block_holevo_reverse` call, and a `KeyRatePoint` built
-without the generated `__init__`. The k maximum and `key_rate_vs_k` compute
-the scenario's `gain_free_terms` once and one `kernels.block_key_rate` per
-k, through the one finiteness guard `_finite_key_rate`. Where the
-equivalent channel, its block or the kernels overflow, a point or a probe
-raises a `KeyRateNotFinite` that names the legs, and the k maximum one that
-names the k.
+cross-check loads numpy, when it is called. Every key rate is one
+`_evaluate`: one `kernels.block_mutual_information` and one
+`kernels.block_holevo_reverse` call at one gain, from the scenario's
+`gain_free_terms`. Every point, and every probe of a range or threshold
+search (`key_rate_at`, the detector-efficiency search), is one
+`secret_key_rate`, whose `KeyRatePoint` is built without the generated
+`__init__`; the k maximum and `key_rate_vs_k` compute the gain-free terms
+once and evaluate each k. `_evaluate` is the one key-rate guard: unless
+T > 0 and K is finite (finite but extreme inputs overflow or underflow the
+equivalent channel, its block or the kernels), it raises a
+`KeyRateNotFinite` that names the fixed gain, the legs, k, T and eps'.
 """
 
 from __future__ import annotations
@@ -23,12 +24,13 @@ from . import kernels
 from .protocol import (
     DetectorParams,
     Scenario,
+    TransmittanceUnderflow,
     _frozen,
-    block_at,
+    block_params,
+    channel_at,
     gain_free_terms,
     gain_from_k,
     k_from_gain,
-    scenario_block_params,
 )
 
 BISECT_TOL_KM = 0.01
@@ -63,7 +65,7 @@ class SweepCurve:
     points: tuple
     # axis value where K falls to 0 (`_max_distance`): 0.0 if K(0) <= 0, inf
     # if K is still positive where the search stops, at a leg of
-    # MAX_DISTANCE_CAP_KM
+    # MAX_DISTANCE_CAP_KM or before one whose transmittance underflows
     max_distance_km: float
 
 
@@ -93,34 +95,47 @@ def holevo_bound_reverse_generic(cov2: "CovarianceMatrix") -> float:
 
 
 class KeyRateNotFinite(ValueError):
-    """The key rate of a point or of a k is not finite: the equivalent
-    channel, its block or the kernels overflow there (finite but extreme
-    inputs). The message names the legs or the k."""
+    """The key rate of a point, a probe or a k is not finite, or its equivalent
+    channel has T = 0: the channel, its block or the kernels overflow or
+    underflow there (finite but extreme inputs). The message names the fixed
+    gain, when the gain is fixed, the legs, k, T and eps'."""
 
 
-def _legs_overflow(scenario: Scenario) -> KeyRateNotFinite:
-    return KeyRateNotFinite(f"the key rate at legs of {scenario.channel_a.length_km!r} and "
-                            f"{scenario.channel_b.length_km!r} km is not finite: the equivalent "
-                            f"channel, its block or the key-rate kernels overflow there")
+def _evaluate(scenario: Scenario, terms: tuple, g: float, k: float | None = None) -> tuple:
+    """(I_AB, chi_BE, K) of the scenario at gain g, from its `gain_free_terms`,
+    K = beta * I_AB - chi_BE: the one key-rate guard (see the module
+    docstring); its `KeyRateNotFinite` names k, by default the k of g."""
+    t, eps = channel_at(terms, g)  # outside the try: T and eps' name a failure
+    try:
+        a, b, c = block_params(scenario.v_a, t, eps)
+        i_ab = kernels.block_mutual_information(a, b, c)
+        chi = kernels.block_holevo_reverse(a, b, c)
+        rate = scenario.beta_r * i_ab - chi
+    except (ArithmeticError, ValueError):  # a float power, log or division past its range
+        rate = math.nan
+    if t > 0.0 and math.isfinite(rate):
+        return i_ab, chi, rate
+    fixed = f"scenario.gain = {scenario.gain!r}: " if scenario.gain_mode == "fixed" else ""
+    k = k_from_gain(g, scenario.v_b) if k is None else k
+    raise KeyRateNotFinite(
+        f"{fixed}the key rate at legs of {scenario.channel_a.length_km!r} and "
+        f"{scenario.channel_b.length_km!r} km and k = {k!r} is not finite: the equivalent "
+        f"channel has T = {t!r} and eps' = {eps!r}, and a key rate needs T > 0 and a block "
+        f"that the key-rate kernels evaluate without overflow")
 
 
 def secret_key_rate(scenario: Scenario) -> KeyRatePoint:
     """The key rate of the scenario at its resolved gain, with I_AB and chi_BE.
 
-    Where the equivalent channel, its block or the kernels overflow (finite
-    but extreme inputs), a `KeyRateNotFinite` names the scenario's legs.
+    Where T = 0 or the key rate is not finite (finite but extreme inputs), a
+    `KeyRateNotFinite` names the scenario's legs.
     """
     g = scenario.resolved_gain()
-    try:
-        a, b, c = scenario_block_params(scenario, g)
-        i_ab = kernels.block_mutual_information(a, b, c)
-        chi = kernels.block_holevo_reverse(a, b, c)
-    except (OverflowError, ValueError) as exc:  # a float power or log past its range
-        raise _legs_overflow(scenario) from exc
+    i_ab, chi, rate = _evaluate(scenario, gain_free_terms(scenario), g)
     # a sweep or a search builds one point per cell or probe: `_frozen`
     # skips the generated __init__
     return _frozen(KeyRatePoint, {"scenario": scenario, "g_used": g, "i_ab": i_ab,
-                                  "chi_be": chi, "k": scenario.beta_r * i_ab - chi})
+                                  "chi_be": chi, "k": rate})
 
 
 def key_rate_at(scenario: Scenario, l_ac_km: float, l_bc_km: float) -> float:
@@ -141,8 +156,9 @@ def _bisect_zero(f, lo: float, hi: float, tol: float = BISECT_TOL_KM) -> float:
     return 0.5 * (lo + hi)
 
 
-def _max_distance(f, cap: float = MAX_DISTANCE_CAP_KM) -> float:
-    """Largest axis value with f > 0; inf if f stays positive up to cap.
+def _max_distance(f) -> float:
+    """Largest axis value with f > 0; inf if f stays positive up to
+    MAX_DISTANCE_CAP_KM, or up to a leg whose transmittance underflows to 0.
 
     Doubles hi from 1 km until f(hi) <= 0; lo is the last probe with f > 0
     (0 when f(1 km) <= 0 already), so the bisection bracket is always checked.
@@ -150,10 +166,13 @@ def _max_distance(f, cap: float = MAX_DISTANCE_CAP_KM) -> float:
     if f(0.0) <= 0.0:
         return 0.0
     lo, hi = 0.0, 1.0
-    while f(hi) > 0.0:
-        lo, hi = hi, 2.0 * hi
-        if hi > cap:
-            return math.inf
+    try:
+        while f(hi) > 0.0:
+            lo, hi = hi, 2.0 * hi
+            if hi > MAX_DISTANCE_CAP_KM:
+                return math.inf
+    except TransmittanceUnderflow:  # the search ends where the fiber does
+        return math.inf
     return _bisect_zero(f, lo, hi)
 
 
@@ -225,40 +244,20 @@ def analytic_k(scenario: Scenario) -> float:
     return k_from_gain(scenario.resolved_gain(), scenario.v_b)
 
 
-def _k_not_finite(k: float) -> KeyRateNotFinite:
-    return KeyRateNotFinite(f"the key rate at k = {k!r} is not finite: the equivalent channel, "
-                            f"its block or the key-rate kernels overflow there")
-
-
-def _finite_key_rate(scenario: Scenario, terms: tuple, g: float, k: float | None = None) -> float:
-    """K at gain g, from the scenario's `gain_free_terms`, or a
-    `KeyRateNotFinite` from `_k_not_finite` naming k (by default the k of g)
-    where the equivalent channel, its block or the kernels overflow. The one
-    finiteness guard of a key rate: `key_rate_vs_k`, the k maximum and
-    `config.check_fixed_gain` call it."""
-    try:
-        rate = kernels.block_key_rate(*block_at(terms, scenario.v_a, g), scenario.beta_r)
-    except (OverflowError, ValueError):  # a float power or log past its range
-        rate = math.nan
-    if not math.isfinite(rate):
-        raise _k_not_finite(k_from_gain(g, scenario.v_b) if k is None else k)
-    return rate
-
-
 def key_rate_vs_k(scenario: Scenario, k_grid) -> tuple:
     """Key rate at each amplification coefficient of the data processing (a
     sequence: a list, a tuple, an array), as a tuple of floats.
 
     A k far from the scenario's own (k = 1e100 at 1 km legs) overflows the
-    equivalent channel, its block or the kernels: a `KeyRateNotFinite` names
-    the first such k.
+    equivalent channel, its block or the kernels: the `KeyRateNotFinite` of
+    `_evaluate` names the first such k.
     """
     ks = _floats(k_grid)
     # a NaN fails both comparisons
     if not ks or not all(0.0 < k < math.inf for k in ks):
         raise ValueError("k grid must be nonempty, finite and positive")
     terms = gain_free_terms(scenario)
-    return tuple(_finite_key_rate(scenario, terms, gain_from_k(k, scenario.v_b), k) for k in ks)
+    return tuple(_evaluate(scenario, terms, gain_from_k(k, scenario.v_b), k)[2] for k in ks)
 
 
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # Brent's golden-section fraction
@@ -346,11 +345,12 @@ def optimize_k_detection_scheme(scenario: Scenario) -> tuple[float, float]:
     below `secret_key_rate(scenario).k`, nor below K at either end of the span.
 
     A k whose key rate is not finite (the equivalent channel, its block or the
-    kernels overflow there) raises a `KeyRateNotFinite` that names it.
+    kernels overflow there) raises the `KeyRateNotFinite` of `_evaluate`,
+    which names it.
     """
     g0 = scenario.resolved_gain()
     terms = gain_free_terms(scenario)  # once per maximum: only g changes
-    u, best = _maximize(lambda u: _finite_key_rate(scenario, terms, g0 * math.exp(u)),
+    u, best = _maximize(lambda u: _evaluate(scenario, terms, g0 * math.exp(u))[2],
                         math.log(K_GRID_SPAN[0]), math.log(K_GRID_SPAN[1]))
     return k_from_gain(g0 * math.exp(u), scenario.v_b), best
 

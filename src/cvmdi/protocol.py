@@ -5,9 +5,9 @@ scheme is one-way coherent-state CV QKD with heterodyne detection over an
 equivalent channel, of transmittance T (`effective_transmittance`) and
 input-referred excess noise eps' (`equivalent_excess_noise`, the relay
 detector's penalty included), and `scenario_block_params` turns a scenario
-at g into the block covariance (a, b, c) that the key rate and the oracle
-evaluate; all three derive from the split `gain_free_terms` / `channel_at`
-(see the reduction's comment). Around it: the parameter types, which sweeps
+at g into the block covariance (a, b, c) that the oracle evaluates (the key
+rate composes the same steps); all three derive from the split
+`gain_free_terms` / `channel_at` (see the reduction's comment). Around it: the parameter types, which sweeps
 and searches copy rather than construct again, the gain rule
 (`Scenario.resolved_gain`), and the explicit mode-by-mode Gaussian
 composition (`compose_eb_simulated`) that cross-checks the reduction. The
@@ -51,6 +51,11 @@ def _frozen(cls, values: dict, base=None):
     return new
 
 
+class TransmittanceUnderflow(ValueError):
+    """A fiber so long at its attenuation that its transmittance underflows
+    to 0: no key rate is defined there, and a range search stops before it."""
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """One fiber link: length, attenuation, and input-referred excess noise.
@@ -85,8 +90,9 @@ class ChannelParams:
         t = self.__dict__["transmittance"] = 10.0 ** (-self.attenuation_db_per_km
                                                        * self.length_km / 10.0)
         if t == 0.0:
-            raise ValueError(f"channel length {self.length_km} km at {self.attenuation_db_per_km} "
-                             f"dB/km: transmittance underflows to 0")
+            raise TransmittanceUnderflow(f"channel length {self.length_km} km at "
+                                         f"{self.attenuation_db_per_km} dB/km: transmittance "
+                                         f"underflows to 0")
 
     def with_length(self, length_km: float) -> "ChannelParams":
         """The same fiber at another length: a copy, whose attenuation and
@@ -185,10 +191,9 @@ def optimal_gain(scenario: Scenario) -> float:
 # noise chi_det adds 2 chi_det / eta_a; (T, eps') give the block covariance
 # (a, b, c) that `kernels` evaluates. Each step is written once:
 # `gain_free_terms` computes the terms of (T, eps') that do not depend on g,
-# `channel_at` gives (T, eps') at one g from them, `block_params` gives
-# (a, b, c) from (T, eps'), and `block_at` composes the two. A search over g
-# at one scenario (the detection scheme's k maximum) computes the gain-free
-# terms once. These functions take
+# `channel_at` gives (T, eps') at one g from them, and `block_params` gives
+# (a, b, c) from (T, eps'). A search over g at one scenario (the detection
+# scheme's k maximum) computes the gain-free terms once. These functions take
 # and return floats. Their square roots are `** 0.5`, not `math.sqrt`, because
 # that keeps every published cell unchanged: CPython's float power is libm
 # `pow`, which is not always correctly rounded at 0.5, so `math.sqrt` would
@@ -262,16 +267,11 @@ def equivalent_excess_noise(scenario: Scenario, g):
     return channel_at(gain_free_terms(scenario), g)[1]
 
 
-def block_at(terms: tuple, v_a, g):
-    """(a, b, c) at gain g, from the scenario's `gain_free_terms` and v_a."""
-    t, eps = channel_at(terms, g)
-    return block_params(v_a, t, eps)
-
-
 def scenario_block_params(scenario: Scenario, g):
-    """(a, b, c) of the post-protocol covariance at gain g, the one map from a
-    scenario to the block the key rate and the oracle use."""
-    return block_at(gain_free_terms(scenario), scenario.v_a, g)
+    """(a, b, c) of the post-protocol covariance at gain g, the map from a
+    scenario to the block that the oracle predicts; `keyrate._evaluate`
+    composes the same two steps, and keeps T and eps' for its guard."""
+    return block_params(scenario.v_a, *channel_at(gain_free_terms(scenario), g))
 
 
 def entangling_cloner_variance(eta: float, eps: float) -> float:

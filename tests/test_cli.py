@@ -1,14 +1,19 @@
 """CLI and configuration layer: exit codes, determinism, strict validation."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cvmdi
 from cvmdi.cli import _grid, main
@@ -241,9 +246,10 @@ PASS measurement_rescaling_invariance (max|dev|/scale=4.83e-17) seed=12345 n=100
         assert captured.out == ""
 
     # finite at the configured 0 km legs, so `keyrate` runs, but not on the
-    # grid: at 1e-150 T = 5e-309 and eps' = inf at 400 km; at 1e-153 the
-    # ideal reference's eps' (V = 1e5) is inf at 0 km; at 1e100 the channel is
-    # finite and the fig6 k scan overflows. Each printed NaN rows with exit 0.
+    # grid: at 1e-150 eps' = inf from 320 km (T = 5e-309 at 400 km); at
+    # 1e-153 eps' = inf from 20 km legs, and the ideal reference's (V = 1e5)
+    # at 0 km; at 1e100 the kernels overflow at the configured legs. Each
+    # printed NaN rows with exit 0 before the grid was checked.
     @pytest.mark.parametrize("gain, command", [
         ("1e-150", ["sweep", "asymmetric"]),
         ("1e-150", ["figure", "fig5b"]),
@@ -259,7 +265,11 @@ PASS measurement_rescaling_invariance (max|dev|/scale=4.83e-17) seed=12345 n=100
         path = tmp_path / "x.csv"
         assert main([*fixed, "--out", str(path), *command]) == 2
         captured = capsys.readouterr()
-        assert "config error: scenario.gain" in captured.err and "Traceback" not in captured.err
+        # the point that fails names the command; a failure at the configured legs is
+        # a config error before any command runs
+        where = "" if gain == "1e100" else f"{' '.join(command)}: "
+        assert f"config error: {where}scenario.gain = {float(gain)!r}: the key rate at legs of " \
+            in captured.err and "Traceback" not in captured.err
         assert captured.out == "" and not path.exists()
         if gain == "1e-150":
             assert main([*fixed, "keyrate"]) == 0
@@ -286,8 +296,10 @@ PASS measurement_rescaling_invariance (max|dev|/scale=4.83e-17) seed=12345 n=100
         assert main(["--set", "scenario.v_a=1e200", "--set", "sweep.points=3",
                      "figure", "fig6"]) == 2
         captured = capsys.readouterr()
-        assert "config error: figure fig6: the detection scheme's k scan fails" in captured.err
-        assert captured.out == ""
+        # the first k the maximum evaluates, k0 / 10 at 0 km legs
+        assert ("config error: figure fig6: the key rate at legs of 0.0 and 0.0 km and "
+                "k = 0.13452275349402615 is not finite") in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
 
     # finite extreme inputs: the equivalent channel, its block or the kernels
     # overflow at some k of the span; at V_A = 1e20 only the span's ends do,
@@ -298,8 +310,26 @@ PASS measurement_rescaling_invariance (max|dev|/scale=4.83e-17) seed=12345 n=100
     def test_fig6_extreme_input_is_2(self, capsys, override):
         assert main(["--set", "sweep.points=3", "--set", override, "figure", "fig6"]) == 2
         captured = capsys.readouterr()
-        assert "config error: figure fig6: the detection scheme's k scan fails" in captured.err
+        assert "config error: figure fig6: the key rate at legs of " in captured.err
+        assert " and k = " in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
+
+    # T underflows to 0 while eps' stays finite (1.23e308 at 1.9e-162): without
+    # the T > 0 half of the guard each form printed K = 0.0 with exit 0. At
+    # 2.5e-162 T is 5e-324 up to 5 km and 0.0 at 10 km.
+    @pytest.mark.parametrize("gain, command", [
+        ("1.9e-162", ["keyrate"]),
+        ("2.5e-162", ["--set", "sweep.points=3", "sweep", "asymmetric"]),
+    ])
+    def test_transmittance_underflow_is_2(self, capsys, tmp_path, gain, command):
+        path = tmp_path / "x.csv"
+        assert main(["--set", "scenario.v_b=1.0000000000000002", "--set",
+                     "scenario.gain_mode=fixed", "--set", f"scenario.gain={gain}",
+                     "--out", str(path), *command]) == 2
+        captured = capsys.readouterr()
+        assert f"scenario.gain = {float(gain)!r}: " in captured.err and "T = 0.0 " in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not path.exists()
 
     # finite extreme inputs overflow the equivalent channel, its block or the
     # kernels at a point or a range-search probe: each form ended in a
@@ -316,6 +346,8 @@ PASS measurement_rescaling_invariance (max|dev|/scale=4.83e-17) seed=12345 n=100
         ("scenario.v_b=1e200", ["sweep", "symmetric"]),
         ("scenario.v_b=1e200", ["figure", "fig5b"]),
         ("scenario.v_a=1e20", ["sweep", "asymmetric"]),
+        ("scenario.v_a=1e79", ["keyrate"]),  # printed K=nan with exit 0
+        ("scenario.v_a=3e16", ["keyrate"]),  # a ZeroDivisionError traceback
     ])
     def test_key_rate_overflow_at_extreme_input_is_2(self, capsys, tmp_path, override, command):
         path = tmp_path / "x.csv"
@@ -327,10 +359,13 @@ PASS measurement_rescaling_invariance (max|dev|/scale=4.83e-17) seed=12345 n=100
         assert not path.exists()
 
     # the key rate is still positive at the 2000 km per-leg cap: one-sided at
-    # 0.001 dB/km; symmetric (1411.5 km total at 0.001 dB/km) at 0.0001 dB/km
+    # 0.001 dB/km; symmetric (1411.5 km total at 0.001 dB/km) at 0.0001 dB/km.
+    # At 10 dB/km and a 16 km second leg it is still positive at 256 km, and
+    # a 512 km leg underflows: that search ended in a ValueError traceback
     @pytest.mark.parametrize("attenuation, command", [
         ("0.001", ["sweep", "asymmetric"]),
         ("0.0001", ["figure", "fig4"]),
+        ("10", ["--set", "sweep.l_bc_values_km=16", "--set", "sweep.points=1", "figure", "fig5b"]),
     ])
     def test_range_beyond_search_cap_is_2(self, capsys, tmp_path, attenuation, command):
         path = tmp_path / "x.csv"
@@ -361,6 +396,88 @@ PASS measurement_rescaling_invariance (max|dev|/scale=4.83e-17) seed=12345 n=100
         captured = capsys.readouterr()
         assert field in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
+
+
+def log_uniform(low: float, high: float):
+    """Floats spread evenly in log10 between low and high."""
+    return st.floats(math.log10(low), math.log10(high)).map(lambda e: 10.0 ** e)
+
+
+def finite_cells(row: list[str]) -> bool:
+    """A sweep or figure CSV row's number cells are finite floats; an
+    endpoint row (label `...:max_...`) leaves its other cells empty, and an
+    ideal reference's endpoint may be inf."""
+    label = row[2]
+    endpoint = ":max_" in label
+    for cell in row[:2] + row[3:]:
+        if cell == "" and endpoint:
+            continue
+        value = float(cell)
+        if not (math.isfinite(value) or (value == math.inf and endpoint
+                                          and label.startswith("ideal"))):
+            return False
+    return True
+
+
+# a value of each input in its usual range, and across the whole finite range
+# where the channel, its block or the kernels overflow or underflow
+LEGS = ("scenario.l_ac_km", "scenario.l_bc_km", "sweep.l_max_km", "sweep.l_bc_values_km")
+TYPICAL = {
+    "scenario.v_a": log_uniform(1.0, 1e5), "scenario.v_b": log_uniform(1.5, 1e5),
+    "scenario.eps_a": st.floats(0.0, 0.1), "scenario.eps_b": st.floats(0.0, 0.1),
+    "scenario.eta_d": st.floats(0.5, 1.0), "scenario.v_el": st.floats(0.0, 0.1),
+    "scenario.attenuation_db_per_km": log_uniform(0.05, 1.0),
+    "legs": st.tuples(*[st.floats(0.0, 50.0)] * len(LEGS)),
+    "scenario.gain": st.none() | log_uniform(0.3, 3.0),
+}
+EXTREME = {
+    "scenario.v_a": log_uniform(1.0, 1e200),
+    "scenario.v_b": log_uniform(1.0000000000000002, 1e200),
+    "scenario.eps_a": log_uniform(1e-3, 1e300), "scenario.eps_b": log_uniform(1e-3, 1e300),
+    "scenario.eta_d": log_uniform(1e-300, 1.0), "scenario.v_el": log_uniform(1e-3, 1e300),
+    "scenario.attenuation_db_per_km": log_uniform(1e-3, 20.0),
+    "legs": st.tuples(*[st.floats(0.0, 500.0)] * len(LEGS)),
+    "scenario.gain": log_uniform(1e-300, 1e300),
+}
+
+
+# The CLI contract (ROADMAP item 4): on any finite input each command prints
+# finite numbers with exit 0, or exits 2 with a config error, no traceback
+# and no CSV. Up to two inputs of each example span their whole range; the
+# rest keep their usual one, so that both outcomes are drawn.
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(command=st.sampled_from([["keyrate"], ["sweep", "symmetric"], ["sweep", "asymmetric"],
+                                ["figure", "fig4"], ["figure", "fig5b"], ["figure", "fig6"]]),
+       extreme=st.sets(st.sampled_from(sorted(EXTREME)), max_size=2),
+       points=st.integers(1, 3), data=st.data())
+def test_property_every_command_is_finite_or_2(command, extreme, points, data):
+    values = {name: data.draw((EXTREME if name in extreme else TYPICAL)[name], label=name)
+              for name in TYPICAL}
+    values.update(zip(LEGS, values.pop("legs")))
+    values["sweep.l_bc_values_km"] = f"0,{values['sweep.l_bc_values_km']!r}"
+    values["sweep.points"] = points
+    if values["scenario.gain"] is not None:
+        values["scenario.gain_mode"] = "fixed"
+    args = [arg for key, value in values.items() if value is not None
+            for arg in ("--set", f"{key}={value}")]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.csv"
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*args, "--out", str(path), *command])
+        if code == 2:
+            assert err.getvalue().startswith("config error: ") and out.getvalue() == ""
+            assert "Traceback" not in err.getvalue() and not path.exists()
+            return
+        assert code == 0 and err.getvalue() == ""
+        rows = [line.split(",") for line in path.read_text().splitlines()
+                if not line.startswith("#")][1:]
+    if command == ["keyrate"]:
+        printed = dict(field.split("=", 1) for field in out.getvalue().split())
+        numbers = [printed[name] for name in ("K", "I_AB", "chi_BE", "g")] + rows[0][:4]
+        assert all(math.isfinite(float(number)) for number in numbers)
+    else:
+        assert rows and all(finite_cells(row) for row in rows)
 
 
 class TestCsvOutput:

@@ -14,7 +14,7 @@ from cvmdi import kernels
 from cvmdi.gaussian import block_cm
 from cvmdi.keyrate import (
     BISECT_TOL_KM,
-    _finite_key_rate,
+    _evaluate,
     K_GRID_SPAN,
     K_XTOL,
     KeyRatePoint,
@@ -332,8 +332,9 @@ class TestDetectionSchemeOptimizer:
 
     def test_about_a_dozen_evaluations_per_maximum(self, rng, monkeypatch):
         calls = []
-        kernel = kernels.block_key_rate
-        monkeypatch.setattr(kernels, "block_key_rate", lambda *args: calls.append(1) or kernel(*args))
+        kernel = kernels.block_mutual_information
+        monkeypatch.setattr(kernels, "block_mutual_information",
+                            lambda *args: calls.append(1) or kernel(*args))
         counts = []
         for _ in range(200):
             calls.clear()
@@ -370,6 +371,15 @@ def test_property_k_maximum_dominates_k0_and_the_grid(v_exp, l_ac, l_bc, eps, be
     assert rate >= max(key_rate_vs_k(s, grid)) - 1e-12 * max(1.0, abs(rate))
 
 
+def test_range_search_stops_before_a_leg_whose_transmittance_underflows():
+    # at 10 dB/km and a 16 km second leg K is still positive at 256 km (where
+    # the kernels give chi_BE < 0), and a 512 km leg underflows to
+    # transmittance 0: the range is inf, as at the search cap
+    s = Scenario(40.0, 40.0, ChannelParams(0.0, 10.0, 0.002), ChannelParams(0.0, 10.0, 0.002))
+    assert key_rate_at(s, 256.0, 16.0) > 0.0
+    assert max_distance_asymmetric(s, 16.0) == math.inf
+
+
 class TestDetectorThreshold:
     def test_threshold_is_sharp(self):
         s = make_scenario()
@@ -402,8 +412,8 @@ def test_property_probes_are_the_point_path_bit_for_bit(v_exp, l_ac, l_bc, eps, 
     assert key_rate_at(s, l_ac, l_bc) == secret_key_rate(s.with_lengths(l_ac, l_bc)).k
     at = s.with_lengths(l_ac, l_bc)
     g = k_factor * at.resolved_gain()
-    fixed = replace(at, gain_mode="fixed", gain=g)
-    assert _finite_key_rate(at, gain_free_terms(at), g) == secret_key_rate(fixed).k
+    point = secret_key_rate(replace(at, gain_mode="fixed", gain=g))
+    assert _evaluate(at, gain_free_terms(at), g) == (point.i_ab, point.chi_be, point.k)
     assert scenario_block_params(at, g) == block_params(
         at.v_a, effective_transmittance(at, g), equivalent_excess_noise(at, g))
 
@@ -438,7 +448,8 @@ SEARCH_SCENARIOS = {
 }
 # (result, kernel evaluations) of each search at 0.15.0, where a point made one
 # block_mutual_information and one block_holevo_reverse call and the k maximum
-# one block_key_rate call per evaluation
+# one block_key_rate call per evaluation; since 0.18.0 a k evaluation is that
+# pair too
 SEARCH_EVALUATIONS = {
     "default": {"symmetric": (7.0546875, 12), "asymmetric_0": (88.82421875, 22),
                 "asymmetric_1": (20.16796875, 18), "asymmetric_3": (5.25390625, 14),
@@ -455,9 +466,9 @@ SEARCH_EVALUATIONS = {
 @pytest.mark.parametrize("name", SEARCH_SCENARIOS)
 def test_searches_make_the_pinned_kernel_evaluations(name, monkeypatch):
     # equal evaluation counts and equal results: the searches probe the same
-    # points as before; each probe is one block_mutual_information and one
-    # block_holevo_reverse call, each k evaluation one block_key_rate call,
-    # and nothing else calls a kernel
+    # points as before; each probe and each k evaluation is one
+    # block_mutual_information and one block_holevo_reverse call, and nothing
+    # else calls a kernel
     s = make_scenario(**SEARCH_SCENARIOS[name])
     counts = _count_kernel_evaluations(monkeypatch)
     point = ("block_holevo_reverse", "block_mutual_information")
@@ -466,7 +477,7 @@ def test_searches_make_the_pinned_kernel_evaluations(name, monkeypatch):
         "asymmetric_0": (lambda: max_distance_asymmetric(s, 0.0), point),
         "asymmetric_1": (lambda: max_distance_asymmetric(s, 1.0), point),
         "asymmetric_3": (lambda: max_distance_asymmetric(s, 3.0), point),
-        "detection_scheme": (lambda: max_distance_detection_scheme(s), ("block_key_rate",)),
+        "detection_scheme": (lambda: max_distance_detection_scheme(s), point),
         "detector": (lambda: min_detector_efficiency(s), point),
     }
     found = {}

@@ -2,8 +2,8 @@
 loaded at import only by the generic toolkit, inside the Monte Carlo layer
 only by the row sampler and its export, and inside the analytic path only
 by the generic cross-check), every kernel evaluation is a call of
-`kernels.<name>`, the sampler's physics exists once, and each of the
-oracle's pass limits has one reader.
+`kernels.<name>`, every key rate passes one guard, the sampler's physics
+exists once, and each of the oracle's pass limits has one reader.
 
 A module of `src/cvmdi` or of `tests/` that imports a name must reference it.
 The package's `__init__.py` is exempt: its imports are its exports.
@@ -343,9 +343,48 @@ def test_every_kernel_evaluation_is_visible():
 
     assert hidden(sources) == KERNEL_IMPORTS
     alias = dict(sources, keyrate=sources["keyrate"].replace(
-        "def _finite_key_rate(", "_block_key_rate = kernels.block_key_rate\n\n\n"
-        "def _finite_key_rate(", 1))
-    assert hidden(alias) == {**KERNEL_IMPORTS, "keyrate": {"kernels.block_key_rate not called"}}
+        "def _evaluate(", "_mutual_information = kernels.block_mutual_information\n\n\n"
+        "def _evaluate(", 1))
+    assert hidden(alias) == {**KERNEL_IMPORTS,
+                             "keyrate": {"kernels.block_mutual_information not called"}}
+
+
+def handlers(source: str, name: str) -> set[str]:
+    """Qualified names of the functions with an `except` clause that names
+    the exception `name`, alone or in a tuple; '<module>' at module level."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.ExceptHandler) and child.type is not None:
+                types = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
+                if any(name in (getattr(t, "id", None), getattr(t, "attr", None)) for t in types):
+                    found.add(scope or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_one_key_rate_guard():
+    """Every key rate of the package is one `keyrate._evaluate`, the one
+    key-rate guard: it alone constructs `KeyRateNotFinite` and calls the two
+    point kernels in `keyrate`, and `cli` catches no `ValueError`, so a
+    command turns the guard's error into exit 2 in `main` alone."""
+    assert handlers("try:\n    f()\nexcept ValueError:\n    pass\ndef g():\n    try:\n"
+                    "        f()\n    except (KeyError, m.ValueError):\n        pass\n",
+                    "ValueError") == {"<module>", "g"}
+    modules = sorted((ROOT / "src" / "cvmdi").glob("*.py"))
+    sources = {p.stem: p.read_text() for p in modules}
+    assert {f"{m}.{f}" for m, text in sources.items()
+            for f in callers(text, "KeyRateNotFinite")} == {"keyrate._evaluate"}
+    for kernel in ("block_mutual_information", "block_holevo_reverse"):
+        assert callers(sources["keyrate"], kernel) == {"_evaluate"}, kernel
+    assert handlers(sources["cli"], "ValueError") == set()
+    assert handlers(sources["cli"], "KeyRateNotFinite") == {"main"}
 
 
 # what makes a generator, and what draws from one, in numpy and in `random`
