@@ -14,7 +14,6 @@ from . import kernels
 from .keyrate import (
     KeyRateNotFinite,
     KeyRatePoint,
-    key_rate_vs_k,
     max_distance_asymmetric,
     max_total_distance_symmetric,
     min_detector_efficiency,
@@ -33,12 +32,11 @@ from .protocol import (
     optimal_gain,
 )
 
-__version__ = "0.18.0"
+__version__ = "0.19.0"
 
 __all__ = [
     "KeyRateNotFinite",
     "KeyRatePoint",
-    "key_rate_vs_k",
     "max_distance_asymmetric",
     "max_total_distance_symmetric",
     "min_detector_efficiency",

@@ -4,14 +4,12 @@
 `protocol` owns the reduction that produces it (gain -> (T, eps') ->
 (a, b, c)); this module only evaluates it, one block at a time, with plain
 `math`: each function takes and returns floats. Every key rate of the
-package goes through them: `keyrate.secret_key_rate` (one
-`block_mutual_information` and one `block_holevo_reverse` call per point,
-and so every sweep, range search and threshold search), the detection
-scheme's k maximum and `keyrate.key_rate_vs_k` (one `block_key_rate` call
-per k), and `montecarlo.key_rates_vs_k_from_batch` (one per k of a sampled
-batch). Callers outside this module call them as `kernels.<name>`, so that
-a test or a tracer that replaces the module's attribute sees every
-evaluation.
+package is one `keyrate._evaluate`, which makes one
+`block_mutual_information` and one `block_holevo_reverse` call: each point
+of `keyrate.secret_key_rate` (and so every sweep, range search and
+threshold search) and each k of the detection scheme's k maximum. Callers
+outside this module call them as `kernels.<name>`, so that a test or a
+tracer that replaces the module's attribute sees every evaluation.
 """
 
 from math import log2, sqrt
@@ -50,8 +48,3 @@ def block_holevo_reverse(a: float, b: float, c: float) -> float:
     nu1, nu2 = block_symplectic_eigenvalues(a, b, c)
     nu3 = a - c * c / (b + 1.0)
     return g_entropy(nu1) + g_entropy(nu2) - g_entropy(nu3)
-
-
-def block_key_rate(a: float, b: float, c: float, beta: float) -> float:
-    """Reverse-reconciliation key rate beta*I - chi in bits per use."""
-    return beta * block_mutual_information(a, b, c) - block_holevo_reverse(a, b, c)

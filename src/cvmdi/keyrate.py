@@ -1,17 +1,16 @@
 """Asymptotic reverse-reconciliation secret key rate, sweeps and range searches.
 
-Points, sweeps, range searches, the detection scheme's k maximum and
-`key_rate_vs_k` run on the scalar `math` kernels; only the generic
-cross-check loads numpy, when it is called. Every key rate is one
-`_evaluate`: one `kernels.block_mutual_information` and one
-`kernels.block_holevo_reverse` call at one gain, from the scenario's
-`gain_free_terms`. Every point, and every probe of a range or threshold
-search (`key_rate_at`, the detector-efficiency search), is one
-`secret_key_rate`, whose `KeyRatePoint` is built without the generated
-`__init__`; the k maximum and `key_rate_vs_k` compute the gain-free terms
-once and evaluate each k. `_evaluate` is the one key-rate guard: unless
-T > 0 and K is finite (finite but extreme inputs overflow or underflow the
-equivalent channel, its block or the kernels), it raises a
+Points, sweeps, range searches and the detection scheme's k maximum run on
+the scalar `math` kernels; only the generic cross-check loads numpy, when it
+is called. Every key rate is one `_evaluate`: one
+`kernels.block_mutual_information` and one `kernels.block_holevo_reverse`
+call at one gain, from the scenario's `gain_free_terms`. Every point, and
+every probe of a range or threshold search (`key_rate_at`, the
+detector-efficiency search), is one `secret_key_rate`, whose `KeyRatePoint`
+is built without the generated `__init__`; the k maximum computes the
+gain-free terms once and evaluates each k. `_evaluate` is the one key-rate
+guard: unless T > 0 and K is finite (finite but extreme inputs overflow or
+underflow the equivalent channel, its block or the kernels), it raises a
 `KeyRateNotFinite` that names the fixed gain, the legs, k, T and eps'.
 """
 
@@ -29,7 +28,6 @@ from .protocol import (
     block_params,
     channel_at,
     gain_free_terms,
-    gain_from_k,
     k_from_gain,
 )
 
@@ -101,10 +99,10 @@ class KeyRateNotFinite(ValueError):
     gain, when the gain is fixed, the legs, k, T and eps'."""
 
 
-def _evaluate(scenario: Scenario, terms: tuple, g: float, k: float | None = None) -> tuple:
+def _evaluate(scenario: Scenario, terms: tuple, g: float) -> tuple:
     """(I_AB, chi_BE, K) of the scenario at gain g, from its `gain_free_terms`,
     K = beta * I_AB - chi_BE: the one key-rate guard (see the module
-    docstring); its `KeyRateNotFinite` names k, by default the k of g."""
+    docstring); its `KeyRateNotFinite` names the k of g."""
     t, eps = channel_at(terms, g)  # outside the try: T and eps' name a failure
     try:
         a, b, c = block_params(scenario.v_a, t, eps)
@@ -116,12 +114,11 @@ def _evaluate(scenario: Scenario, terms: tuple, g: float, k: float | None = None
     if t > 0.0 and math.isfinite(rate):
         return i_ab, chi, rate
     fixed = f"scenario.gain = {scenario.gain!r}: " if scenario.gain_mode == "fixed" else ""
-    k = k_from_gain(g, scenario.v_b) if k is None else k
     raise KeyRateNotFinite(
         f"{fixed}the key rate at legs of {scenario.channel_a.length_km!r} and "
-        f"{scenario.channel_b.length_km!r} km and k = {k!r} is not finite: the equivalent "
-        f"channel has T = {t!r} and eps' = {eps!r}, and a key rate needs T > 0 and a block "
-        f"that the key-rate kernels evaluate without overflow")
+        f"{scenario.channel_b.length_km!r} km and k = {k_from_gain(g, scenario.v_b)!r} is not "
+        f"finite: the equivalent channel has T = {t!r} and eps' = {eps!r}, and a key rate "
+        f"needs T > 0 and a block that the key-rate kernels evaluate without overflow")
 
 
 def secret_key_rate(scenario: Scenario) -> KeyRatePoint:
@@ -242,22 +239,6 @@ def sweep_asymmetric(scenario: Scenario, l_ac_grid, l_bc_values) -> SweepResult:
 def analytic_k(scenario: Scenario) -> float:
     """Data-domain amplification coefficient matching the scenario's gain."""
     return k_from_gain(scenario.resolved_gain(), scenario.v_b)
-
-
-def key_rate_vs_k(scenario: Scenario, k_grid) -> tuple:
-    """Key rate at each amplification coefficient of the data processing (a
-    sequence: a list, a tuple, an array), as a tuple of floats.
-
-    A k far from the scenario's own (k = 1e100 at 1 km legs) overflows the
-    equivalent channel, its block or the kernels: the `KeyRateNotFinite` of
-    `_evaluate` names the first such k.
-    """
-    ks = _floats(k_grid)
-    # a NaN fails both comparisons
-    if not ks or not all(0.0 < k < math.inf for k in ks):
-        raise ValueError("k grid must be nonempty, finite and positive")
-    terms = gain_free_terms(scenario)
-    return tuple(_evaluate(scenario, terms, gain_from_k(k, scenario.v_b), k)[2] for k in ks)
 
 
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # Brent's golden-section fraction

@@ -46,10 +46,10 @@ and a Bartlett-decomposed Wishart draw from Python's `random`
 (`_moment_rng`), in time and memory independent of n; `row_law` is the law
 itself, C = L L^T. `_reading` states once how data are read as the block
 covariance (a, b, c): fixed weights R on the covariance F of the final
-columns (`Moments.final_covariance`). Estimation, its errors and the k-scan
-all use it. Standard errors are the Isserlis covariance of a sample
-covariance of n Gaussian rows carried to those readings
-(`_reading_covariance`).
+columns (`Moments.final_covariance`). Estimation, its errors and the
+oracle's rescaling suite all use it. Standard errors are the Isserlis
+covariance of a sample covariance of n Gaussian rows carried to those
+readings (`_reading_covariance`).
 
 Channels: each leg is an entangling cloner. Eve's kept arm never reaches the
 data, so the sampler draws only the mode she injects into the channel.
@@ -64,7 +64,6 @@ from dataclasses import dataclass, replace
 from operator import mul
 from typing import Any
 
-from . import kernels
 from .protocol import _SQRT2, MIN_ESTIMATION_SAMPLES, Scenario, k_from_gain
 
 # rows per block of the row draw (a transient of p CHUNK_ROWS normals)
@@ -514,21 +513,6 @@ def estimate_params(m: Moments) -> EstimatedParams:
     t_var, eps_var = (_dot(row, g) for row, g in zip(spread, grad))
     return EstimatedParams(a=a, b=b, c=c, t_hat=t, eps_hat=eps,
                            t_se=math.sqrt(t_var), eps_se=math.sqrt(eps_var))
-
-
-def key_rates_vs_k_from_batch(m: Moments, k_grid, beta: float = 1.0) -> list:
-    """Data-driven key rate for each k, from one PM batch's second moments.
-
-    Reads only the drawn columns x_a ... p_d, so the batch's own k does not
-    enter. `_read_block_params` reads the block of every k at once, and the
-    scalar kernel evaluates each. A k at which the sampled block is
-    unphysical (a log or square root of a negative number) raises the
-    kernel's ValueError; it does not give NaN.
-    """
-    if m.scheme != "PM":
-        raise ValueError("k sweep over data requires a PM batch")
-    blocks = _read_block_params(m, [float(k) for k in k_grid])
-    return [kernels.block_key_rate(a, b, c, beta) for a, b, c in blocks]
 
 
 def _ascii_words(texts):

@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 from . import montecarlo as mc
 from .protocol import (
     Scenario,
-    effective_transmittance,
-    equivalent_excess_noise,
+    channel_at,
+    gain_free_terms,
     k_from_gain,
     scenario_block_params,
 )
@@ -72,8 +72,7 @@ def _cov_suite(scenario: Scenario, eb: mc.Moments, scale, wrong_sign: bool) -> S
 
 def _estimation_suite(scenario: Scenario, moments: mc.Moments) -> SuiteResult:
     est = mc.estimate_params(moments)
-    t_true = effective_transmittance(scenario, moments.coeff)
-    eps_true = equivalent_excess_noise(scenario, moments.coeff)
+    t_true, eps_true = channel_at(gain_free_terms(scenario), moments.coeff)
     zt = abs(est.t_hat - t_true) / est.t_se
     ze = abs(est.eps_hat - eps_true) / est.eps_se
     return SuiteResult("parameter_estimation_roundtrip", zt < Z_LIMIT and ze < Z_LIMIT,

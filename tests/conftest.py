@@ -4,8 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cvmdi import ChannelParams, DetectorParams, Scenario
-from cvmdi.montecarlo import SampleBatch, _row_rng
+from cvmdi import ChannelParams, DetectorParams, Scenario, kernels
+from cvmdi.keyrate import _maximize
+from cvmdi.montecarlo import SampleBatch, _read_block_params, _row_rng
 from cvmdi.protocol import block_params
 
 
@@ -171,3 +172,21 @@ def lo_scaling_attack(batch: SampleBatch, eta_scale: float) -> SampleBatch:
     batch-level reference for `Moments.rescaled`."""
     r = math.sqrt(eta_scale)
     return replace(batch, x_c=r * batch.x_c, p_d=r * batch.p_d)
+
+
+# Test-only reference of the alternate detection scheme on data: the key rate
+# that Bob computes from the moments of his own PM data, maximised over k.
+
+def data_key_rate(m, k: float, beta: float) -> float:
+    """K = beta I - chi of the block that the PM moments m read with Bob's
+    final data formed at k."""
+    a, b, c = _read_block_params(m, [k])[0]
+    return beta * kernels.block_mutual_information(a, b, c) - kernels.block_holevo_reverse(a, b, c)
+
+
+def data_k_maximum(m, k0: float, beta: float) -> tuple[float, float]:
+    """The maximum (k, K) of `data_key_rate` over k in [0.3, 3] k0, by the
+    library's k maximiser `_maximize` in ln(k / k0)."""
+    u, rate = _maximize(lambda u: data_key_rate(m, k0 * math.exp(u), beta),
+                        math.log(0.3), math.log(3.0))
+    return k0 * math.exp(u), rate

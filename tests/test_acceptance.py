@@ -31,8 +31,8 @@ from cvmdi.protocol import (
     optimal_gain,
     scenario_block_params,
 )
-from conftest import lo_scaling_attack, make_scenario, random_scenario, \
-    ref_asymmetric_range, ref_min_detector_efficiency, ref_symmetric_range
+from conftest import data_k_maximum, data_key_rate, lo_scaling_attack, make_scenario, \
+    random_scenario, ref_asymmetric_range, ref_min_detector_efficiency, ref_symmetric_range
 
 N_MC = 1_000_000
 SEED = 12345
@@ -200,31 +200,28 @@ def test_criterion_08_pm_eb_equivalence():
 
 
 def test_criterion_09_measurement_rescaling_invariance():
+    # Bob maximises his data key rate over k (`data_k_maximum`): a relay
+    # rescaling of its data by eta leaves the maximum and moves its k to
+    # k / sqrt(eta); at a fixed k it moves the key rate
     s = make_scenario(5.0, 2.0)
     k0 = analytic_k(s)
-    grid = k0 * np.logspace(np.log10(0.3), np.log10(3.0), 2001)
     batch = mc.simulate_pm(s, k0, N_MC, SEED)
     moments = mc.Moments.of(batch)
-    base = mc.key_rates_vs_k_from_batch(moments, grid, s.beta_r)
-    k_base = float(grid[int(np.argmax(base))])
-    max_dev, argmax_dev, details = 0.0, 0.0, []
+    k_base, base = data_k_maximum(moments, k0, s.beta_r)
+    max_dev, argmax_dev = 0.0, 0.0
     for eta in (0.25, 0.64, 1.44):
-        scaled = mc.key_rates_vs_k_from_batch(mc.Moments.of(lo_scaling_attack(batch, eta)),
-                                              grid, s.beta_r)
-        max_dev = max(max_dev, abs(float(np.max(base)) - float(np.max(scaled))))
-        k_scaled = float(grid[int(np.argmax(scaled))])
+        k_scaled, scaled = data_k_maximum(mc.Moments.of(lo_scaling_attack(batch, eta)), k0,
+                                          s.beta_r)
+        max_dev = max(max_dev, abs(base - scaled))
         argmax_dev = max(argmax_dev, abs(k_scaled * math.sqrt(eta) / k_base - 1.0))
-        details.append(f"eta={eta}: argmax ratio {k_scaled / k_base:.3f}")
-    fixed_base = float(mc.key_rates_vs_k_from_batch(moments, [k0], s.beta_r)[0])
-    fixed_scaled = float(mc.key_rates_vs_k_from_batch(
-        mc.Moments.of(lo_scaling_attack(batch, 0.64)), [k0], s.beta_r)[0])
-    control = abs(fixed_base - fixed_scaled)
-    ok = max_dev < 1e-3 and argmax_dev < 0.01 and control > 1e-2
-    report(9, ok, f"rescaling invariance: |dK_max|={max_dev:.2e} (expected < 1e-3), "
-                  f"argmax 1/sqrt(eta) scaling dev {argmax_dev:.4f}; "
+    control = abs(data_key_rate(moments, k0, s.beta_r)
+                  - data_key_rate(mc.Moments.of(lo_scaling_attack(batch, 0.64)), k0, s.beta_r))
+    ok = max_dev < 1e-9 and argmax_dev < 1e-6 and control > 1e-2
+    report(9, ok, f"rescaling invariance: |dK_max|={max_dev:.2e} (expected < 1e-9), "
+                  f"argmax 1/sqrt(eta) scaling dev {argmax_dev:.2e} (expected < 1e-6); "
                   f"fixed-k control |dK|={control:.3f} (expected > 1e-2)")
-    assert max_dev < 1e-3
-    assert argmax_dev < 0.01
+    assert max_dev < 1e-9
+    assert argmax_dev < 1e-6
     assert control > 1e-2
 
 

@@ -15,8 +15,8 @@ def random_block(rng):
 
 def test_scalar_functions_return_floats(rng):
     a, b, c = (float(x) for x in random_block(rng))
-    values = (kernels.g_entropy(a), kernels.block_mutual_information(a, b, c),
-              kernels.block_holevo_reverse(a, b, c), kernels.block_key_rate(a, b, c, 0.95))
+    values = (kernels.g_entropy(a), *kernels.block_symplectic_eigenvalues(a, b, c),
+              kernels.block_mutual_information(a, b, c), kernels.block_holevo_reverse(a, b, c))
     assert all(type(v) is float for v in values)
 
 

@@ -58,8 +58,8 @@ def package_imports(source: str) -> set[str]:
 
 def test_layering():
     """The generic path (`gaussian`) sits behind `protocol` and `keyrate`, not
-    the package root; the Monte Carlo layer works on (a, b, c) from
-    `protocol` and `kernels` alone, and `oracle` takes its predictions from
+    the package root; the Monte Carlo layer builds on `protocol` alone and
+    evaluates no key rate, and `oracle` takes its predictions from
     `protocol`, not from `keyrate`; `config` does not load the Monte Carlo
     layer, which only `oracle` runs use."""
     assert package_imports("from . import kernels as k\nfrom .protocol import x\n"
@@ -69,7 +69,7 @@ def test_layering():
     imports = {p.stem: package_imports(p.read_text())
                for p in (ROOT / "src" / "cvmdi").glob("*.py")}
     assert {m for m, names in imports.items() if "gaussian" in names} == {"keyrate", "protocol"}
-    assert imports["montecarlo"] == {"kernels", "protocol"}
+    assert imports["montecarlo"] == {"protocol"}
     assert imports["oracle"] == {"montecarlo", "protocol"}
     assert not imports["config"] & {"montecarlo", "oracle"}
 
@@ -167,9 +167,9 @@ def test_numpy_inside_the_analytic_path_only_for_the_cross_check():
 
     assert numpy_inside(sources) == NUMPY_INSIDE
     twin = dict(sources, kernels=sources["kernels"] + (
-        "\ndef block_key_rate_grid(a, b, c, beta):\n    import numpy as np\n"
-        "    return beta * np.log2(a)\n"))
-    assert numpy_inside(twin) == NUMPY_INSIDE | {"kernels.block_key_rate_grid"}
+        "\ndef block_mutual_information_grid(a, b, c):\n    import numpy as np\n"
+        "    return np.log2(a)\n"))
+    assert numpy_inside(twin) == NUMPY_INSIDE | {"kernels.block_mutual_information_grid"}
 
 
 def _defined(node: ast.stmt) -> set[str]:
@@ -329,11 +329,12 @@ def test_every_kernel_evaluation_is_visible():
     evaluation-count tests, the benchmark's tracer) sees every evaluation; a
     local alias, cheaper by one attribute lookup, would hide them."""
     assert hidden_kernel_calls(
-        "from . import kernels\nfrom .kernels import block_key_rate\n"
-        "from . import kernels as k\nimport cvmdi.kernels as kk\nrate = kernels.block_key_rate\n"
-        "f(kernels.g_entropy)\nkernels.block_key_rate(1.0, 2.0, 3.0, 1.0)\n") == {
-        "from .kernels import block_key_rate", "import kernels as k",
-        "import cvmdi.kernels as kk", "kernels.block_key_rate not called",
+        "from . import kernels\nfrom .kernels import block_holevo_reverse\n"
+        "from . import kernels as k\nimport cvmdi.kernels as kk\n"
+        "chi = kernels.block_holevo_reverse\nf(kernels.g_entropy)\n"
+        "kernels.block_holevo_reverse(1.0, 2.0, 3.0)\n") == {
+        "from .kernels import block_holevo_reverse", "import kernels as k",
+        "import cvmdi.kernels as kk", "kernels.block_holevo_reverse not called",
         "kernels.g_entropy not called"}
     sources = {p.stem: p.read_text() for p in sorted((ROOT / "src" / "cvmdi").glob("*.py"))
                if p.stem != "kernels"}
@@ -371,9 +372,9 @@ def handlers(source: str, name: str) -> set[str]:
 
 def test_one_key_rate_guard():
     """Every key rate of the package is one `keyrate._evaluate`, the one
-    key-rate guard: it alone constructs `KeyRateNotFinite` and calls the two
-    point kernels in `keyrate`, and `cli` catches no `ValueError`, so a
-    command turns the guard's error into exit 2 in `main` alone."""
+    key-rate guard: it alone constructs `KeyRateNotFinite` and, in every
+    module, calls the two point kernels, and `cli` catches no `ValueError`,
+    so a command turns the guard's error into exit 2 in `main` alone."""
     assert handlers("try:\n    f()\nexcept ValueError:\n    pass\ndef g():\n    try:\n"
                     "        f()\n    except (KeyError, m.ValueError):\n        pass\n",
                     "ValueError") == {"<module>", "g"}
@@ -382,7 +383,8 @@ def test_one_key_rate_guard():
     assert {f"{m}.{f}" for m, text in sources.items()
             for f in callers(text, "KeyRateNotFinite")} == {"keyrate._evaluate"}
     for kernel in ("block_mutual_information", "block_holevo_reverse"):
-        assert callers(sources["keyrate"], kernel) == {"_evaluate"}, kernel
+        assert {f"{m}.{f}" for m, text in sources.items()
+                for f in callers(text, kernel)} == {"keyrate._evaluate"}, kernel
     assert handlers(sources["cli"], "ValueError") == set()
     assert handlers(sources["cli"], "KeyRateNotFinite") == {"main"}
 

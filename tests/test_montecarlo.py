@@ -1,6 +1,6 @@
 """Monte Carlo layer: reproducibility, the exact identities of the sampler's
 law (covariance, picture equivalence, measurement rescaling), parameter
-estimation, and the data-driven k-scan."""
+estimation, and the data key rate maximised over k."""
 
 import dataclasses
 import math
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cvmdi import ChannelParams, DetectorParams, Scenario, kernels
+from cvmdi import ChannelParams, DetectorParams, Scenario
 from cvmdi import montecarlo as mc
 from cvmdi.config import load_config
 from cvmdi.keyrate import analytic_k, secret_key_rate
@@ -31,7 +31,8 @@ from cvmdi.protocol import (
     optimal_gain,
     scenario_block_params,
 )
-from conftest import lo_scaling_attack, make_scenario, sample_block_cm
+from conftest import data_k_maximum, data_key_rate, lo_scaling_attack, make_scenario, \
+    sample_block_cm
 
 N_FAST = 200_000
 SEED = 20260823
@@ -300,70 +301,62 @@ class TestEstimationCalibration:
 
 
 class TestRescalingAnalysis:
-    def grid(self, scenario):
-        k0 = analytic_k(scenario)
-        return k0 * np.logspace(np.log10(0.3), np.log10(3.0), 2001)
+    # Bob re-optimises k on his own data: the maximum over k does not see a
+    # rescaling of the relay data by eta, and its k moves to k / sqrt(eta)
+    ETAS = (0.25, 0.64, 1.44)
 
     def test_maximum_rate_is_invariant(self, scenario, pm_batch, pm_moments):
-        grid = self.grid(scenario)
-        base = mc.key_rates_vs_k_from_batch(pm_moments, grid, scenario.beta_r)
-        for eta in (0.25, 0.64, 1.44):
-            scaled = mc.key_rates_vs_k_from_batch(
-                mc.Moments.of(lo_scaling_attack(pm_batch, eta)), grid, scenario.beta_r)
-            assert abs(float(np.max(base)) - float(np.max(scaled))) < 1e-3
+        k0 = analytic_k(scenario)
+        _, base = data_k_maximum(pm_moments, k0, scenario.beta_r)
+        for eta in self.ETAS:
+            scaled = mc.Moments.of(lo_scaling_attack(pm_batch, eta))
+            assert abs(base - data_k_maximum(scaled, k0, scenario.beta_r)[1]) < 1e-9
 
     def test_argmax_scales_inversely(self, scenario, pm_batch, pm_moments):
-        grid = self.grid(scenario)
-        base = mc.key_rates_vs_k_from_batch(pm_moments, grid, scenario.beta_r)
-        k_base = grid[int(np.argmax(base))]
-        for eta in (0.25, 0.64, 1.44):
-            scaled = mc.key_rates_vs_k_from_batch(
-                mc.Moments.of(lo_scaling_attack(pm_batch, eta)), grid, scenario.beta_r)
-            k_scaled = grid[int(np.argmax(scaled))]
-            assert k_scaled * math.sqrt(eta) == pytest.approx(k_base, rel=0.01)
+        k0 = analytic_k(scenario)
+        k_base, _ = data_k_maximum(pm_moments, k0, scenario.beta_r)
+        for eta in self.ETAS:
+            scaled = mc.Moments.of(lo_scaling_attack(pm_batch, eta))
+            k_scaled, _ = data_k_maximum(scaled, k0, scenario.beta_r)
+            assert k_scaled * math.sqrt(eta) == pytest.approx(k_base, rel=1e-6)
 
     def test_fixed_k_negative_control(self, scenario, pm_batch, pm_moments):
-        k0 = np.array([analytic_k(scenario)])
-        base = float(mc.key_rates_vs_k_from_batch(pm_moments, k0, scenario.beta_r)[0])
-        scaled = float(mc.key_rates_vs_k_from_batch(
-            mc.Moments.of(lo_scaling_attack(pm_batch, 0.64)), k0, scenario.beta_r)[0])
+        k0 = analytic_k(scenario)
+        base = data_key_rate(pm_moments, k0, scenario.beta_r)
+        scaled = data_key_rate(mc.Moments.of(lo_scaling_attack(pm_batch, 0.64)), k0,
+                               scenario.beta_r)
         assert abs(base - scaled) > 1e-2
 
     def test_batch_rate_matches_analytic(self, scenario, pm_moments):
-        k0 = np.array([analytic_k(scenario)])
-        empirical = float(mc.key_rates_vs_k_from_batch(pm_moments, k0, scenario.beta_r)[0])
+        empirical = data_key_rate(pm_moments, analytic_k(scenario), scenario.beta_r)
         assert empirical == pytest.approx(secret_key_rate(scenario).k, abs=0.02)
 
     def test_grid_matches_scalar_kernel_loop(self, scenario, pm_batch, pm_moments):
-        grid = self.grid(scenario)
-        rates = mc.key_rates_vs_k_from_batch(pm_moments, grid, scenario.beta_r)
+        # the blocks of many k read at once (the rescaling suite reads three)
+        # against the expansion of the rows' np.cov at each k, one at a time
+        grid = analytic_k(scenario) * np.logspace(np.log10(0.3), np.log10(3.0), 2001)
+        blocks = mc._read_block_params(pm_moments, grid.tolist())
         m = np.cov(np.column_stack([pm_batch.x_a, pm_batch.p_a, pm_batch.x_b,
                                     pm_batch.p_b, pm_batch.x_c, pm_batch.p_d]),
                    rowvar=False)
         s_a = mc.modulation_scale(pm_batch.v_a)
         s_b = mc.modulation_scale(pm_batch.v_b)
         a = (m[0, 0] + m[1, 1]) / (s_a * s_a) - 1.0
-        for k, rate in zip(grid.tolist(), rates):
+        assert len(blocks) == len(grid)
+        for k, block in zip(grid.tolist(), blocks):
             var_xb = m[2, 2] + 2 * k * m[2, 4] + k * k * m[4, 4]
             var_pb = m[3, 3] - 2 * k * m[3, 5] + k * k * m[5, 5]
             cov_x = m[0, 2] + k * m[0, 4]
             cov_p = m[1, 3] - k * m[1, 5]
             b = (var_xb + var_pb) / (s_b * s_b) - 1.0
             c = (cov_x - cov_p) / (s_a * s_b)
-            assert rate == pytest.approx(
-                float(kernels.block_key_rate(a, b, c, scenario.beta_r)), abs=1e-12)
+            assert block == pytest.approx((a, b, c), abs=1e-12)
 
-    def test_estimation_and_k_scan_read_the_same_block(self, scenario, pm_moments):
-        # one reading of data as (a, b, c): at the batch's own k, the k-scan
-        # evaluates the block that estimation fits
+    def test_estimation_and_k_scan_read_the_same_block(self, pm_moments):
+        # one reading of data as (a, b, c): at the batch's own k, the reading
+        # of many k gives the block that estimation fits
         est = mc.estimate_params(pm_moments)
-        rate = float(kernels.block_key_rate(est.a, est.b, est.c, scenario.beta_r))
-        scan = mc.key_rates_vs_k_from_batch(pm_moments, [pm_moments.coeff], scenario.beta_r)
-        assert rate == scan[0]
-
-    def test_rejects_eb_batch(self, eb_moments):
-        with pytest.raises(ValueError):
-            mc.key_rates_vs_k_from_batch(eb_moments, [1.0])
+        assert mc._read_block_params(pm_moments, [pm_moments.coeff])[0] == (est.a, est.b, est.c)
 
     def test_rejects_bad_scale(self, pm_moments):
         # eta_scale = 0: see test_rescaling_moments_matches_rescaling_batch
