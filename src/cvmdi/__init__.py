@@ -3,11 +3,14 @@
 Protocol composition under independent entangling-cloner attacks,
 asymptotic reverse-reconciliation key rates, distance sweeps, and a
 quadrature-level Monte Carlo verification layer. The package root loads
-only the analytic path, which needs `math` alone. The Gaussian-state toolkit
-of the generic cross-check is `cvmdi.gaussian`, which loads numpy. The
-oracle (`cvmdi.oracle`, `cvmdi.montecarlo`) computes its law, draw and
-estimates in `math` as well; only the row sampler and its CSV export load
-numpy, when they are called, and no `cvmdi` command calls them.
+only the analytic path, which needs `math` alone; the reduction gain ->
+(T, eps') -> (a, b, c) is the three steps of `cvmdi.protocol`, which the key
+rate and the oracle compose. The Gaussian-state toolkit of the generic
+cross-check is `cvmdi.gaussian`, which loads numpy. The oracle
+(`cvmdi.oracle`, `cvmdi.montecarlo`) computes its law, its drawn sample
+covariance and its estimates in `math` as well; only the row sampler and its
+CSV export load numpy, when they are called, and no `cvmdi` command calls
+them.
 """
 
 from . import kernels
@@ -27,12 +30,10 @@ from .protocol import (
     DetectorParams,
     Scenario,
     compose_eb_simulated,
-    effective_transmittance,
-    equivalent_excess_noise,
     optimal_gain,
 )
 
-__version__ = "0.19.0"
+__version__ = "0.20.0"
 
 __all__ = [
     "KeyRateNotFinite",
@@ -48,8 +49,6 @@ __all__ = [
     "DetectorParams",
     "Scenario",
     "compose_eb_simulated",
-    "effective_transmittance",
-    "equivalent_excess_noise",
     "optimal_gain",
     "kernels",
     "__version__",

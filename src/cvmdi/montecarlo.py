@@ -38,13 +38,12 @@ x_c, p_d; Bob's final data X_B = x_b + w_x x_c, P_B = p_b + w_p p_d
 (`_final_weights`) are derived on demand.
 
 Moments: every estimator here reads second moments only. `Moments` holds
-them for the whole batch (row count n, column sums and the Gram matrix of
-the drawn columns), so every covariance is a linear image of one covariance
-C of those columns (ddof 1). `Moments.of` reduces drawn rows;
-`sample_moments` draws the moments of n rows exactly from their law, from L
-and a Bartlett-decomposed Wishart draw from Python's `random`
-(`_moment_rng`), in time and memory independent of n; `row_law` is the law
-itself, C = L L^T. `_reading` states once how data are read as the block
+one covariance C of the drawn columns (ddof 1) and the row count n, so every
+covariance is a linear image of C. `Moments.of` reduces drawn rows;
+`sample_moments` draws C of n rows exactly from its law, from L and a
+Bartlett-decomposed Wishart draw from Python's `random` (`_moment_rng`), in
+time and memory independent of n; `row_law` is the law itself, C = L L^T
+with n = 0. `_reading` states once how data are read as the block
 covariance (a, b, c): fixed weights R on the covariance F of the final
 columns (`Moments.final_covariance`). Estimation, its errors and the
 oracle's rescaling suite all use it. Standard errors are the Isserlis
@@ -310,7 +309,8 @@ def simulate_pm(scenario: Scenario, k: float, n: int = 100_000, seed: int = 0) -
 @dataclass(frozen=True, eq=False)
 class Moments:
     """Second moments of a batch's base columns x_a, p_a, x_b, p_b, x_c, p_d:
-    row count n, column sums and Gram matrix sum(v v^T), as floats.
+    their covariance `cov` (ddof 1) over n rows, 6 rows of 6 floats. A law
+    (`row_law`) has n = 0: it is no sample, and `estimate_params` refuses it.
 
     scheme, v_a, v_b and coeff are those of the batch; coeff sets the linear
     map from base to final columns.
@@ -321,22 +321,27 @@ class Moments:
     v_b: float
     coeff: float
     n: int
-    sums: list  # 6 floats
-    gram: list  # 6 rows of 6 floats
+    cov: list  # 6 rows of 6 floats
 
     @classmethod
     def of(cls, batch: SampleBatch) -> Moments:
-        """Moments of a whole batch: each column's sum and each pair's dot
-        product, converted to floats."""
+        """Moments of a whole batch, from its column sums and Gram matrix G as
+        floats. A final data column whose variance is rounding noise of its
+        raw second moment G/n (a constant column's G/n - mean^2) raises
+        ValueError."""
         cols = [getattr(batch, c) for c in _BASE]
-        return cls(batch.scheme, batch.v_a, batch.v_b, batch.coeff, batch.n,
-                   [float(u.sum()) for u in cols], [[float(u @ v) for v in cols] for u in cols])
-
-    def covariance(self) -> list:
-        """Sample covariance (ddof 1) of the drawn columns."""
-        n = self.n
-        return [[(g - s * t / n) / (n - 1) for g, t in zip(row, self.sums)]
-                for row, s in zip(self.gram, self.sums)]
+        n = batch.n
+        if n < 2:
+            raise ValueError("a sample covariance (ddof 1) needs at least 2 rows")
+        sums = [float(u.sum()) for u in cols]
+        gram = [[float(u @ v) for v in cols] for u in cols]
+        m = cls(batch.scheme, batch.v_a, batch.v_b, batch.coeff, n,
+                [[(g - s * t / n) / (n - 1) for g, t in zip(row, sums)]
+                 for row, s in zip(gram, sums)])
+        raw, final = _sandwich(m.final_map(), gram), m.final_covariance()
+        if any(final[i][i] <= 1e-12 * (raw[i][i] / n) for i in range(4)):
+            raise ValueError("degenerate (zero-variance) data column")
+        return m
 
     def final_map(self) -> list:
         """L with (X_A, P_A, X_B, P_B, X_C, P_D) = L (x_a, p_a, x_b, p_b, x_c, p_d)."""
@@ -346,18 +351,17 @@ class Moments:
 
     def final_covariance(self) -> list:
         """Covariance of the final columns over the batch, L C L^T."""
-        return _sandwich(self.final_map(), self.covariance())
+        return _sandwich(self.final_map(), self.cov)
 
     def rescaled(self, eta_scale: float) -> Moments:
         """Moments after scaling the relay data x_c, p_d by sqrt(eta_scale):
-        D G D and D s with D = diag(1, 1, 1, 1, r, r), r = sqrt(eta_scale)."""
+        D C D with D = diag(1, 1, 1, 1, r, r), r = sqrt(eta_scale)."""
         if eta_scale <= 0:
             raise ValueError("eta_scale must be > 0")
         r = math.sqrt(eta_scale)
         d = (1.0, 1.0, 1.0, 1.0, r, r)
-        return replace(self, sums=[s * x for s, x in zip(self.sums, d)],
-                       gram=[[g * (x * y) for g, y in zip(row, d)]
-                             for row, x in zip(self.gram, d)])
+        return replace(self, cov=[[g * (x * y) for g, y in zip(row, d)]
+                                  for row, x in zip(self.cov, d)])
 
 
 def sample_moments(scenario: Scenario, scheme: str, coeff: float, n: int,
@@ -366,14 +370,16 @@ def sample_moments(scenario: Scenario, scheme: str, coeff: float, n: int,
     `simulate_pm` ("PM", coeff the amplification k), drawn exactly from their
     law in one draw keyed by seed (`_moment_rng`), not row by row.
 
-    A row is L z with z ~ N(0, I_p) (`linear_map`), so the n rows have sums
-    sqrt(n) L u and Gram matrix L (A A^T + u u^T) L^T, with u ~ N(0, I_p) and
-    A A^T ~ Wishart(n - 1, I_p) independent of u. A is the Bartlett factor
-    (Anderson, An Introduction to Multivariate Statistical Analysis, ch. 7):
-    lower triangular, A_ii^2 ~ chi^2(n - 1 - i), a gamma variate of shape
-    (n - 1 - i)/2 and scale 2, and standard normals below the diagonal, drawn
-    row by row; then u. Time and memory do not depend on n. The result has
-    the law of `Moments.of` the rows, not their values.
+    A row is L z with z ~ N(0, I_p) (`linear_map`), so the sample covariance
+    of n rows is L A A^T L^T / (n - 1) with A A^T ~ Wishart(n - 1, I_p),
+    independent of the sample mean, which is not drawn. A is the Bartlett
+    factor (Anderson, An Introduction to Multivariate Statistical Analysis,
+    ch. 3 and 7): lower triangular, A_ii^2 ~ chi^2(n - 1 - i), a gamma variate
+    of shape (n - 1 - i)/2 and scale 2, and standard normals below the
+    diagonal, drawn row by row. Each entry is one correctly rounded sum of
+    products of rows of L A, then divided by n - 1. Time and memory do not
+    depend on n. The result has the law of `Moments.of` the rows, not their
+    values.
     """
     lmap = linear_map(scenario, scheme)
     p = len(lmap[0])
@@ -383,24 +389,20 @@ def sample_moments(scenario: Scenario, scheme: str, coeff: float, n: int,
     diag = [math.sqrt(rng.gammavariate((n - 1 - i) / 2.0, 2.0)) for i in range(p)]
     a = [[rng.gauss(0.0, 1.0) for _ in range(i)] + [diag[i]] + [0.0] * (p - 1 - i)
          for i in range(p)]
-    u = [rng.gauss(0.0, 1.0) for _ in range(p)]
-    la, lu = _mul(lmap, a), [_dot(row, u) for row in lmap]
-    # each Gram entry is one correctly rounded sum: the row of L A A^T L^T and u's term
-    gram = [[math.fsum([*map(mul, ra, rb), ua * ub]) for rb, ub in zip(la, lu)]
-            for ra, ua in zip(la, lu)]
+    la = _mul(lmap, a)
     return Moments(scheme, scenario.v_a, scenario.v_b, coeff, n,
-                   [math.sqrt(n) * x for x in lu], gram)
+                   [[_dot(ra, rb) / (n - 1) for rb in la] for ra in la])
 
 
 def row_law(scenario: Scenario, scheme: str, coeff: float) -> tuple[Moments, list]:
     """The exact law of a row of `simulate_eb` ("EB", coeff g) or `simulate_pm`
-    ("PM", coeff k), drawn from nothing: `Moments` whose covariance is L L^T,
-    and the rounding scale (|M||L|)(|M||L|)^T of its final covariance, M the
-    final map. It bounds the summed products entry by entry, so a computed
-    entry is within a few ulps of its scale however much the sum cancels."""
+    ("PM", coeff k), drawn from nothing: `Moments` whose covariance is L L^T
+    and whose n is 0, and the rounding scale (|M||L|)(|M||L|)^T of its final
+    covariance, M the final map. It bounds the summed products entry by
+    entry, so a computed entry is within a few ulps of its scale however much
+    the sum cancels."""
     lmap = linear_map(scenario, scheme)
-    law = Moments(scheme, scenario.v_a, scenario.v_b, coeff, 2, [0.0] * 6,
-                  _mul(lmap, _t(lmap)))
+    law = Moments(scheme, scenario.v_a, scenario.v_b, coeff, 0, _mul(lmap, _t(lmap)))
     bound = _mul(_abs(law.final_map()), _abs(lmap))
     return law, _mul(bound, _t(bound))
 
@@ -432,9 +434,8 @@ def _read_block_params(m: Moments, coeffs=None) -> list[tuple[float, float, floa
     """
     d = [[0.0] * 6 for _ in range(6)]
     d[2][4], d[3][5] = _final_weights(m.scheme, 1.0)
-    cov = m.covariance()
-    dc = _mul(d, cov)
-    terms = [_flat(cov), [x + y for x, y in zip(_flat(dc), _flat(_t(dc)))],
+    dc = _mul(d, m.cov)
+    terms = [_flat(m.cov), [x + y for x, y in zip(_flat(dc), _flat(_t(dc)))],
              _flat(_mul(dc, _t(d)))]
     poly = [[_dot(_flat(r), t) for t in terms] for r in _reading(m)]
     blocks = []
@@ -499,11 +500,8 @@ def estimate_params(m: Moments) -> EstimatedParams:
     """
     if m.n < MIN_ESTIMATION_SAMPLES:
         raise ValueError(f"need at least {MIN_ESTIMATION_SAMPLES} samples for estimation")
-    # G/n - mean^2 of a constant column is rounding noise of its raw second
-    # moment G/n, so the variance is judged relative to that
-    raw = _sandwich(m.final_map(), m.gram)
     final = m.final_covariance()
-    if any(final[i][i] <= 1e-12 * (raw[i][i] / m.n) for i in range(4)):
+    if any(final[i][i] <= 0.0 for i in range(4)):
         raise ValueError("degenerate (zero-variance) data column")
     a, b, c = _read_block_params(m)[0]
     t = c * c / (a * a - 1.0)

@@ -7,7 +7,10 @@ within IDENTITY_TOL of its rounding scale, so no seed or n moves them: the
 source-based (EB) law against the analytic prediction, the EB law bridged
 against the modulation-based (PM) law, and the PM law against its rescaled
 relay data. Parameter estimation alone reads a sample: the moments of n EB
-rows at `seed`, drawn from their law (`montecarlo.sample_moments`).
+rows at `seed`, drawn from their law (`montecarlo.sample_moments`), one
+sample covariance. The analytic side is the reduction's equivalent channel
+(T, eps') at g, computed once per run (`protocol.channel_at`): estimation
+tests against it, and the covariance suite against its block (a, b, c).
 
 Everything here is float arithmetic in `math`, every sum of products one
 correctly rounded `math.fsum`, so the printed lines are the same in every
@@ -20,13 +23,7 @@ import math
 from dataclasses import dataclass, replace
 
 from . import montecarlo as mc
-from .protocol import (
-    Scenario,
-    channel_at,
-    gain_free_terms,
-    k_from_gain,
-    scenario_block_params,
-)
+from .protocol import Scenario, block_params, channel_at, gain_free_terms, k_from_gain
 
 
 # |z| at or above which parameter estimation fails
@@ -60,19 +57,19 @@ def _upper_left(m) -> list:
     return [row[:4] for row in m[:4]]
 
 
-def _cov_suite(scenario: Scenario, eb: mc.Moments, scale, wrong_sign: bool) -> SuiteResult:
-    """The EB law's final covariance against the heterodyne image of the block at g."""
-    g = eb.coeff
-    predicted = mc.heterodyne_image(*scenario_block_params(scenario, g))
+def _cov_suite(block, eb: mc.Moments, scale, wrong_sign: bool) -> SuiteResult:
+    """The EB law's final covariance against the heterodyne image of the
+    block (a, b, c) predicted at its gain."""
+    predicted = mc.heterodyne_image(*block)
     if wrong_sign:  # test hook: displacement with inverted sign; the scale is the same
-        eb = replace(eb, coeff=-g)
+        eb = replace(eb, coeff=-eb.coeff)
     return _identity("covariance_vs_analytic", _upper_left(eb.final_covariance()), predicted,
                      _upper_left(scale))
 
 
-def _estimation_suite(scenario: Scenario, moments: mc.Moments) -> SuiteResult:
+def _estimation_suite(moments: mc.Moments, t_true: float, eps_true: float) -> SuiteResult:
+    """(T, eps') estimated from the drawn moments against the channel at their gain."""
     est = mc.estimate_params(moments)
-    t_true, eps_true = channel_at(gain_free_terms(scenario), moments.coeff)
     zt = abs(est.t_hat - t_true) / est.t_se
     ze = abs(est.eps_hat - eps_true) / est.eps_se
     return SuiteResult("parameter_estimation_roundtrip", zt < Z_LIMIT and ze < Z_LIMIT,
@@ -103,7 +100,8 @@ def _attack_suite(pm: mc.Moments, scale) -> SuiteResult:
 
 def run_oracle_suites(scenario: Scenario, n: int, seed: int,
                       wrong_sign: bool = False) -> list[SuiteResult]:
-    """The four suites at the scenario's gain; `mc.UnsupportedScenario` before any draw."""
+    """The four suites at the scenario's gain g, whose equivalent channel (T,
+    eps') is computed once; `mc.UnsupportedScenario` before any draw."""
     det = scenario.detector
     if (det.efficiency, det.electronic_noise) != (1.0, 0.0):
         raise mc.UnsupportedScenario(
@@ -119,11 +117,12 @@ def run_oracle_suites(scenario: Scenario, n: int, seed: int,
             raise mc.UnsupportedScenario(
                 f"scenario.{name} = {v!r}: the oracle checks sources with V below {V_LIMIT:g}")
     g = scenario.resolved_gain()
+    t, eps = channel_at(gain_free_terms(scenario), g)
     eb = mc.row_law(scenario, "EB", g)
     pm = mc.row_law(scenario, "PM", k_from_gain(g, scenario.v_b))
     return [
-        _cov_suite(scenario, *eb, wrong_sign),
-        _estimation_suite(scenario, mc.sample_moments(scenario, "EB", g, n, seed)),
+        _cov_suite(block_params(scenario.v_a, t, eps), *eb, wrong_sign),
+        _estimation_suite(mc.sample_moments(scenario, "EB", g, n, seed), t, eps),
         _equivalence_suite(*eb, *pm),
         _attack_suite(*pm),
     ]

@@ -2,13 +2,13 @@
 
 This module holds the paper's reduction, once: at displacement gain g the
 scheme is one-way coherent-state CV QKD with heterodyne detection over an
-equivalent channel, of transmittance T (`effective_transmittance`) and
-input-referred excess noise eps' (`equivalent_excess_noise`, the relay
-detector's penalty included), and `scenario_block_params` turns a scenario
-at g into the block covariance (a, b, c) that the oracle evaluates (the key
-rate composes the same steps); all three derive from the split
-`gain_free_terms` / `channel_at` (see the reduction's comment). Around it: the parameter types, which sweeps
-and searches copy rather than construct again, the gain rule
+equivalent channel of transmittance T and input-referred excess noise eps'
+(the relay detector's penalty included). It is three steps, which the key
+rate (`keyrate`) and the oracle (`oracle.run_oracle_suites`) compose
+themselves (see the reduction's comment): `gain_free_terms`, once per
+scenario; `channel_at`, (T, eps') at one g; and `block_params`, the block
+covariance (a, b, c) from (T, eps'). Around it: the parameter types, which
+sweeps and searches copy rather than construct again, the gain rule
 (`Scenario.resolved_gain`), and the explicit mode-by-mode Gaussian
 composition (`compose_eb_simulated`) that cross-checks the reduction. The
 module itself needs only `math`; `compose_eb_simulated` loads numpy and
@@ -192,8 +192,9 @@ def optimal_gain(scenario: Scenario) -> float:
 # (a, b, c) that `kernels` evaluates. Each step is written once:
 # `gain_free_terms` computes the terms of (T, eps') that do not depend on g,
 # `channel_at` gives (T, eps') at one g from them, and `block_params` gives
-# (a, b, c) from (T, eps'). A search over g at one scenario (the detection
-# scheme's k maximum) computes the gain-free terms once. These functions take
+# (a, b, c) from (T, eps'). A scenario's gain-free terms are computed once,
+# also for a search over g (the detection scheme's k maximum) and for an oracle
+# run, and no wrapper composes the steps for one value. These functions take
 # and return floats. Their square roots are `** 0.5`, not `math.sqrt`, because
 # that keeps every published cell unchanged: CPython's float power is libm
 # `pow`, which is not always correctly rounded at 0.5, so `math.sqrt` would
@@ -205,11 +206,6 @@ _SQRT2 = 2.0 ** 0.5
 def _k_per_gain(v_b):
     """Data-domain amplification k per unit displacement gain g."""
     return ((v_b - 1.0) / (v_b + 1.0)) ** 0.5
-
-
-def gain_from_k(k, v_b):
-    """Displacement gain equivalent to data-domain amplification k."""
-    return k / _k_per_gain(v_b)
 
 
 def k_from_gain(g, v_b):
@@ -254,24 +250,6 @@ def channel_at(terms: tuple, g):
     eta_a, eps_matched, root_minus, root_plus, penalty = terms
     mismatch = _SQRT2 / g * root_minus - root_plus
     return eta_a / 2.0 * g * g, eps_matched + mismatch * mismatch / eta_a + penalty
-
-
-def effective_transmittance(scenario: Scenario, g):
-    """T = eta_a g^2 / 2 at gain g."""
-    return channel_at(gain_free_terms(scenario), g)[0]
-
-
-def equivalent_excess_noise(scenario: Scenario, g):
-    """Input-referred excess noise eps' of the reduced one-way channel at gain
-    g, relay detector penalty 2 chi_det / eta_a included."""
-    return channel_at(gain_free_terms(scenario), g)[1]
-
-
-def scenario_block_params(scenario: Scenario, g):
-    """(a, b, c) of the post-protocol covariance at gain g, the map from a
-    scenario to the block that the oracle predicts; `keyrate._evaluate`
-    composes the same two steps, and keeps T and eps' for its guard."""
-    return block_params(scenario.v_a, *channel_at(gain_free_terms(scenario), g))
 
 
 def entangling_cloner_variance(eta: float, eps: float) -> float:

@@ -7,7 +7,7 @@ import pytest
 from cvmdi import ChannelParams, DetectorParams, Scenario, kernels
 from cvmdi.keyrate import _maximize
 from cvmdi.montecarlo import SampleBatch, _read_block_params, _row_rng
-from cvmdi.protocol import block_params
+from cvmdi.protocol import block_params, channel_at, gain_free_terms, k_from_gain
 
 
 @pytest.fixture
@@ -27,6 +27,23 @@ def make_scenario(l_ac=0.0, l_bc=0.0, v=40.0, eps=0.002, beta=1.0,
         **kwargs,
     )
 
+
+
+# The reduction gain -> (T, eps') -> (a, b, c), composed from its three steps
+# in `protocol` as `keyrate._evaluate` and the oracle compose them.
+def reduced_channel(s: Scenario, g: float) -> tuple[float, float]:
+    """(T, eps') of the equivalent channel of scenario s at gain g."""
+    return channel_at(gain_free_terms(s), g)
+
+
+def reduced_block(s: Scenario, g: float) -> tuple[float, float, float]:
+    """The block (a, b, c) of scenario s at gain g."""
+    return block_params(s.v_a, *reduced_channel(s, g))
+
+
+def gain_from_k(k: float, v_b: float) -> float:
+    """The displacement gain equivalent to the data-domain amplification k."""
+    return k / k_from_gain(1.0, v_b)
 
 # Independent reference for the range endpoints. It uses only `math` and
 # nothing from cvmdi: the paper's closed-form reduction of CV-MDI QKD to

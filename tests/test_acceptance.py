@@ -24,15 +24,15 @@ from cvmdi.keyrate import (
 )
 from cvmdi.oracle import IDENTITY_TOL, _cov_suite, _equivalence_suite
 from cvmdi.protocol import (
+    channel_at,
     compose_eb_simulated,
-    effective_transmittance,
-    equivalent_excess_noise,
+    gain_free_terms,
     k_from_gain,
     optimal_gain,
-    scenario_block_params,
 )
 from conftest import data_k_maximum, data_key_rate, lo_scaling_attack, make_scenario, \
-    random_scenario, ref_asymmetric_range, ref_min_detector_efficiency, ref_symmetric_range
+    random_scenario, reduced_block, reduced_channel, ref_asymmetric_range, \
+    ref_min_detector_efficiency, ref_symmetric_range
 
 N_MC = 1_000_000
 SEED = 12345
@@ -92,7 +92,7 @@ def test_criterion_01_symmetric_range():
 
 def test_criterion_02_equivalent_noise_spot_value():
     s = make_scenario(3.5, 3.5, eps=0.0)
-    eps = equivalent_excess_noise(s, s.resolved_gain())
+    eps = reduced_channel(s, s.resolved_gain())[1]
     ok = abs(eps - 0.35) <= 0.01
     report(2, ok, f"eps'(3.5 km legs, noiseless fibers) = {eps:.4f} "
                   f"(expected 0.35 +- 0.01)")
@@ -159,7 +159,7 @@ def test_criterion_06_dual_path_covariance_identity():
     for _ in range(1000):
         s = random_scenario(rng)
         g = optimal_gain(s) * rng.uniform(0.5, 2.0)
-        d = np.max(np.abs(block_cm(*scenario_block_params(s, g)).entries
+        d = np.max(np.abs(block_cm(*reduced_block(s, g)).entries
                           - compose_eb_simulated(s, g).entries))
         worst = max(worst, float(d))
     ok = worst <= 1e-10
@@ -174,10 +174,12 @@ def test_criterion_07_monte_carlo_oracle():
     s = make_scenario(5.0, 2.0)
     g = s.resolved_gain()
     law = mc.row_law(s, "EB", g)
-    exact, wrong = _cov_suite(s, *law, False), _cov_suite(s, *law, True)
+    block = reduced_block(s, g)
+    exact, wrong = _cov_suite(block, *law, False), _cov_suite(block, *law, True)
     est = mc.estimate_params(mc.Moments.of(mc.simulate_eb(s, g, N_MC, SEED)))
-    zt = abs(est.t_hat - effective_transmittance(s, g)) / est.t_se
-    ze = abs(est.eps_hat - equivalent_excess_noise(s, g)) / est.eps_se
+    t, eps = reduced_channel(s, g)
+    zt = abs(est.t_hat - t) / est.t_se
+    ze = abs(est.eps_hat - eps) / est.eps_se
     ok = exact.passed and not wrong.passed and zt < 3.0 and ze < 3.0
     report(7, ok, f"covariance identity {exact.detail} (expected < {IDENTITY_TOL:g}); "
                   f"wrong-sign control {wrong.detail} (expected >= {IDENTITY_TOL:g}); "
@@ -259,8 +261,9 @@ def test_criterion_10_property_suites():
     for _ in range(50):
         s = random_scenario(rng)
         g_star = optimal_gain(s)
-        best = equivalent_excess_noise(s, g_star)
-        if any(equivalent_excess_noise(s, g) < best - 1e-12
+        terms = gain_free_terms(s)
+        best = channel_at(terms, g_star)[1]
+        if any(channel_at(terms, g)[1] < best - 1e-12
                for g in g_star * np.logspace(-0.5, 0.5, 200)):
             failures.append("gain optimality")
             break

@@ -35,16 +35,11 @@ from cvmdi.protocol import (
     ChannelParams,
     DetectorParams,
     Scenario,
-    block_params,
     compose_eb_simulated,
-    effective_transmittance,
-    equivalent_excess_noise,
     gain_free_terms,
-    gain_from_k,
     optimal_gain,
-    scenario_block_params,
 )
-from conftest import make_scenario, random_scenario
+from conftest import gain_from_k, make_scenario, random_scenario, reduced_block
 
 
 class TestMutualInformation:
@@ -73,13 +68,13 @@ class TestHolevoBound:
         for _ in range(100):
             s = random_scenario(rng)
             g = s.resolved_gain()
-            a, b, c = scenario_block_params(s, g)
+            a, b, c = reduced_block(s, g)
             assert kernels.block_holevo_reverse(a, b, c) == pytest.approx(
                 holevo_bound_reverse_generic(block_cm(a, b, c)), abs=1e-10)
 
     def test_pure_loss_has_positive_bound(self):
         s = make_scenario(20.0, 0.0, eps=0.0)
-        assert kernels.block_holevo_reverse(*scenario_block_params(s, s.resolved_gain())) > 0.0
+        assert kernels.block_holevo_reverse(*reduced_block(s, s.resolved_gain())) > 0.0
 
 
 class TestSecretKeyRate:
@@ -117,7 +112,7 @@ class TestSecretKeyRate:
         for _ in range(50):
             s = random_scenario(rng)
             g = s.resolved_gain()
-            a, b, c = scenario_block_params(s, g)
+            a, b, c = reduced_block(s, g)
             assert np.allclose(block_cm(a, b, c).entries, compose_eb_simulated(s, g).entries,
                                rtol=0.0, atol=1e-12)
 
@@ -363,8 +358,6 @@ def test_property_probes_are_the_point_path_bit_for_bit(v_exp, l_ac, l_bc, eps, 
     g = k_factor * at.resolved_gain()
     point = secret_key_rate(replace(at, gain_mode="fixed", gain=g))
     assert _evaluate(at, gain_free_terms(at), g) == (point.i_ab, point.chi_be, point.k)
-    assert scenario_block_params(at, g) == block_params(
-        at.v_a, effective_transmittance(at, g), equivalent_excess_noise(at, g))
 
 
 def _count_kernel_evaluations(monkeypatch) -> dict:

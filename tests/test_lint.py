@@ -292,6 +292,19 @@ def test_one_detector_rule():
         "protocol.gain_free_terms"}
 
 
+def test_one_reduction_path():
+    """The reduction gain -> (T, eps') -> (a, b, c) has one path: the key rate
+    and the oracle compose `protocol`'s steps themselves, each scenario's
+    gain-free terms once, and no wrapper composes them for one value."""
+    modules = sorted((ROOT / "src" / "cvmdi").glob("*.py"))
+    assert {f"{p.stem}.{f}" for p in modules for f in callers(p.read_text(), "channel_at")} == {
+        "keyrate._evaluate", "oracle.run_oracle_suites"}
+    assert {f"{p.stem}.{f}" for p in modules
+            for f in callers(p.read_text(), "gain_free_terms")} == {
+        "keyrate.secret_key_rate", "keyrate.optimize_k_detection_scheme",
+        "oracle.run_oracle_suites"}
+
+
 def hidden_kernel_calls(source: str) -> set[str]:
     """The ways a module reaches a `kernels` function other than by calling
     it as `kernels.<name>(...)`: a name imported from the module, the module

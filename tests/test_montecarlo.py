@@ -4,6 +4,7 @@ estimation, and the data key rate maximised over k."""
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,16 +24,9 @@ from cvmdi.oracle import (
     _identity,
     run_oracle_suites,
 )
-from cvmdi.protocol import (
-    effective_transmittance,
-    equivalent_excess_noise,
-    gain_from_k,
-    k_from_gain,
-    optimal_gain,
-    scenario_block_params,
-)
+from cvmdi.protocol import k_from_gain, optimal_gain
 from conftest import data_k_maximum, data_key_rate, lo_scaling_attack, make_scenario, \
-    sample_block_cm
+    reduced_block, reduced_channel, sample_block_cm
 
 N_FAST = 200_000
 SEED = 20260823
@@ -85,7 +79,8 @@ class TestCovarianceOracle:
     def test_final_data_matches_analytic_image(self, scenario):
         # the law of the final data, L L^T through Bob's displacement, is the
         # analytic image; the rows are L z (TestLinearMap)
-        r = _cov_suite(scenario, *mc.row_law(scenario, "EB", scenario.resolved_gain()), False)
+        g = scenario.resolved_gain()
+        r = _cov_suite(reduced_block(scenario, g), *mc.row_law(scenario, "EB", g), False)
         assert r.passed, r
 
     def test_relay_outcome_variances(self, scenario, eb_batch):
@@ -114,13 +109,14 @@ class TestCovarianceOracle:
         s = Scenario(v_a=5.0, v_b=5.0,
                      channel_a=ChannelParams(5.0, 0.2, 0.01),
                      channel_b=ChannelParams(0.0, 0.2, 0.2))
-        r = _cov_suite(s, *mc.row_law(s, "EB", s.resolved_gain()), False)
+        g = s.resolved_gain()
+        r = _cov_suite(reduced_block(s, g), *mc.row_law(s, "EB", g), False)
         assert r.passed, r
 
     def test_wrong_prediction_is_rejected(self, scenario):
         g = scenario.resolved_gain()
         law, scale = mc.row_law(scenario, "EB", g)
-        predicted = np.array(mc.heterodyne_image(*scenario_block_params(scenario, g)))
+        predicted = np.array(mc.heterodyne_image(*reduced_block(scenario, g)))
         final, scale = np.array(law.final_covariance())[:4, :4], np.array(scale)[:4, :4]
         assert _identity("x", final, predicted, scale).passed
         assert not _identity("x", final, predicted * (1.0 + 1e-9), scale).passed
@@ -135,7 +131,9 @@ class TestCovarianceOracle:
 
 class TestAmplificationFit:
     def test_bridge_round_trip(self):
-        assert gain_from_k(k_from_gain(1.7, 40.0), 40.0) == pytest.approx(1.7)
+        # k = g sqrt((V - 1)/(V + 1)), and modulation_scale is the k of g = sqrt(2)
+        assert k_from_gain(1.7, 40.0) == pytest.approx(1.7 * math.sqrt(39.0 / 41.0))
+        assert mc.modulation_scale(40.0) == k_from_gain(math.sqrt(2.0), 40.0)
 
 
 class TestPictureEquivalence:
@@ -164,15 +162,15 @@ class TestPictureEquivalence:
 class TestParameterEstimation:
     def test_eb_round_trip(self, scenario, eb_moments):
         est = mc.estimate_params(eb_moments)
-        g = scenario.resolved_gain()
-        assert abs(est.t_hat - effective_transmittance(scenario, g)) < 4.0 * est.t_se
-        assert abs(est.eps_hat - equivalent_excess_noise(scenario, g)) < 4.0 * est.eps_se
+        t, eps = reduced_channel(scenario, scenario.resolved_gain())
+        assert abs(est.t_hat - t) < 4.0 * est.t_se
+        assert abs(est.eps_hat - eps) < 4.0 * est.eps_se
 
     def test_pm_round_trip(self, scenario, pm_moments):
         est = mc.estimate_params(pm_moments)
-        g = scenario.resolved_gain()
-        assert abs(est.t_hat - effective_transmittance(scenario, g)) < 4.0 * est.t_se
-        assert abs(est.eps_hat - equivalent_excess_noise(scenario, g)) < 4.0 * est.eps_se
+        t, eps = reduced_channel(scenario, scenario.resolved_gain())
+        assert abs(est.t_hat - t) < 4.0 * est.t_se
+        assert abs(est.eps_hat - eps) < 4.0 * est.eps_se
 
     def test_generative_round_trip(self):
         t_in, eps_in = 0.5, 0.1
@@ -185,6 +183,23 @@ class TestParameterEstimation:
         small = mc.simulate_eb(scenario, scenario.resolved_gain(), 100, SEED)
         with pytest.raises(ValueError):
             mc.estimate_params(mc.Moments.of(small))
+        # one row has no sample covariance
+        with pytest.raises(ValueError, match="2 rows"):
+            mc.Moments.of(mc.simulate_eb(scenario, scenario.resolved_gain(), 1, SEED))
+
+    def test_rejects_the_law(self, scenario):
+        # the law L L^T is no sample: its n is 0
+        law, _ = mc.row_law(scenario, "EB", scenario.resolved_gain())
+        assert law.n == 0
+        with pytest.raises(ValueError, match="samples"):
+            mc.estimate_params(law)
+
+    def test_rejects_a_zero_variance_column(self):
+        # at V_A = 1 Alice's modulation data are exactly 0
+        s = dataclasses.replace(make_scenario(3.0, 2.0), v_a=1.0)
+        law, _ = mc.row_law(s, "PM", analytic_k(s))
+        with pytest.raises(ValueError, match="degenerate"):
+            mc.estimate_params(dataclasses.replace(law, n=10_000))
 
 
 class TestEstimationErrors:
@@ -200,7 +215,7 @@ class TestEstimationErrors:
                                    make_scenario(2.0, 1.0, v=1e5, eps=0.01)],
                              ids=["V40-5+2km", "V40-eps0.01", "V1e5"])
     def test_gradient_matches_central_differences(self, s):
-        abc = np.array(scenario_block_params(s, s.resolved_gain()))
+        abc = np.array(reduced_block(s, s.resolved_gain()))
         numeric = np.zeros((2, 3))
         for i in range(3):
             h = np.zeros(3)
@@ -214,11 +229,10 @@ class TestEstimationErrors:
         # of `_read_block_params`, carried through Cov(C_ij, C_kl) =
         # (C_ik C_jl + C_il C_jk)/n entry by entry
         m = request.getfixturevalue(which)
-        cov, n = np.array(m.covariance()), m.n
+        cov, n = np.array(m.cov), m.n
 
         def read(c):
-            moments = dataclasses.replace(m, sums=[0.0] * 6, gram=((n - 1) * c).tolist())
-            return np.array(mc._read_block_params(moments)[0])
+            return np.array(mc._read_block_params(dataclasses.replace(m, cov=c.tolist()))[0])
 
         h = 1e-6 * np.abs(cov).max()
         jac = np.zeros((3, 6, 6))
@@ -250,7 +264,7 @@ class TestEstimationErrors:
         s = cfg.scenario()
         g = s.resolved_gain()
         est = mc.estimate_params(mc.sample_moments(s, "EB", g, cfg["mc"]["n"], cfg["mc"]["seed"]))
-        t = effective_transmittance(s, g)
+        t = reduced_channel(s, g)[0]
         assert abs(est.t_hat - t) / est.t_se < Z_LIMIT
         assert abs(est.t_hat - 1.01 * t) / est.t_se >= Z_LIMIT
 
@@ -274,7 +288,7 @@ class TestEstimationCalibration:
     def z_scores(self):
         s = make_scenario(3.0, 2.0)
         g = s.resolved_gain()
-        truth = np.array([effective_transmittance(s, g), equivalent_excess_noise(s, g)])
+        truth = np.array(reduced_channel(s, g))
         size = self.N // self.BLOCKS
         delta, spread = [], []
         for seed in self.SEEDS:
@@ -564,7 +578,7 @@ class TestChunkedSampling:
                                 eb_batch.p_b, eb_batch.x_c, eb_batch.p_d])
         m = mc.Moments.of(eb_batch)
         ref = np.cov(base, rowvar=False)
-        assert np.allclose(m.covariance(), ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+        assert np.allclose(m.cov, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
         final = np.cov(eb_batch.data_matrix(), rowvar=False)
         assert np.allclose(m.final_covariance(), final,
                            rtol=1e-12, atol=1e-12 * np.abs(final).max())
@@ -573,18 +587,18 @@ class TestChunkedSampling:
         for eta in (0.25, 0.64, 1.44):
             on_moments = mc.Moments.of(pm_batch).rescaled(eta)
             on_batch = mc.Moments.of(lo_scaling_attack(pm_batch, eta))
-            for a, b in ((on_moments.sums, on_batch.sums), (on_moments.gram, on_batch.gram)):
-                assert np.allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+            assert np.allclose(on_moments.cov, on_batch.cov,
+                               rtol=1e-12, atol=1e-12 * np.abs(on_batch.cov).max())
         with pytest.raises(ValueError):
             mc.Moments.of(pm_batch).rescaled(0.0)
 
     @pytest.mark.parametrize("value", [0.0, 0.3, 3.14159, 12.3])
     def test_constant_column_is_degenerate(self, eb_batch, value):
         # G/n - mean^2 of a non-zero constant column is rounding noise that
-        # may come out positive; it must still be rejected
+        # may come out positive; reducing the rows must still reject it
         flat = dataclasses.replace(eb_batch, x_a=np.full(eb_batch.n, value))
         with pytest.raises(ValueError, match="degenerate"):
-            mc.estimate_params(mc.Moments.of(flat))
+            mc.Moments.of(flat)
 
     def test_high_v_estimate_is_unbiased(self):
         # one ddof for every covariance: mixing ddof 0 variances with a ddof 1
@@ -625,7 +639,7 @@ class TestLinearMap:
     @pytest.mark.parametrize("s", SCENARIOS.values(), ids=SCENARIOS.keys())
     def test_map_covariance_is_the_analytic_image(self, s):
         g = s.resolved_gain()
-        predicted = np.array(mc.heterodyne_image(*scenario_block_params(s, g)))
+        predicted = np.array(mc.heterodyne_image(*reduced_block(s, g)))
         assert_close(map_covariance(s, "EB", g)[:4, :4], predicted)
 
     @pytest.mark.parametrize("s", SCENARIOS.values(), ids=SCENARIOS.keys())
@@ -638,7 +652,7 @@ class TestLinearMap:
     @pytest.mark.parametrize("s", SCENARIOS.values(), ids=SCENARIOS.keys())
     def test_wrong_sign_map_misses(self, s):
         g = s.resolved_gain()
-        predicted = np.array(mc.heterodyne_image(*scenario_block_params(s, g)))
+        predicted = np.array(mc.heterodyne_image(*reduced_block(s, g)))
         miss = np.abs(map_covariance(s, "EB", -g)[:4, :4] - predicted).max()
         assert miss > 0.5 * np.abs(predicted).max()
 
@@ -687,10 +701,11 @@ class TestExactIdentities:
         g = s.resolved_gain()
         k = k_from_gain(g, s.v_b)
         eb, pm = mc.row_law(s, "EB", g), mc.row_law(s, "PM", k)
-        for r in (_cov_suite(s, *eb, False), _equivalence_suite(*eb, *pm), _attack_suite(*pm)):
+        block = reduced_block(s, g)
+        for r in (_cov_suite(block, *eb, False), _equivalence_suite(*eb, *pm), _attack_suite(*pm)):
             assert r.passed, r
         if s.gain_mode == "optimal":
-            assert not _cov_suite(s, *eb, True).passed
+            assert not _cov_suite(block, *eb, True).passed
         assert not _equivalence_suite(*eb, *mc.row_law(s, "PM", 2.0 * k)).passed
         # the rescaled relay data read at the same k, not at k/0.8
         law, scale = pm
@@ -703,17 +718,49 @@ class TestExactIdentities:
 
 
 class TestExactMoments:
-    """`sample_moments` draws the moments of n rows from their law: over many
-    seeds they agree in distribution with the moments of drawn rows."""
+    """`sample_moments` draws the sample covariance of n rows from its law:
+    over many seeds its 21 entries agree in distribution with those of drawn
+    rows, and one draw is L A A^T L^T / (n - 1) of its Bartlett factor A to
+    a few ulps."""
 
     SEEDS = range(200)
     N = 2_000
     Z_MEAN = 3.5  # per-entry |mean difference| / its standard error
     SD_RATIO = (0.75, 1.33)  # about 4 standard errors of a ratio of 200-seed sds
+    # |drawn - exact| / (2^-52 scale): L A is rounded once per entry (each a
+    # `math.fsum` of rounded products), its products once more, their sum
+    # and the division by n - 1 once each; measured 1.02 at the default
+    # scenario and seed, n = 1e5
+    ULPS = 4.0
 
     @staticmethod
     def entries(m):
-        return np.concatenate([m.sums, np.array(m.gram)[np.triu_indices(6)]])
+        return np.array(m.cov)[np.triu_indices(6)]
+
+    def test_draw_is_its_bartlett_factor_in_exact_arithmetic(self):
+        # the draw replayed from the same stream (`_moment_rng`): the diagonal
+        # of A, then its lower rows of normals, row by row
+        cfg = load_config(environ={})
+        s, seed, n = cfg.scenario(), cfg["mc"]["seed"], 100_000
+        lmap = mc.linear_map(s, "EB")
+        p = len(lmap[0])
+        rng = mc._moment_rng(seed)
+        diag = [math.sqrt(rng.gammavariate((n - 1 - i) / 2.0, 2.0)) for i in range(p)]
+        a = [[rng.gauss(0.0, 1.0) for _ in range(i)] + [diag[i]] + [0.0] * (p - 1 - i)
+             for i in range(p)]
+
+        def product(x, y, f=Fraction):
+            return [[sum(f(u) * f(v) for u, v in zip(row, col)) for col in zip(*y)] for row in x]
+
+        la = product(lmap, a)
+        la_abs = product(lmap, a, lambda u: abs(Fraction(u)))
+        exact = product(la, list(zip(*la)))
+        scale = product(la_abs, list(zip(*la_abs)))
+        drawn = mc.sample_moments(s, "EB", s.resolved_gain(), n, seed).cov
+        ulps = max(abs(Fraction(drawn[i][j]) - exact[i][j] / (n - 1))
+                   / (scale[i][j] / (n - 1) * Fraction(1, 2**52))
+                   for i in range(6) for j in range(6))
+        assert ulps <= self.ULPS, float(ulps)
 
     @pytest.mark.parametrize("scheme, simulate", [("EB", mc.simulate_eb), ("PM", mc.simulate_pm)])
     def test_moments_have_the_rows_law(self, scheme, simulate):
@@ -736,7 +783,7 @@ class TestExactMoments:
         # standard errors of 1000-seed statistics
         s = make_scenario(3.0, 2.0)
         g = s.resolved_gain()
-        truth = np.array([effective_transmittance(s, g), equivalent_excess_noise(s, g)])
+        truth = np.array(reduced_channel(s, g))
         z = []
         for seed in range(1000):
             est = mc.estimate_params(mc.sample_moments(s, "EB", g, 20_000, seed))

@@ -9,15 +9,14 @@ import pytest
 from cvmdi import ChannelParams, DetectorParams, Scenario
 from cvmdi.gaussian import block_cm
 from cvmdi.protocol import (
+    channel_at,
     compose_eb_simulated,
     detector_noise,
-    effective_transmittance,
     entangling_cloner_variance,
-    equivalent_excess_noise,
+    gain_free_terms,
     optimal_gain,
-    scenario_block_params,
 )
-from conftest import make_scenario, random_scenario, ref_reduction
+from conftest import make_scenario, random_scenario, reduced_block, reduced_channel, ref_reduction
 
 
 class TestChannelParams:
@@ -123,8 +122,9 @@ class TestEquivalentChannel:
             ch_a, ch_b = s.channel_a, s.channel_b
             t, eps = ref_reduction(ch_a.transmittance, ch_b.transmittance,
                                    ch_a.excess_noise, ch_b.excess_noise, s.v_b)
-            assert equivalent_excess_noise(s, s.resolved_gain()) == pytest.approx(eps, abs=1e-12)
-            assert effective_transmittance(s, s.resolved_gain()) == pytest.approx(t, rel=1e-12)
+            t_lib, eps_lib = reduced_channel(s, s.resolved_gain())
+            assert eps_lib == pytest.approx(eps, abs=1e-12)
+            assert t_lib == pytest.approx(t, rel=1e-12)
 
     def test_reduction_returns_floats(self, rng):
         # floats in, floats out: 500 scenarios, an imperfect relay detector
@@ -139,34 +139,34 @@ class TestEquivalentChannel:
                          channel_b=ChannelParams(float(l_bc), 0.2, float(eps_b)),
                          detector=DetectorParams(rng.uniform(0.6, 1.0), rng.uniform(0.0, 0.05)))
             for g in rng.uniform(0.1, 5.0, 4).tolist():
-                values = (effective_transmittance(s, g), equivalent_excess_noise(s, g),
-                          *scenario_block_params(s, g))
+                values = (*gain_free_terms(s), *reduced_channel(s, g), *reduced_block(s, g))
                 assert all(type(x) is float for x in values)
 
     def test_optimal_gain_minimizes_noise(self, rng):
         for _ in range(30):
             s = random_scenario(rng)
             g_star = optimal_gain(s)
-            best = equivalent_excess_noise(s, g_star)
+            terms = gain_free_terms(s)
+            best = channel_at(terms, g_star)[1]
             grid = g_star * np.logspace(-1, 1, 10_000)
-            vals = [equivalent_excess_noise(s, g) for g in grid]
+            vals = [channel_at(terms, g)[1] for g in grid]
             assert best <= min(vals) + 1e-12
 
     def test_lossless_noiseless_legs_are_noise_free(self):
         # at zero distance and zero channel noise the optimal gain cancels
         # Bob's source contribution exactly
         s = make_scenario(0.0, 0.0, eps=0.0)
-        assert equivalent_excess_noise(s, s.resolved_gain()) == pytest.approx(0.0, abs=1e-12)
+        assert reduced_channel(s, s.resolved_gain())[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_effective_transmittance(self):
         s = make_scenario(10.0, 0.0)
         g = optimal_gain(s)
-        assert effective_transmittance(s, g) == pytest.approx(
+        assert reduced_channel(s, g)[0] == pytest.approx(
             s.channel_a.transmittance * g * g / 2.0)
 
     def test_noise_increases_with_bob_leg_loss(self):
         scenarios = [make_scenario(5.0, l) for l in (0.0, 2.0, 5.0)]
-        vals = [equivalent_excess_noise(s, s.resolved_gain()) for s in scenarios]
+        vals = [reduced_channel(s, s.resolved_gain())[1] for s in scenarios]
         assert vals[0] < vals[1] < vals[2]
 
 
@@ -196,8 +196,8 @@ class TestDetectorNoise:
         perfect = dataclasses.replace(s, detector=DetectorParams())
         g = s.resolved_gain()
         chi_det = detector_noise(0.9, 0.05)
-        assert equivalent_excess_noise(s, g) == pytest.approx(
-            equivalent_excess_noise(perfect, g) + 2.0 * chi_det / s.channel_a.transmittance)
+        assert reduced_channel(s, g)[1] == pytest.approx(
+            reduced_channel(perfect, g)[1] + 2.0 * chi_det / s.channel_a.transmittance)
 
 
 class TestDualPathComposition:
@@ -215,13 +215,13 @@ class TestDualPathComposition:
     def test_identity_at_optimal_gain(self, rng):
         for s in self.draws(rng):
             g = s.resolved_gain()
-            d = np.abs(block_cm(*scenario_block_params(s, g)).entries - compose_eb_simulated(s, g).entries)
+            d = np.abs(block_cm(*reduced_block(s, g)).entries - compose_eb_simulated(s, g).entries)
             assert np.max(d) <= 1e-10
 
     def test_identity_at_random_gain(self, rng):
         for s in self.draws(rng):
             g = optimal_gain(s) * rng.uniform(0.3, 3.0)
-            d = np.abs(block_cm(*scenario_block_params(s, g)).entries - compose_eb_simulated(s, g).entries)
+            d = np.abs(block_cm(*reduced_block(s, g)).entries - compose_eb_simulated(s, g).entries)
             assert np.max(d) <= 1e-10
 
     def test_identity_with_imperfect_detector(self, rng):
@@ -235,14 +235,14 @@ class TestDualPathComposition:
                                             + 2.0 * chi_det / s.channel_a.transmittance)
             perfect = dataclasses.replace(s, channel_a=noisier_a, detector=DetectorParams())
             for g in (s.resolved_gain(), optimal_gain(s) * rng.uniform(0.3, 3.0)):
-                d = np.abs(block_cm(*scenario_block_params(s, g)).entries
+                d = np.abs(block_cm(*reduced_block(s, g)).entries
                            - compose_eb_simulated(perfect, g).entries)
                 assert np.max(d) <= 1e-10
 
     def test_identity_with_lossless_noiseless_legs(self):
         s = make_scenario(0.0, 0.0, eps=0.0)
         g = s.resolved_gain()
-        d = np.abs(block_cm(*scenario_block_params(s, g)).entries - compose_eb_simulated(s, g).entries)
+        d = np.abs(block_cm(*reduced_block(s, g)).entries - compose_eb_simulated(s, g).entries)
         assert np.max(d) <= 1e-10
 
     def test_lossless_noisy_legs_keep_their_noise(self):
@@ -251,12 +251,12 @@ class TestDualPathComposition:
         for l_ac, l_bc in ((0.0, 0.0), (88.82, 0.0), (0.0, 5.0)):
             s = make_scenario(l_ac, l_bc, eps=0.002)
             g = s.resolved_gain()
-            d = np.abs(block_cm(*scenario_block_params(s, g)).entries - compose_eb_simulated(s, g).entries)
+            d = np.abs(block_cm(*reduced_block(s, g)).entries - compose_eb_simulated(s, g).entries)
             assert np.max(d) <= 1e-10
 
     def test_output_block_structure(self, rng):
         s = random_scenario(rng)
-        m = block_cm(*scenario_block_params(s, s.resolved_gain())).entries
+        m = block_cm(*reduced_block(s, s.resolved_gain())).entries
         assert m[0, 0] == pytest.approx(m[1, 1])
         assert m[2, 2] == pytest.approx(m[3, 3])
         assert m[0, 2] == pytest.approx(-m[1, 3])
