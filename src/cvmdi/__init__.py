@@ -33,7 +33,7 @@ from .protocol import (
     optimal_gain,
 )
 
-__version__ = "0.20.0"
+__version__ = "0.21.0"
 
 __all__ = [
     "KeyRateNotFinite",

@@ -8,7 +8,10 @@ call at one gain, from the scenario's `gain_free_terms`. Every point, and
 every probe of a range or threshold search (`key_rate_at`, the
 detector-efficiency search), is one `secret_key_rate`, whose `KeyRatePoint`
 is built without the generated `__init__`; the k maximum computes the
-gain-free terms once and evaluates each k. `_evaluate` is the one key-rate
+gain-free terms once and evaluates each k. The range and threshold searches
+bracket the sign change of K and close the bracket with Brent's root,
+`_root`; the detection scheme's range is that root of the k maximum, Brent's
+`_maximize`. `_evaluate` is the one key-rate
 guard: unless T > 0 and K is finite (finite but extreme inputs overflow or
 underflow the equivalent channel, its block or the kernels), it raises a
 `KeyRateNotFinite` that names the fixed gain, the legs, k, T and eps'.
@@ -139,18 +142,52 @@ def key_rate_at(scenario: Scenario, l_ac_km: float, l_bc_km: float) -> float:
     return secret_key_rate(scenario.with_lengths(l_ac_km, l_bc_km)).k
 
 
-def _bisect_zero(f, lo: float, hi: float, tol: float = BISECT_TOL_KM) -> float:
-    """Root of f between lo (f > 0) and hi (f <= 0), in either order, by
-    plain bisection."""
+def _root(f, a: float, fa: float, b: float, fb: float, tol: float) -> float:
+    """The point where f changes sign between a and b, in either order, given
+    fa = f(a) and fb = f(b), one > 0 and the other <= 0.
+
+    Brent's zeroin (Algorithms for Minimization without Derivatives, 1973,
+    ch. 4): an inverse quadratic or secant step where it falls well inside
+    the bracket, else bisection. b is the best point so far and c holds f's
+    other sign, so [b, c] always brackets the sign change. The result is the
+    midpoint of that bracket once it is at most tol wide, or after
+    BISECT_MAX_ITER evaluations.
+    """
+    # the shortest step: a step across a converged b leaves a bracket of
+    # tol/4, whose midpoint is within tol/8 of the root
+    step = 0.25 * tol
+    c, fc = a, fa
+    d = e = b - a
     for _ in range(BISECT_MAX_ITER):
-        if abs(hi - lo) <= tol:
+        if (fb > 0.0) == (fc > 0.0):  # the last step crossed: a holds the other sign
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
+        m = 0.5 * (c - b)
+        if abs(c - b) <= tol:
             break
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
+        if abs(e) >= step and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic interpolation through a, b and c
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < 3.0 * m * q - abs(step * q) and p < abs(0.5 * e * q):
+                e, d = d, p / q
+            else:
+                d = e = m
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > step else math.copysign(step, m)
+        fb = f(b)
+    return 0.5 * (b + c)
 
 
 def _max_distance(f) -> float:
@@ -158,19 +195,21 @@ def _max_distance(f) -> float:
     MAX_DISTANCE_CAP_KM, or up to a leg whose transmittance underflows to 0.
 
     Doubles hi from 1 km until f(hi) <= 0; lo is the last probe with f > 0
-    (0 when f(1 km) <= 0 already), so the bisection bracket is always checked.
+    (0 when f(1 km) <= 0 already), so `_root` starts from a checked bracket
+    and the probes' values.
     """
-    if f(0.0) <= 0.0:
+    f_lo = f(0.0)
+    if f_lo <= 0.0:
         return 0.0
     lo, hi = 0.0, 1.0
     try:
-        while f(hi) > 0.0:
-            lo, hi = hi, 2.0 * hi
+        while (f_hi := f(hi)) > 0.0:
+            lo, f_lo, hi = hi, f_hi, 2.0 * hi
             if hi > MAX_DISTANCE_CAP_KM:
                 return math.inf
     except TransmittanceUnderflow:  # the search ends where the fiber does
         return math.inf
-    return _bisect_zero(f, lo, hi)
+    return _root(f, lo, f_lo, hi, f_hi, BISECT_TOL_KM)
 
 
 def max_total_distance_symmetric(scenario: Scenario) -> float:
@@ -354,10 +393,11 @@ def min_detector_efficiency(scenario: Scenario) -> float:
         return secret_key_rate(at_zero.with_detector(DetectorParams(eta_d, v_el))).k
 
     lo, hi = 0.999999, 0.2
-    if rate(lo) <= 0.0:
+    f_lo = rate(lo)
+    if f_lo <= 0.0:
         raise ValueError("key rate not positive even for a near-perfect detector")
-    while rate(hi) > 0.0:
+    while (f_hi := rate(hi)) > 0.0:
         hi /= 2.0
         if hi < 1e-6:
             return 0.0
-    return _bisect_zero(rate, lo, hi, DETECTOR_EFFICIENCY_TOL)
+    return _root(rate, lo, f_lo, hi, f_hi, DETECTOR_EFFICIENCY_TOL)

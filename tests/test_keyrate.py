@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from cvmdi import kernels
 from cvmdi.gaussian import block_cm
 from cvmdi.keyrate import (
+    BISECT_MAX_ITER,
     BISECT_TOL_KM,
+    DETECTOR_EFFICIENCY_TOL,
     _evaluate,
     K_GRID_SPAN,
     K_XTOL,
@@ -21,6 +23,7 @@ from cvmdi.keyrate import (
     holevo_bound_reverse_generic,
     key_rate_at,
     _maximize,
+    _root,
     max_distance_asymmetric,
     max_distance_detection_scheme,
     max_total_distance_symmetric,
@@ -118,8 +121,8 @@ class TestSecretKeyRate:
 
 
 class TestDistanceSearch:
-    # eta_d = 0.852 leaves both ranges under 1 km, where the search bisects
-    # its first doubling bracket [0, 1] km
+    # eta_d = 0.852 leaves both ranges under 1 km, where the root search
+    # starts from the first doubling bracket [0, 1] km
     @pytest.mark.parametrize("eta_d", [1.0, 0.852])
     def test_refinement_tolerance(self, eta_d):
         s = make_scenario(eta_d=eta_d)
@@ -324,6 +327,81 @@ def test_range_search_stops_before_a_leg_whose_transmittance_underflows():
     assert max_distance_asymmetric(s, 16.0) == math.inf
 
 
+def _fine_root(f, lo: float, hi: float) -> float:
+    """Bisection of f from lo (f > 0) to hi (f <= 0) down to adjacent floats."""
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if f(mid) > 0.0 else (lo, mid)
+    return mid
+
+
+class TestRoot:
+    # each falls from f > 0 to f <= 0 at 0.3 as x rises: smooth, with a triple
+    # root, steep, exactly 0 past the root, and a step that no interpolation fits
+    FALLING = {
+        "line": lambda x: 0.3 - x,
+        "cubic": lambda x: (0.3 - x) ** 3,
+        "exponential": lambda x: math.expm1(40.0 * (0.3 - x)),
+        "clamped": lambda x: max(0.3 - x, 0.0),
+        "step": lambda x: 1.0 if x < 0.3 else -1.0,
+    }
+
+    @staticmethod
+    def _probed(f):
+        probes = []
+        return probes, lambda x: probes.append((x, f(x))) or probes[-1][1]
+
+    @pytest.mark.parametrize("rising", [False, True])
+    @pytest.mark.parametrize("positive_first", [True, False])
+    @pytest.mark.parametrize("name", FALLING)
+    def test_final_bracket_holds_the_sign_change(self, name, positive_first, rising):
+        fall = self.FALLING[name]
+        # rising: the sign change at 0.3 from the other side, as eta_min's rate
+        f = (lambda x: fall(0.6 - x)) if rising else fall
+        tol = 1e-6
+        ends = [(0.0, f(0.0)), (1.0, f(1.0))]
+        if (ends[0][1] > 0.0) != positive_first:
+            ends.reverse()
+        probes, probe = self._probed(f)
+        x = _root(probe, *ends[0], *ends[1], tol)
+        assert abs(x - 0.3) <= 0.5 * tol
+        assert len(probes) <= BISECT_MAX_ITER and all(0.0 < p < 1.0 for p, _ in probes)
+        # x is the midpoint of two evaluated points at most tol apart, f > 0 at
+        # one and f <= 0 at the other
+        points = ends + probes
+        assert any(x == 0.5 * (p + q) and abs(p - q) <= tol
+                   for p, fp in points if fp > 0.0 for q, fq in points if fq <= 0.0)
+
+    @pytest.mark.parametrize("name", ["exponential", "step"])
+    def test_stops_after_bisect_max_iter_evaluations(self, name):
+        # at tol = 0 no bracket is narrow enough
+        f = self.FALLING[name]
+        probes, probe = self._probed(f)
+        x = _root(probe, 0.0, f(0.0), 1.0, f(1.0), 0.0)
+        assert len(probes) == BISECT_MAX_ITER
+        assert abs(x - 0.3) <= 1e-15
+
+    @pytest.mark.parametrize("params", [{}, dict(beta=0.95, eta_d=0.97, v_el=0.001),
+                                        dict(v=1e5, eps=0.005)])
+    def test_searches_agree_with_a_fine_bisection_of_the_key_rate(self, params):
+        s = make_scenario(**params)
+        for l_bc in (0.0, 1.0, 3.0):
+            def rate(l):
+                return key_rate_at(s, l, l_bc)
+            hi = 1.0
+            while rate(hi) > 0.0:
+                hi *= 2.0
+            found = max_distance_asymmetric(s, l_bc)
+            assert abs(found - _fine_root(rate, 0.0, hi)) <= 0.5 * BISECT_TOL_KM, l_bc
+        leg = _fine_root(lambda l: key_rate_at(s, l, l), 0.0, 64.0)
+        assert abs(max_total_distance_symmetric(s) - 2.0 * leg) <= BISECT_TOL_KM
+
+        def eta_rate(eta):
+            return key_rate_at(replace(s, detector=DetectorParams(eta, s.detector.electronic_noise)),
+                               0.0, 0.0)
+        assert abs(min_detector_efficiency(s) - _fine_root(eta_rate, 0.999999, 0.2)) \
+            <= 0.5 * DETECTOR_EFFICIENCY_TOL
+
+
 class TestDetectorThreshold:
     def test_threshold_is_sharp(self):
         s = make_scenario()
@@ -388,20 +466,32 @@ SEARCH_SCENARIOS = {
     "detector": dict(beta=0.95, eta_d=0.97, v_el=0.001),
     "fixed_gain": dict(v=1000.0, eps=0.005, beta=0.98, eta_d=0.95, gain_mode="fixed", gain=1.41),
 }
-# (result, kernel evaluations) of each search at 0.15.0, where a point made one
-# block_mutual_information and one block_holevo_reverse call and the k maximum
-# one block_key_rate call per evaluation; since 0.18.0 a k evaluation is that
-# pair too
+# (result, kernel evaluations) of each search since 0.21.0, where `_root` is
+# Brent's zeroin; a probe and a k evaluation are each one
+# block_mutual_information and one block_holevo_reverse call
 SEARCH_EVALUATIONS = {
-    "default": {"symmetric": (7.0546875, 12), "asymmetric_0": (88.82421875, 22),
-                "asymmetric_1": (20.16796875, 18), "asymmetric_3": (5.25390625, 14),
-                "detection_scheme": (88.82421875, 266), "detector": (0.8500110130467413, 22)},
-    "detector": {"symmetric": (4.4453125, 12), "asymmetric_0": (15.62890625, 16),
-                 "asymmetric_1": (6.94140625, 14), "asymmetric_3": (0.51171875, 9),
-                 "detection_scheme": (15.65234375, 187), "detector": (0.875746454510212, 22)},
-    "fixed_gain": {"symmetric": (0.9140625, 9), "asymmetric_0": (11.18359375, 16),
+    "default": {"symmetric": (7.059028781989767, 7), "asymmetric_0": (88.82175358744557, 15),
+                "asymmetric_1": (20.164481899501297, 11),
+                "asymmetric_3": (5.2541520573171105, 9),
+                "detection_scheme": (88.82177296451981, 186),
+                "detector": (0.8500106114987699, 9)},
+    "detector": {"symmetric": (4.439931603199277, 7), "asymmetric_0": (15.632921545081373, 9),
+                 "asymmetric_1": (6.937333984788413, 8), "asymmetric_3": (0.5093804744231388, 5),
+                 "detection_scheme": (15.652493883346153, 100),
+                 "detector": (0.8757461395307271, 9)},
+    "fixed_gain": {"symmetric": (0.9153637118680823, 5), "asymmetric_0": (11.185731612621748, 10),
                    "asymmetric_1": (0.0, 1), "asymmetric_3": (0.0, 1),
-                   "detection_scheme": (11.60546875, 203), "detector": (0.8641116423935891, 22)},
+                   "detection_scheme": (11.609405424963285, 126),
+                   "detector": (0.864111271876892, 9)},
+}
+# the kernel evaluations of each search at 0.20.0, by bisection
+BISECTION_EVALUATIONS = {
+    "default": {"symmetric": 12, "asymmetric_0": 22, "asymmetric_1": 18, "asymmetric_3": 14,
+                "detection_scheme": 266, "detector": 22},
+    "detector": {"symmetric": 12, "asymmetric_0": 16, "asymmetric_1": 14, "asymmetric_3": 9,
+                 "detection_scheme": 187, "detector": 22},
+    "fixed_gain": {"symmetric": 9, "asymmetric_0": 16, "asymmetric_1": 1, "asymmetric_3": 1,
+                   "detection_scheme": 203, "detector": 22},
 }
 
 
@@ -430,3 +520,4 @@ def test_searches_make_the_pinned_kernel_evaluations(name, monkeypatch):
         assert len(set(counts.values())) == 1, search  # one call of each per probe
         found[search] = (result, counts[kernels_called[0]])
     assert found == SEARCH_EVALUATIONS[name]
+    assert all(found[search][1] <= count for search, count in BISECTION_EVALUATIONS[name].items())
