@@ -5,12 +5,10 @@ asymptotic reverse-reconciliation key rates, distance sweeps, and a
 quadrature-level Monte Carlo verification layer. The package root loads
 only the analytic path, which needs `math` alone; the reduction gain ->
 (T, eps') -> (a, b, c) is the three steps of `cvmdi.protocol`, which the key
-rate and the oracle compose. The Gaussian-state toolkit of the generic
-cross-check is `cvmdi.gaussian`, which loads numpy. The oracle
-(`cvmdi.oracle`, `cvmdi.montecarlo`) computes its law, its drawn sample
-covariance and its estimates in `math` as well; only the row sampler and its
-CSV export load numpy, when they are called, and no `cvmdi` command calls
-them.
+rate and the oracle compose; `compose_eb_simulated` and the `*_generic` key
+rate are its exact reference, in stdlib `decimal`. The oracle
+(`cvmdi.oracle`, `cvmdi.montecarlo`) computes in `math` as well; only the row
+sampler and its CSV export load numpy, and no `cvmdi` command calls them.
 """
 
 from . import kernels
@@ -33,7 +31,7 @@ from .protocol import (
     optimal_gain,
 )
 
-__version__ = "0.21.0"
+__version__ = "0.22.0"
 
 __all__ = [
     "KeyRateNotFinite",

@@ -1,8 +1,9 @@
 """Asymptotic reverse-reconciliation secret key rate, sweeps and range searches.
 
 Points, sweeps, range searches and the detection scheme's k maximum run on
-the scalar `math` kernels; only the generic cross-check loads numpy, when it
-is called. Every key rate is one `_evaluate`: one
+the scalar `math` kernels; the exact reference's key rate
+(`mutual_information_generic`, `holevo_bound_reverse_generic`) loads
+`decimal` when it is called. Every key rate is one `_evaluate`: one
 `kernels.block_mutual_information` and one `kernels.block_holevo_reverse`
 call at one gain, from the scenario's `gain_free_terms`. Every point, and
 every probe of a range or threshold search (`key_rate_at`, the
@@ -27,6 +28,7 @@ from .protocol import (
     DetectorParams,
     Scenario,
     TransmittanceUnderflow,
+    _at_agreed_precision,
     _frozen,
     block_params,
     channel_at,
@@ -76,23 +78,55 @@ class SweepResult:
     curves: tuple
 
 
-# -- the generic path: a cross-check that loads numpy and `gaussian` when called
-def mutual_information_generic(cov2: "CovarianceMatrix") -> float:
-    """Determinant-based Gaussian MI of the joint heterodyne outcomes."""
-    import numpy as np
-
-    sigma = (cov2.entries + np.eye(4)) / 2.0
-    det_a = np.linalg.det(sigma[:2, :2])
-    det_b = np.linalg.det(sigma[2:, 2:])
-    return float(0.5 * np.log2(det_a * det_b / np.linalg.det(sigma)))
+# -- the exact reference's key rate (see `protocol`), from a 4x4 covariance
+def _det(m):
+    """The determinant of a square matrix, a list of rows, by cofactors."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
 
 
-def holevo_bound_reverse_generic(cov2: "CovarianceMatrix") -> float:
-    """Holevo bound on Eve's information about mode-B heterodyne data, from
-    full symplectic spectra and explicit conditioning."""
-    from .gaussian import heterodyne_condition, von_neumann_entropy
+def mutual_information_generic(cm) -> float:
+    """I_AB in bits of both heterodyne outcomes: ln(det s_A det s_B / det s)/2
+    in `decimal`, s = (cm + I)/2 the outcomes' covariance."""
+    from decimal import Decimal, localcontext
 
-    return von_neumann_entropy(cov2) - von_neumann_entropy(heterodyne_condition(cov2, mode=1))
+    def at(digits):
+        with localcontext() as ctx:
+            ctx.prec = digits
+            s = [[(Decimal(x) + (1 if i == j else 0)) / 2 for j, x in enumerate(row)]
+                 for i, row in enumerate(cm)]
+            return ((_det([r[:2] for r in s[:2]]) * _det([r[2:] for r in s[2:]])
+                     / _det(s)).ln() / 2 / Decimal(2).ln(),)
+
+    return float(_at_agreed_precision(at)[0])  # correctly rounded
+
+
+def holevo_bound_reverse_generic(cm) -> float:
+    """chi_BE = g(nu1) + g(nu2) - g(nu3) in bits, in `decimal`, for cm =
+    [[A, C], [C^T, B]]: nu1^2 + nu2^2 = det A + det B + 2 det C and
+    nu1 nu2 = sqrt(det cm); nu3 of A - C (B + I)^-1 C^T, Alice's mode given
+    Bob's heterodyne outcome."""
+    from decimal import Decimal, localcontext
+
+    def g(nu):  # in nats, 0 at nu = 1
+        ap, am = (nu + 1) / 2, (nu - 1) / 2
+        return ap * ap.ln() - (am * am.ln() if am > 0 else 0)
+
+    def at(digits):
+        with localcontext() as ctx:
+            ctx.prec = digits
+            m = [[Decimal(x) for x in row] for row in cm]
+            a, c, b = [r[:2] for r in m[:2]], [r[2:] for r in m[:2]], [r[2:] for r in m[2:]]
+            delta, d = _det(a) + _det(b) + 2 * _det(c), _det(m)
+            nu1 = ((delta + max(delta * delta - 4 * d, Decimal(0)).sqrt()) / 2).sqrt()
+            adj = ((b[1][1] + 1, -b[0][1]), (-b[1][0], b[0][0] + 1))  # of B + I
+            cond = [[a[i][j] - sum(c[i][k] * adj[k][l] * c[j][l] for k in (0, 1) for l in (0, 1))
+                     / _det(adj) for j in (0, 1)] for i in (0, 1)]
+            return ((g(nu1) + g(d.sqrt() / nu1) - g(_det(cond).sqrt())) / Decimal(2).ln(),)
+
+    return float(_at_agreed_precision(at)[0])  # correctly rounded
 
 
 class KeyRateNotFinite(ValueError):

@@ -9,10 +9,10 @@ themselves (see the reduction's comment): `gain_free_terms`, once per
 scenario; `channel_at`, (T, eps') at one g; and `block_params`, the block
 covariance (a, b, c) from (T, eps'). Around it: the parameter types, which
 sweeps and searches copy rather than construct again, the gain rule
-(`Scenario.resolved_gain`), and the explicit mode-by-mode Gaussian
-composition (`compose_eb_simulated`) that cross-checks the reduction. The
-module itself needs only `math`; `compose_eb_simulated` loads numpy and
-`gaussian` when it is called.
+(`Scenario.resolved_gain`), and the exact reference's composition
+(`compose_eb_simulated`): the entanglement-based scheme composed mode by
+mode in stdlib `decimal`, which cross-checks the reduction. The module needs
+only `math`; `compose_eb_simulated` loads `decimal` when it is called.
 """
 
 from __future__ import annotations
@@ -252,51 +252,85 @@ def channel_at(terms: tuple, g):
     return eta_a / 2.0 * g * g, eps_matched + mismatch * mismatch / eta_a + penalty
 
 
-def entangling_cloner_variance(eta: float, eps: float) -> float:
-    """Variance of Eve's EPR pair realizing transmittance eta and noise eps."""
-    if not 0.0 < eta < 1.0:
-        raise ValueError(f"transmittance {eta} outside (0, 1)")
-    return 1.0 + eta * eps / (1.0 - eta)
+# -- the exact reference, in `decimal`: this composition and `keyrate`'s two
+# `*_generic` functions. They share no formula with the reduction or the kernels.
+def _at_agreed_precision(at):
+    """The reference's precision rule: at(digits), a tuple of Decimals, at 240
+    significant digits when each value is within 1e-40 (1 + |value|) of its
+    value at 120, else at 600 (a cancellation took more than 80 of 120
+    digits, as on legs of thousands of km)."""
+    low, high = at(120), at(240)
+    if all(abs(x - y) * 10 ** 40 <= 1 + abs(y) for x, y in zip(low, high)):
+        return high
+    return at(600)
 
 
-def compose_eb_simulated(scenario: Scenario, g: float) -> "CovarianceMatrix":
-    """Post-protocol covariance by explicit Gaussian composition.
-
-    Chain: two EPR sources, entangling-cloner channels, the 50:50 relay
-    beamsplitter C = (A'-B')/sqrt(2), D = (A'+B')/sqrt(2), and Bob's
-    outcome-driven displacement B1x' = B1x + g Cx, B1p' = B1p + g Dp. The
-    ensemble covariance over announced outcomes is the covariance of these
-    linear quadrature combinations. A lossless leg adds its excess noise eps
-    to both quadrature variances of its mode, the cloner's eta -> 1 limit.
-    """
-    import numpy as np
-
-    from .gaussian import CovarianceMatrix, apply_beamsplitter, tensor, tms_state
+def compose_eb_simulated(scenario: Scenario, g: float) -> tuple:
+    """The covariance of (x_A1, p_A1, x_B1', p_B1'), 4 rows of 4 Decimals, of
+    the entanglement-based scheme at gain g, composed mode by mode: A1 A2 and
+    B1 B2 are two-mode squeezed vacua; A2 and B2 pass entangling cloners
+    (Eve's two-mode squeezed vacuum of variance 1 + eta eps/(1 - eta), an arm
+    mixed in at eta = 10^(-attenuation * length / 10); eps added at eta = 1);
+    the relay mixes them 50:50 into C and D, its detector mixes each with
+    vacuum at eta_d, adds v_el to x of C and p of D and rescales them by
+    1/sqrt(eta_d); Bob displaces B1 by g times these readings."""
+    from decimal import Decimal, localcontext
 
     if g <= 0:
         raise ValueError("gain must be > 0")
+    det = scenario.detector
 
-    # modes: 0=A1, 1=A2, 2=B1, 3=B2, then Eve's cloner pair of each lossy leg
-    state = tensor(tms_state(scenario.v_a), tms_state(scenario.v_b))
-    for mode, ch in ((1, scenario.channel_a), (3, scenario.channel_b)):
-        eta = ch.transmittance
-        if eta < 1.0:
-            injected = state.n_modes  # kept arm at injected + 1
-            state = tensor(state, tms_state(entangling_cloner_variance(eta, ch.excess_noise)))
-            state = apply_beamsplitter(state, injected, mode, eta)
-        else:
-            noise = np.zeros(2 * state.n_modes)
-            noise[2 * mode:2 * mode + 2] = ch.excess_noise
-            state = CovarianceMatrix(state.entries + np.diag(noise))
-    # relay: mode 1 -> C = (A'-B')/sqrt(2), mode 3 -> D = (A'+B')/sqrt(2)
-    state = apply_beamsplitter(state, 1, 3, 0.5)
+    def at(digits):
+        with localcontext() as ctx:
+            ctx.prec = digits
+            # the covariances of the modes' x and of their p: no step of the
+            # scheme correlates an x with a p
+            xs, ps = [], []
 
-    dim = 2 * state.n_modes
-    sel = np.zeros((4, dim))
-    sel[0, 0] = 1.0                 # A1 x
-    sel[1, 1] = 1.0                 # A1 p
-    sel[2, 4] = 1.0                 # B1 x
-    sel[2, 2] = g                   # + g Cx
-    sel[3, 5] = 1.0                 # B1 p
-    sel[3, 7] = g                   # + g Dp
-    return CovarianceMatrix(sel @ state.entries @ sel.T)
+            def tms(v):  # two new modes
+                c = ((v - 1) * (v + 1)).sqrt()
+                for cov, corr in ((xs, c), (ps, -c)):
+                    n = len(cov)
+                    cov[:] = [row + [0, 0] for row in cov] + [[0] * n + [v, corr],
+                                                              [0] * n + [corr, v]]
+
+            def mix(i, j, tau):  # a beam splitter: i <- t i - r j, j <- r i + t j
+                t, r = tau.sqrt(), (1 - tau).sqrt()
+                for cov in (xs, ps):
+                    cov[i], cov[j] = ([t * x - r * y for x, y in zip(cov[i], cov[j])],
+                                      [r * x + t * y for x, y in zip(cov[i], cov[j])])
+                    for row in cov:
+                        row[i], row[j] = t * row[i] - r * row[j], r * row[i] + t * row[j]
+
+            def discard():  # trace out the two newest modes
+                for cov in (xs, ps):
+                    cov[:] = [row[:-2] for row in cov[:-2]]
+
+            tms(Decimal(scenario.v_a))  # modes 0 = A1, 1 = A2
+            tms(Decimal(scenario.v_b))  # modes 2 = B1, 3 = B2
+            for mode, ch in ((1, scenario.channel_a), (3, scenario.channel_b)):
+                eta = 10 ** (-Decimal(ch.attenuation_db_per_km) * Decimal(ch.length_km) / 10)
+                if eta == 1:
+                    xs[mode][mode] += Decimal(ch.excess_noise)
+                    ps[mode][mode] += Decimal(ch.excess_noise)
+                else:  # Eve's modes 4 and 5
+                    tms(1 + eta * Decimal(ch.excess_noise) / (1 - eta))
+                    mix(4, mode, eta)
+                    discard()
+            mix(1, 3, Decimal(0.5))  # mode 1 is C, mode 3 is D
+            tms(Decimal(1))  # the detector's vacua, modes 4 and 5
+            mix(4, 1, Decimal(det.efficiency))
+            mix(5, 3, Decimal(det.efficiency))
+            discard()
+            xs[1][1] += Decimal(det.electronic_noise)
+            ps[3][3] += Decimal(det.electronic_noise)
+            h = Decimal(g) / Decimal(det.efficiency).sqrt()
+            # A1 is mode 0, B1' mode 2 plus h times mode 1 (x) or mode 3 (p)
+            (xa, xab, xb), (pa, pab, pb) = (
+                (cov[0][0], cov[0][2] + h * cov[0][m],
+                 cov[2][2] + 2 * h * cov[2][m] + h * h * cov[m][m])
+                for cov, m in ((xs, 1), (ps, 3)))
+            return xa, 0, xab, 0, 0, pa, 0, pab, xab, 0, xb, 0, 0, pab, 0, pb
+
+    flat = [Decimal(x) for x in _at_agreed_precision(at)]
+    return tuple(tuple(flat[i:i + 4]) for i in range(0, 16, 4))

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from cvmdi import ChannelParams, DetectorParams, Scenario, kernels
-from cvmdi.keyrate import _maximize
+from cvmdi.keyrate import _maximize, holevo_bound_reverse_generic, mutual_information_generic
 from cvmdi.montecarlo import SampleBatch, _read_block_params, _row_rng
-from cvmdi.protocol import block_params, channel_at, gain_free_terms, k_from_gain
+from cvmdi.protocol import block_params, channel_at, compose_eb_simulated, gain_free_terms, \
+    k_from_gain
 
 
 @pytest.fixture
@@ -44,6 +45,27 @@ def reduced_block(s: Scenario, g: float) -> tuple[float, float, float]:
 def gain_from_k(k: float, v_b: float) -> float:
     """The displacement gain equivalent to the data-domain amplification k."""
     return k / k_from_gain(1.0, v_b)
+
+
+# The exact reference: the mode-by-mode composition and the generic key rate,
+# in `decimal` (`protocol.compose_eb_simulated` and the `keyrate.*_generic` pair).
+def block_matrix(a: float, b: float, c: float) -> tuple:
+    """The 4x4 block-form covariance [[a I2, c sigma_z], [c sigma_z, b I2]]."""
+    return ((a, 0.0, c, 0.0), (0.0, a, 0.0, -c), (c, 0.0, b, 0.0), (0.0, -c, 0.0, b))
+
+
+def reference_key_rate(s: Scenario, g: float) -> float:
+    """K = beta I_AB - chi_BE of scenario s at gain g, from the reference."""
+    cm = compose_eb_simulated(s, g)
+    return s.beta_r * mutual_information_generic(cm) - holevo_bound_reverse_generic(cm)
+
+
+def composition_deviation(s: Scenario, g: float) -> float:
+    """The largest |entry| of the reduction's block minus the reference's
+    composed covariance, scenario s at gain g."""
+    composed = compose_eb_simulated(s, g)
+    return max(abs(x - float(y)) for row, ref in zip(block_matrix(*reduced_block(s, g)), composed)
+               for x, y in zip(row, ref))
 
 # Independent reference for the range endpoints. It uses only `math` and
 # nothing from cvmdi: the paper's closed-form reduction of CV-MDI QKD to

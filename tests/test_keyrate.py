@@ -2,6 +2,7 @@
 
 import math
 import statistics
+from decimal import Decimal, localcontext
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -9,8 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cvmdi import kernels
-from cvmdi.gaussian import block_cm
+from cvmdi import keyrate, kernels, protocol
 from cvmdi.keyrate import (
     BISECT_MAX_ITER,
     BISECT_TOL_KM,
@@ -38,11 +38,13 @@ from cvmdi.protocol import (
     ChannelParams,
     DetectorParams,
     Scenario,
+    _at_agreed_precision,
     compose_eb_simulated,
     gain_free_terms,
     optimal_gain,
 )
-from conftest import gain_from_k, make_scenario, random_scenario, reduced_block
+from conftest import block_matrix, composition_deviation, gain_from_k, make_scenario, \
+    random_scenario, reduced_block
 
 
 class TestMutualInformation:
@@ -62,7 +64,7 @@ class TestMutualInformation:
             a, b = rng.uniform(1.0, 80.0, 2)
             c = rng.uniform(0.0, 0.99) * math.sqrt((a * a - 1.0) * (b * b - 1.0)) ** 0.5
             assert kernels.block_mutual_information(a, b, c) == pytest.approx(
-                mutual_information_generic(block_cm(a, b, c)), abs=1e-10)
+                mutual_information_generic(block_matrix(a, b, c)), abs=1e-10)
 
 
 class TestHolevoBound:
@@ -73,11 +75,84 @@ class TestHolevoBound:
             g = s.resolved_gain()
             a, b, c = reduced_block(s, g)
             assert kernels.block_holevo_reverse(a, b, c) == pytest.approx(
-                holevo_bound_reverse_generic(block_cm(a, b, c)), abs=1e-10)
+                holevo_bound_reverse_generic(block_matrix(a, b, c)), abs=1e-10)
 
     def test_pure_loss_has_positive_bound(self):
         s = make_scenario(20.0, 0.0, eps=0.0)
         assert kernels.block_holevo_reverse(*reduced_block(s, s.resolved_gain())) > 0.0
+
+
+class TestReference:
+    """The exact reference: `compose_eb_simulated` and the `*_generic` pair."""
+
+    @pytest.mark.parametrize("l_ac, l_bc, v_a, exact", [
+        (0.0, 0.0, 40.0, 2.4691404716220577),
+        (800.0, 800.0, 40.0, -54.521394773330925),
+        (10.0, 1.0, 1e12, 0.3003814066517156),
+        (0.0, 0.0, 1e8, 2.9043580338845074),
+        (0.0, 0.0, 1e20, 2.9043582511839596),
+        (5000.0, 5000.0, 40.0, -333.56335474386935),
+    ])
+    def test_key_rates_of_400_digits(self, monkeypatch, l_ac, l_bc, v_a, exact):
+        """K at 400 digits, evaluated independently: before its two terms are
+        rounded to floats, K is within 2 ulps; after, within their rounding."""
+        s = Scenario(v_a, 40.0, ChannelParams(l_ac, 0.2, 0.002), ChannelParams(l_bc, 0.2, 0.002))
+        terms = []
+
+        def recorded(at):
+            terms.append(_at_agreed_precision(at)[0])
+            return (terms[-1],)
+
+        cm = compose_eb_simulated(s, s.resolved_gain())
+        monkeypatch.setattr(keyrate, "_at_agreed_precision", recorded)
+        i_ab, chi = mutual_information_generic(cm), holevo_bound_reverse_generic(cm)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            rate = float(terms[0] - terms[1])
+        assert abs(rate - exact) <= 2 * math.ulp(exact)
+        assert abs(i_ab - chi - exact) <= 2 * math.ulp(exact) + math.ulp(i_ab) + math.ulp(chi)
+
+    def test_ideal_curve_at_700_km(self):
+        # fig5b's ideal L_BC = 0 curve (V = 1e5, no excess noise) is still positive
+        s = make_scenario(700.0, 0.0, v=1e5, eps=0.0)
+        cm = compose_eb_simulated(s, s.resolved_gain())
+        rate = mutual_information_generic(cm) - holevo_bound_reverse_generic(cm)
+        assert rate == pytest.approx(7.2132e-15, rel=1e-4)
+
+    def test_precision_rule(self, monkeypatch):
+        """120 and 240 digits where they agree to 1e-40; 600 where a
+        cancellation takes more than 80 of 120 digits (10,000 km of fiber)."""
+        calls = []
+
+        def at(digits):
+            calls.append(digits)
+            return (Decimal(10) ** -digits,)
+
+        assert _at_agreed_precision(at) == (Decimal(10) ** -240,)
+        assert calls == [120, 240]
+        calls.clear()
+        assert _at_agreed_precision(lambda digits: at(digits) if digits == 600
+                                    else (Decimal(digits),)) == (Decimal(10) ** -600,)
+        assert calls == [600]
+
+        def digits_used(s):
+            used = []
+
+            def rule(at):
+                def recorded(digits):
+                    used.append(digits)
+                    return at(digits)
+                return _at_agreed_precision(recorded)
+
+            for module in (protocol, keyrate):
+                monkeypatch.setattr(module, "_at_agreed_precision", rule)
+            cm = compose_eb_simulated(s, s.resolved_gain())
+            mutual_information_generic(cm)
+            holevo_bound_reverse_generic(cm)
+            return used
+
+        assert digits_used(make_scenario()) == [120, 240] * 3
+        assert 600 in digits_used(make_scenario(5000.0, 5000.0))
 
 
 class TestSecretKeyRate:
@@ -114,10 +189,7 @@ class TestSecretKeyRate:
     def test_block_params_match_composition(self, rng):
         for _ in range(50):
             s = random_scenario(rng)
-            g = s.resolved_gain()
-            a, b, c = reduced_block(s, g)
-            assert np.allclose(block_cm(a, b, c).entries, compose_eb_simulated(s, g).entries,
-                               rtol=0.0, atol=1e-12)
+            assert composition_deviation(s, s.resolved_gain()) <= 1e-12
 
 
 class TestDistanceSearch:

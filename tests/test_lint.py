@@ -1,9 +1,10 @@
-"""Lint: every imported name is used, the package keeps its layering (numpy
-loaded at import only by the generic toolkit, inside the Monte Carlo layer
-only by the row sampler and its export, and inside the analytic path only
-by the generic cross-check), every kernel evaluation is a call of
-`kernels.<name>`, every key rate passes one guard, the sampler's physics
-exists once, and each of the oracle's pass limits has one reader.
+"""Lint: every imported name is used, the package keeps its layering (no
+module imports numpy when it is imported; inside a function, only the Monte
+Carlo layer's row sampler and its export import it, and only the exact
+reference imports `decimal`), every kernel evaluation is a call of
+`kernels.<name>`, every key rate passes one guard, the reference shares no
+code with the reduction or the kernels, the sampler's physics exists once,
+and each of the oracle's pass limits has one reader.
 
 A module of `src/cvmdi` or of `tests/` that imports a name must reference it.
 The package's `__init__.py` is exempt: its imports are its exports.
@@ -57,18 +58,16 @@ def package_imports(source: str) -> set[str]:
 
 
 def test_layering():
-    """The generic path (`gaussian`) sits behind `protocol` and `keyrate`, not
-    the package root; the Monte Carlo layer builds on `protocol` alone and
-    evaluates no key rate, and `oracle` takes its predictions from
-    `protocol`, not from `keyrate`; `config` does not load the Monte Carlo
-    layer, which only `oracle` runs use."""
+    """The Monte Carlo layer builds on `protocol` alone and evaluates no key
+    rate, and `oracle` takes its predictions from `protocol`, not from
+    `keyrate`; `config` does not load the Monte Carlo layer, which only
+    `oracle` runs use."""
     assert package_imports("from . import kernels as k\nfrom .protocol import x\n"
-                           "from cvmdi.gaussian import y\nimport cvmdi.oracle\n"
+                           "from cvmdi.config import y\nimport cvmdi.oracle\n"
                            "from cvmdi import keyrate\n") == {
-        "kernels", "protocol", "gaussian", "oracle", "keyrate"}
+        "kernels", "protocol", "config", "oracle", "keyrate"}
     imports = {p.stem: package_imports(p.read_text())
                for p in (ROOT / "src" / "cvmdi").glob("*.py")}
-    assert {m for m, names in imports.items() if "gaussian" in names} == {"keyrate", "protocol"}
     assert imports["montecarlo"] == {"protocol"}
     assert imports["oracle"] == {"montecarlo", "protocol"}
     assert not imports["config"] & {"montecarlo", "oracle"}
@@ -106,17 +105,16 @@ ROW_FUNCTIONS = {"_row_rng", "_simulate", "SampleBatch.data_matrix", "_ascii_wor
 def test_numpy_only_where_arrays_are_the_work():
     """The analytic path (`protocol`, `kernels`, `keyrate`, `config`, `cli`
     and the package root) and the oracle's law, draw and estimation run on
-    `math`, so only `gaussian` imports numpy at module level. In `montecarlo`
-    only the row sampler and the CSV export, in ROW_FUNCTIONS, import it when
-    they are called, and `oracle` imports it nowhere: no command loads it."""
+    `math`, so no module imports numpy at module level. In `montecarlo` only
+    the row sampler and the CSV export, in ROW_FUNCTIONS, import it when they
+    are called, and `oracle` imports it nowhere: no command loads it."""
     assert import_time_modules("import os.path\nfrom numpy import linalg\nfrom . import x\n"
                                "class C:\n    import re\ndef f():\n    import json\n") == {
         "os", "numpy", "re"}
     sources = {p.stem: p.read_text() for p in (ROOT / "src" / "cvmdi").glob("*.py")}
-    assert numpy_at_import(sources) == {"gaussian"}
+    assert numpy_at_import(sources) == set()
     stray = dict(sources, keyrate="import numpy as np\n" + sources["keyrate"])
-    assert numpy_at_import(stray) == {"gaussian", "keyrate"}
-    assert "gaussian" not in package_imports(sources["__init__"])
+    assert numpy_at_import(stray) == {"keyrate"}
     assert local_imports(sources["montecarlo"], "numpy") == ROW_FUNCTIONS
     assert local_imports(sources["oracle"], "numpy") == set()
     twin = sources["montecarlo"] + "\ndef _row_law_np(lmap):\n    import numpy as np\n"
@@ -147,15 +145,19 @@ def local_imports(source: str, module: str) -> set[str]:
     return found
 
 
-# the analytic path, and where in it numpy may be imported: the generic cross-check
+# the analytic path
 ANALYTIC = ("protocol", "kernels", "keyrate", "config", "cli")
-NUMPY_INSIDE = {"keyrate.mutual_information_generic", "protocol.compose_eb_simulated"}
+# the exact reference: the three functions that import `decimal`, and the
+# helpers they call
+REFERENCE = {"protocol.compose_eb_simulated", "keyrate.mutual_information_generic",
+             "keyrate.holevo_bound_reverse_generic"}
+REFERENCE_HELPERS = {"protocol._at_agreed_precision", "keyrate._det"}
 
 
-def test_numpy_inside_the_analytic_path_only_for_the_cross_check():
-    """Each formula of the analytic path has one form, in `math`: no function
-    there imports numpy but the two of the generic cross-check in
-    NUMPY_INSIDE, so a numpy twin of a kernel or a sweep fails here."""
+def test_numpy_nowhere_in_the_analytic_path():
+    """Each formula of the analytic path has one form, in `math`, and its
+    cross-check is the reference in `decimal`: no function there imports
+    numpy, so a numpy twin of a kernel or a sweep fails here."""
     assert local_imports("import numpy\ndef f():\n    import numpy as np\nclass C:\n"
                          "    def m(self):\n        from numpy.linalg import det\n"
                          "def g():\n    import json\n    from . import numpy\n", "numpy") == {
@@ -165,11 +167,72 @@ def test_numpy_inside_the_analytic_path_only_for_the_cross_check():
     def numpy_inside(sources):
         return {f"{m}.{f}" for m, text in sources.items() for f in local_imports(text, "numpy")}
 
-    assert numpy_inside(sources) == NUMPY_INSIDE
+    assert numpy_inside(sources) == set()
     twin = dict(sources, kernels=sources["kernels"] + (
         "\ndef block_mutual_information_grid(a, b, c):\n    import numpy as np\n"
         "    return np.log2(a)\n"))
-    assert numpy_inside(twin) == NUMPY_INSIDE | {"kernels.block_mutual_information_grid"}
+    assert numpy_inside(twin) == {"kernels.block_mutual_information_grid"}
+
+
+def test_decimal_only_inside_the_reference():
+    """`decimal` is imported inside the three reference functions alone, and
+    by no module when it is imported, so no command loads it."""
+    sources = {p.stem: p.read_text() for p in (ROOT / "src" / "cvmdi").glob("*.py")}
+    assert not {m for m, text in sources.items() if "decimal" in import_time_modules(text)}
+    assert {f"{m}.{f}" for m, text in sources.items()
+            for f in local_imports(text, "decimal")} == REFERENCE
+    stray = dict(sources, kernels=sources["kernels"] + (
+        "\ndef g_exact(nu):\n    from decimal import Decimal\n    return Decimal(nu)\n"))
+    assert {f"{m}.{f}" for m, text in stray.items()
+            for f in local_imports(text, "decimal")} == REFERENCE | {"kernels.g_exact"}
+
+
+def names_read(source: str, functions: set[str]) -> set[str]:
+    """The names and attributes that the bodies of the module's top-level
+    `functions` read, nested functions included."""
+    found = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name in functions:
+            for child in ast.walk(ast.Module(body=node.body, type_ignores=[])):
+                if isinstance(child, ast.Name):
+                    found.add(child.id)
+                elif isinstance(child, ast.Attribute):
+                    found.add(child.attr)
+    return found
+
+
+# what the reference must not share: the kernels and the reduction
+REDUCTION = {"kernels", "gain_free_terms", "channel_at", "block_params", "detector_noise",
+             "k_from_gain", "_k_per_gain", "optimal_gain", "resolved_gain"}
+
+
+def test_the_reference_shares_nothing_with_the_reduction():
+    """The reference (REFERENCE and its helpers) reads no `kernels` function
+    and no step of the reduction, so it cross-checks both; it takes the gain
+    from its caller."""
+    assert names_read("def f(s):\n    def h():\n        return kernels.g_entropy(s.x)\n"
+                      "def g():\n    return channel_at()\n", {"f"}) == {
+        "kernels", "g_entropy", "s", "x"}
+    sources = {m: (ROOT / "src" / "cvmdi" / f"{m}.py").read_text() for m in ("protocol", "keyrate")}
+    reference = REFERENCE | REFERENCE_HELPERS
+
+    def shared(sources):
+        return {f"{m}:{name}" for m, text in sources.items()
+                for name in names_read(text, {f.split(".")[1] for f in reference
+                                              if f.startswith(f"{m}.")}) & REDUCTION}
+
+    assert shared(sources) == set()
+
+    def calling(m, name, call):
+        """Module m's source with a function `name` that makes `call` in place
+        of its own, which is renamed."""
+        return sources[m].replace(f"def {name}(",
+                                  f"def {name}(s, g):\n    {call}\n\n\ndef _{name}(", 1)
+
+    stray = {"protocol": calling("protocol", "compose_eb_simulated", "kernels.g_entropy(g)"),
+             "keyrate": calling("keyrate", "holevo_bound_reverse_generic",
+                                "channel_at(gain_free_terms(s), g)")}
+    assert shared(stray) == {"protocol:kernels", "keyrate:channel_at", "keyrate:gain_free_terms"}
 
 
 def _defined(node: ast.stmt) -> set[str]:
@@ -331,11 +394,6 @@ def hidden_kernel_calls(source: str) -> set[str]:
     return found
 
 
-# the one exception: `gaussian.entropy_g` evaluates the kernels' g(nu) on a
-# symplectic eigenvalue of the generic path, not on a block
-KERNEL_IMPORTS = {"gaussian": {"from .kernels import g_entropy"}}
-
-
 def test_every_kernel_evaluation_is_visible():
     """Outside `kernels`, the package calls a kernel function only as
     `kernels.<name>(...)`, so that replacing the module's attribute (the
@@ -355,12 +413,11 @@ def test_every_kernel_evaluation_is_visible():
     def hidden(sources):
         return {m: found for m, text in sources.items() if (found := hidden_kernel_calls(text))}
 
-    assert hidden(sources) == KERNEL_IMPORTS
+    assert hidden(sources) == {}
     alias = dict(sources, keyrate=sources["keyrate"].replace(
         "def _evaluate(", "_mutual_information = kernels.block_mutual_information\n\n\n"
         "def _evaluate(", 1))
-    assert hidden(alias) == {**KERNEL_IMPORTS,
-                             "keyrate": {"kernels.block_mutual_information not called"}}
+    assert hidden(alias) == {"keyrate": {"kernels.block_mutual_information not called"}}
 
 
 def handlers(source: str, name: str) -> set[str]:

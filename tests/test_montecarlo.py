@@ -84,15 +84,15 @@ class TestCovarianceOracle:
         assert r.passed, r
 
     def test_relay_outcome_variances(self, scenario, eb_batch):
-        # C and D are full quadrature readings of the mixed channel outputs
-        eta_a = scenario.channel_a.transmittance
-        eta_b = scenario.channel_b.transmittance
-        from cvmdi.protocol import entangling_cloner_variance
-        va = eta_a * scenario.v_a + (1 - eta_a) * entangling_cloner_variance(
-            eta_a, scenario.channel_a.excess_noise)
-        vb = eta_b * scenario.v_b + (1 - eta_b) * entangling_cloner_variance(
-            eta_b, scenario.channel_b.excess_noise)
-        expected = (va + vb) / 2.0
+        # C and D are full quadrature readings of the mixed channel outputs:
+        # a cloner of transmittance eta mixes Eve's variance 1 + eta eps/(1 - eta)
+        # into V, which leaves eta V + 1 - eta + eta eps
+        def output(v, ch):
+            eta = ch.transmittance
+            return eta * v + 1.0 - eta + eta * ch.excess_noise
+
+        expected = (output(scenario.v_a, scenario.channel_a)
+                    + output(scenario.v_b, scenario.channel_b)) / 2.0
         assert np.var(eb_batch.x_c) == pytest.approx(expected, rel=0.02)
         assert np.var(eb_batch.p_d) == pytest.approx(expected, rel=0.02)
 

@@ -7,16 +7,16 @@ import numpy as np
 import pytest
 
 from cvmdi import ChannelParams, DetectorParams, Scenario
-from cvmdi.gaussian import block_cm
+from cvmdi.keyrate import secret_key_rate
 from cvmdi.protocol import (
     channel_at,
     compose_eb_simulated,
     detector_noise,
-    entangling_cloner_variance,
     gain_free_terms,
     optimal_gain,
 )
-from conftest import make_scenario, random_scenario, reduced_block, reduced_channel, ref_reduction
+from conftest import composition_deviation, make_scenario, random_scenario, reduced_block, \
+    reduced_channel, reference_key_rate, ref_reduction
 
 
 class TestChannelParams:
@@ -170,22 +170,6 @@ class TestEquivalentChannel:
         assert vals[0] < vals[1] < vals[2]
 
 
-class TestCloner:
-    def test_variance_identity(self, rng):
-        # a thermal input of variance V leaves with eta*V + (1-eta)*W = eta*(V + chi)
-        for _ in range(100):
-            eta = rng.uniform(0.05, 0.95)
-            eps = rng.uniform(0.0, 0.2)
-            v = rng.uniform(1.0, 60.0)
-            w = entangling_cloner_variance(eta, eps)
-            chi = (1.0 - eta) / eta + eps
-            assert eta * v + (1.0 - eta) * w == pytest.approx(eta * (v + chi), abs=1e-10)
-
-    def test_lossless_noisy_is_rejected(self):
-        with pytest.raises(ValueError):
-            entangling_cloner_variance(1.0, 0.1)
-
-
 class TestDetectorNoise:
     def test_value(self):
         assert detector_noise(1.0, 0.0) == 0.0
@@ -199,66 +183,79 @@ class TestDetectorNoise:
         assert reduced_channel(s, g)[1] == pytest.approx(
             reduced_channel(perfect, g)[1] + 2.0 * chi_det / s.channel_a.transmittance)
 
+    @pytest.mark.parametrize("eta_d, v_el", [(0.9, 0.01), (0.6, 0.05), (0.99, 0.1)])
+    def test_penalty_is_the_physical_detector(self, eta_d, v_el):
+        # the reference mixes each relay reading with vacuum at eta_d, adds
+        # v_el and rescales by 1/sqrt(eta_d): the penalty's chi_det must be
+        # (1 - eta_d)/eta_d + v_el/eta_d, electronic noise included
+        s = make_scenario(5.0, 1.0, eta_d=eta_d, v_el=v_el, beta=0.95)
+        for g in (s.resolved_gain(), 1.5 * s.resolved_gain()):
+            assert composition_deviation(s, g) <= 1e-12
+        assert secret_key_rate(s).k == pytest.approx(
+            reference_key_rate(s, s.resolved_gain()), abs=1e-12)
+
 
 class TestDualPathComposition:
+    """The reduction's block against the reference's mode-by-mode composition."""
+
     @staticmethod
     def draws(rng):
-        """200 random scenarios, then 40 with one leg at 0 km."""
-        for _ in range(200):
+        """40 random scenarios, then 20 with one leg at 0 km."""
+        for _ in range(40):
             yield random_scenario(rng)
         for leg in ("channel_a", "channel_b"):
-            for _ in range(20):
+            for _ in range(10):
                 s = random_scenario(rng)
                 zero = dataclasses.replace(getattr(s, leg), length_km=0.0)
                 yield dataclasses.replace(s, **{leg: zero})
 
     def test_identity_at_optimal_gain(self, rng):
         for s in self.draws(rng):
-            g = s.resolved_gain()
-            d = np.abs(block_cm(*reduced_block(s, g)).entries - compose_eb_simulated(s, g).entries)
-            assert np.max(d) <= 1e-10
+            assert composition_deviation(s, s.resolved_gain()) <= 1e-10
 
     def test_identity_at_random_gain(self, rng):
         for s in self.draws(rng):
-            g = optimal_gain(s) * rng.uniform(0.3, 3.0)
-            d = np.abs(block_cm(*reduced_block(s, g)).entries - compose_eb_simulated(s, g).entries)
-            assert np.max(d) <= 1e-10
+            assert composition_deviation(s, optimal_gain(s) * rng.uniform(0.3, 3.0)) <= 1e-10
 
     def test_identity_with_imperfect_detector(self, rng):
-        # the detector penalty 2 chi_det / eta_a on eps' is 2 chi_det / eta_a
-        # more excess noise on the first leg before a perfect detector
-        for _ in range(300):
+        # the reference models the relay detector physically, the reduction
+        # as the penalty 2 chi_det / eta_a on eps'
+        for _ in range(50):
             s = dataclasses.replace(random_scenario(rng), detector=DetectorParams(
                 rng.uniform(0.6, 1.0), rng.uniform(0.0, 0.05)))
-            chi_det = detector_noise(s.detector.efficiency, s.detector.electronic_noise)
-            noisier_a = dataclasses.replace(s.channel_a, excess_noise=s.channel_a.excess_noise
-                                            + 2.0 * chi_det / s.channel_a.transmittance)
-            perfect = dataclasses.replace(s, channel_a=noisier_a, detector=DetectorParams())
             for g in (s.resolved_gain(), optimal_gain(s) * rng.uniform(0.3, 3.0)):
-                d = np.abs(block_cm(*reduced_block(s, g)).entries
-                           - compose_eb_simulated(perfect, g).entries)
-                assert np.max(d) <= 1e-10
+                assert composition_deviation(s, g) <= 1e-10
 
     def test_identity_with_lossless_noiseless_legs(self):
         s = make_scenario(0.0, 0.0, eps=0.0)
-        g = s.resolved_gain()
-        d = np.abs(block_cm(*reduced_block(s, g)).entries - compose_eb_simulated(s, g).entries)
-        assert np.max(d) <= 1e-10
+        assert composition_deviation(s, s.resolved_gain()) <= 1e-10
 
     def test_lossless_noisy_legs_keep_their_noise(self):
         # a zero-length leg carries eps as additive noise, the L -> 0+ limit
         # that the analytic path and the sampler also take
         for l_ac, l_bc in ((0.0, 0.0), (88.82, 0.0), (0.0, 5.0)):
             s = make_scenario(l_ac, l_bc, eps=0.002)
-            g = s.resolved_gain()
-            d = np.abs(block_cm(*reduced_block(s, g)).entries - compose_eb_simulated(s, g).entries)
-            assert np.max(d) <= 1e-10
+            assert composition_deviation(s, s.resolved_gain()) <= 1e-10
+
+    def test_lossless_noisy_legs_with_imperfect_detector(self):
+        # a zero-length noisy leg and the relay detector composed together:
+        # no extra noise on the first leg can stand for the detector there
+        for l_ac, l_bc in ((0.0, 0.0), (0.0, 5.0), (20.0, 0.0)):
+            s = make_scenario(l_ac, l_bc, eps=0.002, eta_d=0.85, v_el=0.02)
+            for g in (s.resolved_gain(), 0.7 * s.resolved_gain()):
+                assert composition_deviation(s, g) <= 1e-10
 
     def test_output_block_structure(self, rng):
-        s = random_scenario(rng)
-        m = block_cm(*reduced_block(s, s.resolved_gain())).entries
-        assert m[0, 0] == pytest.approx(m[1, 1])
-        assert m[2, 2] == pytest.approx(m[3, 3])
-        assert m[0, 2] == pytest.approx(-m[1, 3])
-        assert m[0, 1] == pytest.approx(0.0, abs=1e-12)
-        assert m[0, 3] == pytest.approx(0.0, abs=1e-12)
+        # no step of the scheme correlates an x with a p, and x and p see the
+        # same variances: the composed state has the block form
+        s = dataclasses.replace(random_scenario(rng), detector=DetectorParams(0.8, 0.03))
+        m = [[float(x) for x in row] for row in compose_eb_simulated(s, s.resolved_gain())]
+        assert m[0][0] == pytest.approx(m[1][1], rel=1e-15)
+        assert m[2][2] == pytest.approx(m[3][3], rel=1e-15)
+        assert m[0][2] == pytest.approx(-m[1][3], rel=1e-15)
+        assert [m[i][j] for i, j in ((0, 1), (0, 3), (1, 2), (2, 3))] == [0.0] * 4
+        assert all(m[i][j] == m[j][i] for i in range(4) for j in range(4))
+
+    def test_rejects_nonpositive_gain(self):
+        with pytest.raises(ValueError):
+            compose_eb_simulated(make_scenario(), 0.0)
