@@ -4,9 +4,10 @@ Protocol composition under independent entangling-cloner attacks,
 asymptotic reverse-reconciliation key rates, distance sweeps, and a
 quadrature-level Monte Carlo verification layer. The package root loads
 only the analytic path, which needs `math` alone; the reduction gain ->
-(T, eps') -> (a, b, c) is the three steps of `cvmdi.protocol`, which the key
-rate and the oracle compose; `compose_eb_simulated` and the `*_generic` key
-rate are its exact reference, in stdlib `decimal`. The oracle
+(T, eps') is the steps of `cvmdi.protocol`, which the key rate and the
+oracle compose, and the key-rate kernels are closed forms in (V_A, T, eps');
+`compose_eb_simulated` and the `*_generic` key rate are its exact
+reference, in stdlib `decimal`. The oracle
 (`cvmdi.oracle`, `cvmdi.montecarlo`) computes in `math` as well; only the row
 sampler and its CSV export load numpy, and no `cvmdi` command calls them.
 """
@@ -31,7 +32,7 @@ from .protocol import (
     optimal_gain,
 )
 
-__version__ = "0.22.0"
+__version__ = "0.23.0"
 
 __all__ = [
     "KeyRateNotFinite",

@@ -2,7 +2,8 @@
 
 The sampler's rows are L z, so their covariance is exactly L L^T
 (`montecarlo.row_law`). Three suites check identities of that law at the
-scenario's gain g (`Scenario.resolved_gain`) or the k equivalent to it, each
+scenario's gain g (the run's gain of `protocol.gain_free_terms`) or the k
+equivalent to it, each
 within IDENTITY_TOL of its rounding scale, so no seed or n moves them: the
 source-based (EB) law against the analytic prediction, the EB law bridged
 against the modulation-based (PM) law, and the PM law against its rescaled
@@ -116,8 +117,9 @@ def run_oracle_suites(scenario: Scenario, n: int, seed: int,
         if v >= V_LIMIT:
             raise mc.UnsupportedScenario(
                 f"scenario.{name} = {v!r}: the oracle checks sources with V below {V_LIMIT:g}")
-    g = scenario.resolved_gain()
-    t, eps = channel_at(gain_free_terms(scenario), g)
+    terms = gain_free_terms(scenario)
+    g = terms[-1]  # the resolved gain
+    t, eps = channel_at(terms, g)
     eb = mc.row_law(scenario, "EB", g)
     pm = mc.row_law(scenario, "PM", k_from_gain(g, scenario.v_b))
     return [

@@ -3,13 +3,15 @@
 This module holds the paper's reduction, once: at displacement gain g the
 scheme is one-way coherent-state CV QKD with heterodyne detection over an
 equivalent channel of transmittance T and input-referred excess noise eps'
-(the relay detector's penalty included). It is three steps, which the key
+(the relay detector's penalty included). It is two steps, which the key
 rate (`keyrate`) and the oracle (`oracle.run_oracle_suites`) compose
 themselves (see the reduction's comment): `gain_free_terms`, once per
-scenario; `channel_at`, (T, eps') at one g; and `block_params`, the block
-covariance (a, b, c) from (T, eps'). Around it: the parameter types, which
-sweeps and searches copy rather than construct again, the gain rule
-(`Scenario.resolved_gain`), and the exact reference's composition
+scenario, which also holds the gain rule (read by `Scenario.resolved_gain`);
+and `channel_at`, (T, eps') at one g. The key-rate kernels take (V_A, T,
+eps') as they are; `block_params` gives the block covariance (a, b, c) from
+(T, eps') for the oracle's covariance suite. Around it: the parameter
+types, which sweeps and searches copy rather than construct again, and the
+exact reference's composition
 (`compose_eb_simulated`): the entanglement-based scheme composed mode by
 mode in stdlib `decimal`, which cross-checks the reduction. The module needs
 only `math`; `compose_eb_simulated` loads `decimal` when it is called.
@@ -170,8 +172,9 @@ class Scenario:
         return _frozen(Scenario, {"detector": detector}, self)
 
     def resolved_gain(self) -> float:
-        """The one gain rule: `gain` when fixed, else `optimal_gain`; callers pass it on."""
-        return self.gain if self.gain_mode == "fixed" else optimal_gain(self)
+        """The run's gain, the last of the scenario's `gain_free_terms`, which
+        holds the one gain rule; a caller that has the terms reads it there."""
+        return gain_free_terms(self)[-1]
 
 
 def optimal_gain(scenario: Scenario) -> float:
@@ -188,13 +191,17 @@ def optimal_gain(scenario: Scenario) -> float:
 # The relay scheme at displacement gain g is one-way coherent-state CV QKD with
 # heterodyne detection over a channel of transmittance T = eta_a g^2 / 2 and
 # input-referred excess noise eps', to which a relay detector of input-referred
-# noise chi_det adds 2 chi_det / eta_a; (T, eps') give the block covariance
-# (a, b, c) that `kernels` evaluates. Each step is written once:
-# `gain_free_terms` computes the terms of (T, eps') that do not depend on g,
-# `channel_at` gives (T, eps') at one g from them, and `block_params` gives
-# (a, b, c) from (T, eps'). A scenario's gain-free terms are computed once,
-# also for a search over g (the detection scheme's k maximum) and for an oracle
-# run, and no wrapper composes the steps for one value. These functions take
+# noise chi_det adds 2 chi_det / eta_a; `kernels` evaluates the key rate of
+# (V_A, T, eps'). Each step is written once: `gain_free_terms` computes the
+# terms of (T, eps') that do not depend on g, with the optimal gain and the
+# run's gain, `channel_at` gives (T, eps') at one g from them, and
+# `block_params` gives the block covariance (a, b, c) from (T, eps'). No term
+# of eps' cancels: its matched part is eps_a + (2(1 - eta_b) + eta_b eps_b)/eta_a,
+# and its mismatch r+ (g_opt/g - 1) is exactly 0.0 at the optimal gain, so a
+# pure-loss channel at L_BC = 0 has eps' = 0.0 at every leg. A scenario's
+# gain-free terms are computed once, also for a search over g (the detection
+# scheme's k maximum) and for an oracle run, and no wrapper composes the
+# steps for one value. These functions take
 # and return floats. Their square roots are `** 0.5`, not `math.sqrt`, because
 # that keeps every published cell unchanged: CPython's float power is libm
 # `pow`, which is not always correctly rounded at 0.5, so `math.sqrt` would
@@ -227,28 +234,31 @@ def detector_noise(eta_d: float, v_el: float) -> float:
 
 
 def gain_free_terms(scenario: Scenario) -> tuple:
-    """The terms of the equivalent channel that do not depend on the gain, a
-    tuple of floats for `channel_at`: eta_a; eps' less its mismatch term and
-    the detector penalty; sqrt(v_b - 1); sqrt(eta_b) sqrt(v_b + 1); and the
-    relay detector penalty 2 chi_det / eta_a."""
+    """The terms of the equivalent channel that do not depend on the gain g at
+    which `channel_at` evaluates it, a tuple of floats: eta_a; eps' less its
+    mismatch term and the detector penalty, eps_a + (2(1 - eta_b) + eta_b
+    eps_b)/eta_a, whose terms do not cancel; sqrt(eta_b) sqrt(v_b + 1); the
+    optimal gain g_opt; the relay detector penalty 2 chi_det / eta_a; and the
+    run's gain, the one gain rule: `gain` when fixed, else g_opt."""
     ch_a, ch_b, v_b = scenario.channel_a, scenario.channel_b, scenario.v_b
     eta_a, eta_b = ch_a.transmittance, ch_b.transmittance
-    chi_a = (1.0 - eta_a) / eta_a + ch_a.excess_noise
-    chi_b = (1.0 - eta_b) / eta_b + ch_b.excess_noise
     det = scenario.detector
-    return (eta_a, 1.0 + (eta_b * (chi_b - 1.0) + eta_a * chi_a) / eta_a,
-            (v_b - 1.0) ** 0.5, eta_b ** 0.5 * (v_b + 1.0) ** 0.5,
-            2.0 * detector_noise(det.efficiency, det.electronic_noise) / eta_a)
+    g_opt = optimal_gain(scenario)
+    return (eta_a, ch_a.excess_noise + (2.0 * (1.0 - eta_b) + eta_b * ch_b.excess_noise) / eta_a,
+            eta_b ** 0.5 * (v_b + 1.0) ** 0.5, g_opt,
+            2.0 * detector_noise(det.efficiency, det.electronic_noise) / eta_a,
+            scenario.gain if scenario.gain_mode == "fixed" else g_opt)
 
 
 def channel_at(terms: tuple, g):
     """(T, eps') of the equivalent channel at gain g, from `gain_free_terms`.
 
-    The mismatch term of eps' vanishes, and eps' is smallest, at
-    `optimal_gain`; a perfect detector's penalty is exactly 0.0.
+    The mismatch term of eps', sqrt(eta_b) sqrt(v_b + 1) (g_opt/g - 1), is
+    exactly 0.0 at the optimal gain, where eps' is smallest; a perfect
+    detector's penalty is exactly 0.0.
     """
-    eta_a, eps_matched, root_minus, root_plus, penalty = terms
-    mismatch = _SQRT2 / g * root_minus - root_plus
+    eta_a, eps_matched, root_plus, g_opt, penalty, _ = terms
+    mismatch = root_plus * (g_opt / g - 1.0)
     return eta_a / 2.0 * g * g, eps_matched + mismatch * mismatch / eta_a + penalty
 
 
@@ -258,8 +268,12 @@ def _at_agreed_precision(at):
     """The reference's precision rule: at(digits), a tuple of Decimals, at 240
     significant digits when each value is within 1e-40 (1 + |value|) of its
     value at 120, else at 600 (a cancellation took more than 80 of 120
-    digits, as on legs of thousands of km)."""
-    low, high = at(120), at(240)
+    digits, as on legs of thousands of km, or all of them, as at V_A = 1e79,
+    where a root or a log at 120 or 240 digits has no value)."""
+    try:
+        low, high = at(120), at(240)
+    except ArithmeticError:  # decimal's InvalidOperation: a root or log of a value <= 0
+        return at(600)
     if all(abs(x - y) * 10 ** 40 <= 1 + abs(y) for x, y in zip(low, high)):
         return high
     return at(600)

@@ -1,14 +1,17 @@
 import math
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 from cvmdi import ChannelParams, DetectorParams, Scenario, kernels
+from cvmdi.cli import _idealized
+from cvmdi.config import load_config
 from cvmdi.keyrate import _maximize, holevo_bound_reverse_generic, mutual_information_generic
 from cvmdi.montecarlo import SampleBatch, _read_block_params, _row_rng
 from cvmdi.protocol import block_params, channel_at, compose_eb_simulated, gain_free_terms, \
-    k_from_gain
+    k_from_gain, optimal_gain
 
 
 @pytest.fixture
@@ -49,15 +52,92 @@ def gain_from_k(k: float, v_b: float) -> float:
 
 # The exact reference: the mode-by-mode composition and the generic key rate,
 # in `decimal` (`protocol.compose_eb_simulated` and the `keyrate.*_generic` pair).
+def block_channel(a: float, b: float, c: float) -> tuple[float, float, float]:
+    """The (V_A, T, eps') that the kernels take, of the block (a, b, c):
+    T = c^2/((a - 1)(a + 1)) and eps' = (b - 1)/T - (a - 1)."""
+    t = c * c / ((a - 1.0) * (a + 1.0))
+    return a, t, (b - 1.0) / t - (a - 1.0)
+
+
 def block_matrix(a: float, b: float, c: float) -> tuple:
     """The 4x4 block-form covariance [[a I2, c sigma_z], [c sigma_z, b I2]]."""
     return ((a, 0.0, c, 0.0), (0.0, a, 0.0, -c), (c, 0.0, b, 0.0), (0.0, -c, 0.0, b))
 
 
-def reference_key_rate(s: Scenario, g: float) -> float:
-    """K = beta I_AB - chi_BE of scenario s at gain g, from the reference."""
+def exact_optimal_gain(s: Scenario) -> Decimal:
+    """The optimal gain sqrt(2/eta_b) sqrt((v_b - 1)/(v_b + 1)) of scenario s to
+    1000 digits, eta_b = 10^(-attenuation * length / 10) of the config's
+    floats. `protocol.channel_at` gives the float optimal gain a mismatch of
+    exactly 0; the reference gives that only to this gain, since at the float
+    the mismatch (g_opt/g - 1)^2 eta_b (v_b + 1)/eta_a, with g_opt/g - 1 near
+    1e-16, is not small where eta_a or 1/v_b is."""
+    with localcontext() as ctx:
+        ctx.prec = 1000
+        ch, v_b = s.channel_b, Decimal(s.v_b)
+        eta_b = 10 ** (-Decimal(ch.attenuation_db_per_km) * Decimal(ch.length_km) / 10)
+        return (2 / eta_b * (v_b - 1) / (v_b + 1)).sqrt()
+
+
+def reference_key_rate(s: Scenario, g) -> float:
+    """K = beta I_AB - chi_BE of scenario s at gain g, a float or a Decimal,
+    from the reference."""
     cm = compose_eb_simulated(s, g)
     return s.beta_r * mutual_information_generic(cm) - holevo_bound_reverse_generic(cm)
+
+
+# The reference's bound on a printed K cell: relative, with an absolute floor
+# near K = 0, where K = beta I_AB - chi_BE keeps only the rounding of its two
+# terms (an ulp of a term of 4 to 16 bits is 9e-16 to 3.6e-15)
+REFERENCE_REL_TOL = 1e-12
+REFERENCE_ABS_FLOOR = 1e-14
+
+
+def within_reference_bound(k: float, ref: float) -> bool:
+    return abs(k - ref) <= REFERENCE_REL_TOL * abs(ref) + REFERENCE_ABS_FLOOR
+
+
+def _leg(label: str) -> float:
+    """The second leg of a curve label `...l_bc=<length>km`."""
+    return float(label.rsplit("l_bc=", 1)[1][:-2])
+
+
+def k_cells(args: list[str], csv: str) -> list[tuple]:
+    """(label, index, scenario, g, K) of each K cell of the CSV that the
+    command `args`, a `keyrate`, `sweep` or `figure` form, wrote: the cell's
+    curve and its index on it, and its scenario and gain as the command built
+    them, each fig6 cell at its printed k_opt."""
+    cfg = load_config(None, [args[i + 1] for i, arg in enumerate(args) if arg == "--set"],
+                      environ={})
+    base = cfg.scenario()
+    rows = [line.split(",") for line in csv.splitlines() if not line.startswith("#")][1:]
+    if args[-1] == "keyrate":
+        ((k, _, _, g, _),) = rows
+        return [("keyrate", 0, base, float(g), float(k))]
+    cells, counts = [], {}
+    for axis, k, label, *k_opt in rows:
+        if not k:  # a range endpoint
+            continue
+        axis = float(axis)
+        index = counts[label] = counts.get(label, -1) + 1
+        scn = _idealized(base) if label.startswith("ideal") else base
+        if args[-1] == "fig6":
+            s = replace(base, beta_r=float(label[len("beta="):])).with_lengths(axis, 0.0)
+            g = gain_from_k(float(k_opt[0]), s.v_b)
+        else:
+            if args[-1] in ("symmetric", "fig4"):
+                s = scn.with_lengths(axis / 2.0, axis / 2.0)
+            else:
+                s = scn.with_lengths(axis, _leg(label))
+            g = s.resolved_gain()
+        cells.append((label, index, s, g, float(k)))
+    return cells
+
+
+def reference_cell(s: Scenario, g: float) -> float:
+    """The reference's K of a cell that the library printed for scenario s at
+    gain g: at `exact_optimal_gain` where g is the float optimal gain, at
+    which the library's mismatch is exactly 0, else at g."""
+    return reference_key_rate(s, exact_optimal_gain(s) if g == optimal_gain(s) else g)
 
 
 def composition_deviation(s: Scenario, g: float) -> float:
@@ -218,9 +298,9 @@ def lo_scaling_attack(batch: SampleBatch, eta_scale: float) -> SampleBatch:
 
 def data_key_rate(m, k: float, beta: float) -> float:
     """K = beta I - chi of the block that the PM moments m read with Bob's
-    final data formed at k."""
-    a, b, c = _read_block_params(m, [k])[0]
-    return beta * kernels.block_mutual_information(a, b, c) - kernels.block_holevo_reverse(a, b, c)
+    final data formed at k, converted to the channel the kernels take."""
+    channel = block_channel(*_read_block_params(m, [k])[0])
+    return beta * kernels.block_mutual_information(*channel) - kernels.block_holevo_reverse(*channel)
 
 
 def data_k_maximum(m, k0: float, beta: float) -> tuple[float, float]:

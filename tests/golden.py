@@ -11,6 +11,8 @@ correctly rounded everywhere.
 
 Usage (standard library only; the package is read from ../src):
     python tests/golden.py           name the forms whose output differs
+    python tests/golden.py --cells   and, for each, its changed numeric cells
+                                     and their largest absolute and relative change
     python tests/golden.py --write   rewrite every record
 """
 
@@ -18,6 +20,8 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -57,11 +61,14 @@ FORMS = {
     "sweep-symmetric-3000km": [*_set("sweep.l_max_km=3000", "sweep.points=4"),
                                "sweep", "symmetric"],
     "keyrate-v_a-1e20": [*_set("scenario.v_a=1e20"), "keyrate"],
+    "keyrate-v_a-1e7": [*_set("scenario.v_a=1e7", "scenario.l_ac_km=10", "scenario.l_bc_km=1"),
+                        "keyrate"],
     # the oracle at two more seeds
     "oracle-seed-1": ["--seed", "1", "oracle"],
     "oracle-seed-2": ["--seed", "2", "oracle"],
 }
-# the exit-2 inputs of test_cli's test_key_rate_overflow_at_extreme_input_is_2
+# the inputs of test_cli's test_key_rate_overflow_at_extreme_input_is_2: those
+# that overflow the kernels exit 2, the others print the reference's finite K
 EXTREME = [
     ("scenario.v_a=1e200", "keyrate"),
     ("scenario.v_a=1e200", "sweep", "symmetric"),
@@ -103,7 +110,42 @@ def changed() -> list[str]:
             if not path(name).exists() or record(name) != path(name).read_text()]
 
 
+def cells(text: str) -> list[float]:
+    """The numeric cells of a record, in order: each token of a line, split at
+    spaces, commas and '=', that reads as a float."""
+    found = []
+    for token in re.split(r"[ ,=\n]", text):
+        try:
+            found.append(float(token))
+        except ValueError:
+            pass
+    return found
+
+
+def cell_changes(old: str, new: str) -> str:
+    """The changed numeric cells from record old to record new: their count and
+    their largest absolute and relative change, or the cell counts where the
+    layout changed (a form that exits 0 where it exited 2)."""
+    before, after = cells(old), cells(new)
+    if len(before) != len(after):
+        return f"layout changed: {len(before)} -> {len(after)} numeric cells"
+    moved = [(x, y) for x, y in zip(before, after)
+             if x != y and not (math.isnan(x) and math.isnan(y))]
+    if not moved:
+        return f"0 of {len(after)} numeric cells changed"
+    largest = max(abs(y - x) for x, y in moved)
+    relative = max(abs(y - x) / abs(x) if x else math.inf for x, y in moved)
+    return (f"{len(moved)} of {len(after)} numeric cells changed, largest |d| {largest:.2g} "
+            f"absolute and {relative:.2g} relative")
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--cells"]:
+        names = changed()
+        for name in names:
+            print(f"{name}: {cell_changes(path(name).read_text(), record(name))}")
+        print(f"{len(names)} of {len(FORMS)} forms changed")
+        sys.exit(1 if names else 0)
     if sys.argv[1:] == ["--write"]:
         path("x").parent.mkdir(exist_ok=True)
         for name in FORMS:

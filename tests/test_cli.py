@@ -19,6 +19,7 @@ import cvmdi
 from cvmdi.cli import _grid, main
 from cvmdi.config import _DEFAULTS, ConfigError, RunConfig, load_config
 from cvmdi.protocol import optimal_gain
+from conftest import k_cells, reference_cell, within_reference_bound
 
 # two valid values for every key of the config table, as text. A gain is
 # valid only under gain_mode = fixed, and fixed needs a gain, so the file that
@@ -127,6 +128,27 @@ class TestConfig:
     def test_l_bc_values(self):
         cfg = load_config(overrides=["sweep.l_bc_values_km=0, 2.5 ,7"], environ={})
         assert cfg.l_bc_values() == [0.0, 2.5, 7.0]
+
+
+def assert_cells_match_the_reference(args: list[str], path: Path) -> None:
+    """The first and the last K cell of each curve of the CSV that the command
+    `args` wrote to path are within the exact reference's bound."""
+    cells = k_cells(args, path.read_text())
+    last = {label: index for label, index, *_ in cells}
+    for label, index, s, g, k in cells:
+        if index in (0, last[label]):
+            ref = reference_cell(s, g)
+            assert within_reference_bound(k, ref), (label, index, k, ref)
+
+
+def assert_finite_or_2(args: list[str], code: int, captured, path: Path, finite: bool) -> bool:
+    """For an extreme input whose reference key rate is finite (`finite`), the
+    command exits 0, silent on stderr, and writes the reference's cells; it
+    returns whether it checked that."""
+    if finite:
+        assert code == 0 and captured.err == ""
+        assert_cells_match_the_reference(args, path)
+    return finite
 
 
 class TestExitCodes:
@@ -273,20 +295,24 @@ PASS measurement_rescaling_invariance (max|dev|/scale=4.83e-17) seed=12345 n=100
         assert captured.out == "" and not path.exists()
         if gain == "1e-150":
             assert main([*fixed, "keyrate"]) == 0
-            assert "K=-5.764472826856874 " in capsys.readouterr().out
+            assert "K=-5.764472826856873 " in capsys.readouterr().out
 
-    # the channel is finite (T = 5e99 and 5e199 at 0 km) but the block overflows
-    # the scalar kernels: at 1e50 each command printed NaN cells with exit 0,
-    # at 1e100 it ended in an OverflowError traceback
+    # the channel is finite (T = 5e99 and 5e199 at 0 km) but the block overflowed
+    # the scalar kernels of (a, b, c): at 1e50 each command printed NaN cells
+    # with exit 0, at 1e100 it ended in an OverflowError traceback. Since 0.23.0
+    # the kernels of (V_A, T, eps') give the reference's cells at 1e50 (K =
+    # -336.99 at 0 km) with exit 0; at 1e100 (T eps' = 2e200) they overflow
     @pytest.mark.parametrize("gain", ["1e50", "1e100"])
     @pytest.mark.parametrize("command", [["keyrate"], ["sweep", "symmetric"],
                                          ["figure", "fig4"], ["figure", "fig5b"]])
     def test_fixed_gain_without_a_finite_key_rate_is_2(self, capsys, tmp_path, gain, command):
         path = tmp_path / "x.csv"
-        args = ["--set", "scenario.gain_mode=fixed", "--set", f"scenario.gain={gain}",
-                "--out", str(path), *command]
-        assert main(args) == 2
+        fixed = ["--set", "scenario.gain_mode=fixed", "--set", f"scenario.gain={gain}"]
+        code = main([*fixed, "--out", str(path), *command])
         captured = capsys.readouterr()
+        if assert_finite_or_2([*fixed, *command], code, captured, path, gain == "1e50"):
+            return
+        assert code == 2
         assert "config error: scenario.gain" in captured.err and "key rate" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
         assert not path.exists()
@@ -302,14 +328,21 @@ PASS measurement_rescaling_invariance (max|dev|/scale=4.83e-17) seed=12345 n=100
         assert "Traceback" not in captured.err and captured.out == ""
 
     # finite extreme inputs: the equivalent channel, its block or the kernels
-    # overflow at some k of the span; at V_A = 1e20 only the span's ends do,
-    # and K near k0 is finite but impossible (the kernels cancel to chi_BE < 0)
+    # overflow at some k of the span. At V_A = 1e20 only the span's ends did,
+    # and K near k0 was finite but impossible (the kernels of (a, b, c)
+    # cancelled to chi_BE < 0); since 0.23.0 that form exits 0 with the
+    # reference's cells
     @pytest.mark.parametrize("override", ["scenario.v_a=1e200", "scenario.v_b=1e200",
                                           "scenario.eps_a=1e300", "scenario.v_el=1e300",
                                           "scenario.eta_d=1e-300", "scenario.v_a=1e20"])
-    def test_fig6_extreme_input_is_2(self, capsys, override):
-        assert main(["--set", "sweep.points=3", "--set", override, "figure", "fig6"]) == 2
+    def test_fig6_extreme_input_is_2(self, capsys, tmp_path, override):
+        path = tmp_path / "x.csv"
+        args = ["--set", "sweep.points=3", "--set", override, "figure", "fig6"]
+        code = main(["--out", str(path), *args])
         captured = capsys.readouterr()
+        if assert_finite_or_2(args, code, captured, path, override == "scenario.v_a=1e20"):
+            return
+        assert code == 2
         assert "config error: figure fig6: the key rate at legs of " in captured.err
         assert " and k = " in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
@@ -333,7 +366,16 @@ PASS measurement_rescaling_invariance (max|dev|/scale=4.83e-17) seed=12345 n=100
 
     # finite extreme inputs overflow the equivalent channel, its block or the
     # kernels at a point or a range-search probe: each form ended in a
-    # ValueError (math domain error) or OverflowError traceback, exit 1
+    # ValueError (math domain error) or OverflowError traceback, exit 1. Since
+    # 0.23.0 the inputs of FINITE_EXTREME have the reference's finite cells and
+    # exit 0: V_A = 1e20, 1e79 and 3e16 cancelled in the kernels of (a, b, c)
+    # (printing K = nan at 1e79, a ZeroDivisionError at 3e16), and at V_B =
+    # 1e200 eps' cancelled to 3.8e168 in the reduction
+    FINITE_EXTREME = {("scenario.v_b=1e200", "sweep", "symmetric"),
+                      ("scenario.v_b=1e200", "figure", "fig5b"),
+                      ("scenario.v_a=1e20", "sweep", "asymmetric"),
+                      ("scenario.v_a=1e79", "keyrate"), ("scenario.v_a=3e16", "keyrate")}
+
     @pytest.mark.parametrize("override, command", [
         ("scenario.v_a=1e200", ["keyrate"]),
         ("scenario.v_a=1e200", ["sweep", "symmetric"]),
@@ -346,26 +388,32 @@ PASS measurement_rescaling_invariance (max|dev|/scale=4.83e-17) seed=12345 n=100
         ("scenario.v_b=1e200", ["sweep", "symmetric"]),
         ("scenario.v_b=1e200", ["figure", "fig5b"]),
         ("scenario.v_a=1e20", ["sweep", "asymmetric"]),
-        ("scenario.v_a=1e79", ["keyrate"]),  # printed K=nan with exit 0
-        ("scenario.v_a=3e16", ["keyrate"]),  # a ZeroDivisionError traceback
+        ("scenario.v_a=1e79", ["keyrate"]),
+        ("scenario.v_a=3e16", ["keyrate"]),
     ])
     def test_key_rate_overflow_at_extreme_input_is_2(self, capsys, tmp_path, override, command):
         path = tmp_path / "x.csv"
-        assert main(["--set", "sweep.points=3", "--set", override, "--out", str(path),
-                     *command]) == 2
+        args = ["--set", "sweep.points=3", "--set", override, *command]
+        code = main(["--out", str(path), *args])
         captured = capsys.readouterr()
+        if assert_finite_or_2(args, code, captured, path,
+                              (override, *command) in self.FINITE_EXTREME):
+            return
+        assert code == 2
         assert f"config error: {' '.join(command)}: the key rate at legs of " in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
         assert not path.exists()
 
     # the key rate is still positive at the 2000 km per-leg cap: one-sided at
     # 0.001 dB/km; symmetric (1411.5 km total at 0.001 dB/km) at 0.0001 dB/km.
-    # At 10 dB/km and a 16 km second leg it is still positive at 256 km, and
-    # a 512 km leg underflows: that search ended in a ValueError traceback
+    # At 10 dB/km on the pure-loss channel at L_BC = 0 it is still positive at
+    # 256 km, and a 512 km leg underflows: that search ended in a ValueError
+    # traceback
     @pytest.mark.parametrize("attenuation, command", [
         ("0.001", ["sweep", "asymmetric"]),
         ("0.0001", ["figure", "fig4"]),
-        ("10", ["--set", "sweep.l_bc_values_km=16", "--set", "sweep.points=1", "figure", "fig5b"]),
+        ("10", ["--set", "scenario.eps_a=0", "--set", "scenario.eps_b=0", "--set",
+                "sweep.l_bc_values_km=0", "--set", "sweep.points=1", "figure", "fig5b"]),
     ])
     def test_range_beyond_search_cap_is_2(self, capsys, tmp_path, attenuation, command):
         path = tmp_path / "x.csv"

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from cvmdi import kernels
 from cvmdi.keyrate import holevo_bound_reverse_generic, mutual_information_generic
 from cvmdi.montecarlo import heterodyne_image
-from conftest import block_matrix
+from conftest import block_channel, block_matrix
 
 
 def entropy_g(nu: float) -> float:
@@ -120,7 +120,7 @@ class TestSpectraAndEntropy:
             b = rng.uniform(1.0, 50.0)
             cmax = math.sqrt((a - 1.0) * (b - 1.0)) + math.sqrt((a + 1.0) * (b + 1.0))
             c = rng.uniform(0.0, 0.99) * min(math.sqrt(a * b), cmax / 2.0)
-            assert kernels.block_holevo_reverse(a, b, c) == pytest.approx(
+            assert kernels.block_holevo_reverse(*block_channel(a, b, c)) == pytest.approx(
                 holevo_bound_reverse_generic(block_matrix(a, b, c)), abs=1e-10)
 
     def test_pure_state_entropy_zero(self):

@@ -1,9 +1,10 @@
-"""The key-rate kernels: plain `math` functions of the block (a, b, c)."""
+"""The key-rate kernels: plain `math` functions of the channel (V_A, T, eps')."""
 
 import ast
 from pathlib import Path
 
 from cvmdi import kernels
+from conftest import block_channel
 
 
 def random_block(rng):
@@ -15,8 +16,9 @@ def random_block(rng):
 
 def test_scalar_functions_return_floats(rng):
     a, b, c = (float(x) for x in random_block(rng))
-    values = (kernels.g_entropy(a), *kernels.block_symplectic_eigenvalues(a, b, c),
-              kernels.block_mutual_information(a, b, c), kernels.block_holevo_reverse(a, b, c))
+    channel = block_channel(a, b, c)
+    values = (kernels.g_entropy(a), *kernels.symplectic_excesses(*channel),
+              kernels.block_mutual_information(*channel), kernels.block_holevo_reverse(*channel))
     assert all(type(v) is float for v in values)
 
 
@@ -26,7 +28,7 @@ def test_entropy_vanishes_at_the_vacuum():
 
 
 def test_kernels_import_only_math():
-    # the reduction to (a, b, c) lives in protocol; kernels only evaluates it
+    # the reduction to (T, eps') lives in protocol; kernels only evaluates it
     tree = ast.parse(Path(kernels.__file__).read_text())
     imported = set()
     for node in ast.walk(tree):

@@ -38,32 +38,36 @@ from cvmdi.protocol import (
     ChannelParams,
     DetectorParams,
     Scenario,
+    TransmittanceUnderflow,
     _at_agreed_precision,
+    channel_at,
     compose_eb_simulated,
     gain_free_terms,
     optimal_gain,
 )
-from conftest import block_matrix, composition_deviation, gain_from_k, make_scenario, \
-    random_scenario, reduced_block
+from conftest import block_channel, block_matrix, composition_deviation, exact_optimal_gain, \
+    gain_from_k, make_scenario, random_scenario, reduced_block, reduced_channel, \
+    reference_key_rate
 
 
 class TestMutualInformation:
     def test_known_value(self):
-        # a = b = 40, c = sqrt(1599): maximally correlated two-mode block
+        # V_A = 40 through a lossless, noiseless channel: the maximally
+        # correlated two-mode block a = b = 40, c = sqrt(1599)
         a = b = 40.0
         c = math.sqrt(a * a - 1.0)
         expected = math.log2((a + 1.0) / (a + 1.0 - c * c / (b + 1.0)))
-        assert kernels.block_mutual_information(a, b, c) == pytest.approx(expected)
+        assert kernels.block_mutual_information(40.0, 1.0, 0.0) == pytest.approx(expected)
         assert expected == pytest.approx(math.log2(41.0 / (41.0 - 1599.0 / 41.0)))
 
     def test_uncorrelated_is_zero(self):
-        assert kernels.block_mutual_information(5.0, 5.0, 0.0) == pytest.approx(0.0)
+        assert kernels.block_mutual_information(5.0, 0.0, 0.0) == 0.0
 
     def test_matches_generic_determinant_form(self, rng):
         for _ in range(200):
             a, b = rng.uniform(1.0, 80.0, 2)
             c = rng.uniform(0.0, 0.99) * math.sqrt((a * a - 1.0) * (b * b - 1.0)) ** 0.5
-            assert kernels.block_mutual_information(a, b, c) == pytest.approx(
+            assert kernels.block_mutual_information(*block_channel(a, b, c)) == pytest.approx(
                 mutual_information_generic(block_matrix(a, b, c)), abs=1e-10)
 
 
@@ -73,13 +77,12 @@ class TestHolevoBound:
         for _ in range(100):
             s = random_scenario(rng)
             g = s.resolved_gain()
-            a, b, c = reduced_block(s, g)
-            assert kernels.block_holevo_reverse(a, b, c) == pytest.approx(
-                holevo_bound_reverse_generic(block_matrix(a, b, c)), abs=1e-10)
+            assert kernels.block_holevo_reverse(s.v_a, *reduced_channel(s, g)) == pytest.approx(
+                holevo_bound_reverse_generic(block_matrix(*reduced_block(s, g))), abs=1e-10)
 
     def test_pure_loss_has_positive_bound(self):
         s = make_scenario(20.0, 0.0, eps=0.0)
-        assert kernels.block_holevo_reverse(*reduced_block(s, s.resolved_gain())) > 0.0
+        assert kernels.block_holevo_reverse(s.v_a, *reduced_channel(s, s.resolved_gain())) > 0.0
 
 
 class TestReference:
@@ -391,12 +394,12 @@ def test_property_k_maximum_dominates_k0_and_the_grid(v_exp, l_ac, l_bc, eps, be
 
 
 def test_range_search_stops_before_a_leg_whose_transmittance_underflows():
-    # at 10 dB/km and a 16 km second leg K is still positive at 256 km (where
-    # the kernels give chi_BE < 0), and a 512 km leg underflows to
-    # transmittance 0: the range is inf, as at the search cap
-    s = Scenario(40.0, 40.0, ChannelParams(0.0, 10.0, 0.002), ChannelParams(0.0, 10.0, 0.002))
-    assert key_rate_at(s, 256.0, 16.0) > 0.0
-    assert max_distance_asymmetric(s, 16.0) == math.inf
+    # on a pure-loss channel at L_BC = 0, K > 0 at every leg whose
+    # transmittance is positive: at 10 dB/km still at 256 km, and a 512 km leg
+    # underflows to transmittance 0, so the range is inf, as at the search cap
+    s = Scenario(40.0, 40.0, ChannelParams(0.0, 10.0, 0.0), ChannelParams(0.0, 10.0, 0.0))
+    assert key_rate_at(s, 256.0, 0.0) > 0.0
+    assert max_distance_asymmetric(s, 0.0) == math.inf
 
 
 def _fine_root(f, lo: float, hi: float) -> float:
@@ -527,7 +530,7 @@ def _count_kernel_evaluations(monkeypatch) -> dict:
                 depth[0] -= 1
         return counted
 
-    for name in ("g_entropy", "block_symplectic_eigenvalues", "block_mutual_information",
+    for name in ("g_entropy", "symplectic_excesses", "block_mutual_information",
                  "block_holevo_reverse"):
         monkeypatch.setattr(kernels, name, counting(name, getattr(kernels, name)))
     return counts
@@ -538,23 +541,27 @@ SEARCH_SCENARIOS = {
     "detector": dict(beta=0.95, eta_d=0.97, v_el=0.001),
     "fixed_gain": dict(v=1000.0, eps=0.005, beta=0.98, eta_d=0.95, gain_mode="fixed", gain=1.41),
 }
-# (result, kernel evaluations) of each search since 0.21.0, where `_root` is
-# Brent's zeroin; a probe and a k evaluation are each one
-# block_mutual_information and one block_holevo_reverse call
+# (result, kernel evaluations) of each search since 0.23.0, where the kernels
+# take (V_A, T, eps') in closed form; a probe and a k evaluation are each one
+# block_mutual_information and one block_holevo_reverse call. Against 0.21.0
+# (Brent's zeroin on the cancelling kernels) the detection scheme's range takes
+# 186 -> 169 (default) and 126 -> 114 (fixed gain) evaluations and 100 -> 101
+# (detector): the last Brent steps of each k maximum, at K_XTOL in ln k, are
+# set by K's last bits; every other count is unchanged
 SEARCH_EVALUATIONS = {
-    "default": {"symmetric": (7.059028781989767, 7), "asymmetric_0": (88.82175358744557, 15),
-                "asymmetric_1": (20.164481899501297, 11),
-                "asymmetric_3": (5.2541520573171105, 9),
-                "detection_scheme": (88.82177296451981, 186),
-                "detector": (0.8500106114987699, 9)},
-    "detector": {"symmetric": (4.439931603199277, 7), "asymmetric_0": (15.632921545081373, 9),
-                 "asymmetric_1": (6.937333984788413, 8), "asymmetric_3": (0.5093804744231388, 5),
-                 "detection_scheme": (15.652493883346153, 100),
+    "default": {"symmetric": (7.059028781989742, 7), "asymmetric_0": (88.82175358726515, 15),
+                "asymmetric_1": (20.164481899501993, 11),
+                "asymmetric_3": (5.25415205731721, 9),
+                "detection_scheme": (88.82177296439953, 169),
+                "detector": (0.850010611498771, 9)},
+    "detector": {"symmetric": (4.439931603199126, 7), "asymmetric_0": (15.632921545082485, 9),
+                 "asymmetric_1": (6.937333984788709, 8), "asymmetric_3": (0.5093804744228767, 5),
+                 "detection_scheme": (15.65249388334544, 101),
                  "detector": (0.8757461395307271, 9)},
-    "fixed_gain": {"symmetric": (0.9153637118680823, 5), "asymmetric_0": (11.185731612621748, 10),
+    "fixed_gain": {"symmetric": (0.9153637118678879, 5), "asymmetric_0": (11.185731612468189, 10),
                    "asymmetric_1": (0.0, 1), "asymmetric_3": (0.0, 1),
-                   "detection_scheme": (11.609405424963285, 126),
-                   "detector": (0.864111271876892, 9)},
+                   "detection_scheme": (11.60940542483035, 114),
+                   "detector": (0.8641112718769594, 9)},
 }
 # the kernel evaluations of each search at 0.20.0, by bisection
 BISECTION_EVALUATIONS = {
@@ -593,3 +600,75 @@ def test_searches_make_the_pinned_kernel_evaluations(name, monkeypatch):
         found[search] = (result, counts[kernels_called[0]])
     assert found == SEARCH_EVALUATIONS[name]
     assert all(found[search][1] <= count for search, count in BISECTION_EVALUATIONS[name].items())
+
+
+# The underflow limit of a leg at make_scenario's 0.2 dB/km: 10^(-0.02 L) is
+# the smallest subnormal, 5e-324, at L = 16165.3 km
+UNDERFLOW_KM = 16165.0
+# the invariants' tolerance: nu >= 1 - INVARIANT_TOL and chi_BE >= -INVARIANT_TOL
+INVARIANT_TOL = 1e-12
+
+
+# Every symplectic eigenvalue of a physical state is at least 1, nu3 of Alice's
+# mode given Bob's heterodyne included, and chi_BE is not negative (Weedbrook
+# et al., Rev. Mod. Phys. 84, 621 (2012), Sec. II), whatever the parameters. So
+# a point that breaks one is a numerical defect, found with no reference:
+# 0.22.0's kernels of (a, b, c) gave chi_BE = -14.44 at V_A = 1e20 (K = 66.88),
+# and nu2 = 0.0 on long legs.
+@settings(max_examples=300, deadline=None)
+@given(v_exp=st.floats(0.01, 20.0), v_b_exp=st.floats(0.01, 5.0),
+       l_ac=st.floats(0.0, 10.0) | st.floats(0.0, UNDERFLOW_KM),
+       l_bc=st.floats(0.0, 10.0) | st.floats(0.0, UNDERFLOW_KM), eps=st.floats(0.0, 0.1),
+       eta_d=st.floats(0.5, 1.0), v_el=st.floats(0.0, 0.1),
+       gain_factor=st.none() | st.floats(0.1, 10.0))
+@example(v_exp=20.0, v_b_exp=math.log10(40.0), l_ac=0.0, l_bc=0.0, eps=0.002, eta_d=1.0,
+         v_el=0.0, gain_factor=None)
+@example(v_exp=math.log10(40.0), v_b_exp=math.log10(40.0), l_ac=1000.0, l_bc=1000.0, eps=0.002,
+         eta_d=1.0, v_el=0.0, gain_factor=None)
+def test_property_points_are_physical(v_exp, v_b_exp, l_ac, l_bc, eps, eta_d, v_el, gain_factor):
+    s = replace(make_scenario(eps=eps, eta_d=eta_d, v_el=v_el), v_a=10.0 ** v_exp,
+                v_b=10.0 ** v_b_exp)
+    if gain_factor is not None:
+        s = replace(s, gain_mode="fixed", gain=gain_factor * optimal_gain(s))
+    try:
+        point = secret_key_rate(s.with_lengths(l_ac, l_bc))
+    except (TransmittanceUnderflow, keyrate.KeyRateNotFinite):
+        return  # no point is returned
+    assert point.chi_be >= -INVARIANT_TOL
+    excesses = kernels.symplectic_excesses(s.v_a, *reduced_channel(point.scenario, point.g_used))
+    assert min(excesses[:3]) >= -INVARIANT_TOL / 2.0  # (nu - 1)/2 of nu1, nu2 and nu3
+
+
+class TestPureLossGate:
+    """The physics gate: with no excess noise, a perfect detector and L_BC = 0
+    the channel is pure loss, and the heterodyne reverse-reconciliation key
+    rate is positive at any distance (Weedbrook et al. 2012, CV QKD section),
+    about T/(2 ln 2) at small T. At the optimal gain the reduction's eps' is
+    exactly 0.0, so K > 0 at every leg below the underflow limit, and fig5b's
+    ideal L_BC = 0 endpoint is inf. The reference is compared at the optimal
+    gain in exact decimal arithmetic (`conftest.exact_optimal_gain`): at the
+    float optimal gain the composition carries a mismatch (g_opt/g - 1)^2
+    eta_b (v_b + 1)/eta_a, about 213 SNU of eps' at 1500 km, where eta_a =
+    1e-30, and the reference's K there is -1.005e-26."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(l_ac=st.floats(0.0, UNDERFLOW_KM), v_exp=st.floats(0.7, 5.0))
+    def test_positive_up_to_the_underflow_limit(self, l_ac, v_exp):
+        s = make_scenario(l_ac, 0.0, v=10.0 ** v_exp, eps=0.0)
+        t, eps = channel_at(gain_free_terms(s), s.resolved_gain())
+        assert eps == 0.0
+        if t > 0.0:
+            assert secret_key_rate(s).k > 0.0
+        else:  # eta_a is subnormal and T = eta_a g^2/2 underflows: no key rate
+            with pytest.raises(keyrate.KeyRateNotFinite):
+                secret_key_rate(s)
+
+    def test_fig5b_ideal_endpoint_is_inf(self):
+        assert max_distance_asymmetric(make_scenario(v=1e5, eps=0.0), 0.0) == math.inf
+
+    def test_reference_at_1500_km(self):
+        s = make_scenario(1500.0, 0.0, v=1e5, eps=0.0)
+        ref = reference_key_rate(s, exact_optimal_gain(s))
+        assert ref == pytest.approx(7.2132347591271955e-31, rel=1e-12)
+        assert reference_key_rate(s, s.resolved_gain()) == pytest.approx(-1.005e-26, rel=1e-3)
+        assert secret_key_rate(s).k == pytest.approx(ref, rel=1e-12)

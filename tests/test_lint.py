@@ -332,8 +332,10 @@ def none_defaults(source: str, param: str) -> set[str]:
 
 
 def test_one_gain_rule():
-    """`Scenario.resolved_gain` is the one rule for a run's gain: it alone
-    calls `optimal_gain`, and no function picks a gain of its own when its
+    """`protocol.gain_free_terms` holds the one rule for a run's gain, the last
+    of its terms: it alone calls `optimal_gain`, once per scenario, whose value
+    the mismatch term also reads; `Scenario.resolved_gain` reads the rule's
+    gain from the terms; and no function picks a gain of its own when its
     caller omits g."""
     assert callers("def f():\n    optimal_gain(s)\nclass C:\n    def m(self):\n"
                    "        return p.optimal_gain(h(self))\noptimal_gain(0)\n",
@@ -342,7 +344,7 @@ def test_one_gain_rule():
                          "def k(s, *, g=None, n=1): pass\ndef m(g=0.0): pass\n", "g") == {"f", "k"}
     modules = sorted((ROOT / "src" / "cvmdi").glob("*.py"))
     assert {f"{p.stem}.{f}" for p in modules for f in callers(p.read_text(), "optimal_gain")} == {
-        "protocol.Scenario.resolved_gain"}
+        "protocol.gain_free_terms"}
     assert {f"{p.stem}.{f}" for p in modules for f in none_defaults(p.read_text(), "g")} == set()
 
 
@@ -356,16 +358,20 @@ def test_one_detector_rule():
 
 
 def test_one_reduction_path():
-    """The reduction gain -> (T, eps') -> (a, b, c) has one path: the key rate
-    and the oracle compose `protocol`'s steps themselves, each scenario's
-    gain-free terms once, and no wrapper composes them for one value."""
+    """The reduction gain -> (T, eps') has one path: the key rate and the
+    oracle compose `protocol`'s steps themselves, each scenario's gain-free
+    terms once, and no wrapper composes them for one value; the kernels take
+    (V_A, T, eps'), so only the oracle's covariance suite builds the block
+    (a, b, c); `Scenario.resolved_gain` reads the gain of the terms."""
     modules = sorted((ROOT / "src" / "cvmdi").glob("*.py"))
+    assert {f"{p.stem}.{f}" for p in modules for f in callers(p.read_text(), "block_params")} == {
+        "oracle.run_oracle_suites"}
     assert {f"{p.stem}.{f}" for p in modules for f in callers(p.read_text(), "channel_at")} == {
         "keyrate._evaluate", "oracle.run_oracle_suites"}
     assert {f"{p.stem}.{f}" for p in modules
             for f in callers(p.read_text(), "gain_free_terms")} == {
         "keyrate.secret_key_rate", "keyrate.optimize_k_detection_scheme",
-        "oracle.run_oracle_suites"}
+        "oracle.run_oracle_suites", "protocol.Scenario.resolved_gain"}
 
 
 def hidden_kernel_calls(source: str) -> set[str]:
