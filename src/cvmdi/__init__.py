@@ -8,8 +8,9 @@ only the analytic path, which needs `math` alone; the reduction gain ->
 oracle compose, and the key-rate kernels are closed forms in (V_A, T, eps');
 `compose_eb_simulated` and the `*_generic` key rate are its exact
 reference, in stdlib `decimal`. The oracle
-(`cvmdi.oracle`, `cvmdi.montecarlo`) computes in `math` as well; only the row
-sampler and its CSV export load numpy, and no `cvmdi` command calls them.
+(`cvmdi.oracle`, `cvmdi.montecarlo`) computes in `math` as well and reads
+moments drawn from the sampler's law, never rows; only the PM row sampler
+and its CSV export load numpy, and no `cvmdi` command calls them.
 """
 
 from . import kernels

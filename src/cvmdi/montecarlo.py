@@ -12,43 +12,40 @@ Sampling conventions (shot-noise units, vacuum variance 1):
 Physics: every step is linear, so a row of base columns is L z, z the row's
 p standard normals (p = 16 for EB, 12 for PM). `_eb_rows` and `_pm_rows`
 state each picture once, as the map L (`linear_map`), and the sampler has no
-other statement of it: rows, moments and their law all come from L.
+other statement of it: the law, the moments and the rows all come from L.
 
 Floats: L, the law, the moments, the readings and the estimates are plain
 floats, matrices are lists of rows, and every sum of products is one
 `math.fsum` (`_dot`, `_mul`), so each entry is correctly rounded whatever
-the platform (Shewchuk, Discrete Comput. Geom. 18, 305 (1997)). Only the
+the platform (Shewchuk, Discrete Comput. Geom. 18, 305 (1997)). Only the PM
 rows and their CSV export, which no `cvmdi` command calls, are numpy
 arrays; those functions import numpy when they run, so importing this
 module, or running the oracle, does not load it.
 
-Rows: `_simulate` draws z from one Philox generator keyed by the seed
+Rows: `simulate_pm` draws z from one Philox generator keyed by the seed
 (`_row_rng`), CHUNK_ROWS rows of p normals at a time, and writes L z for
 each block, so row j is L times the stream's j-th run of p normals whatever
-n is. Rows serve the CSV export and tests; the oracle draws none
-(`sample_moments`). `export_csv` writes the final columns, every cell
-`'%.16e' % v`: 17 correctly rounded significant digits, which round-trip,
-in a layout that does not depend on the value. A block of rows is formatted
-by exact integer arithmetic on whole arrays, for every cell with
-1e-6 <= |v| < 1e17 but a few next to a power of ten; only the other cells go
-through `%` one by one.
-
-Batches: a `SampleBatch` holds only the drawn columns x_a, p_a, x_b, p_b,
-x_c, p_d; Bob's final data X_B = x_b + w_x x_c, P_B = p_b + w_p p_d
-(`_final_weights`) are derived on demand.
+n is. Rows serve the CSV export alone; the oracle and every estimate read
+moments (`sample_moments`). A `SampleBatch` holds only the drawn columns
+x_a, p_a, x_b, p_b, x_c, p_d; Bob's final data X_B = x_b + k x_c,
+P_B = p_b - k p_d (`_final_weights`) are derived on demand. `export_csv`
+writes the final columns, every cell `'%.16e' % v`: 17 correctly rounded
+significant digits, which round-trip, in a layout that does not depend on
+the value. A block of rows is formatted by exact integer arithmetic on
+whole arrays, for every cell with 1e-6 <= |v| < 1e17 but a few next to a
+power of ten; only the other cells go through `%` one by one.
 
 Moments: every estimator here reads second moments only. `Moments` holds
 one covariance C of the drawn columns (ddof 1) and the row count n, so every
-covariance is a linear image of C. `Moments.of` reduces drawn rows;
-`sample_moments` draws C of n rows exactly from its law, from L and a
-Bartlett-decomposed Wishart draw from Python's `random` (`_moment_rng`), in
-time and memory independent of n; `row_law` is the law itself, C = L L^T
-with n = 0. `_reading` states once how data are read as the block
-covariance (a, b, c): fixed weights R on the covariance F of the final
-columns (`Moments.final_covariance`). Estimation, its errors and the
-oracle's rescaling suite all use it. Standard errors are the Isserlis
-covariance of a sample covariance of n Gaussian rows carried to those
-readings (`_reading_covariance`).
+covariance is a linear image of C. `sample_moments` draws C of n rows
+exactly from its law, from L and a Bartlett-decomposed Wishart draw from
+Python's `random` (`_moment_rng`), in time and memory independent of n;
+`row_law` is the law itself, C = L L^T with n = 0. `_reading` states once
+how data are read as the block covariance (a, b, c): fixed weights R on the
+covariance F of the final columns (`Moments.final_covariance`). Estimation,
+its errors and the oracle's rescaling suite all use it. Standard errors are
+the Isserlis covariance of a sample covariance of n Gaussian rows carried to
+those readings (`_reading_covariance`).
 
 Channels: each leg is an entangling cloner. Eve's kept arm never reaches the
 data, so the sampler draws only the mode she injects into the channel.
@@ -73,9 +70,6 @@ CHUNK_ROWS = 1 << 15
 _EXPORT_ROWS = 1 << 11
 # the export's text words, as a numpy dtype: 8 bytes each, in memory order on any host
 _WORD = "<u8"
-
-# drawn columns of a batch; the final columns are linear in these
-_BASE = ("x_a", "p_a", "x_b", "p_b", "x_c", "p_d")
 
 
 def _row_rng(seed: int):
@@ -174,15 +168,12 @@ def _final_weights(scheme: str, coeff: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Drawn per-sample protocol data; all columns are float64 numpy arrays of
-    length n, in shot-noise units.
-
-    For scheme "PM", (x_b, p_b) are Bob's modulation values and coeff is the
-    amplification k. For scheme "EB", (x_b, p_b) are Bob's pre-displacement
-    heterodyne outcomes and coeff is the displacement gain g.
+    """Drawn rows of the PM picture; all columns are float64 numpy arrays of
+    length n, in shot-noise units: (x_a, p_a) and (x_b, p_b) are Alice's and
+    Bob's modulation values, (x_c, p_d) the relay data, and coeff is the
+    amplification k.
     """
 
-    scheme: str
     seed: int
     n: int
     v_a: float
@@ -198,7 +189,7 @@ class SampleBatch:
     def columns(self) -> dict:
         """Final 6-variable data, ordered X_A, P_A, X_B, P_B, X_C, P_D; X_B
         and P_B are computed from the drawn columns at the batch's coeff."""
-        w_x, w_p = _final_weights(self.scheme, self.coeff)
+        w_x, w_p = _final_weights("PM", self.coeff)
         return {
             "X_A": self.x_a, "P_A": self.p_a,
             "X_B": self.x_b + w_x * self.x_c, "P_B": self.p_b + w_p * self.p_d,
@@ -278,42 +269,33 @@ def linear_map(scenario: Scenario, scheme: str) -> list:
     raise ValueError(f"scheme must be 'EB' or 'PM', not {scheme!r}")
 
 
-def _simulate(scenario: Scenario, scheme: str, coeff: float, n: int, seed: int) -> SampleBatch:
-    """n rows L z of scheme's picture; z is drawn CHUNK_ROWS rows at a time."""
+def simulate_pm(scenario: Scenario, k: float, n: int = 100_000, seed: int = 0) -> SampleBatch:
+    """n rows L z of the modulation-based picture: Gaussian-modulated
+    coherent states through the cloner channels, relay measurement, data
+    processing X_B = x_b + k X_C, P_B = p_b - k P_D. z is drawn CHUNK_ROWS
+    rows at a time."""
     import numpy as np
 
     if n < 1:
         raise ValueError("n must be >= 1")
-    lmap = np.array(linear_map(scenario, scheme))
+    lmap = np.array(linear_map(scenario, "PM"))
     rng = _row_rng(seed)
     rows = np.empty((6, n))
     for lo in range(0, n, CHUNK_ROWS):
         hi = min(lo + CHUNK_ROWS, n)
         rows[:, lo:hi] = lmap @ rng.standard_normal((hi - lo, lmap.shape[1])).T
-    return SampleBatch(scheme, seed, n, scenario.v_a, scenario.v_b, coeff, *rows)
-
-
-def simulate_eb(scenario: Scenario, g: float, n: int = 100_000, seed: int = 0) -> SampleBatch:
-    """Sample the source-based picture: EPR pairs, cloner channels, relay
-    beamsplitter, dual homodyne, displacement, heterodyne detections."""
-    return _simulate(scenario, "EB", g, n, seed)
-
-
-def simulate_pm(scenario: Scenario, k: float, n: int = 100_000, seed: int = 0) -> SampleBatch:
-    """Sample the modulation-based picture: Gaussian-modulated coherent
-    states through the cloner channels, relay measurement, data processing
-    X_B = x_b + k X_C, P_B = p_b - k P_D."""
-    return _simulate(scenario, "PM", k, n, seed)
+    return SampleBatch(seed, n, scenario.v_a, scenario.v_b, k, *rows)
 
 
 @dataclass(frozen=True, eq=False)
 class Moments:
-    """Second moments of a batch's base columns x_a, p_a, x_b, p_b, x_c, p_d:
-    their covariance `cov` (ddof 1) over n rows, 6 rows of 6 floats. A law
-    (`row_law`) has n = 0: it is no sample, and `estimate_params` refuses it.
+    """Second moments of the base columns x_a, p_a, x_b, p_b, x_c, p_d of
+    scheme's rows: their covariance `cov` (ddof 1) over n rows, 6 rows of 6
+    floats. A law (`row_law`) has n = 0: it is no sample, and
+    `estimate_params` refuses it.
 
-    scheme, v_a, v_b and coeff are those of the batch; coeff sets the linear
-    map from base to final columns.
+    coeff (the gain g for "EB", the amplification k for "PM") sets the
+    linear map from base to final columns.
     """
 
     scheme: str
@@ -323,26 +305,6 @@ class Moments:
     n: int
     cov: list  # 6 rows of 6 floats
 
-    @classmethod
-    def of(cls, batch: SampleBatch) -> Moments:
-        """Moments of a whole batch, from its column sums and Gram matrix G as
-        floats. A final data column whose variance is rounding noise of its
-        raw second moment G/n (a constant column's G/n - mean^2) raises
-        ValueError."""
-        cols = [getattr(batch, c) for c in _BASE]
-        n = batch.n
-        if n < 2:
-            raise ValueError("a sample covariance (ddof 1) needs at least 2 rows")
-        sums = [float(u.sum()) for u in cols]
-        gram = [[float(u @ v) for v in cols] for u in cols]
-        m = cls(batch.scheme, batch.v_a, batch.v_b, batch.coeff, n,
-                [[(g - s * t / n) / (n - 1) for g, t in zip(row, sums)]
-                 for row, s in zip(gram, sums)])
-        raw, final = _sandwich(m.final_map(), gram), m.final_covariance()
-        if any(final[i][i] <= 1e-12 * (raw[i][i] / n) for i in range(4)):
-            raise ValueError("degenerate (zero-variance) data column")
-        return m
-
     def final_map(self) -> list:
         """L with (X_A, P_A, X_B, P_B, X_C, P_D) = L (x_a, p_a, x_b, p_b, x_c, p_d)."""
         lmap = _units(6)
@@ -350,7 +312,7 @@ class Moments:
         return lmap
 
     def final_covariance(self) -> list:
-        """Covariance of the final columns over the batch, L C L^T."""
+        """Covariance of the final columns, L C L^T."""
         return _sandwich(self.final_map(), self.cov)
 
     def rescaled(self, eta_scale: float) -> Moments:
@@ -366,9 +328,9 @@ class Moments:
 
 def sample_moments(scenario: Scenario, scheme: str, coeff: float, n: int,
                    seed: int = 0) -> Moments:
-    """Moments of n rows of `simulate_eb` (scheme "EB", coeff the gain g) or
-    `simulate_pm` ("PM", coeff the amplification k), drawn exactly from their
-    law in one draw keyed by seed (`_moment_rng`), not row by row.
+    """Moments of n rows of scheme "EB" (coeff the gain g) or "PM" (coeff the
+    amplification k), drawn exactly from their law in one draw keyed by seed
+    (`_moment_rng`), not row by row.
 
     A row is L z with z ~ N(0, I_p) (`linear_map`), so the sample covariance
     of n rows is L A A^T L^T / (n - 1) with A A^T ~ Wishart(n - 1, I_p),
@@ -378,8 +340,8 @@ def sample_moments(scenario: Scenario, scheme: str, coeff: float, n: int,
     of shape (n - 1 - i)/2 and scale 2, and standard normals below the
     diagonal, drawn row by row. Each entry is one correctly rounded sum of
     products of rows of L A, then divided by n - 1. Time and memory do not
-    depend on n. The result has the law of `Moments.of` the rows, not their
-    values.
+    depend on n. The result has the law of the sample covariance of n rows,
+    not the values of any drawn rows.
     """
     lmap = linear_map(scenario, scheme)
     p = len(lmap[0])
@@ -395,8 +357,8 @@ def sample_moments(scenario: Scenario, scheme: str, coeff: float, n: int,
 
 
 def row_law(scenario: Scenario, scheme: str, coeff: float) -> tuple[Moments, list]:
-    """The exact law of a row of `simulate_eb` ("EB", coeff g) or `simulate_pm`
-    ("PM", coeff k), drawn from nothing: `Moments` whose covariance is L L^T
+    """The exact law of a row of scheme "EB" (coeff g) or "PM" (coeff k),
+    drawn from nothing: `Moments` whose covariance is L L^T
     and whose n is 0, and the rounding scale (|M||L|)(|M||L|)^T of its final
     covariance, M the final map. It bounds the summed products entry by
     entry, so a computed entry is within a few ulps of its scale however much
@@ -614,7 +576,7 @@ def export_csv(batch: SampleBatch, path) -> None:
 
     cols = batch.columns()
     with open(path, "wb") as fh:
-        fh.write(f"# scheme={batch.scheme} seed={batch.seed} n={batch.n} "
+        fh.write(f"# scheme=PM seed={batch.seed} n={batch.n} "
                  f"v_a={batch.v_a!r} v_b={batch.v_b!r} coeff={batch.coeff!r}\n"
                  f"{','.join(cols)}\n".encode())
         for lo in range(0, batch.n, _EXPORT_ROWS):

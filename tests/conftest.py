@@ -9,7 +9,7 @@ from cvmdi import ChannelParams, DetectorParams, Scenario, kernels
 from cvmdi.cli import _idealized
 from cvmdi.config import load_config
 from cvmdi.keyrate import _maximize, holevo_bound_reverse_generic, mutual_information_generic
-from cvmdi.montecarlo import SampleBatch, _read_block_params, _row_rng
+from cvmdi.montecarlo import _read_block_params
 from cvmdi.protocol import block_params, channel_at, compose_eb_simulated, gain_free_terms, \
     k_from_gain, optimal_gain
 
@@ -263,34 +263,6 @@ def random_scenario(rng: np.random.Generator) -> Scenario:
         channel_a=ChannelParams(rng.uniform(0.01, 30.0), 0.2, rng.uniform(0.0, 0.05)),
         channel_b=ChannelParams(rng.uniform(0.01, 30.0), 0.2, rng.uniform(0.0, 0.05)),
     )
-
-
-# Test-only Monte Carlo generators, drawn from the sampler's own row stream.
-
-def sample_block_cm(v_a: float, t: float, eps: float, n: int, seed: int = 0) -> SampleBatch:
-    """Heterodyne-outcome samples drawn directly from a block covariance.
-
-    Generative counterpart of `estimate_params` for round-trip checks. There
-    is no relay data: x_c = p_d = 0 and the gain is 0.
-    """
-    _, b, c = block_params(v_a, t, eps)
-    lx, lp = (np.linalg.cholesky(np.array([[v_a, s], [s, b]])) for s in (c, -c))
-    r2 = math.sqrt(2.0)
-    z = _row_rng(seed).standard_normal((n, 8))
-    x, p = z[:, :2] @ lx.T, z[:, 2:4] @ lp.T
-    qxa, qpa, qxb, qpb = x[:, 0], p[:, 0], x[:, 1], p[:, 1]
-    va, vb = z[:, 4:6], z[:, 6:]
-    return SampleBatch("EB", seed, n, v_a, b, 0.0,
-                       (qxa + va[:, 0]) / r2, (qpa - va[:, 1]) / r2,
-                       (qxb + vb[:, 0]) / r2, (qpb - vb[:, 1]) / r2, np.zeros(n), np.zeros(n))
-
-
-def lo_scaling_attack(batch: SampleBatch, eta_scale: float) -> SampleBatch:
-    """Rescale the announced relay data by sqrt(eta_scale) before Bob's data
-    processing, which then runs at the batch's own coefficient: the
-    batch-level reference for `Moments.rescaled`."""
-    r = math.sqrt(eta_scale)
-    return replace(batch, x_c=r * batch.x_c, p_d=r * batch.p_d)
 
 
 # Test-only reference of the alternate detection scheme on data: the key rate

@@ -31,8 +31,7 @@ from cvmdi.protocol import (
     optimal_gain,
 )
 from conftest import block_matrix, composition_deviation, data_k_maximum, data_key_rate, \
-    lo_scaling_attack, make_scenario, random_scenario, reduced_block, reduced_channel, \
-    ref_asymmetric_range, \
+    make_scenario, random_scenario, reduced_block, reduced_channel, ref_asymmetric_range, \
     ref_min_detector_efficiency, ref_symmetric_range
 
 N_MC = 1_000_000
@@ -176,13 +175,14 @@ def test_criterion_06_dual_path_covariance_identity():
 
 def test_criterion_07_monte_carlo_oracle():
     # the law of the sampled rows against the analytic covariance, exactly;
-    # the rows themselves against the analytic (T, eps') by estimation
+    # the moments of N_MC rows, drawn from that law, against the analytic
+    # (T, eps') by estimation
     s = make_scenario(5.0, 2.0)
     g = s.resolved_gain()
     law = mc.row_law(s, "EB", g)
     block = reduced_block(s, g)
     exact, wrong = _cov_suite(block, *law, False), _cov_suite(block, *law, True)
-    est = mc.estimate_params(mc.Moments.of(mc.simulate_eb(s, g, N_MC, SEED)))
+    est = mc.estimate_params(mc.sample_moments(s, "EB", g, N_MC, SEED))
     t, eps = reduced_channel(s, g)
     zt = abs(est.t_hat - t) / est.t_se
     ze = abs(est.eps_hat - eps) / est.eps_se
@@ -208,22 +208,21 @@ def test_criterion_08_pm_eb_equivalence():
 
 
 def test_criterion_09_measurement_rescaling_invariance():
-    # Bob maximises his data key rate over k (`data_k_maximum`): a relay
-    # rescaling of its data by eta leaves the maximum and moves its k to
-    # k / sqrt(eta); at a fixed k it moves the key rate
+    # Bob maximises his data key rate over k (`data_k_maximum`) on the
+    # moments of N_MC PM rows: a relay rescaling of its data by eta leaves
+    # the maximum and moves its k to k / sqrt(eta); at a fixed k it moves
+    # the key rate
     s = make_scenario(5.0, 2.0)
     k0 = analytic_k(s)
-    batch = mc.simulate_pm(s, k0, N_MC, SEED)
-    moments = mc.Moments.of(batch)
+    moments = mc.sample_moments(s, "PM", k0, N_MC, SEED)
     k_base, base = data_k_maximum(moments, k0, s.beta_r)
     max_dev, argmax_dev = 0.0, 0.0
     for eta in (0.25, 0.64, 1.44):
-        k_scaled, scaled = data_k_maximum(mc.Moments.of(lo_scaling_attack(batch, eta)), k0,
-                                          s.beta_r)
+        k_scaled, scaled = data_k_maximum(moments.rescaled(eta), k0, s.beta_r)
         max_dev = max(max_dev, abs(base - scaled))
         argmax_dev = max(argmax_dev, abs(k_scaled * math.sqrt(eta) / k_base - 1.0))
     control = abs(data_key_rate(moments, k0, s.beta_r)
-                  - data_key_rate(mc.Moments.of(lo_scaling_attack(batch, 0.64)), k0, s.beta_r))
+                  - data_key_rate(moments.rescaled(0.64), k0, s.beta_r))
     ok = max_dev < 1e-9 and argmax_dev < 1e-6 and control > 1e-2
     report(9, ok, f"rescaling invariance: |dK_max|={max_dev:.2e} (expected < 1e-9), "
                   f"argmax 1/sqrt(eta) scaling dev {argmax_dev:.2e} (expected < 1e-6); "

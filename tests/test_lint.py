@@ -1,10 +1,11 @@
 """Lint: every imported name is used, the package keeps its layering (no
 module imports numpy when it is imported; inside a function, only the Monte
-Carlo layer's row sampler and its export import it, and only the exact
+Carlo layer's PM row sampler and its export import it, and only the exact
 reference imports `decimal`), every kernel evaluation is a call of
 `kernels.<name>`, every key rate passes one guard, the reference shares no
 code with the reduction or the kernels, the sampler's physics exists once,
-and each of the oracle's pass limits has one reader.
+each of the oracle's pass limits has one reader, and no function of the
+package serves only the tests.
 
 A module of `src/cvmdi` or of `tests/` that imports a name must reference it.
 The package's `__init__.py` is exempt: its imports are its exports.
@@ -12,6 +13,7 @@ The package's `__init__.py` is exempt: its imports are its exports.
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -97,8 +99,8 @@ def numpy_at_import(sources: dict[str, str]) -> set[str]:
     return {name for name, source in sources.items() if "numpy" in import_time_modules(source)}
 
 
-# where in the Monte Carlo layer numpy may be imported: the rows and their export
-ROW_FUNCTIONS = {"_row_rng", "_simulate", "SampleBatch.data_matrix", "_ascii_words",
+# where in the Monte Carlo layer numpy may be imported: the PM rows and their export
+ROW_FUNCTIONS = {"_row_rng", "simulate_pm", "SampleBatch.data_matrix", "_ascii_words",
                  "_cell_tables", "_format_block", "export_csv"}
 
 
@@ -296,10 +298,11 @@ def test_every_name_is_referenced():
     assert missing == {}
 
 
-def callers(source: str, name: str) -> set[str]:
-    """Qualified names of the functions whose bodies call `name`, as `f(...)`
-    or `x.f(...)`; a call at module level is reported as '<module>'."""
-    found = set()
+def call_sites(source: str) -> dict[str, set[str]]:
+    """Per name called as `f(...)` or `x.f(...)`, the qualified names of the
+    functions whose bodies call it; a call at module level is reported as
+    '<module>'."""
+    found = {}
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
@@ -307,13 +310,18 @@ def callers(source: str, name: str) -> set[str]:
                 visit(child, f"{scope}.{child.name}" if scope else child.name)
                 continue
             if isinstance(child, ast.Call):
-                func = child.func
-                if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
-                    found.add(scope or "<module>")
+                name = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
+                if name:
+                    found.setdefault(name, set()).add(scope or "<module>")
             visit(child, scope)
 
     visit(ast.parse(source), "")
     return found
+
+
+def callers(source: str, name: str) -> set[str]:
+    """Qualified names of the functions whose bodies call `name` (`call_sites`)."""
+    return call_sites(source).get(name, set())
 
 
 def none_defaults(source: str, param: str) -> set[str]:
@@ -475,9 +483,11 @@ def sampling_sites(sources: dict[str, str]) -> dict[str, set[str]]:
     """Per role, the `module.function`s of sources (name -> text) that call
     it: generator construction, each generator maker, drawing, the two
     builders of L and `linear_map`."""
+    calls = {m: call_sites(text) for m, text in sources.items()}
+
     def sites(*names):
-        return {f"{m}.{f}" for m, text in sources.items() for name in names
-                for f in callers(text, name)}
+        return {f"{m}.{f}" for m, found in calls.items() for name in names
+                for f in found.get(name, ())}
     return {"generators": sites(*GENERATORS), "_row_rng": sites("_row_rng"),
             "_moment_rng": sites("_moment_rng"), "draws": sites(*DRAWS),
             "builders": sites("_eb_rows", "_pm_rows"), "linear_map": sites("linear_map")}
@@ -485,17 +495,18 @@ def sampling_sites(sources: dict[str, str]) -> dict[str, set[str]]:
 
 def test_the_sampler_physics_exists_once():
     """The sampler's physics is L alone: `_eb_rows` and `_pm_rows` build it
-    and only `linear_map` calls them; the row draw (`_simulate`), the moment
-    draw (`sample_moments`) and the exact law (`row_law`) take L from
+    and only `linear_map` calls them; the PM row draw (`simulate_pm`), the
+    moment draw (`sample_moments`) and the exact law (`row_law`) take L from
     `linear_map`; the two makers of a generator are `_row_rng` (numpy's
     Philox), called only by the row draw, and `_moment_rng` (`random`),
     called only by the moment draw, and only the two draws draw, so the law
-    draws nothing. So a second physics path or a hand-written L fails here."""
+    draws nothing. So a second physics path, a hand-written L or a second
+    row draw fails here."""
     sources = {p.stem: p.read_text() for p in sorted((ROOT / "src" / "cvmdi").glob("*.py"))}
-    drawing = {"montecarlo._simulate", "montecarlo.sample_moments"}
+    drawing = {"montecarlo.simulate_pm", "montecarlo.sample_moments"}
     expected = {
         "generators": {"montecarlo._row_rng", "montecarlo._moment_rng"},
-        "_row_rng": {"montecarlo._simulate"},
+        "_row_rng": {"montecarlo.simulate_pm"},
         "_moment_rng": {"montecarlo.sample_moments"},
         "draws": drawing,
         "builders": {"montecarlo.linear_map"},
@@ -509,6 +520,12 @@ def test_the_sampler_physics_exists_once():
     found = sampling_sites(stray)
     strays = [found[role] - expected[role] for role in ("_row_rng", "_moment_rng", "builders")]
     assert strays + [found["draws"] - drawing] == [{"oracle._eb_rows_fast"}] * 4
+    eb_rows = dict(sources, montecarlo=sources["montecarlo"] + (
+        "\ndef _eb_row_draw(s, n, seed):\n"
+        "    return linear_map(s, 'EB') @ _row_rng(seed).standard_normal((16, n))\n"))
+    found = sampling_sites(eb_rows)
+    assert [found[role] - expected[role] for role in ("_row_rng", "draws", "linear_map")] == [
+        {"montecarlo._eb_row_draw"}] * 3
 
 
 def readers(source: str, name: str) -> set[str]:
@@ -541,3 +558,58 @@ def test_each_pass_limit_has_one_reader():
              for name in ("Z_LIMIT", "IDENTITY_TOL")}
     assert found == {"Z_LIMIT": {"oracle._estimation_suite"},
                      "IDENTITY_TOL": {"oracle._identity"}}
+
+
+def definitions(tree: ast.Module) -> dict[str, ast.AST]:
+    """A module's top-level functions and classes and the methods of its
+    classes, by qualified name."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found[node.name] = node
+            if isinstance(node, ast.ClassDef):
+                found.update({f"{node.name}.{m.name}": m for m in node.body
+                              if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))})
+    return found
+
+
+def names_in(tree: ast.AST) -> Counter:
+    """How often the code of tree reads each name, as a name or an attribute;
+    strings and docstrings are not code."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def unused_definitions(sources: dict[str, str], users: list[str]) -> set[str]:
+    """`module.name` of each definition of sources (module -> text) that the
+    code of sources and users reads nowhere outside its own body. Dunder
+    methods are exempt: Python calls them."""
+    trees = {m: ast.parse(text) for m, text in sources.items()}
+    read = sum((names_in(t) for t in [*trees.values(), *map(ast.parse, users)]), Counter())
+    return {f"{m}.{qual}" for m, tree in trees.items() for qual, node in definitions(tree).items()
+            if not (node.name.startswith("__") and node.name.endswith("__"))
+            and read[node.name] <= names_in(node)[node.name]}
+
+
+# definitions that no code of the package or the benchmark reads, and why they stay
+PUBLIC_UNUSED = {
+    "kernels.g_entropy": "the public bosonic entropy g(nu) in bits; the key rate reads "
+                         "its nats form `_entropy` directly",
+}
+
+
+def test_no_test_only_code_in_src():
+    """Each top-level function, class and method of the package is read by
+    code of the package or of the benchmark, not only by tests, so a helper
+    that only tests need lives in the tests; PUBLIC_UNUSED names the
+    exceptions. A docstring or a string naming a function is no reference."""
+    assert unused_definitions({"m": 'def f():\n    return f()\ndef g():\n    """f"""\n'
+                                    "class C:\n    def m(self):\n        pass\n"
+                                    "    def __eq__(self, other):\n        return h.m\n"
+                                    "def h():\n    return C\n"}, ["g()"]) == {"m.f"}
+    sources = {p.stem: p.read_text() for p in sorted((ROOT / "src" / "cvmdi").glob("*.py"))}
+    users = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert unused_definitions(sources, users) == set(PUBLIC_UNUSED)
+    stray = dict(sources, montecarlo=sources["montecarlo"] + (
+        "\ndef sample_block(v_a, t, eps, n):\n    return linear_map(v_a, 'EB')\n"))
+    assert unused_definitions(stray, users) == set(PUBLIC_UNUSED) | {"montecarlo.sample_block"}

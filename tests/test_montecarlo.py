@@ -1,6 +1,8 @@
 """Monte Carlo layer: reproducibility, the exact identities of the sampler's
 law (covariance, picture equivalence, measurement rescaling), parameter
-estimation, and the data key rate maximised over k."""
+estimation, and the data key rate maximised over k. Every estimate reads
+moments drawn from the law (`sample_moments`); the PM rows (`simulate_pm`)
+serve the CSV export."""
 
 import dataclasses
 import math
@@ -25,8 +27,8 @@ from cvmdi.oracle import (
     run_oracle_suites,
 )
 from cvmdi.protocol import k_from_gain, optimal_gain
-from conftest import data_k_maximum, data_key_rate, lo_scaling_attack, make_scenario, \
-    reduced_block, reduced_channel, sample_block_cm
+from conftest import data_k_maximum, data_key_rate, make_scenario, reduced_block, \
+    reduced_channel
 
 N_FAST = 200_000
 SEED = 20260823
@@ -38,41 +40,45 @@ def scenario():
 
 
 @pytest.fixture(scope="module")
-def eb_batch(scenario):
-    return mc.simulate_eb(scenario, scenario.resolved_gain(), N_FAST, SEED)
-
-
-@pytest.fixture(scope="module")
 def pm_batch(scenario):
     return mc.simulate_pm(scenario, analytic_k(scenario), N_FAST, SEED + 1)
 
 
 @pytest.fixture(scope="module")
-def eb_moments(eb_batch):
-    return mc.Moments.of(eb_batch)
+def eb_moments(scenario):
+    return mc.sample_moments(scenario, "EB", scenario.resolved_gain(), N_FAST, SEED)
 
 
 @pytest.fixture(scope="module")
-def pm_moments(pm_batch):
-    return mc.Moments.of(pm_batch)
+def pm_moments(scenario):
+    return mc.sample_moments(scenario, "PM", analytic_k(scenario), N_FAST, SEED + 1)
+
+
+def one_sided_scenario(v: float, t: float, eps: float) -> Scenario:
+    """A scenario whose equivalent channel at the optimal gain is (t, eps):
+    leg B lossless and noiseless, so eps' = eps_A and T = eta_A (V - 1)/(V + 1),
+    and leg A at 0.2 dB/km of transmittance t (V + 1)/(V - 1)."""
+    eta_a = t * (v + 1.0) / (v - 1.0)
+    return Scenario(v, v, ChannelParams(-50.0 * math.log10(eta_a), 0.2, eps),
+                    ChannelParams(0.0, 0.2, 0.0))
 
 
 class TestReproducibility:
-    def test_eb_bit_identical(self, scenario, eb_batch):
-        again = mc.simulate_eb(scenario, scenario.resolved_gain(), N_FAST, SEED)
-        assert np.array_equal(eb_batch.data_matrix(), again.data_matrix())
+    def test_eb_bit_identical(self, scenario, eb_moments):
+        again = mc.sample_moments(scenario, "EB", scenario.resolved_gain(), N_FAST, SEED)
+        assert again.cov == eb_moments.cov
 
     def test_pm_bit_identical(self, scenario, pm_batch):
         again = mc.simulate_pm(scenario, pm_batch.coeff, N_FAST, SEED + 1)
         assert np.array_equal(pm_batch.data_matrix(), again.data_matrix())
 
-    def test_seed_changes_samples(self, scenario, eb_batch):
-        other = mc.simulate_eb(scenario, scenario.resolved_gain(), N_FAST, SEED + 7)
-        assert not np.array_equal(eb_batch.x_a, other.x_a)
+    def test_seed_changes_samples(self, scenario, pm_batch):
+        other = mc.simulate_pm(scenario, pm_batch.coeff, N_FAST, SEED + 7)
+        assert not np.array_equal(pm_batch.x_a, other.x_a)
 
     def test_rejects_empty_batch(self, scenario):
         with pytest.raises(ValueError):
-            mc.simulate_eb(scenario, scenario.resolved_gain(), 0, SEED)
+            mc.simulate_pm(scenario, analytic_k(scenario), 0, SEED)
 
 
 class TestCovarianceOracle:
@@ -83,7 +89,7 @@ class TestCovarianceOracle:
         r = _cov_suite(reduced_block(scenario, g), *mc.row_law(scenario, "EB", g), False)
         assert r.passed, r
 
-    def test_relay_outcome_variances(self, scenario, eb_batch):
+    def test_relay_outcome_variances(self, scenario, pm_batch):
         # C and D are full quadrature readings of the mixed channel outputs:
         # a cloner of transmittance eta mixes Eve's variance 1 + eta eps/(1 - eta)
         # into V, which leaves eta V + 1 - eta + eta eps
@@ -93,12 +99,12 @@ class TestCovarianceOracle:
 
         expected = (output(scenario.v_a, scenario.channel_a)
                     + output(scenario.v_b, scenario.channel_b)) / 2.0
-        assert np.var(eb_batch.x_c) == pytest.approx(expected, rel=0.02)
-        assert np.var(eb_batch.p_d) == pytest.approx(expected, rel=0.02)
+        assert np.var(pm_batch.x_c) == pytest.approx(expected, rel=0.02)
+        assert np.var(pm_batch.p_d) == pytest.approx(expected, rel=0.02)
 
-    def test_kurtosis_is_gaussian(self, eb_batch):
+    def test_kurtosis_is_gaussian(self, pm_batch):
         # excess kurtosis of every final column consistent with normality
-        for col in eb_batch.columns().values():
+        for col in pm_batch.columns().values():
             std = col.std()
             kurt = np.mean(((col - col.mean()) / std) ** 4) - 3.0
             assert abs(kurt) < 6.0 * math.sqrt(24.0 / N_FAST)
@@ -173,19 +179,22 @@ class TestParameterEstimation:
         assert abs(est.eps_hat - eps) < 4.0 * est.eps_se
 
     def test_generative_round_trip(self):
+        # the channel is chosen, and the scenario built to have it
         t_in, eps_in = 0.5, 0.1
-        batch = sample_block_cm(40.0, t_in, eps_in, 400_000, seed=SEED)
-        est = mc.estimate_params(mc.Moments.of(batch))
+        s = one_sided_scenario(40.0, t_in, eps_in)
+        g = s.resolved_gain()
+        assert reduced_channel(s, g) == pytest.approx((t_in, eps_in), rel=1e-12)
+        est = mc.estimate_params(mc.sample_moments(s, "EB", g, 400_000, SEED))
         assert abs(est.t_hat - t_in) < 4.0 * est.t_se
         assert abs(est.eps_hat - eps_in) < 4.0 * est.eps_se
 
     def test_rejects_tiny_batches(self, scenario):
-        small = mc.simulate_eb(scenario, scenario.resolved_gain(), 100, SEED)
-        with pytest.raises(ValueError):
-            mc.estimate_params(mc.Moments.of(small))
+        g = scenario.resolved_gain()
+        with pytest.raises(ValueError, match="samples"):
+            mc.estimate_params(mc.sample_moments(scenario, "EB", g, 100, SEED))
         # one row has no sample covariance
-        with pytest.raises(ValueError, match="2 rows"):
-            mc.Moments.of(mc.simulate_eb(scenario, scenario.resolved_gain(), 1, SEED))
+        with pytest.raises(ValueError, match="normals"):
+            mc.sample_moments(scenario, "EB", g, 1, SEED)
 
     def test_rejects_the_law(self, scenario):
         # the law L L^T is no sample: its n is 0
@@ -269,92 +278,43 @@ class TestEstimationErrors:
         assert abs(est.t_hat - 1.01 * t) / est.t_se >= Z_LIMIT
 
 
-class TestEstimationCalibration:
-    """Over many seeds, z = (estimate - truth)/se has sd 1 when se is right.
-
-    EB batches of N = 1e4 rows, seeds 0-299, V = 40, legs 3 + 2 km,
-    eps = 0.002, at the optimal gain. Measured sd (ddof 1) of (z(T), z(eps')):
-    1.043 and 0.917 with the delta-method errors of `estimate_params`; 1.250
-    and 0.993 with the spread over 10 contiguous blocks, the rule those errors
-    replaced, whose z is a Student t with 9 degrees of freedom (sd 1.13).
-    """
-
-    SEEDS = range(300)
-    N = 10_000
-    BLOCKS = 10
-    BAND = 0.15  # |sd - 1| allowed
-
-    @pytest.fixture(scope="class")
-    def z_scores(self):
-        s = make_scenario(3.0, 2.0)
-        g = s.resolved_gain()
-        truth = np.array(reduced_channel(s, g))
-        size = self.N // self.BLOCKS
-        delta, spread = [], []
-        for seed in self.SEEDS:
-            batch = mc.simulate_eb(s, g, self.N, seed)
-            est = mc.estimate_params(mc.Moments.of(batch))
-            err = np.array([est.t_hat, est.eps_hat]) - truth
-            delta.append(err / [est.t_se, est.eps_se])
-            blocks = []
-            for lo in range(0, self.N, size):
-                cols = {c: getattr(batch, c)[lo:lo + size]
-                        for c in ("x_a", "p_a", "x_b", "p_b", "x_c", "p_d")}
-                b = mc.estimate_params(mc.Moments.of(dataclasses.replace(batch, n=size, **cols)))
-                blocks.append((b.t_hat, b.eps_hat))
-            spread.append(err / (np.std(blocks, axis=0, ddof=1) / math.sqrt(self.BLOCKS)))
-        return np.std(delta, axis=0, ddof=1), np.std(spread, axis=0, ddof=1)
-
-    def test_delta_errors_are_calibrated(self, z_scores):
-        sd = z_scores[0]
-        assert np.all(np.abs(sd - 1.0) <= self.BAND), sd
-
-    def test_block_errors_fail_the_band(self, z_scores):
-        sd = z_scores[1]
-        assert abs(sd[0] - 1.0) > self.BAND, sd
-
-
 class TestRescalingAnalysis:
     # Bob re-optimises k on his own data: the maximum over k does not see a
     # rescaling of the relay data by eta, and its k moves to k / sqrt(eta)
     ETAS = (0.25, 0.64, 1.44)
 
-    def test_maximum_rate_is_invariant(self, scenario, pm_batch, pm_moments):
+    def test_maximum_rate_is_invariant(self, scenario, pm_moments):
         k0 = analytic_k(scenario)
         _, base = data_k_maximum(pm_moments, k0, scenario.beta_r)
         for eta in self.ETAS:
-            scaled = mc.Moments.of(lo_scaling_attack(pm_batch, eta))
+            scaled = pm_moments.rescaled(eta)
             assert abs(base - data_k_maximum(scaled, k0, scenario.beta_r)[1]) < 1e-9
 
-    def test_argmax_scales_inversely(self, scenario, pm_batch, pm_moments):
+    def test_argmax_scales_inversely(self, scenario, pm_moments):
         k0 = analytic_k(scenario)
         k_base, _ = data_k_maximum(pm_moments, k0, scenario.beta_r)
         for eta in self.ETAS:
-            scaled = mc.Moments.of(lo_scaling_attack(pm_batch, eta))
-            k_scaled, _ = data_k_maximum(scaled, k0, scenario.beta_r)
+            k_scaled, _ = data_k_maximum(pm_moments.rescaled(eta), k0, scenario.beta_r)
             assert k_scaled * math.sqrt(eta) == pytest.approx(k_base, rel=1e-6)
 
-    def test_fixed_k_negative_control(self, scenario, pm_batch, pm_moments):
+    def test_fixed_k_negative_control(self, scenario, pm_moments):
         k0 = analytic_k(scenario)
         base = data_key_rate(pm_moments, k0, scenario.beta_r)
-        scaled = data_key_rate(mc.Moments.of(lo_scaling_attack(pm_batch, 0.64)), k0,
-                               scenario.beta_r)
+        scaled = data_key_rate(pm_moments.rescaled(0.64), k0, scenario.beta_r)
         assert abs(base - scaled) > 1e-2
 
     def test_batch_rate_matches_analytic(self, scenario, pm_moments):
         empirical = data_key_rate(pm_moments, analytic_k(scenario), scenario.beta_r)
         assert empirical == pytest.approx(secret_key_rate(scenario).k, abs=0.02)
 
-    def test_grid_matches_scalar_kernel_loop(self, scenario, pm_batch, pm_moments):
+    def test_grid_matches_scalar_kernel_loop(self, scenario, pm_moments):
         # the blocks of many k read at once (the rescaling suite reads three)
-        # against the expansion of the rows' np.cov at each k, one at a time
+        # against the expansion of the moments' covariance at each k, one at a time
         grid = analytic_k(scenario) * np.logspace(np.log10(0.3), np.log10(3.0), 2001)
         blocks = mc._read_block_params(pm_moments, grid.tolist())
-        m = np.cov(np.column_stack([pm_batch.x_a, pm_batch.p_a, pm_batch.x_b,
-                                    pm_batch.p_b, pm_batch.x_c, pm_batch.p_d]),
-                   rowvar=False)
-        s_a = mc.modulation_scale(pm_batch.v_a)
-        s_b = mc.modulation_scale(pm_batch.v_b)
+        m = np.array(pm_moments.cov)
+        s_a = mc.modulation_scale(pm_moments.v_a)
+        s_b = mc.modulation_scale(pm_moments.v_b)
         a = (m[0, 0] + m[1, 1]) / (s_a * s_a) - 1.0
         assert len(blocks) == len(grid)
         for k, block in zip(grid.tolist(), blocks):
@@ -373,9 +333,9 @@ class TestRescalingAnalysis:
         assert mc._read_block_params(pm_moments, [pm_moments.coeff])[0] == (est.a, est.b, est.c)
 
     def test_rejects_bad_scale(self, pm_moments):
-        # eta_scale = 0: see test_rescaling_moments_matches_rescaling_batch
-        with pytest.raises(ValueError):
-            pm_moments.rescaled(-0.64)
+        for eta in (0.0, -0.64):
+            with pytest.raises(ValueError):
+                pm_moments.rescaled(eta)
 
 
 # bit patterns of the positive doubles 1e-7 and 1e18
@@ -392,7 +352,7 @@ def _export_round_trip(values: np.ndarray, tmp_path) -> tuple[np.ndarray, np.nda
     coeff 0, so X_B = x_b + 0.0), checks the body against `_cell_text` and
     returns what np.loadtxt reads back and the batch's data matrix."""
     ones = np.ones_like(values)
-    batch = mc.SampleBatch("PM", 0, len(values), 5.0, 5.0, 0.0,
+    batch = mc.SampleBatch(0, len(values), 5.0, 5.0, 0.0,
                            *(np.roll(values, j) for j in range(4)), ones, ones)
     path = tmp_path / "samples.csv"
     mc.export_csv(batch, path)
@@ -419,7 +379,7 @@ class TestExport:
                            1.7976931348623157e308, -1.7976931348623157e308, 1e16, 1e17,
                            2.0, -3.0, 1e6, np.nextafter(2.0, 0.0), np.nextafter(2.0, 3.0)])
         cols = [np.roll(values, j) for j in range(6)]
-        batch = mc.SampleBatch("PM", 0, len(values), 5.0, 5.0, 0.0, *cols)
+        batch = mc.SampleBatch(0, len(values), 5.0, 5.0, 0.0, *cols)
         path = tmp_path / "samples.csv"
         mc.export_csv(batch, path)
         data = np.loadtxt(path, delimiter=",", skiprows=2)
@@ -559,54 +519,38 @@ class TestOracleSuites:
 class TestChunkedSampling:
     def test_row_draw_memory_is_blocked(self, scenario):
         # past the 6 n output floats (9.6 MB at n = 2e5), the draw holds one
-        # block of normals at a time: 5.8 MB for EB, 4.7 MB for PM; drawing
-        # all 16 n EB normals at once adds 25.6 MB more
+        # block of normals at a time: 4.7 MB; drawing all 12 n normals at
+        # once adds about 19 MB more
         import tracemalloc
 
         n = 200_000
-        for simulate in (mc.simulate_eb, mc.simulate_pm):
-            tracemalloc.start()
-            try:
-                simulate(scenario, 1.3, n, SEED)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak - 48 * n < 8e6, f"{simulate.__name__}: peak {peak / 1e6:.1f} MB"
+        tracemalloc.start()
+        try:
+            mc.simulate_pm(scenario, 1.3, n, SEED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 48 * n < 8e6, f"peak {peak / 1e6:.1f} MB"
 
-    def test_moment_covariance_matches_np_cov(self, eb_batch):
-        base = np.column_stack([eb_batch.x_a, eb_batch.p_a, eb_batch.x_b,
-                                eb_batch.p_b, eb_batch.x_c, eb_batch.p_d])
-        m = mc.Moments.of(eb_batch)
-        ref = np.cov(base, rowvar=False)
-        assert np.allclose(m.cov, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
-        final = np.cov(eb_batch.data_matrix(), rowvar=False)
+    def test_moment_covariance_matches_np_cov(self, pm_batch):
+        # `Moments` and the batch form the final columns alike: the base
+        # columns' np.cov, carried by `final_covariance`, is the final
+        # columns' np.cov
+        base = np.column_stack([pm_batch.x_a, pm_batch.p_a, pm_batch.x_b,
+                                pm_batch.p_b, pm_batch.x_c, pm_batch.p_d])
+        m = mc.Moments("PM", pm_batch.v_a, pm_batch.v_b, pm_batch.coeff, pm_batch.n,
+                       np.cov(base, rowvar=False).tolist())
+        final = np.cov(pm_batch.data_matrix(), rowvar=False)
         assert np.allclose(m.final_covariance(), final,
                            rtol=1e-12, atol=1e-12 * np.abs(final).max())
-
-    def test_rescaling_moments_matches_rescaling_batch(self, pm_batch):
-        for eta in (0.25, 0.64, 1.44):
-            on_moments = mc.Moments.of(pm_batch).rescaled(eta)
-            on_batch = mc.Moments.of(lo_scaling_attack(pm_batch, eta))
-            assert np.allclose(on_moments.cov, on_batch.cov,
-                               rtol=1e-12, atol=1e-12 * np.abs(on_batch.cov).max())
-        with pytest.raises(ValueError):
-            mc.Moments.of(pm_batch).rescaled(0.0)
-
-    @pytest.mark.parametrize("value", [0.0, 0.3, 3.14159, 12.3])
-    def test_constant_column_is_degenerate(self, eb_batch, value):
-        # G/n - mean^2 of a non-zero constant column is rounding noise that
-        # may come out positive; reducing the rows must still reject it
-        flat = dataclasses.replace(eb_batch, x_a=np.full(eb_batch.n, value))
-        with pytest.raises(ValueError, match="degenerate"):
-            mc.Moments.of(flat)
 
     def test_high_v_estimate_is_unbiased(self):
         # one ddof for every covariance: mixing ddof 0 variances with a ddof 1
         # cross covariance biases eps' by about -2V/n, many standard errors
         # at V = 1e5 and n = 2e4
         t_in, eps_in = 0.5, 0.1
-        batch = sample_block_cm(1e5, t_in, eps_in, 20_000, seed=SEED)
-        est = mc.estimate_params(mc.Moments.of(batch))
+        s = one_sided_scenario(1e5, t_in, eps_in)
+        est = mc.estimate_params(mc.sample_moments(s, "EB", s.resolved_gain(), 20_000, SEED))
         assert abs(est.t_hat - t_in) < 4.0 * est.t_se
         assert abs(est.eps_hat - eps_in) < 4.0 * est.eps_se
 
@@ -656,16 +600,15 @@ class TestLinearMap:
         miss = np.abs(map_covariance(s, "EB", -g)[:4, :4] - predicted).max()
         assert miss > 0.5 * np.abs(predicted).max()
 
-    @pytest.mark.parametrize("scheme, simulate", [("EB", mc.simulate_eb), ("PM", mc.simulate_pm)])
-    def test_rows_are_the_map_of_the_row_stream(self, scheme, simulate):
+    def test_rows_are_the_map_of_the_row_stream(self):
         # row j is L z_j, z_j the stream's j-th p normals, across the block
         # boundary of the draw; so a batch is the first rows of a longer one
         s = SCENARIOS["V40"]
-        lmap = np.array(mc.linear_map(s, scheme))
+        lmap = np.array(mc.linear_map(s, "PM"))
         n = mc.CHUNK_ROWS + 100
         z = mc._row_rng(SEED).standard_normal((n, lmap.shape[1]))
-        batch = simulate(s, 1.3, n, SEED)
-        rows = np.stack([getattr(batch, c) for c in mc._BASE])
+        batch = mc.simulate_pm(s, 1.3, n, SEED)
+        rows = np.stack([batch.x_a, batch.p_a, batch.x_b, batch.p_b, batch.x_c, batch.p_d])
         assert_close(rows, lmap @ z.T)
 
     def test_rejects_unknown_scheme(self):
@@ -716,12 +659,36 @@ class TestExactIdentities:
         # one row per k, one column per entry of (a, b, c)
         assert not _identity("x", read, same_k, np.outer(np.maximum(ratio, 1.0) ** 2, bound)).passed
 
+    @settings(max_examples=100, deadline=None)
+    @given(s=sampler_scenarios(), scheme=st.sampled_from(["EB", "PM"]),
+           eta=st.floats(0.01, 100.0).filter(lambda e: abs(e - 1.0) > 1e-3))
+    def test_rescaled_law_is_the_law_of_the_rescaled_map(self, s, scheme, eta):
+        # rescaling the relay data of the rows is D L, D = diag(1, 1, 1, 1,
+        # r, r), r = sqrt(eta); its law (D L)(D L)^T, from no rows, against
+        # `Moments.rescaled` of the law. Rescaling x_c alone misses by
+        # |1 - 1/eta| of the scale of p_d's variance
+        g = s.resolved_gain()
+        law, _ = mc.row_law(s, scheme, g if scheme == "EB" else k_from_gain(g, s.v_b))
+        lmap = np.array(mc.linear_map(s, scheme))
+        r = math.sqrt(eta)
+
+        def law_of(d):
+            m = np.diag(d) @ lmap
+            return m @ m.T, np.abs(m) @ np.abs(m).T
+
+        exact, scale = law_of([1.0, 1.0, 1.0, 1.0, r, r])
+        rescaled = law.rescaled(eta).cov
+        found = _identity("rescaled", rescaled, exact, scale)
+        assert found.passed, found
+        x_c_only, _ = law_of([1.0, 1.0, 1.0, 1.0, r, 1.0])
+        assert not _identity("x_c only", rescaled, x_c_only, scale).passed
+
 
 class TestExactMoments:
     """`sample_moments` draws the sample covariance of n rows from its law:
-    over many seeds its 21 entries agree in distribution with those of drawn
-    rows, and one draw is L A A^T L^T / (n - 1) of its Bartlett factor A to
-    a few ulps."""
+    over many seeds its 21 entries agree in distribution with the np.cov of
+    rows L z, z drawn here, and one draw is L A A^T L^T / (n - 1) of its
+    Bartlett factor A to a few ulps."""
 
     SEEDS = range(200)
     N = 2_000
@@ -762,12 +729,14 @@ class TestExactMoments:
                    for i in range(6) for j in range(6))
         assert ulps <= self.ULPS, float(ulps)
 
-    @pytest.mark.parametrize("scheme, simulate", [("EB", mc.simulate_eb), ("PM", mc.simulate_pm)])
-    def test_moments_have_the_rows_law(self, scheme, simulate):
+    @pytest.mark.parametrize("scheme", ["EB", "PM"])
+    def test_moments_have_the_rows_law(self, scheme):
         s = make_scenario(3.0, 2.0)
         g = s.resolved_gain()
         coeff = g if scheme == "EB" else k_from_gain(g, s.v_b)
-        rows = np.array([self.entries(mc.Moments.of(simulate(s, coeff, self.N, seed)))
+        lmap = np.array(mc.linear_map(s, scheme))
+        rows = np.array([np.cov(lmap @ np.random.default_rng(seed).standard_normal(
+                                    (lmap.shape[1], self.N)))[np.triu_indices(6)]
                          for seed in self.SEEDS])
         exact = np.array([self.entries(mc.sample_moments(s, scheme, coeff, self.N, seed))
                           for seed in self.SEEDS])
