@@ -13,7 +13,12 @@ exact reference. Every point, and
 every probe of a range or threshold search (`key_rate_at`, the
 detector-efficiency search), is one `secret_key_rate`, whose `KeyRatePoint`
 is built without the generated `__init__`; the k maximum computes the
-gain-free terms once and evaluates each k. The range and threshold searches
+gain-free terms once and evaluates each k. A sweep or search that moves only
+the first leg (`sweep_asymmetric`, `max_distance_asymmetric`,
+`max_distance_detection_scheme`) builds the second leg once per curve or
+search and copies only the first leg per point or probe, so the terms of the
+reduction that the second leg fixes are computed once there (see
+`protocol.Scenario`). The range and threshold searches
 bracket the sign change of K and close the bracket with Brent's root,
 `_root`; the detection scheme's range is that root of the k maximum, Brent's
 `_maximize`. `_evaluate` is the one key-rate
@@ -256,13 +261,27 @@ def max_total_distance_symmetric(scenario: Scenario) -> float:
 
 
 def max_distance_asymmetric(scenario: Scenario, l_bc_km: float) -> float:
-    """Largest first-leg length with positive key rate at fixed second leg."""
-    return _max_distance(lambda l: key_rate_at(scenario, l, l_bc_km))
+    """Largest first-leg length with positive key rate at fixed second leg.
+
+    The second leg is built once, and each probe copies the first leg alone,
+    so the probes share its terms of the reduction; a sweep passes its
+    curve's scenario, whose second leg is already l_bc_km.
+    """
+    leg_b = scenario.channel_b
+    if leg_b.length_km != l_bc_km:
+        leg_b = leg_b.with_length(l_bc_km)
+        scenario = scenario.with_channels(scenario.channel_a, leg_b)
+    leg_a = scenario.channel_a
+    return _max_distance(
+        lambda l: secret_key_rate(scenario.with_channels(leg_a.with_length(l), leg_b)).k)
 
 
 def _floats(values) -> tuple:
-    """A sequence of numbers (a list, a tuple, an array) as a tuple of floats."""
-    return tuple(float(l) for l in values)
+    """A sequence of numbers (a list, a tuple, an array) as a tuple of floats;
+    an array converts in one `tolist()`."""
+    if hasattr(values, "tolist"):
+        values = values.tolist()
+    return tuple(map(float, values))
 
 
 def sweep_symmetric(scenario: Scenario, l_grid) -> SweepResult:
@@ -297,17 +316,20 @@ def sweep_asymmetric(scenario: Scenario, l_ac_grid, l_bc_values) -> SweepResult:
         l_bc_values = (float(l_bc_values),)
     if not (l_ac_grid and l_bc_values) or any(l < 0 for l in l_ac_grid + l_bc_values):
         raise ValueError("grids must be nonempty and nonnegative")
-    # each channel is built once: a first leg per grid length, a second leg per curve
+    # each channel is built once: a first leg per grid length, a second leg per
+    # curve, in the curve's scenario, which its points and its range copy, so
+    # they share its terms of the reduction
     legs_a = [scenario.channel_a.with_length(l) for l in l_ac_grid]
     curves = []
     for l_bc in l_bc_values:
         leg_b = scenario.channel_b.with_length(l_bc)
-        points = tuple(secret_key_rate(scenario.with_channels(leg_a, leg_b)) for leg_a in legs_a)
+        curve = scenario.with_channels(scenario.channel_a, leg_b)
+        points = tuple(secret_key_rate(curve.with_channels(leg_a, leg_b)) for leg_a in legs_a)
         curves.append(SweepCurve(
             label=f"l_bc={_length_label(l_bc)}km",
             axis_km=l_ac_grid,
             points=points,
-            max_distance_km=max_distance_asymmetric(scenario, l_bc),
+            max_distance_km=max_distance_asymmetric(curve, l_bc),
         ))
     return SweepResult(axis_name="L_AC_km", curves=tuple(curves))
 
@@ -413,11 +435,12 @@ def optimize_k_detection_scheme(scenario: Scenario) -> tuple[float, float]:
 
 
 def max_distance_detection_scheme(scenario: Scenario) -> float:
-    """Largest first-leg length with positive k-optimized key rate."""
-    def best_rate(l: float) -> float:
-        s = scenario.with_channels(scenario.channel_a.with_length(l), scenario.channel_b)
-        return optimize_k_detection_scheme(s)[1]
-    return _max_distance(best_rate)
+    """Largest first-leg length with positive k-optimized key rate; each probe
+    copies the first leg alone, so the probes share the scenario's terms of
+    the reduction that its second leg fixes."""
+    leg_a, leg_b = scenario.channel_a, scenario.channel_b
+    return _max_distance(lambda l: optimize_k_detection_scheme(
+        scenario.with_channels(leg_a.with_length(l), leg_b))[1])
 
 
 def min_detector_efficiency(scenario: Scenario) -> float:

@@ -6,15 +6,16 @@ equivalent channel of transmittance T and input-referred excess noise eps'
 (the relay detector's penalty included). It is two steps, which the key
 rate (`keyrate`) and the oracle (`oracle.run_oracle_suites`) compose
 themselves (see the reduction's comment): `gain_free_terms`, once per
-scenario, which also holds the gain rule (read by `Scenario.resolved_gain`);
-and `channel_at`, (T, eps') at one g. The key-rate kernels take (V_A, T,
-eps') as they are; `block_params` gives the block covariance (a, b, c) from
-(T, eps') for the oracle's covariance suite. Around it: the parameter
-types, which sweeps and searches copy rather than construct again, and the
-exact reference's composition
-(`compose_eb_simulated`): the entanglement-based scheme composed mode by
-mode in stdlib `decimal`, which cross-checks the reduction. The module needs
-only `math`; `compose_eb_simulated` loads `decimal` when it is called.
+scenario (its second leg's part once for the copies that keep that leg),
+which also holds the gain rule (read by `Scenario.resolved_gain`); and
+`channel_at`, (T, eps') at one g. The key-rate kernels take (V_A, T, eps')
+as they are; `block_params` gives the block covariance (a, b, c) from (T,
+eps') for the oracle's covariance suite. Around it: the parameter types,
+which sweeps and searches copy rather than construct again, and the exact
+reference's composition (`compose_eb_simulated`): the entanglement-based
+scheme composed mode by mode in stdlib `decimal`, which cross-checks the
+reduction. The module needs only `math`; `compose_eb_simulated` loads
+`decimal` when it is called.
 """
 
 from __future__ import annotations
@@ -58,6 +59,24 @@ class TransmittanceUnderflow(ValueError):
     to 0: no key rate is defined there, and a range search stops before it."""
 
 
+def _check_length(length_km):
+    """The check of a fiber length, with the constructor's error texts; the
+    fiber's other fields are checked before it."""
+    if not math.isfinite(length_km):
+        raise ValueError(f"length_km = {length_km} must be finite")
+    if length_km < 0:
+        raise ValueError(f"channel length {length_km} km must be >= 0")
+
+
+def _transmittance(length_km, attenuation_db_per_km):
+    """10^(-attenuation * length / 10) of a checked fiber, not 0."""
+    t = 10.0 ** (-attenuation_db_per_km * length_km / 10.0)
+    if t == 0.0:
+        raise TransmittanceUnderflow(f"channel length {length_km} km at {attenuation_db_per_km} "
+                                     f"dB/km: transmittance underflows to 0")
+    return t
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """One fiber link: length, attenuation, and input-referred excess noise.
@@ -74,36 +93,23 @@ class ChannelParams:
     def __post_init__(self):
         if not (math.isfinite(self.attenuation_db_per_km) and math.isfinite(self.excess_noise)):
             raise _non_finite(self)
-        self._check_length()
+        _check_length(self.length_km)
         if self.attenuation_db_per_km <= 0:
             raise ValueError("attenuation must be > 0 dB/km")
         if self.excess_noise < 0:
             raise ValueError("excess noise must be >= 0")
-        self._set_transmittance()
-
-    def _check_length(self):
-        if not math.isfinite(self.length_km):
-            raise _non_finite(self)
-        if self.length_km < 0:
-            raise ValueError(f"channel length {self.length_km} km must be >= 0")
-
-    def _set_transmittance(self):
         # stored, not a property: it is read several times per key-rate point
-        t = self.__dict__["transmittance"] = 10.0 ** (-self.attenuation_db_per_km
-                                                       * self.length_km / 10.0)
-        if t == 0.0:
-            raise TransmittanceUnderflow(f"channel length {self.length_km} km at "
-                                         f"{self.attenuation_db_per_km} dB/km: transmittance "
-                                         f"underflows to 0")
+        self.__dict__["transmittance"] = _transmittance(self.length_km,
+                                                        self.attenuation_db_per_km)
 
     def with_length(self, length_km: float) -> "ChannelParams":
-        """The same fiber at another length: a copy, whose attenuation and
-        excess noise were checked when this fiber was built, so only the new
-        length is checked, with the constructor's checks and error texts."""
-        new = _frozen(ChannelParams, {"length_km": length_km}, self)
-        new._check_length()
-        new._set_transmittance()
-        return new
+        """The same fiber at another length: one copy, which holds its
+        transmittance. Its attenuation and excess noise were checked when this
+        fiber was built, so only the new length is checked, before its power
+        is computed, with the constructor's checks and error texts."""
+        _check_length(length_km)
+        return _frozen(ChannelParams, {"length_km": length_km, "transmittance": _transmittance(
+            length_km, self.attenuation_db_per_km)}, self)
 
 
 @dataclass(frozen=True)
@@ -124,7 +130,16 @@ class DetectorParams:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Full protocol parameter set for one key-rate evaluation."""
+    """Full protocol parameter set for one key-rate evaluation.
+
+    A scenario and its copies that keep its second leg and its detector
+    (`with_channels` with the same `channel_b`) share one record of the terms
+    of the reduction that these fix, `_leg_b_terms`, which the first
+    `gain_free_terms` of any of them computes. Like
+    `ChannelParams.transmittance` it is not a field, so equality, hash and
+    repr are those of the fields; a constructed scenario, `dataclasses.replace`
+    and a copy with another second leg or detector start a record of their own.
+    """
 
     v_a: float
     v_b: float
@@ -154,6 +169,9 @@ class Scenario:
         elif self.gain is not None:
             raise ValueError(f"scenario.gain = {self.gain} has no effect under gain_mode "
                              f"'optimal'; set gain_mode to 'fixed' to use it")
+        # the record of `_leg_b_terms`, filled by the first `gain_free_terms`:
+        # building a scenario calls no public function of this module
+        self.__dict__["_leg_b"] = []
 
     def with_lengths(self, l_ac_km: float, l_bc_km: float) -> "Scenario":
         return self.with_channels(self.channel_a.with_length(l_ac_km),
@@ -164,12 +182,17 @@ class Scenario:
 
         A copy, not a new construction: every field `__post_init__` checks is
         this scenario's, and each `ChannelParams` checked itself when built.
+        It shares this scenario's leg-B terms when `channel_b` is this
+        scenario's own.
         """
-        return _frozen(Scenario, {"channel_a": channel_a, "channel_b": channel_b}, self)
+        values = {"channel_a": channel_a, "channel_b": channel_b}
+        if channel_b is not self.channel_b:
+            values["_leg_b"] = []
+        return _frozen(Scenario, values, self)
 
     def with_detector(self, detector: DetectorParams) -> "Scenario":
         """This scenario with another relay detector, a copy as `with_channels` makes."""
-        return _frozen(Scenario, {"detector": detector}, self)
+        return _frozen(Scenario, {"detector": detector, "_leg_b": []}, self)
 
     def resolved_gain(self) -> float:
         """The run's gain, the last of the scenario's `gain_free_terms`, which
@@ -201,7 +224,13 @@ def optimal_gain(scenario: Scenario) -> float:
 # pure-loss channel at L_BC = 0 has eps' = 0.0 at every leg. A scenario's
 # gain-free terms are computed once, also for a search over g (the detection
 # scheme's k maximum) and for an oracle run, and no wrapper composes the
-# steps for one value. These functions take
+# steps for one value. They are two parts: `_leg_b_terms`, fixed by the
+# second leg, v_b, the relay detector and the gain rule, and their
+# completion by the first leg (eta_a, eps_a) in `gain_free_terms`. The first
+# part is computed lazily, inside the first `gain_free_terms` of a scenario or
+# of a copy that shares it (see `Scenario`), so a sweep or search that moves
+# only the first leg computes it once per curve or search, and building a
+# scenario calls no public function here. These functions take
 # and return floats. Their square roots are `** 0.5`, not `math.sqrt`, because
 # that keeps every published cell unchanged: CPython's float power is libm
 # `pow`, which is not always correctly rounded at 0.5, so `math.sqrt` would
@@ -233,21 +262,36 @@ def detector_noise(eta_d: float, v_el: float) -> float:
     return (1.0 - eta_d) / eta_d + v_el / eta_d
 
 
+def _leg_b_terms(scenario: Scenario) -> tuple:
+    """The part of `gain_free_terms` that the second leg, v_b, the relay
+    detector and the gain rule fix, a tuple of floats: 2(1 - eta_b) + eta_b
+    eps_b, the second leg's noise, which `gain_free_terms` divides by eta_a;
+    sqrt(eta_b) sqrt(v_b + 1); the optimal gain g_opt; 2 chi_det; and the
+    run's gain, the one gain rule: `gain` when fixed, else g_opt."""
+    ch_b, v_b = scenario.channel_b, scenario.v_b
+    eta_b = ch_b.transmittance
+    det = scenario.detector
+    g_opt = optimal_gain(scenario)
+    return (2.0 * (1.0 - eta_b) + eta_b * ch_b.excess_noise, eta_b ** 0.5 * (v_b + 1.0) ** 0.5,
+            g_opt, 2.0 * detector_noise(det.efficiency, det.electronic_noise),
+            scenario.gain if scenario.gain_mode == "fixed" else g_opt)
+
+
 def gain_free_terms(scenario: Scenario) -> tuple:
     """The terms of the equivalent channel that do not depend on the gain g at
     which `channel_at` evaluates it, a tuple of floats: eta_a; eps' less its
     mismatch term and the detector penalty, eps_a + (2(1 - eta_b) + eta_b
     eps_b)/eta_a, whose terms do not cancel; sqrt(eta_b) sqrt(v_b + 1); the
     optimal gain g_opt; the relay detector penalty 2 chi_det / eta_a; and the
-    run's gain, the one gain rule: `gain` when fixed, else g_opt."""
-    ch_a, ch_b, v_b = scenario.channel_a, scenario.channel_b, scenario.v_b
-    eta_a, eta_b = ch_a.transmittance, ch_b.transmittance
-    det = scenario.detector
-    g_opt = optimal_gain(scenario)
-    return (eta_a, ch_a.excess_noise + (2.0 * (1.0 - eta_b) + eta_b * ch_b.excess_noise) / eta_a,
-            eta_b ** 0.5 * (v_b + 1.0) ** 0.5, g_opt,
-            2.0 * detector_noise(det.efficiency, det.electronic_noise) / eta_a,
-            scenario.gain if scenario.gain_mode == "fixed" else g_opt)
+    run's gain. It completes the scenario's `_leg_b_terms`, computed once for
+    it and the copies that share them (see `Scenario`), with the first leg."""
+    shared = scenario._leg_b
+    if not shared:
+        shared.append(_leg_b_terms(scenario))
+    noise_b, root_plus, g_opt, penalty, g = shared[0]
+    ch_a = scenario.channel_a
+    eta_a = ch_a.transmittance
+    return eta_a, ch_a.excess_noise + noise_b / eta_a, root_plus, g_opt, penalty / eta_a, g
 
 
 def channel_at(terms: tuple, g):

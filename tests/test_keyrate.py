@@ -602,6 +602,34 @@ def test_searches_make_the_pinned_kernel_evaluations(name, monkeypatch):
     assert all(found[search][1] <= count for search, count in BISECTION_EVALUATIONS[name].items())
 
 
+def test_leg_b_terms_are_built_once_per_curve_and_search(monkeypatch):
+    # the terms of the reduction that the second leg fixes (`optimal_gain` is
+    # called once for each, by `protocol._leg_b_terms` alone) are built once
+    # per curve of a sweep, its range search included, and once per one-leg
+    # search; each point and probe still evaluates each kernel once
+    built = []
+    optimal = protocol.optimal_gain
+    monkeypatch.setattr(protocol, "optimal_gain", lambda s: built.append(s) or optimal(s))
+    counts = _count_kernel_evaluations(monkeypatch)
+    pinned = SEARCH_EVALUATIONS["default"]
+    sweep = sweep_asymmetric(make_scenario(), np.linspace(0.0, 10.0, 51), (0.0, 1.0, 3.0))
+    assert len(built) == 3
+    assert [c.max_distance_km for c in sweep.curves] == [
+        pinned[f"asymmetric_{l}"][0] for l in (0, 1, 3)]
+    probes = sum(pinned[f"asymmetric_{l}"][1] for l in (0, 1, 3))
+    assert counts == {"block_mutual_information": 3 * 51 + probes,
+                      "block_holevo_reverse": 3 * 51 + probes}
+    for search, name in ((lambda s: max_distance_asymmetric(s, 1.0), "asymmetric_1"),
+                         (lambda s: max_distance_asymmetric(s, 3.0), "asymmetric_3"),
+                         (max_distance_detection_scheme, "detection_scheme")):
+        built.clear()
+        counts.clear()
+        assert search(make_scenario()) == pinned[name][0]
+        assert len(built) == 1, name
+        assert counts == dict.fromkeys(("block_mutual_information", "block_holevo_reverse"),
+                                       pinned[name][1]), name
+
+
 # The underflow limit of a leg at make_scenario's 0.2 dB/km: 10^(-0.02 L) is
 # the smallest subnormal, 5e-324, at L = 16165.3 km
 UNDERFLOW_KM = 16165.0

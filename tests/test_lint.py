@@ -204,8 +204,8 @@ def names_read(source: str, functions: set[str]) -> set[str]:
 
 
 # what the reference must not share: the kernels and the reduction
-REDUCTION = {"kernels", "gain_free_terms", "channel_at", "block_params", "detector_noise",
-             "k_from_gain", "_k_per_gain", "optimal_gain", "resolved_gain"}
+REDUCTION = {"kernels", "gain_free_terms", "_leg_b_terms", "channel_at", "block_params",
+             "detector_noise", "k_from_gain", "_k_per_gain", "optimal_gain", "resolved_gain"}
 
 
 def test_the_reference_shares_nothing_with_the_reduction():
@@ -340,11 +340,12 @@ def none_defaults(source: str, param: str) -> set[str]:
 
 
 def test_one_gain_rule():
-    """`protocol.gain_free_terms` holds the one rule for a run's gain, the last
-    of its terms: it alone calls `optimal_gain`, once per scenario, whose value
-    the mismatch term also reads; `Scenario.resolved_gain` reads the rule's
-    gain from the terms; and no function picks a gain of its own when its
-    caller omits g."""
+    """`protocol._leg_b_terms`, the part of `gain_free_terms` that the second
+    leg fixes, holds the one rule for a run's gain, the last of its terms: it
+    alone calls `optimal_gain`, once per scenario and the copies that share
+    its terms, whose value the mismatch term also reads;
+    `Scenario.resolved_gain` reads the rule's gain from the terms; and no
+    function picks a gain of its own when its caller omits g."""
     assert callers("def f():\n    optimal_gain(s)\nclass C:\n    def m(self):\n"
                    "        return p.optimal_gain(h(self))\noptimal_gain(0)\n",
                    "optimal_gain") == {"f", "C.m", "<module>"}
@@ -352,23 +353,24 @@ def test_one_gain_rule():
                          "def k(s, *, g=None, n=1): pass\ndef m(g=0.0): pass\n", "g") == {"f", "k"}
     modules = sorted((ROOT / "src" / "cvmdi").glob("*.py"))
     assert {f"{p.stem}.{f}" for p in modules for f in callers(p.read_text(), "optimal_gain")} == {
-        "protocol.gain_free_terms"}
+        "protocol._leg_b_terms"}
     assert {f"{p.stem}.{f}" for p in modules for f in none_defaults(p.read_text(), "g")} == set()
 
 
 def test_one_detector_rule():
     """The relay detector enters the model in one place: only
-    `protocol.gain_free_terms` calls `detector_noise`, so every eps' carries
-    its penalty."""
+    `protocol._leg_b_terms`, which `gain_free_terms` completes, calls
+    `detector_noise`, so every eps' carries its penalty."""
     modules = sorted((ROOT / "src" / "cvmdi").glob("*.py"))
     assert {f"{p.stem}.{f}" for p in modules for f in callers(p.read_text(), "detector_noise")} == {
-        "protocol.gain_free_terms"}
+        "protocol._leg_b_terms"}
 
 
 def test_one_reduction_path():
     """The reduction gain -> (T, eps') has one path: the key rate and the
     oracle compose `protocol`'s steps themselves, each scenario's gain-free
-    terms once, and no wrapper composes them for one value; the kernels take
+    terms once, and no wrapper composes them for one value; `gain_free_terms`
+    alone completes the second leg's part, `_leg_b_terms`; the kernels take
     (V_A, T, eps'), so only the oracle's covariance suite builds the block
     (a, b, c); `Scenario.resolved_gain` reads the gain of the terms."""
     modules = sorted((ROOT / "src" / "cvmdi").glob("*.py"))
@@ -380,6 +382,8 @@ def test_one_reduction_path():
             for f in callers(p.read_text(), "gain_free_terms")} == {
         "keyrate.secret_key_rate", "keyrate.optimize_k_detection_scheme",
         "oracle.run_oracle_suites", "protocol.Scenario.resolved_gain"}
+    assert {f"{p.stem}.{f}" for p in modules for f in callers(p.read_text(), "_leg_b_terms")} == {
+        "protocol.gain_free_terms"}
 
 
 def hidden_kernel_calls(source: str) -> set[str]:

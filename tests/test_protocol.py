@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cvmdi import ChannelParams, DetectorParams, Scenario
+from cvmdi import ChannelParams, DetectorParams, Scenario, kernels, protocol
 from cvmdi.keyrate import secret_key_rate
 from cvmdi.protocol import (
+    _frozen,
     channel_at,
     compose_eb_simulated,
     detector_noise,
@@ -45,9 +48,11 @@ class TestScenario:
         assert s.channel_b.length_km == 6.0
         assert s.channel_a.excess_noise == 0.002  # other fields preserved
 
-    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, 1e5])
+    @pytest.mark.parametrize("bad", [-1.0, -1e5, math.nan, math.inf, 1e5])
     def test_derived_scenarios_keep_the_length_checks(self, bad):
-        # 1e5 km at 0.2 dB/km: the transmittance underflows to 0
+        # 1e5 km at 0.2 dB/km: the transmittance underflows to 0; at -1e5 km
+        # 10^2000 overflows, so only a sign check before the power gives the
+        # constructor's error
         s = make_scenario(1.0, 2.0, eps=0.004)
         with pytest.raises(ValueError) as built:
             make_scenario(bad, 2.0, eps=0.004)
@@ -112,6 +117,126 @@ class TestScenario:
             DetectorParams(0.9, math.inf)
         with pytest.raises(ValueError, match="v_b"):
             replace(s, v_b=1.0)
+
+
+# The underflow limit of a leg at 0.2 dB/km: 10^(-0.02 L) is the smallest
+# subnormal, 5e-324, at L = 16165.3 km
+UNDERFLOW_KM = 16165.0
+LEGS = st.floats(0.0, 10.0) | st.floats(0.0, UNDERFLOW_KM)
+CHANNELS = st.builds(ChannelParams, LEGS, st.just(0.2), st.floats(0.0, 0.1))
+DETECTORS = st.builds(DetectorParams, st.floats(0.5, 1.0), st.floats(0.0, 0.1))
+
+
+@st.composite
+def scenarios(draw):
+    """V_A and V_B up to 1e20, legs up to the underflow limit, an imperfect
+    relay detector, the optimal gain or a fixed one."""
+    fixed = draw(st.booleans())
+    return Scenario(v_a=10.0 ** draw(st.floats(0.0, 20.0)), v_b=10.0 ** draw(st.floats(0.01, 20.0)),
+                    channel_a=draw(CHANNELS), channel_b=draw(CHANNELS),
+                    beta_r=draw(st.floats(0.9, 1.0)), detector=draw(DETECTORS),
+                    gain_mode="fixed" if fixed else "optimal",
+                    gain=draw(st.floats(0.01, 100.0)) if fixed else None)
+
+
+# Each way to derive a scenario from s, drawing what it changes
+DERIVATIONS = {
+    "with_lengths": lambda s, draw: s.with_lengths(draw(LEGS), draw(LEGS)),
+    "with_channels, same second leg": lambda s, draw: s.with_channels(draw(CHANNELS),
+                                                                      s.channel_b),
+    "with_channels, new second leg": lambda s, draw: s.with_channels(s.channel_a, draw(CHANNELS)),
+    "with_channels, both legs new": lambda s, draw: s.with_channels(draw(CHANNELS),
+                                                                    draw(CHANNELS)),
+    "with_detector": lambda s, draw: s.with_detector(draw(DETECTORS)),
+    "replace": lambda s, draw: dataclasses.replace(
+        s, v_b=10.0 ** draw(st.floats(0.01, 20.0)), channel_b=draw(CHANNELS),
+        detector=draw(DETECTORS)),
+}
+
+
+def rebuilt(s: Scenario) -> Scenario:
+    """The scenario of s's fields, constructed anew."""
+    a, b, det = s.channel_a, s.channel_b, s.detector
+    return Scenario(s.v_a, s.v_b,
+                    ChannelParams(a.length_km, a.attenuation_db_per_km, a.excess_noise),
+                    ChannelParams(b.length_km, b.attenuation_db_per_km, b.excess_noise),
+                    s.beta_r, DetectorParams(det.efficiency, det.electronic_noise),
+                    s.gain_mode, s.gain)
+
+
+def stale(scenarios) -> list:
+    """The scenarios whose gain-free terms differ in any bit from those of
+    their fields constructed anew, or whose equality, hash or repr differ
+    from the new one's."""
+    found = []
+    for s in scenarios:
+        new = rebuilt(s)
+        if ([x.hex() for x in gain_free_terms(s)] != [x.hex() for x in gain_free_terms(new)]
+                or s != new or hash(s) != hash(new) or repr(s) != repr(new)):
+            found.append(s)
+    return found
+
+
+class TestSharedLegBTerms:
+    """A scenario's copies that keep its second leg and detector share its
+    terms of the reduction that these fix; no other copy may read them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(base=scenarios(), data=st.data())
+    def test_property_derived_scenarios_hold_no_stale_terms(self, base, data):
+        # chains of derivations, with the terms of drawn scenarios computed
+        # between them, so that a copy can inherit a filled record
+        pool = [base]
+        for _ in range(data.draw(st.integers(1, 6))):
+            if data.draw(st.booleans()):
+                gain_free_terms(data.draw(st.sampled_from(pool)))
+            derive = DERIVATIONS[data.draw(st.sampled_from(sorted(DERIVATIONS)))]
+            pool.append(derive(data.draw(st.sampled_from(pool)), data.draw))
+        assert stale(pool) == []
+
+    def test_a_copy_that_keeps_the_record_of_another_leg_is_stale(self, monkeypatch):
+        # the control: a `with_channels` that keeps the record when the second
+        # leg changes serves its copies the old leg's terms
+        def keeping(self, channel_a, channel_b):
+            return _frozen(Scenario, {"channel_a": channel_a, "channel_b": channel_b}, self)
+
+        base = make_scenario(1.0, 2.0, eta_d=0.9, v_el=0.01)
+        gain_free_terms(base)
+        copies = [base.with_channels(base.channel_a, base.channel_b.with_length(5.0)),
+                  base.with_lengths(1.0, 5.0)]
+        assert stale([base] + copies) == []
+        monkeypatch.setattr(Scenario, "with_channels", keeping)
+        copies = [base.with_channels(base.channel_a, base.channel_b.with_length(5.0)),
+                  base.with_lengths(1.0, 5.0)]
+        assert stale([base] + copies) == copies
+
+    def test_building_and_copying_call_no_public_function(self, monkeypatch):
+        # the benchmark's tracer wraps the public functions of `protocol` and
+        # `kernels`; building or copying parameters outside a timed item must
+        # not record a span there, so none of them may run
+        def refusing(name):
+            def refuse(*args, **kwargs):
+                raise AssertionError(f"{name} called")
+            return refuse
+
+        for module in (protocol, kernels):
+            for name, obj in list(vars(module).items()):
+                if (callable(obj) and not isinstance(obj, type) and not name.startswith("_")
+                        and obj.__module__ == module.__name__):
+                    monkeypatch.setattr(module, name, refusing(name))
+        channel = ChannelParams(3.0, 0.2, 0.002)
+        detector = DetectorParams(0.9, 0.01)
+        s = Scenario(40.0, 40.0, channel, channel.with_length(2.0), detector=detector)
+        fixed = Scenario(40.0, 40.0, channel, channel, detector=detector, gain_mode="fixed",
+                         gain=1.3)
+        copies = [s.with_lengths(1.0, 2.0), s.with_channels(channel, s.channel_b),
+                  s.with_channels(channel, channel), s.with_detector(DetectorParams()),
+                  dataclasses.replace(fixed, gain=1.4), dataclasses.replace(channel, length_km=4.0),
+                  dataclasses.replace(detector, efficiency=0.8)]
+        assert [type(c).__name__ for c in copies] == ["Scenario"] * 5 + ["ChannelParams",
+                                                                         "DetectorParams"]
+        with pytest.raises(AssertionError, match="gain_free_terms called"):
+            s.resolved_gain()  # the patches are in force
 
 
 class TestEquivalentChannel:
