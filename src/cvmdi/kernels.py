@@ -21,14 +21,18 @@ them as `kernels.<name>`, so that a test or a tracer that replaces the
 module's attribute sees every evaluation.
 """
 
-from math import log, log1p, sqrt
+from math import inf, log, log1p, sqrt
 
 _LN2 = log(2.0)
 
 
 def _entropy(am: float) -> float:
-    """g(nu) in nats from am = (nu - 1)/2 != 0: ln(ap) + am log1p(1/am), ap = am + 1."""
-    return log1p(am) + am * log1p(1.0 / am)
+    """g(nu) in nats from am = (nu - 1)/2 != 0: ln(ap) + am log1p(1/am), ap = am + 1;
+    where 1/am overflows (am < 2^-1024), am (1 - ln am), which g is to O(am^2)."""
+    inv = 1.0 / am
+    if inv != inf:
+        return log1p(am) + am * log1p(inv)
+    return am * (1.0 - log(am))
 
 
 def g_entropy(nu: float) -> float:
@@ -79,14 +83,18 @@ def block_mutual_information(v_a: float, t: float, eps: float) -> float:
 def block_holevo_reverse(v_a: float, t: float, eps: float) -> float:
     """Holevo bound on Eve's information about mode-B heterodyne data, bits:
     g(nu1) + g(nu2) - g(nu3), with g(nu1) - g(nu3) from d = (nu1 - nu3)/2 as
-    log1p(d/ap3) + d log1p(1/am1) + am3 log1p(-d/(ap3 am1)), am1 = am3 + d."""
+    log1p(d/ap3) + d log1p(1/am1) + am3 log1p(-d/(ap3 am1)), am1 = am3 + d. Where
+    -d/(ap3 am1) rounds to -1 or below, log1p's argument is read as its exact
+    equal, 1 - d/(ap3 am1) = am3 (am1 + 1)/(ap3 am1), whose log cancels nowhere."""
     _, am2, am3, d = symplectic_excesses(v_a, t, eps)
     # `!= 0.0`, not `> 0.0`: a NaN of an overflowed channel reaches the result
     chi = _entropy(am2) if am2 != 0.0 else 0.0
     am1 = am3 + d
     if am3 != 0.0:
         ap3 = am3 + 1.0
-        chi += log1p(d / ap3) + d * log1p(1.0 / am1) + am3 * log1p(-d / (ap3 * am1))
+        x = -d / (ap3 * am1)
+        chi += log1p(d / ap3) + d * log1p(1.0 / am1) + am3 * (
+            log1p(x) if x > -1.0 else log(am3 * (am1 + 1.0) / (ap3 * am1)))
     elif am1 != 0.0:
         chi += _entropy(am1)
     return chi / _LN2

@@ -10,15 +10,15 @@ call on the channel (V_A, T, eps') at one gain, from the scenario's
 float channel allows at any V_A and leg where that channel is finite: every
 golden K cell is within 1e-12 relative, or 1e-14 absolute near K = 0, of the
 exact reference. Every point, and
-every probe of a range or threshold search (`key_rate_at`, the
-detector-efficiency search), is one `secret_key_rate`, whose `KeyRatePoint`
-is built without the generated `__init__`; the k maximum computes the
-gain-free terms once and evaluates each k. A sweep or search that moves only
-the first leg (`sweep_asymmetric`, `max_distance_asymmetric`,
-`max_distance_detection_scheme`) builds the second leg once per curve or
-search and copies only the first leg per point or probe, so the terms of the
-reduction that the second leg fixes are computed once there (see
-`protocol.Scenario`). The range and threshold searches
+every probe of a range or threshold search, is one `_point` of the
+scenario's gain-free terms, whose `KeyRatePoint` is built without the
+generated `__init__`, or, in the detection scheme, one `_k_maximum` of them,
+which evaluates each k. `secret_key_rate` and `optimize_k_detection_scheme`
+compute the terms of their scenario; a sweep or search that moves only the
+first leg (`sweep_asymmetric`, `max_distance_asymmetric`,
+`max_distance_detection_scheme`) computes the terms that the second leg fixes
+once per curve or search and completes them per point or probe
+(`_first_leg`). The range and threshold searches
 bracket the sign change of K and close the bracket with Brent's root,
 `_root`; the detection scheme's range is that root of the k maximum, Brent's
 `_maximize`. `_evaluate` is the one key-rate
@@ -39,6 +39,8 @@ from .protocol import (
     TransmittanceUnderflow,
     _at_agreed_precision,
     _frozen,
+    _leg_b_terms,
+    _with_first_leg,
     channel_at,
     gain_free_terms,
     k_from_gain,
@@ -165,19 +167,32 @@ def _evaluate(scenario: Scenario, terms: tuple, g: float) -> tuple:
         f"needs T > 0 and a block that the key-rate kernels evaluate without overflow")
 
 
-def secret_key_rate(scenario: Scenario) -> KeyRatePoint:
-    """The key rate of the scenario at its resolved gain, with I_AB and chi_BE.
-
-    Where T = 0 or the key rate is not finite (finite but extreme inputs), a
-    `KeyRateNotFinite` names the scenario's legs.
-    """
-    terms = gain_free_terms(scenario)
+def _point(scenario: Scenario, terms: tuple) -> KeyRatePoint:
+    """The `KeyRatePoint` of the scenario at its resolved gain, from its
+    `gain_free_terms`."""
     g = terms[-1]  # the resolved gain
     i_ab, chi, rate = _evaluate(scenario, terms, g)
     # a sweep or a search builds one point per cell or probe: `_frozen`
     # skips the generated __init__
     return _frozen(KeyRatePoint, {"scenario": scenario, "g_used": g, "i_ab": i_ab,
                                   "chi_be": chi, "k": rate})
+
+
+def secret_key_rate(scenario: Scenario) -> KeyRatePoint:
+    """The key rate of the scenario at its resolved gain, with I_AB and chi_BE.
+
+    Where T = 0 or the key rate is not finite (finite but extreme inputs), a
+    `KeyRateNotFinite` names the scenario's legs.
+    """
+    return _point(scenario, gain_free_terms(scenario))
+
+
+def _first_leg(scenario: Scenario):
+    """leg_a -> (the scenario over leg_a and its own second leg, its
+    `gain_free_terms`), for a sweep or search that moves only the first leg:
+    the terms that the second leg fixes are computed here, once."""
+    part, leg_b = _leg_b_terms(scenario), scenario.channel_b
+    return lambda leg_a: (scenario.with_channels(leg_a, leg_b), _with_first_leg(part, leg_a))
 
 
 def key_rate_at(scenario: Scenario, l_ac_km: float, l_bc_km: float) -> float:
@@ -261,19 +276,11 @@ def max_total_distance_symmetric(scenario: Scenario) -> float:
 
 
 def max_distance_asymmetric(scenario: Scenario, l_bc_km: float) -> float:
-    """Largest first-leg length with positive key rate at fixed second leg.
-
-    The second leg is built once, and each probe copies the first leg alone,
-    so the probes share its terms of the reduction; a sweep passes its
-    curve's scenario, whose second leg is already l_bc_km.
-    """
-    leg_b = scenario.channel_b
-    if leg_b.length_km != l_bc_km:
-        leg_b = leg_b.with_length(l_bc_km)
-        scenario = scenario.with_channels(scenario.channel_a, leg_b)
+    """Largest first-leg length with positive key rate at fixed second leg."""
+    at = _first_leg(scenario.with_channels(scenario.channel_a,
+                                           scenario.channel_b.with_length(l_bc_km)))
     leg_a = scenario.channel_a
-    return _max_distance(
-        lambda l: secret_key_rate(scenario.with_channels(leg_a.with_length(l), leg_b)).k)
+    return _max_distance(lambda l: _point(*at(leg_a.with_length(l))).k)
 
 
 def _floats(values) -> tuple:
@@ -316,20 +323,17 @@ def sweep_asymmetric(scenario: Scenario, l_ac_grid, l_bc_values) -> SweepResult:
         l_bc_values = (float(l_bc_values),)
     if not (l_ac_grid and l_bc_values) or any(l < 0 for l in l_ac_grid + l_bc_values):
         raise ValueError("grids must be nonempty and nonnegative")
-    # each channel is built once: a first leg per grid length, a second leg per
-    # curve, in the curve's scenario, which its points and its range copy, so
-    # they share its terms of the reduction
+    # a first leg per grid length, built once for every curve
     legs_a = [scenario.channel_a.with_length(l) for l in l_ac_grid]
     curves = []
     for l_bc in l_bc_values:
-        leg_b = scenario.channel_b.with_length(l_bc)
-        curve = scenario.with_channels(scenario.channel_a, leg_b)
-        points = tuple(secret_key_rate(curve.with_channels(leg_a, leg_b)) for leg_a in legs_a)
+        at = _first_leg(scenario.with_channels(scenario.channel_a,
+                                               scenario.channel_b.with_length(l_bc)))
         curves.append(SweepCurve(
             label=f"l_bc={_length_label(l_bc)}km",
             axis_km=l_ac_grid,
-            points=points,
-            max_distance_km=max_distance_asymmetric(curve, l_bc),
+            points=tuple(_point(*at(leg_a)) for leg_a in legs_a),
+            max_distance_km=max_distance_asymmetric(scenario, l_bc),
         ))
     return SweepResult(axis_name="L_AC_km", curves=tuple(curves))
 
@@ -417,6 +421,15 @@ def _maximize(f, lo: float, hi: float) -> tuple[float, float]:
     return max([(x, fx)] + ends, key=lambda point: point[1])
 
 
+def _k_maximum(scenario: Scenario, terms: tuple) -> tuple[float, float]:
+    """`optimize_k_detection_scheme` from the scenario's `gain_free_terms`,
+    computed once per maximum: only g changes."""
+    g0 = terms[-1]  # the resolved gain
+    u, best = _maximize(lambda u: _evaluate(scenario, terms, g0 * math.exp(u))[2],
+                        math.log(K_GRID_SPAN[0]), math.log(K_GRID_SPAN[1]))
+    return k_from_gain(g0 * math.exp(u), scenario.v_b), best
+
+
 def optimize_k_detection_scheme(scenario: Scenario) -> tuple[float, float]:
     """The maximum (k, K) of the key rate over k in k0 * K_GRID_SPAN, k0 =
     `analytic_k`, by `_maximize` in ln(k / k0): about a dozen scalar
@@ -427,20 +440,13 @@ def optimize_k_detection_scheme(scenario: Scenario) -> tuple[float, float]:
     overflow there) raises the `KeyRateNotFinite` of `_evaluate`,
     which names it.
     """
-    terms = gain_free_terms(scenario)  # once per maximum: only g changes
-    g0 = terms[-1]  # the resolved gain
-    u, best = _maximize(lambda u: _evaluate(scenario, terms, g0 * math.exp(u))[2],
-                        math.log(K_GRID_SPAN[0]), math.log(K_GRID_SPAN[1]))
-    return k_from_gain(g0 * math.exp(u), scenario.v_b), best
+    return _k_maximum(scenario, gain_free_terms(scenario))
 
 
 def max_distance_detection_scheme(scenario: Scenario) -> float:
-    """Largest first-leg length with positive k-optimized key rate; each probe
-    copies the first leg alone, so the probes share the scenario's terms of
-    the reduction that its second leg fixes."""
-    leg_a, leg_b = scenario.channel_a, scenario.channel_b
-    return _max_distance(lambda l: optimize_k_detection_scheme(
-        scenario.with_channels(leg_a.with_length(l), leg_b))[1])
+    """Largest first-leg length with positive k-optimized key rate."""
+    at, leg_a = _first_leg(scenario), scenario.channel_a
+    return _max_distance(lambda l: _k_maximum(*at(leg_a.with_length(l)))[1])
 
 
 def min_detector_efficiency(scenario: Scenario) -> float:

@@ -6,8 +6,8 @@ equivalent channel of transmittance T and input-referred excess noise eps'
 (the relay detector's penalty included). It is two steps, which the key
 rate (`keyrate`) and the oracle (`oracle.run_oracle_suites`) compose
 themselves (see the reduction's comment): `gain_free_terms`, once per
-scenario (its second leg's part once for the copies that keep that leg),
-which also holds the gain rule (read by `Scenario.resolved_gain`); and
+scenario, whose second leg's part also holds the gain rule (read by
+`Scenario.resolved_gain`); and
 `channel_at`, (T, eps') at one g. The key-rate kernels take (V_A, T, eps')
 as they are; `block_params` gives the block covariance (a, b, c) from (T,
 eps') for the oracle's covariance suite. Around it: the parameter types,
@@ -130,16 +130,7 @@ class DetectorParams:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Full protocol parameter set for one key-rate evaluation.
-
-    A scenario and its copies that keep its second leg and its detector
-    (`with_channels` with the same `channel_b`) share one record of the terms
-    of the reduction that these fix, `_leg_b_terms`, which the first
-    `gain_free_terms` of any of them computes. Like
-    `ChannelParams.transmittance` it is not a field, so equality, hash and
-    repr are those of the fields; a constructed scenario, `dataclasses.replace`
-    and a copy with another second leg or detector start a record of their own.
-    """
+    """Full protocol parameter set for one key-rate evaluation."""
 
     v_a: float
     v_b: float
@@ -169,9 +160,6 @@ class Scenario:
         elif self.gain is not None:
             raise ValueError(f"scenario.gain = {self.gain} has no effect under gain_mode "
                              f"'optimal'; set gain_mode to 'fixed' to use it")
-        # the record of `_leg_b_terms`, filled by the first `gain_free_terms`:
-        # building a scenario calls no public function of this module
-        self.__dict__["_leg_b"] = []
 
     def with_lengths(self, l_ac_km: float, l_bc_km: float) -> "Scenario":
         return self.with_channels(self.channel_a.with_length(l_ac_km),
@@ -182,22 +170,17 @@ class Scenario:
 
         A copy, not a new construction: every field `__post_init__` checks is
         this scenario's, and each `ChannelParams` checked itself when built.
-        It shares this scenario's leg-B terms when `channel_b` is this
-        scenario's own.
         """
-        values = {"channel_a": channel_a, "channel_b": channel_b}
-        if channel_b is not self.channel_b:
-            values["_leg_b"] = []
-        return _frozen(Scenario, values, self)
+        return _frozen(Scenario, {"channel_a": channel_a, "channel_b": channel_b}, self)
 
     def with_detector(self, detector: DetectorParams) -> "Scenario":
         """This scenario with another relay detector, a copy as `with_channels` makes."""
-        return _frozen(Scenario, {"detector": detector, "_leg_b": []}, self)
+        return _frozen(Scenario, {"detector": detector}, self)
 
     def resolved_gain(self) -> float:
-        """The run's gain, the last of the scenario's `gain_free_terms`, which
-        holds the one gain rule; a caller that has the terms reads it there."""
-        return gain_free_terms(self)[-1]
+        """The run's gain, the last of the scenario's `_leg_b_terms`, which
+        hold the one gain rule; a caller that has the terms reads it there."""
+        return _leg_b_terms(self)[-1]
 
 
 def optimal_gain(scenario: Scenario) -> float:
@@ -226,11 +209,10 @@ def optimal_gain(scenario: Scenario) -> float:
 # scheme's k maximum) and for an oracle run, and no wrapper composes the
 # steps for one value. They are two parts: `_leg_b_terms`, fixed by the
 # second leg, v_b, the relay detector and the gain rule, and their
-# completion by the first leg (eta_a, eps_a) in `gain_free_terms`. The first
-# part is computed lazily, inside the first `gain_free_terms` of a scenario or
-# of a copy that shares it (see `Scenario`), so a sweep or search that moves
-# only the first leg computes it once per curve or search, and building a
-# scenario calls no public function here. These functions take
+# completion by the first leg (eta_a, eps_a), `_with_first_leg`;
+# `gain_free_terms` composes them, and a sweep or search that moves only the
+# first leg (`keyrate._first_leg`) computes the first part once per curve or
+# search and completes it per point or probe. These functions take
 # and return floats. Their square roots are `** 0.5`, not `math.sqrt`, because
 # that keeps every published cell unchanged: CPython's float power is libm
 # `pow`, which is not always correctly rounded at 0.5, so `math.sqrt` would
@@ -265,7 +247,7 @@ def detector_noise(eta_d: float, v_el: float) -> float:
 def _leg_b_terms(scenario: Scenario) -> tuple:
     """The part of `gain_free_terms` that the second leg, v_b, the relay
     detector and the gain rule fix, a tuple of floats: 2(1 - eta_b) + eta_b
-    eps_b, the second leg's noise, which `gain_free_terms` divides by eta_a;
+    eps_b, the second leg's noise, which `_with_first_leg` divides by eta_a;
     sqrt(eta_b) sqrt(v_b + 1); the optimal gain g_opt; 2 chi_det; and the
     run's gain, the one gain rule: `gain` when fixed, else g_opt."""
     ch_b, v_b = scenario.channel_b, scenario.v_b
@@ -277,21 +259,21 @@ def _leg_b_terms(scenario: Scenario) -> tuple:
             scenario.gain if scenario.gain_mode == "fixed" else g_opt)
 
 
+def _with_first_leg(leg_b: tuple, channel_a: ChannelParams) -> tuple:
+    """`_leg_b_terms` completed by the first leg into `gain_free_terms`."""
+    noise_b, root_plus, g_opt, penalty, g = leg_b
+    eta_a = channel_a.transmittance
+    return eta_a, channel_a.excess_noise + noise_b / eta_a, root_plus, g_opt, penalty / eta_a, g
+
+
 def gain_free_terms(scenario: Scenario) -> tuple:
     """The terms of the equivalent channel that do not depend on the gain g at
     which `channel_at` evaluates it, a tuple of floats: eta_a; eps' less its
     mismatch term and the detector penalty, eps_a + (2(1 - eta_b) + eta_b
     eps_b)/eta_a, whose terms do not cancel; sqrt(eta_b) sqrt(v_b + 1); the
     optimal gain g_opt; the relay detector penalty 2 chi_det / eta_a; and the
-    run's gain. It completes the scenario's `_leg_b_terms`, computed once for
-    it and the copies that share them (see `Scenario`), with the first leg."""
-    shared = scenario._leg_b
-    if not shared:
-        shared.append(_leg_b_terms(scenario))
-    noise_b, root_plus, g_opt, penalty, g = shared[0]
-    ch_a = scenario.channel_a
-    eta_a = ch_a.transmittance
-    return eta_a, ch_a.excess_noise + noise_b / eta_a, root_plus, g_opt, penalty / eta_a, g
+    run's gain."""
+    return _with_first_leg(_leg_b_terms(scenario), scenario.channel_a)
 
 
 def channel_at(terms: tuple, g):

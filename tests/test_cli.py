@@ -404,6 +404,21 @@ PASS measurement_rescaling_invariance (max|dev|/scale=4.83e-17) seed=12345 n=100
         assert "Traceback" not in captured.err and captured.out == ""
         assert not path.exists()
 
+    # valid inputs at the edge of the float range. A subnormal eps' (1e-310)
+    # made (nu2 - 1)/2 so small that the entropy's reciprocal of it
+    # overflowed: the key rate was not finite and keyrate exited 2. At V_A one
+    # ulp above 1 and k = 0.1 k0, the Holevo bound's log1p took an argument
+    # that rounded to -1, a math domain error: fig6 exited 2
+    @pytest.mark.parametrize("args", [
+        ["--set", "scenario.eps_a=1e-310", "--set", "scenario.eps_b=0", "keyrate"],
+        ["--set", "scenario.v_a=1.0000000000000002", "figure", "fig6"],
+    ])
+    def test_float_edge_input_is_0(self, capsys, tmp_path, args):
+        path = tmp_path / "x.csv"
+        assert main(["--out", str(path), *args]) == 0
+        assert capsys.readouterr().err == ""
+        assert_cells_match_the_reference(args, path)
+
     # the key rate is still positive at the 2000 km per-leg cap: one-sided at
     # 0.001 dB/km; symmetric (1411.5 km total at 0.001 dB/km) at 0.0001 dB/km.
     # At 10 dB/km on the pure-loss channel at L_BC = 0 it is still positive at

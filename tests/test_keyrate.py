@@ -501,6 +501,10 @@ def test_property_curve_labels_read_back_as_their_lengths(lengths):
        eps=st.floats(0.0, 0.05), beta=st.floats(0.9, 1.0), eta_d=st.floats(0.5, 1.0),
        v_el=st.floats(0.0, 0.1), gain_factor=st.none() | st.floats(0.2, 5.0),
        k_factor=st.floats(0.1, 10.0))
+# a subnormal eps' = 2 v_el: (nu2 - 1)/2 is so small that its reciprocal
+# overflowed in the entropy, and the point raised `KeyRateNotFinite`
+@example(v_exp=1.0, l_ac=0.0, l_bc=0.0, eps=0.0, beta=1.0, eta_d=1.0, v_el=2.225073858507e-311,
+         gain_factor=None, k_factor=1.0)
 def test_property_probes_are_the_point_path_bit_for_bit(v_exp, l_ac, l_bc, eps, beta, eta_d,
                                                         v_el, gain_factor, k_factor):
     s = make_scenario(1.0, 2.0, v=10.0 ** v_exp, eps=eps, beta=beta, eta_d=eta_d, v_el=v_el)
@@ -604,16 +608,17 @@ def test_searches_make_the_pinned_kernel_evaluations(name, monkeypatch):
 
 def test_leg_b_terms_are_built_once_per_curve_and_search(monkeypatch):
     # the terms of the reduction that the second leg fixes (`optimal_gain` is
-    # called once for each, by `protocol._leg_b_terms` alone) are built once
-    # per curve of a sweep, its range search included, and once per one-leg
-    # search; each point and probe still evaluates each kernel once
+    # called once for each, by `protocol._leg_b_terms` alone) are built twice
+    # per curve of a sweep, once for its points and once for its range
+    # search, and once per one-leg search; each point and probe still
+    # evaluates each kernel once
     built = []
     optimal = protocol.optimal_gain
     monkeypatch.setattr(protocol, "optimal_gain", lambda s: built.append(s) or optimal(s))
     counts = _count_kernel_evaluations(monkeypatch)
     pinned = SEARCH_EVALUATIONS["default"]
     sweep = sweep_asymmetric(make_scenario(), np.linspace(0.0, 10.0, 51), (0.0, 1.0, 3.0))
-    assert len(built) == 3
+    assert len(built) == 6
     assert [c.max_distance_km for c in sweep.curves] == [
         pinned[f"asymmetric_{l}"][0] for l in (0, 1, 3)]
     probes = sum(pinned[f"asymmetric_{l}"][1] for l in (0, 1, 3))

@@ -204,7 +204,8 @@ def names_read(source: str, functions: set[str]) -> set[str]:
 
 
 # what the reference must not share: the kernels and the reduction
-REDUCTION = {"kernels", "gain_free_terms", "_leg_b_terms", "channel_at", "block_params",
+REDUCTION = {"kernels", "gain_free_terms", "_leg_b_terms", "_with_first_leg", "channel_at",
+             "block_params",
              "detector_noise", "k_from_gain", "_k_per_gain", "optimal_gain", "resolved_gain"}
 
 
@@ -342,9 +343,8 @@ def none_defaults(source: str, param: str) -> set[str]:
 def test_one_gain_rule():
     """`protocol._leg_b_terms`, the part of `gain_free_terms` that the second
     leg fixes, holds the one rule for a run's gain, the last of its terms: it
-    alone calls `optimal_gain`, once per scenario and the copies that share
-    its terms, whose value the mismatch term also reads;
-    `Scenario.resolved_gain` reads the rule's gain from the terms; and no
+    alone calls `optimal_gain`, whose value the mismatch term also reads;
+    `Scenario.resolved_gain` reads the rule's gain from these terms; and no
     function picks a gain of its own when its caller omits g."""
     assert callers("def f():\n    optimal_gain(s)\nclass C:\n    def m(self):\n"
                    "        return p.optimal_gain(h(self))\noptimal_gain(0)\n",
@@ -359,7 +359,7 @@ def test_one_gain_rule():
 
 def test_one_detector_rule():
     """The relay detector enters the model in one place: only
-    `protocol._leg_b_terms`, which `gain_free_terms` completes, calls
+    `protocol._leg_b_terms`, which `_with_first_leg` completes, calls
     `detector_noise`, so every eps' carries its penalty."""
     modules = sorted((ROOT / "src" / "cvmdi").glob("*.py"))
     assert {f"{p.stem}.{f}" for p in modules for f in callers(p.read_text(), "detector_noise")} == {
@@ -369,10 +369,12 @@ def test_one_detector_rule():
 def test_one_reduction_path():
     """The reduction gain -> (T, eps') has one path: the key rate and the
     oracle compose `protocol`'s steps themselves, each scenario's gain-free
-    terms once, and no wrapper composes them for one value; `gain_free_terms`
-    alone completes the second leg's part, `_leg_b_terms`; the kernels take
-    (V_A, T, eps'), so only the oracle's covariance suite builds the block
-    (a, b, c); `Scenario.resolved_gain` reads the gain of the terms."""
+    terms once, and no wrapper composes them for one value; the second leg's
+    part, `_leg_b_terms`, is completed by `_with_first_leg` in
+    `gain_free_terms` and in `keyrate._first_leg`, which a sweep or search
+    that moves only the first leg builds once; the kernels take (V_A, T,
+    eps'), so only the oracle's covariance suite builds the block (a, b, c);
+    `Scenario.resolved_gain` reads the gain of the second leg's part."""
     modules = sorted((ROOT / "src" / "cvmdi").glob("*.py"))
     assert {f"{p.stem}.{f}" for p in modules for f in callers(p.read_text(), "block_params")} == {
         "oracle.run_oracle_suites"}
@@ -381,9 +383,12 @@ def test_one_reduction_path():
     assert {f"{p.stem}.{f}" for p in modules
             for f in callers(p.read_text(), "gain_free_terms")} == {
         "keyrate.secret_key_rate", "keyrate.optimize_k_detection_scheme",
-        "oracle.run_oracle_suites", "protocol.Scenario.resolved_gain"}
+        "oracle.run_oracle_suites"}
     assert {f"{p.stem}.{f}" for p in modules for f in callers(p.read_text(), "_leg_b_terms")} == {
-        "protocol.gain_free_terms"}
+        "protocol.gain_free_terms", "protocol.Scenario.resolved_gain", "keyrate._first_leg"}
+    assert {f"{p.stem}.{f}" for p in modules
+            for f in callers(p.read_text(), "_with_first_leg")} == {
+        "protocol.gain_free_terms", "keyrate._first_leg"}
 
 
 def hidden_kernel_calls(source: str) -> set[str]:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from cvmdi import ChannelParams, DetectorParams, Scenario, kernels, protocol
 from cvmdi.keyrate import secret_key_rate
 from cvmdi.protocol import (
-    _frozen,
     channel_at,
     compose_eb_simulated,
     detector_noise,
@@ -164,7 +163,7 @@ def rebuilt(s: Scenario) -> Scenario:
                     s.gain_mode, s.gain)
 
 
-def stale(scenarios) -> list:
+def unlike_construction(scenarios) -> list:
     """The scenarios whose gain-free terms differ in any bit from those of
     their fields constructed anew, or whose equality, hash or repr differ
     from the new one's."""
@@ -177,38 +176,19 @@ def stale(scenarios) -> list:
     return found
 
 
-class TestSharedLegBTerms:
-    """A scenario's copies that keep its second leg and detector share its
-    terms of the reduction that these fix; no other copy may read them."""
+class TestDerivedScenarios:
+    """A scenario's copies hold only their fields: each is the scenario that
+    constructing its fields anew gives."""
 
     @settings(max_examples=300, deadline=None)
     @given(base=scenarios(), data=st.data())
     def test_property_derived_scenarios_hold_no_stale_terms(self, base, data):
-        # chains of derivations, with the terms of drawn scenarios computed
-        # between them, so that a copy can inherit a filled record
+        # chains of derivations: copies of copies
         pool = [base]
         for _ in range(data.draw(st.integers(1, 6))):
-            if data.draw(st.booleans()):
-                gain_free_terms(data.draw(st.sampled_from(pool)))
             derive = DERIVATIONS[data.draw(st.sampled_from(sorted(DERIVATIONS)))]
             pool.append(derive(data.draw(st.sampled_from(pool)), data.draw))
-        assert stale(pool) == []
-
-    def test_a_copy_that_keeps_the_record_of_another_leg_is_stale(self, monkeypatch):
-        # the control: a `with_channels` that keeps the record when the second
-        # leg changes serves its copies the old leg's terms
-        def keeping(self, channel_a, channel_b):
-            return _frozen(Scenario, {"channel_a": channel_a, "channel_b": channel_b}, self)
-
-        base = make_scenario(1.0, 2.0, eta_d=0.9, v_el=0.01)
-        gain_free_terms(base)
-        copies = [base.with_channels(base.channel_a, base.channel_b.with_length(5.0)),
-                  base.with_lengths(1.0, 5.0)]
-        assert stale([base] + copies) == []
-        monkeypatch.setattr(Scenario, "with_channels", keeping)
-        copies = [base.with_channels(base.channel_a, base.channel_b.with_length(5.0)),
-                  base.with_lengths(1.0, 5.0)]
-        assert stale([base] + copies) == copies
+        assert unlike_construction(pool) == []
 
     def test_building_and_copying_call_no_public_function(self, monkeypatch):
         # the benchmark's tracer wraps the public functions of `protocol` and
@@ -235,7 +215,7 @@ class TestSharedLegBTerms:
                   dataclasses.replace(detector, efficiency=0.8)]
         assert [type(c).__name__ for c in copies] == ["Scenario"] * 5 + ["ChannelParams",
                                                                          "DetectorParams"]
-        with pytest.raises(AssertionError, match="gain_free_terms called"):
+        with pytest.raises(AssertionError, match="optimal_gain called"):
             s.resolved_gain()  # the patches are in force
 
 
